@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-numpy fallback.
+"""Benchmark the compiled kernels, the pure-numpy fallback and the engine.
 
-Times the two hot paths on representative workloads:
+Times the hot paths on representative workloads:
 
 * per-series exhaustive hindcast (one long series, many origins);
 * surrogate replication (simulate a 53-series corpus profile and hindcast
-  it), the inner loop of every Monte Carlo experiment.
+  it) through each per-series kernel, one replication per call;
+* the same replication through the batched surrogate engine that every
+  Monte Carlo experiment runs on, which also aggregates each replication's
+  error-growth curve.
 
 Usage: python benchmarks/bench_kernels.py [--reps 200]
 """
@@ -15,9 +18,10 @@ import time
 
 import numpy as np
 
-from costwalk import corpus_template, load_reference_params
+from costwalk import SurrogateConfig, corpus_template, load_reference_params
 from costwalk._kernels import _fallback
 from costwalk.stats import derive_rng
+from costwalk.surrogate import _xi_ensemble
 
 try:
     from costwalk._kernels import _native
@@ -54,6 +58,13 @@ def bench_surrogate(backend, lengths, drifts, vols, theta, m, tau_max, reps):
     return _time(run, repeat=3) / reps
 
 
+def bench_engine(template, theta, m, tau_max, reps):
+    config = SurrogateConfig(
+        replications=reps, theta=theta, m=m, tau_max=tau_max, seed=42, template=template
+    )
+    return _time(lambda: _xi_ensemble(config, 1), repeat=3) / reps
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--reps", type=int, default=200, help="surrogate replications per timing")
@@ -86,6 +97,8 @@ def main():
         print(
             f"{'speedup':<10} {rows[1][1] / rows[0][1]:>20.1f}x {rows[1][2] / rows[0][2]:>24.1f}x"
         )
+    t_engine = bench_engine(template, 0.63, 5, 20, args.reps)
+    print(f"{'engine':<10} {'':>22} {t_engine * 1e6:>23.1f} us  (with Xi, any backend)")
 
 
 if __name__ == "__main__":

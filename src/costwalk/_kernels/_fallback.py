@@ -2,7 +2,10 @@
 
 This module defines the semantics; the compiled Cython twin in
 ``_native.pyx`` must produce the same output (up to floating-point
-summation order) and is preferred at import time when available.
+summation order) and is preferred at import time when available. The
+batched surrogate engine in ``surrogate.py`` repeats the arithmetic of
+``corpus_norm_errors`` operation for operation and is tested to match it bit
+for bit, so a change to the order of operations here must be made there too.
 
 Conventions shared by both backends, for a log-cost series y[0..T-1] and a
 window of m first differences:

@@ -10,22 +10,29 @@ deviation measures), which is the only honest way to test them: hindcast
 errors overlap in time, so their correlation structure defeats textbook
 sampling theory.
 
+Every experiment runs on one numpy engine, which simulates and hindcasts a
+chunk of replications as (replications, records) arrays through a static
+index plan of the template. Its arithmetic follows the per-series kernel
+``_kernels.corpus_norm_errors`` step for step, so each replication's errors
+are bit-identical to that reference.
+
 Everything here is deterministic given the configuration: replication r of
-experiment component c draws from an independent stream derived from
-(seed, c, r), so results are bit-identical no matter how many threads run.
+an experiment draws from an independent stream derived from (seed, tag, r),
+so results are bit-identical however many replications share an array pass
+and however many threads run.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .dataset import SeriesSummary
 from .forecast import rescale_scale, variance_factors
 from .hindcast import ErrorGrowthCurve, HindcastRecord, error_growth, hindcast_corpus
@@ -50,6 +57,31 @@ __all__ = [
 
 DEVIATION_GRID = np.linspace(-15.0, 15.0, 1000)
 
+# Replication r of an experiment draws from derive_rng(seed, tag, r). Each
+# experiment owns a block of tags, (first tag, number of tags); only the
+# last block may be open-ended (None), so no two experiments share a stream.
+_STREAM_TAGS: dict[str, tuple[int, int | None]] = {
+    "xi-band": (1, 1),
+    "deviation": (2, 1),
+    "half-corpus": (3, 1),
+    "fat-tails-normal": (4, 1),
+    "fat-tails-ima": (5, 1),
+    "fat-tails-student": (6, 94),  # one per degrees-of-freedom value
+    "theta-match": (100, None),  # one per grid point
+}
+
+
+def _stream_tag(experiment: str, index: int = 0) -> int:
+    first, size = _STREAM_TAGS[experiment]
+    if index < 0 or (size is not None and index >= size):
+        raise ValueError(f"{experiment!r} has {size} stream tags; index {index} is out of range")
+    return first + index
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 @dataclass(frozen=True)
 class SurrogateConfig:
@@ -60,6 +92,8 @@ class SurrogateConfig:
     deviation sigma = K/sqrt(1+theta^2) so the increment variance equals
     K^2. The Student innovation family models fat-tailed shocks for the
     robustness check and is defined only for theta = 0 (plain random walk).
+    At least one template series must have the m + 2 points a hindcast
+    needs.
     """
 
     replications: int
@@ -80,6 +114,11 @@ class SurrogateConfig:
             raise ValueError("corpus template is empty")
         if self.m < 4:
             raise ValueError(f"window m={self.m} too small; error rescaling needs m > 3")
+        if max(t[0] for t in self.template) < self.m + 2:
+            raise ValueError(
+                f"no template series has the m + 2 = {self.m + 2} points a window-{self.m} "
+                "hindcast needs"
+            )
         if self.tau_max < 1:
             raise ValueError(f"tau_max must be >= 1, got {self.tau_max}")
         if self.innovation not in ("normal", "student"):
@@ -94,17 +133,27 @@ class SurrogateConfig:
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
-    @property
+    @functools.cached_property
     def lengths(self) -> np.ndarray:
-        return np.array([t[0] for t in self.template], dtype=np.int64)
+        return _read_only(np.array([t[0] for t in self.template], dtype=np.int64))
 
-    @property
+    @functools.cached_property
     def drifts(self) -> np.ndarray:
-        return np.array([t[1] for t in self.template], dtype=np.float64)
+        return _read_only(np.array([t[1] for t in self.template], dtype=np.float64))
 
-    @property
+    @functools.cached_property
     def volatilities(self) -> np.ndarray:
-        return np.array([t[2] for t in self.template], dtype=np.float64)
+        return _read_only(np.array([t[2] for t in self.template], dtype=np.float64))
+
+    @functools.cached_property
+    def _draw_scales(self) -> np.ndarray:
+        """Scale of each innovation draw, series after series in template order."""
+        if self.innovation == "normal":
+            scale = 1.0 / math.sqrt(1.0 + self.theta * self.theta)
+        else:
+            df = float(self.student_df)
+            scale = math.sqrt((df - 2.0) / df)
+        return _read_only(np.repeat(self.volatilities * scale, self.lengths))
 
 
 @dataclass
@@ -114,7 +163,9 @@ class NullEnsemble:
     ``values`` has one row per replication (columns index horizons when the
     statistic is a curve). Two p-value conventions are exposed: the raw
     share of replications at or above the observed value, and an add-one
-    smoothed version (count+1)/(reps+1) that can never return 0.
+    smoothed version (count+1)/(reps+1) that can never return 0. Both are
+    NaN where the observed statistic is NaN, e.g. at a horizon the observed
+    corpus never reaches.
     """
 
     statistic: str
@@ -137,8 +188,10 @@ class NullEnsemble:
     def _exceed_counts(self) -> np.ndarray:
         if self.observed is None:
             raise ValueError("no observed statistic attached")
+        observed = np.asarray(self.observed, dtype=float)
         with np.errstate(invalid="ignore"):
-            return np.nansum(self.values >= np.asarray(self.observed), axis=0)
+            counts = np.nansum(self.values >= observed, axis=0)
+        return np.where(np.isnan(observed), np.nan, counts)
 
     @property
     def p_raw(self) -> np.ndarray | float:
@@ -151,25 +204,23 @@ class NullEnsemble:
         return float(p) if np.ndim(p) == 0 else p
 
 
-def _innovation_blocks(rng: np.random.Generator, config: SurrogateConfig) -> list[np.ndarray]:
-    """Per-series innovation draws; order and block sizes fix the stream."""
-    blocks = []
+def _innovations(config: SurrogateConfig, rng: np.random.Generator) -> np.ndarray:
+    """Pre-scaled innovations of one corpus, series after series.
+
+    One draw call per corpus gives the same bits as one call per series,
+    because the generator consumes its stream value by value.
+    """
+    n = config._draw_scales.size
     if config.innovation == "normal":
-        scale = 1.0 / math.sqrt(1.0 + config.theta * config.theta)
-        for n_obs, _, k in config.template:
-            blocks.append(k * scale * rng.standard_normal(n_obs))
-    else:
-        df = float(config.student_df)
-        scale = math.sqrt((df - 2.0) / df)
-        for n_obs, _, k in config.template:
-            blocks.append(k * scale * rng.standard_t(df, n_obs))
-    return blocks
+        return config._draw_scales * rng.standard_normal(n)
+    return config._draw_scales * rng.standard_t(float(config.student_df), n)
 
 
 def surrogate_corpus(config: SurrogateConfig, rng: np.random.Generator) -> list[TechnologySeries]:
     """One simulated corpus matching the template lengths and parameters."""
+    blocks = np.split(_innovations(config, rng), np.cumsum(config.lengths)[:-1])
     corpus = []
-    for j, ((n_obs, mu, _), v) in enumerate(zip(config.template, _innovation_blocks(rng, config))):
+    for j, ((n_obs, mu, _), v) in enumerate(zip(config.template, blocks)):
         increments = (mu + v[1:]) + config.theta * v[:-1]
         y = np.concatenate(([0.0], np.cumsum(increments)))
         corpus.append(
@@ -182,65 +233,218 @@ def surrogate_corpus(config: SurrogateConfig, rng: np.random.Generator) -> list[
     return corpus
 
 
+# Replications per array pass times the size of the largest per-replication
+# array. The bundled 53-series template (6,391 records at m = 5, tau_max = 20)
+# then runs 2 replications per pass. Larger passes were slower per
+# replication on a 2-core Xeon with 2 MB of L2 cache per core (5 per pass
+# took about 1.5x as long), because record-sized temporaries leave the cache.
+_CHUNK_ELEMENTS = 1 << 14
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Static index plan for simulating and hindcasting one template.
+
+    A pass lays series j out in row j of a (series, width) array padded to
+    the longest series, for the levels y and the first differences d alike;
+    every index is a flat position in that layout. Origins are the feasible
+    forecast origins i = m..T-2 of every series with T >= m + 2; records are
+    ordered by series, origin and horizon, as in the per-series kernel.
+    """
+
+    width: int
+    draws: np.ndarray  # position of each innovation, in draw order
+    origin: np.ndarray  # y[i] of each origin
+    window_start: np.ndarray  # y[i - m] and d[i - m], where the window starts
+    origin_series: np.ndarray  # series of each origin
+    record_origin: np.ndarray  # origin of each record
+    tau: np.ndarray  # horizon of each record
+    horizon: np.ndarray  # tau as float64: mu * horizon equals mu * tau, without a cast
+    chunk: int  # replications per array pass
+
+
+def _build_plan(lengths: tuple[int, ...], m: int, tau_max: int) -> _Plan:
+    width = max(lengths)
+    draws, series_of, origin_at, n_tau = [], [], [], []
+    for j, T in enumerate(lengths):
+        draws.append(j * width + np.arange(T))
+        origins = np.arange(m, T - 1)
+        series_of.append(np.full(origins.size, j))
+        origin_at.append(origins)
+        n_tau.append(np.minimum(T - 1 - origins, tau_max))
+    series_of = np.concatenate(series_of)
+    origin_at = np.concatenate(origin_at)
+    n_tau = np.concatenate(n_tau)
+    origin = series_of * width + origin_at
+    record_origin = np.repeat(np.arange(origin.size), n_tau)
+    first = np.cumsum(n_tau) - n_tau
+    tau = np.arange(record_origin.size) - first[record_origin] + 1
+    chunk = max(1, _CHUNK_ELEMENTS // max(tau.size, origin.size * m, len(lengths) * width))
+    return _Plan(
+        width=width,
+        draws=_read_only(np.concatenate(draws)),
+        origin=_read_only(origin),
+        window_start=_read_only(origin - m),
+        origin_series=_read_only(series_of),
+        record_origin=_read_only(record_origin),
+        tau=_read_only(tau),
+        horizon=_read_only(tau.astype(np.float64)),
+        chunk=chunk,
+    )
+
+
+# Every theta of a matching grid, and the band and deviation test of one
+# validation, share a plan. One-corpus calls build theirs uncached, so a
+# large test template is not kept alive.
+_plan = functools.lru_cache(maxsize=4)(_build_plan)
+
+
+def _plan_key(config: SurrogateConfig) -> tuple[tuple[int, ...], int, int]:
+    return tuple(config.lengths.tolist()), config.m, config.tau_max
+
+
+def _simulate(
+    config: SurrogateConfig, plan: _Plan, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Normalized hindcast errors of one simulated corpus per generator.
+
+    Returns a (len(rngs), records) array in plan order, and a mask of the
+    records to keep, or None when no window in the pass had zero variance.
+    Row b is bit-identical to ``_kernels.corpus_norm_errors`` on the
+    innovations drawn from rngs[b].
+    """
+    n = len(rngs)
+    m = config.m
+    v = np.zeros((n, len(config.template), plan.width))
+    flat = v.reshape(n, -1)
+    for b, rng in enumerate(rngs):
+        flat[b, plan.draws] = _innovations(config, rng)
+    y = np.zeros_like(v)
+    y[:, :, 1:] = np.cumsum(
+        (config.drifts[:, None] + v[:, :, 1:]) + config.theta * v[:, :, :-1], axis=-1
+    )
+    d = np.zeros_like(y)
+    np.subtract(y[:, :, 1:], y[:, :, :-1], out=d[:, :, :-1])
+    y = y.reshape(n, -1)
+    d = d.reshape(n, -1)
+
+    def at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return np.take(a, index, axis=1)
+
+    y_origin = at(y, plan.origin)
+    mu = (y_origin - at(y, plan.window_start)) / m
+    windows = at(d, plan.window_start[:, None] + np.arange(m))
+    k2 = ((windows - mu[:, :, None]) ** 2).sum(axis=-1) / (m - 1)
+    del windows
+    k_hat = np.sqrt(k2)
+    # norm = (y[i + tau] - y[i] - mu * tau) / k_hat per record, computed in
+    # place so a large template needs few record-sized temporaries
+    o = plan.record_origin
+    norm = at(y, plan.origin[o] + plan.tau)
+    norm -= at(y_origin, o)
+    norm -= at(mu, o) * plan.horizon
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm /= at(k_hat, o)  # zero-variance origins are masked out below
+    keep = k2 > 0.0
+    return norm, (None if keep.all() else keep[:, o])
+
+
 def _replication_errors(
     config: SurrogateConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(series_idx, tau, norm_error) for one simulated corpus (hot path)."""
-    v = np.concatenate(_innovation_blocks(rng, config))
-    series_idx, tau, norm, _ = _kernels.corpus_norm_errors(
-        config.lengths, config.drifts, config.theta, v, config.m, config.tau_max
-    )
-    return series_idx, tau, norm
+    """(series_idx, tau, norm_error) of one simulated corpus, in kernel order."""
+    plan = _build_plan(*_plan_key(config))
+    norm, keep = _simulate(config, plan, [rng])
+    series_idx = plan.origin_series[plan.record_origin]
+    if keep is None:
+        return series_idx, plan.tau, norm[0]
+    return series_idx[keep[0]], plan.tau[keep[0]], norm[0, keep[0]]
+
+
+def _xi_rows(
+    norm: np.ndarray,
+    keep: np.ndarray | None,
+    series_idx: np.ndarray,
+    tau: np.ndarray,
+    config: SurrogateConfig,
+) -> np.ndarray:
+    """Per-horizon Xi of each row of ``norm`` (NaN where a row has no records).
+
+    One bincount covers all rows; each bin still sums its records in row
+    order, so every row equals its own single-replication aggregate.
+    """
+    rows = norm.shape[0]
+    tau_max = config.tau_max
+    if config.weighting == "pooled":
+        groups = tau_max
+        key = np.arange(rows)[:, None] * groups + (tau - 1)
+    else:
+        groups = len(config.template) * tau_max
+        key = np.arange(rows)[:, None] * groups + (series_idx * tau_max + (tau - 1))
+    sq = norm * norm
+    key = np.broadcast_to(key, norm.shape)
+    key, sq = (key.ravel(), sq.ravel()) if keep is None else (key[keep], sq[keep])
+    sums = np.bincount(key, weights=sq, minlength=rows * groups)
+    counts = np.bincount(key, minlength=rows * groups)
+    with np.errstate(invalid="ignore"):
+        xi = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        if config.weighting == "pooled":
+            return xi.reshape(rows, tau_max)
+        return np.nanmean(xi.reshape(rows, -1, tau_max), axis=1)
 
 
 def _xi_from_errors(
     series_idx: np.ndarray, tau: np.ndarray, norm: np.ndarray, config: SurrogateConfig
 ) -> np.ndarray:
-    """Per-horizon Xi (length tau_max, NaN where no records)."""
-    tau_max = config.tau_max
-    sq = norm * norm
-    if config.weighting == "pooled":
-        sums = np.bincount(tau - 1, weights=sq, minlength=tau_max)
-        counts = np.bincount(tau - 1, minlength=tau_max)
-        with np.errstate(invalid="ignore"):
-            return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    n_series = len(config.template)
-    key = series_idx * tau_max + (tau - 1)
-    sums = np.bincount(key, weights=sq, minlength=n_series * tau_max).reshape(n_series, tau_max)
-    counts = np.bincount(key, minlength=n_series * tau_max).reshape(n_series, tau_max)
-    with np.errstate(invalid="ignore"):
-        per_series = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        return np.nanmean(per_series, axis=0)
+    """Per-horizon Xi of one replication (length tau_max, NaN where no records)."""
+    return _xi_rows(norm[None, :], None, series_idx, tau, config)[0]
 
 
-def _run_replications(
+def _run(
     config: SurrogateConfig,
-    per_replication: Callable[[int], np.ndarray],
+    plan: _Plan,
+    tag: int,
     width: int,
-    stream_tag: int,
+    rows_of: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
 ) -> np.ndarray:
-    """Fill a (replications, width) matrix, optionally with threads.
+    """(replications, width) matrix of a statistic of each replication.
 
-    Each replication draws from stream (seed, stream_tag, rep), so the
-    result is identical however the work is scheduled.
+    ``rows_of`` reduces one pass's (norm, keep) to its rows. Replication r
+    draws from stream (seed, tag, r), so the result is identical however
+    the passes are scheduled.
     """
     out = np.empty((config.replications, width))
 
-    def worker(rep: int) -> None:
-        out[rep] = per_replication(rep)
+    def work(start: int) -> None:
+        stop = min(start + plan.chunk, config.replications)
+        rngs = [derive_rng(config.seed, tag, rep) for rep in range(start, stop)]
+        out[start:stop] = rows_of(*_simulate(config, plan, rngs))
 
+    starts = range(0, config.replications, plan.chunk)
     if config.threads > 1:
+        # imported here, because it pulls in threading and logging, which
+        # cost single-threaded runs a few ms of start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(worker, range(config.replications)))
+            list(pool.map(work, starts))
     else:
-        for rep in range(config.replications):
-            worker(rep)
+        for start in starts:
+            work(start)
     return out
 
 
-_XI_TAG = 1
-_DEVIATION_TAG = 2
-_MATCH_TAG_BASE = 100
+def _xi_ensemble(config: SurrogateConfig, tag: int) -> np.ndarray:
+    """(replications, tau_max) Xi curves of the surrogate null."""
+    plan = _plan(*_plan_key(config))
+    series_idx = plan.origin_series[plan.record_origin]
+    return _run(
+        config,
+        plan,
+        tag,
+        config.tau_max,
+        lambda norm, keep: _xi_rows(norm, keep, series_idx, plan.tau, config),
+    )
 
 
 def null_xi_band(
@@ -257,12 +461,7 @@ def null_xi_band(
             "100 or more are recommended",
             stacklevel=2,
         )
-
-    def one(rep: int) -> np.ndarray:
-        rng = derive_rng(config.seed, _XI_TAG, rep)
-        return _xi_from_errors(*_replication_errors(config, rng), config)
-
-    values = _run_replications(config, one, config.tau_max, _XI_TAG)
+    values = _xi_ensemble(config, _stream_tag("xi-band"))
     taus = np.arange(1, config.tau_max + 1, dtype=np.int64)
     observed = None
     if observed_curve is not None:
@@ -271,13 +470,6 @@ def null_xi_band(
             if 1 <= t <= config.tau_max:
                 observed[int(t) - 1] = x
     return NullEnsemble(statistic="xi", values=values, observed=observed, taus=taus)
-
-
-def _rescaled_errors(tau: np.ndarray, norm: np.ndarray, m: int, theta: float) -> np.ndarray:
-    scale = np.array(
-        [rescale_scale(variance_factors(int(t), m, theta)) for t in range(1, int(tau.max()) + 1)]
-    )
-    return norm / scale[tau - 1]
 
 
 def _deviation_stats(eps: np.ndarray, t_cdf_grid: np.ndarray) -> np.ndarray:
@@ -318,19 +510,25 @@ def distribution_deviation_test(
     if window_sizes != {config.m}:
         raise ValueError(f"records use windows {sorted(window_sizes)}, config.m={config.m}")
     t_cdf_grid = np.array([student_t_cdf(x, config.m - 1) for x in DEVIATION_GRID])
+    # divisor turning normalized errors into eps*, by horizon
+    rescale = np.array(
+        [rescale_scale(variance_factors(t, config.m, theta)) for t in range(1, config.tau_max + 1)]
+    )
     tau_obs = np.array([r.tau for r in records], dtype=np.int64)
     norm_obs = np.array([r.norm_error for r in records])
     keep = tau_obs <= config.tau_max
-    observed = _deviation_stats(
-        _rescaled_errors(tau_obs[keep], norm_obs[keep], config.m, theta), t_cdf_grid
-    )
+    observed = _deviation_stats(norm_obs[keep] / rescale[tau_obs[keep] - 1], t_cdf_grid)
 
-    def one(rep: int) -> np.ndarray:
-        rng = derive_rng(config.seed, _DEVIATION_TAG, rep)
-        _, tau, norm = _replication_errors(config, rng)
-        return _deviation_stats(_rescaled_errors(tau, norm, config.m, theta), t_cdf_grid)
+    plan = _plan(*_plan_key(config))
+    record_rescale = rescale[plan.tau - 1]
 
-    values = _run_replications(config, one, 3, _DEVIATION_TAG)
+    def rows_of(norm: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+        eps = norm / record_rescale
+        if keep is not None:
+            return np.array([_deviation_stats(e[k], t_cdf_grid) for e, k in zip(eps, keep)])
+        return np.array([_deviation_stats(e, t_cdf_grid) for e in eps])
+
+    values = _run(config, plan, _stream_tag("deviation"), 3, rows_of)
     null = NullEnsemble(statistic="ecdf-deviation", values=values, observed=observed)
     return DeviationTest(
         statistic_names=("sum_abs", "sum_sq", "max_signed"), observed=observed, null=null
@@ -419,7 +617,7 @@ def estimate_theta_matched(
         raise ValueError("theta grid is empty")
     if np.any(np.abs(theta_grid) >= 1.0):
         raise ValueError("theta grid must lie strictly inside (-1, 1)")
-    max_simulable_tau = int(max(t[0] for t in config.template)) - config.m - 1
+    max_simulable_tau = int(config.lengths.max()) - config.m - 1
     keep = (observed_curve.taus <= config.tau_max) & (observed_curve.taus <= max_simulable_tau)
     taus = observed_curve.taus[keep]
     xi_obs = observed_curve.xi[keep]
@@ -431,24 +629,8 @@ def estimate_theta_matched(
 
     z_values = np.empty(theta_grid.size)
     for gi, theta in enumerate(theta_grid):
-        cfg = SurrogateConfig(
-            replications=config.replications,
-            theta=float(theta),
-            m=config.m,
-            tau_max=config.tau_max,
-            seed=config.seed,
-            template=config.template,
-            innovation=config.innovation,
-            student_df=config.student_df,
-            weighting=config.weighting,
-            threads=config.threads,
-        )
-
-        def one(rep: int) -> np.ndarray:
-            rng = derive_rng(config.seed, _MATCH_TAG_BASE + gi, rep)
-            return _xi_from_errors(*_replication_errors(cfg, rng), cfg)
-
-        values = _run_replications(cfg, one, cfg.tau_max, _MATCH_TAG_BASE + gi)
+        cfg = dataclasses.replace(config, theta=float(theta))
+        values = _xi_ensemble(cfg, _stream_tag("theta-match", gi))
         xi_sim = np.nanmean(values[:, taus - 1], axis=0)  # kept horizons are simulable
         z_values[gi] = float(np.mean(xi_obs / xi_sim))
 
@@ -588,7 +770,7 @@ def _half_corpus(
 
     curves = np.empty((trials, tau_max))
     for trial in range(trials):
-        rng = derive_rng(seed, 3, trial)
+        rng = derive_rng(seed, _stream_tag("half-corpus"), trial)
         chosen = rng.choice(len(names), size=n_half, replace=False)
         s = sums[chosen].sum(axis=0)
         c = counts[chosen].sum(axis=0)
@@ -625,23 +807,21 @@ def _fat_tails(
     """Mean error growth for fat-tailed random walks vs normal RWD and IMA."""
 
     def mean_curve(cfg: SurrogateConfig, tag: int) -> list[float]:
-        def one(rep: int) -> np.ndarray:
-            rng = derive_rng(cfg.seed, tag, rep)
-            return _xi_from_errors(*_replication_errors(cfg, rng), cfg)
-
-        return np.nanmean(_run_replications(cfg, one, cfg.tau_max, tag), axis=0).tolist()
+        return np.nanmean(_xi_ensemble(cfg, tag), axis=0).tolist()
 
     base = dict(replications=replications, m=m, tau_max=tau_max, seed=seed, template=template,
                 threads=threads)
+    normal = SurrogateConfig(theta=0.0, **base)
+    ima = SurrogateConfig(theta=theta, **base)
     report: dict = {
         "tau": list(range(1, tau_max + 1)),
-        "normal_rwd": mean_curve(SurrogateConfig(theta=0.0, **base), 4),
-        "ima": mean_curve(SurrogateConfig(theta=theta, **base), 5),
+        "normal_rwd": mean_curve(normal, _stream_tag("fat-tails-normal")),
+        "ima": mean_curve(ima, _stream_tag("fat-tails-ima")),
         "student": {},
     }
     for df_i, df in enumerate(dfs):
         cfg = SurrogateConfig(theta=0.0, innovation="student", student_df=float(df), **base)
-        report["student"][f"df={df:g}"] = mean_curve(cfg, 6 + df_i)
+        report["student"][f"df={df:g}"] = mean_curve(cfg, _stream_tag("fat-tails-student", df_i))
     return report
 
 

@@ -1,0 +1,180 @@
+"""The batched surrogate engine against the per-series reference, as properties.
+
+The engine simulates and hindcasts several replications per array pass. Its
+arithmetic follows the per-series kernel step for step, so every property
+here is bit-exact: normalized errors compare as bytes, not within a
+tolerance.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from costwalk import (
+    SurrogateConfig,
+    corpus_template,
+    error_growth,
+    hindcast_corpus,
+    kernel_backend,
+    load_reference_params,
+    surrogate_corpus,
+)
+from costwalk._kernels import _fallback
+from costwalk.stats import derive_rng
+from costwalk.surrogate import (
+    _STREAM_TAGS,
+    _build_plan,
+    _plan_key,
+    _replication_errors,
+    _simulate,
+    _stream_tag,
+    _xi_ensemble,
+    _xi_from_errors,
+    _xi_rows,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+REFERENCE_TEMPLATE = corpus_template(load_reference_params(improving_only=True))
+
+
+@st.composite
+def configs(draw):
+    """Small random templates, including series too short for one window and
+    mu = K = 0 series, whose windows all have exactly zero variance."""
+    m = draw(st.integers(4, 10))
+    n_series = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(2, 3 * m + 6), min_size=n_series, max_size=n_series))
+    longest = draw(st.integers(0, n_series - 1))
+    lengths[longest] = max(lengths[longest], m + 2)  # one series can be hindcast
+    template = []
+    for T in lengths:
+        if draw(st.integers(0, 4)) == 0:
+            template.append((T, 0.0, 0.0))
+        else:
+            template.append((T, draw(st.floats(-0.5, 0.5)), draw(st.floats(0.001, 0.5))))
+    student = draw(st.booleans())
+    return SurrogateConfig(
+        replications=draw(st.integers(1, 7)),
+        theta=0.0 if student else draw(st.floats(-0.95, 0.95)),
+        m=m,
+        tau_max=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 2**32)),
+        template=tuple(template),
+        innovation="student" if student else "normal",
+        student_df=draw(st.floats(2.5, 30.0)) if student else None,
+        weighting=draw(st.sampled_from(["pooled", "equal-technology"])),
+    )
+
+
+def _per_series_innovations(config, rng):
+    """One draw call per series: the reference for the engine's single draw."""
+    if config.innovation == "normal":
+        scale = 1.0 / math.sqrt(1.0 + config.theta * config.theta)
+        blocks = [k * scale * rng.standard_normal(n) for n, _, k in config.template]
+    else:
+        df = float(config.student_df)
+        scale = math.sqrt((df - 2.0) / df)
+        blocks = [k * scale * rng.standard_t(df, n) for n, _, k in config.template]
+    return np.concatenate(blocks)
+
+
+def _assert_bytes_equal(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@PROPERTY
+@given(configs(), st.integers(0, 10**6))
+def test_engine_matches_per_series_kernel(config, rep):
+    reference = _fallback.corpus_norm_errors(
+        config.lengths,
+        config.drifts,
+        config.theta,
+        _per_series_innovations(config, derive_rng(config.seed, rep)),
+        config.m,
+        config.tau_max,
+    )
+    engine = _replication_errors(config, derive_rng(config.seed, rep))
+    for actual, expected in zip(engine, reference[:3]):
+        _assert_bytes_equal(actual, expected)
+
+
+@pytest.mark.skipif(
+    kernel_backend() != "fallback", reason="hindcast_corpus uses the compiled kernel"
+)
+@PROPERTY
+@given(configs(), st.integers(0, 10**6))
+def test_engine_matches_simulated_corpus_hindcast(config, rep):
+    corpus = surrogate_corpus(config, derive_rng(config.seed, rep))
+    records = hindcast_corpus(corpus, config.m, tau_max=config.tau_max).records
+    series_idx, tau, norm = _replication_errors(config, derive_rng(config.seed, rep))
+    _assert_bytes_equal(norm, np.array([r.norm_error for r in records], dtype=np.float64))
+    _assert_bytes_equal(tau, np.array([r.tau for r in records], dtype=np.int64))
+    assert [f"surrogate-{j:03d}" for j in series_idx] == [r.technology for r in records]
+    if records:
+        # error_growth sums in another order, hence the tolerance
+        curve = error_growth(records, weighting=config.weighting)
+        xi = _xi_from_errors(series_idx, tau, norm, config)
+        np.testing.assert_allclose(xi[curve.taus - 1], curve.xi, rtol=1e-12)
+        assert np.all(np.isnan(np.delete(xi, curve.taus - 1)))
+
+
+@PROPERTY
+@given(configs())
+def test_rows_do_not_depend_on_pass_size(config):
+    plan = _build_plan(*_plan_key(config))
+    series_idx = plan.origin_series[plan.record_origin]
+    reps = config.replications
+
+    def xi_in_passes_of(size):
+        rngs = [derive_rng(config.seed, 7, r) for r in range(reps)]
+        passes = [_simulate(config, plan, rngs[i : i + size]) for i in range(0, reps, size)]
+        return np.vstack([_xi_rows(*p, series_idx, plan.tau, config) for p in passes])
+
+    one_at_a_time = np.vstack(
+        [
+            _xi_from_errors(*_replication_errors(config, derive_rng(config.seed, 7, r)), config)
+            for r in range(reps)
+        ]
+    )
+    for size in (1, 3, reps):
+        _assert_bytes_equal(xi_in_passes_of(size), one_at_a_time)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        dict(theta=0.63),
+        dict(theta=0.63, weighting="equal-technology"),
+        dict(theta=0.0, innovation="student", student_df=3.0),
+    ],
+)
+def test_rows_do_not_depend_on_thread_count(family):
+    config = SurrogateConfig(
+        replications=9, m=5, tau_max=20, seed=5, template=REFERENCE_TEMPLATE, **family
+    )
+    assert _build_plan(*_plan_key(config)).chunk < config.replications  # several passes
+    one = _xi_ensemble(config, 1)
+    two = _xi_ensemble(dataclasses.replace(config, threads=2), 1)
+    _assert_bytes_equal(two, one)
+
+
+class TestStreamTags:
+    def test_experiments_own_disjoint_tag_blocks(self):
+        blocks = sorted(_STREAM_TAGS.values())
+        for (first, size), (next_first, _) in zip(blocks, blocks[1:]):
+            assert size is not None and first + size <= next_first
+        assert all(first >= 1 for first, _ in blocks)
+
+    def test_index_outside_the_block_rejected(self):
+        first, size = _STREAM_TAGS["fat-tails-student"]
+        assert _stream_tag("fat-tails-student", size - 1) == first + size - 1
+        with pytest.raises(ValueError, match="fat-tails-student"):
+            _stream_tag("fat-tails-student", size)
+        with pytest.raises(ValueError):
+            _stream_tag("theta-match", -1)

@@ -60,6 +60,14 @@ class TestSurrogateConfig:
         with pytest.raises(ValueError):
             SurrogateConfig(**{**ok, "weighting": "mean"})
 
+    def test_template_must_allow_one_hindcast(self):
+        # with no series of m + 2 points, the band would be all NaN and the
+        # deviation test would reduce an empty array
+        ok = dict(replications=10, theta=0.0, m=5, tau_max=20, seed=1)
+        SurrogateConfig(**ok, template=((7, -0.1, 0.1), (3, -0.1, 0.1)))
+        with pytest.raises(ValueError, match="m \\+ 2 = 7"):
+            SurrogateConfig(**ok, template=((6, -0.1, 0.1), (3, -0.1, 0.1)))
+
 
 class TestSurrogateCorpus:
     def test_lengths_and_parameters_match_template(self):
@@ -172,6 +180,19 @@ class TestNullXiBand:
         np.testing.assert_allclose(
             band.p_smoothed, (band.p_raw * 99 + 1) / 100, rtol=1e-12
         )
+
+    def test_unobserved_horizons_have_no_p_value(self):
+        cfg = SurrogateConfig(
+            replications=100, theta=0.0, m=5, tau_max=20, seed=41,
+            template=((12, -0.08, 0.06), (14, -0.08, 0.06)),
+        )
+        records = hindcast_corpus(surrogate_corpus(cfg, derive_rng(42, 0)), 5, tau_max=20).records
+        band = null_xi_band(cfg, error_growth(records))
+        # the 14-point series reaches tau = 8 at most
+        assert np.all(np.isfinite(band.observed[:8])) and np.all(np.isnan(band.observed[8:]))
+        for p in (band.p_raw, band.p_smoothed):
+            assert np.all((p[:8] >= 0.0) & (p[:8] <= 1.0))
+            assert np.all(np.isnan(p[8:]))
 
     def test_few_replications_warn(self):
         cfg = SurrogateConfig(
