@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels, the pure-numpy fallback and the engine.
+"""Benchmark the numpy kernel and the batched surrogate engine.
 
 Times the hot paths on representative workloads:
 
 * per-series exhaustive hindcast (one long series, many origins);
 * surrogate replication (simulate a 53-series corpus profile and hindcast
-  it) through each per-series kernel, one replication per call;
+  it) through the per-series kernel, one replication per call;
 * the same replication through the batched surrogate engine that every
   Monte Carlo experiment runs on, which also aggregates each replication's
   error-growth curve.
@@ -19,14 +19,9 @@ import time
 import numpy as np
 
 from costwalk import SurrogateConfig, corpus_template, load_reference_params
-from costwalk._kernels import _fallback
+from costwalk import _kernels
 from costwalk.stats import derive_rng
 from costwalk.surrogate import _xi_ensemble
-
-try:
-    from costwalk._kernels import _native
-except ImportError:
-    _native = None
 
 
 def _time(fn, repeat=5):
@@ -38,22 +33,22 @@ def _time(fn, repeat=5):
     return best
 
 
-def bench_hindcast(backend, y, m, tau_max, loops=200):
+def bench_hindcast(y, m, tau_max, loops=200):
     def run():
         for _ in range(loops):
-            backend.hindcast_errors(y, m, tau_max)
+            _kernels.hindcast_errors(y, m, tau_max)
 
     return _time(run) / loops
 
 
-def bench_surrogate(backend, lengths, drifts, vols, theta, m, tau_max, reps):
+def bench_surrogate(lengths, drifts, vols, theta, m, tau_max, reps):
     sigma = vols / np.sqrt(1 + theta * theta)
 
     def run():
         for rep in range(reps):
             rng = derive_rng(42, rep)
             v = np.concatenate([s * rng.standard_normal(n) for n, s in zip(lengths, sigma)])
-            backend.corpus_norm_errors(lengths, drifts, theta, v, m, tau_max)
+            _kernels.corpus_norm_errors(lengths, drifts, theta, v, m, tau_max)
 
     return _time(run, repeat=3) / reps
 
@@ -78,27 +73,13 @@ def main():
     drifts = np.array([t[1] for t in template])
     vols = np.array([t[2] for t in template])
 
-    backends = [("fallback", _fallback)]
-    if _native is not None:
-        backends.insert(0, ("native", _native))
-    else:
-        print("compiled kernels not built; timing the fallback only\n")
-
-    rows = []
-    for name, backend in backends:
-        t_hind = bench_hindcast(backend, y, 5, 20)
-        t_surr = bench_surrogate(backend, lengths, drifts, vols, 0.63, 5, 20, args.reps)
-        rows.append((name, t_hind, t_surr))
-
-    print(f"{'backend':<10} {'hindcast T=100,m=5':>22} {'surrogate 53-series rep':>26}")
-    for name, t_hind, t_surr in rows:
-        print(f"{name:<10} {t_hind * 1e6:>18.1f} us {t_surr * 1e6:>22.1f} us")
-    if len(rows) == 2:
-        print(
-            f"{'speedup':<10} {rows[1][1] / rows[0][1]:>20.1f}x {rows[1][2] / rows[0][2]:>24.1f}x"
-        )
+    t_hind = bench_hindcast(y, 5, 20)
+    t_surr = bench_surrogate(lengths, drifts, vols, 0.63, 5, 20, args.reps)
     t_engine = bench_engine(template, 0.63, 5, 20, args.reps)
-    print(f"{'engine':<10} {'':>22} {t_engine * 1e6:>23.1f} us  (with Xi, any backend)")
+
+    print(f"{'':<10} {'hindcast T=100,m=5':>22} {'surrogate 53-series rep':>26}")
+    print(f"{'kernel':<10} {t_hind * 1e6:>18.1f} us {t_surr * 1e6:>22.1f} us")
+    print(f"{'engine':<10} {'':>22} {t_engine * 1e6:>23.1f} us  (with Xi)")
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
-"""Pure-numpy reference implementation of the hot kernels.
+"""The numpy hindcast kernels.
 
-This module defines the semantics; the compiled Cython twin in
-``_native.pyx`` must produce the same output (up to floating-point
-summation order) and is preferred at import time when available. The
-batched surrogate engine in ``surrogate.py`` repeats the arithmetic of
-``corpus_norm_errors`` operation for operation and is tested to match it bit
-for bit, so a change to the order of operations here must be made there too.
+``hindcast_errors`` is the observed-data path; ``corpus_norm_errors`` is the
+per-series reference for the surrogate engine. The batched engine in
+``surrogate.py`` repeats the arithmetic of ``corpus_norm_errors`` operation
+for operation and is tested to match it bit for bit, so a change to the
+order of operations here must be made there too.
 
-Conventions shared by both backends, for a log-cost series y[0..T-1] and a
-window of m first differences:
+Conventions, for a log-cost series y[0..T-1] and a window of m first
+differences:
 
 * feasible forecast origins are i = m, ..., T-2 (0-based);
 * drift estimate at origin i is the telescopic mean
@@ -27,6 +26,11 @@ import numpy as np
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
+
+
+def backend() -> str:
+    """Name of the kernel implementation, recorded in run manifests."""
+    return "fallback"
 
 
 def hindcast_errors(y, m, tau_max):

@@ -200,7 +200,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
             tau_max=args.tau_max,
             seed=args.seed,
             template=template,
-            threads=args.threads,
         )
         tm = estimate_theta_matched(curve, match_cfg, _parse_grid(args.grid))
         theta = tm.theta_m
@@ -220,7 +219,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         tau_max=args.tau_max,
         seed=args.seed,
         template=template,
-        threads=args.threads,
     )
     band = null_xi_band(config, curve)
     report["xi_band"] = {
@@ -241,7 +239,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         tau_max=args.tau_max,
         seed=args.seed,
         template=template,
-        threads=args.threads,
     )
     dev = distribution_deviation_test(result.records, theta, dev_cfg)
     report["deviation_test"] = {
@@ -374,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--theta-from", choices=("weighted", "matched"), default=None)
     p.add_argument("--grid", default="0:0.9:0.01", help="theta grid for --theta-from matched")
     p.add_argument("--grid-reps", type=int, default=3000, help="replications per grid point")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("forecast", help="distributional forecast for one technology")

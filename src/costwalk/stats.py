@@ -13,10 +13,10 @@ against independent high-precision oracles.
 Randomness contract
 -------------------
 ``make_rng(seed)`` returns a counter-based (Philox) generator: identical
-seeds give bit-identical draw sequences on any platform or thread count.
+seeds give bit-identical draw sequences on any platform.
 ``derive_rng(seed, *path)`` derives an independent stream from a root seed
-and an integer task path (e.g. a replication index), so parallel Monte Carlo
-runs are reproducible regardless of scheduling.
+and an integer task path (e.g. a replication index), so Monte Carlo runs
+are reproducible however their replications are batched.
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ are bit-identical to that reference.
 
 Everything here is deterministic given the configuration: replication r of
 an experiment draws from an independent stream derived from (seed, tag, r),
-so results are bit-identical however many replications share an array pass
-and however many threads run.
+so results are bit-identical however many replications share an array pass.
 """
 
 from __future__ import annotations
@@ -105,7 +104,6 @@ class SurrogateConfig:
     innovation: str = "normal"
     student_df: float | None = None
     weighting: str = "pooled"
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -130,8 +128,6 @@ class SurrogateConfig:
                 raise ValueError("student innovations are defined for the theta = 0 random walk")
         if self.weighting not in ("pooled", "equal-technology"):
             raise ValueError(f"unknown weighting {self.weighting!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @functools.cached_property
     def lengths(self) -> np.ndarray:
@@ -174,7 +170,10 @@ class NullEnsemble:
     taus: np.ndarray | None = None
 
     def quantile(self, q: float) -> np.ndarray | float:
-        out = np.nanquantile(self.values, q, axis=0)
+        with warnings.catch_warnings():
+            # NaN at a horizon no replication reaches
+            warnings.filterwarnings("ignore", "All-NaN slice encountered", RuntimeWarning)
+            out = np.nanquantile(self.values, q, axis=0)
         return float(out) if np.ndim(out) == 0 else out
 
     @property
@@ -388,8 +387,11 @@ def _xi_rows(
     counts = np.bincount(key, minlength=rows * groups)
     with np.errstate(invalid="ignore"):
         xi = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        if config.weighting == "pooled":
-            return xi.reshape(rows, tau_max)
+    if config.weighting == "pooled":
+        return xi.reshape(rows, tau_max)
+    with warnings.catch_warnings():
+        # NaN at a horizon no series of the row reaches
+        warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
         return np.nanmean(xi.reshape(rows, -1, tau_max), axis=1)
 
 
@@ -410,27 +412,14 @@ def _run(
     """(replications, width) matrix of a statistic of each replication.
 
     ``rows_of`` reduces one pass's (norm, keep) to its rows. Replication r
-    draws from stream (seed, tag, r), so the result is identical however
-    the passes are scheduled.
+    draws from stream (seed, tag, r), so the result does not depend on how
+    many replications share a pass.
     """
     out = np.empty((config.replications, width))
-
-    def work(start: int) -> None:
+    for start in range(0, config.replications, plan.chunk):
         stop = min(start + plan.chunk, config.replications)
         rngs = [derive_rng(config.seed, tag, rep) for rep in range(start, stop)]
         out[start:stop] = rows_of(*_simulate(config, plan, rngs))
-
-    starts = range(0, config.replications, plan.chunk)
-    if config.threads > 1:
-        # imported here, because it pulls in threading and logging, which
-        # cost single-threaded runs a few ms of start-up
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(work, starts))
-    else:
-        for start in starts:
-            work(start)
     return out
 
 
@@ -802,15 +791,13 @@ def _fat_tails(
     replications: int,
     seed: int,
     theta: float,
-    threads: int = 1,
 ) -> dict:
     """Mean error growth for fat-tailed random walks vs normal RWD and IMA."""
 
     def mean_curve(cfg: SurrogateConfig, tag: int) -> list[float]:
         return np.nanmean(_xi_ensemble(cfg, tag), axis=0).tolist()
 
-    base = dict(replications=replications, m=m, tau_max=tau_max, seed=seed, template=template,
-                threads=threads)
+    base = dict(replications=replications, m=m, tau_max=tau_max, seed=seed, template=template)
     normal = SurrogateConfig(theta=0.0, **base)
     ima = SurrogateConfig(theta=theta, **base)
     report: dict = {
@@ -838,7 +825,6 @@ def robustness_suite(
     extended_tau_max: int | None = None,
     fat_tail_dfs: Sequence[float] | None = None,
     template: tuple[tuple[int, float, float], ...] | None = None,
-    threads: int = 1,
 ) -> dict:
     """Run the requested robustness experiments and return a JSON-ready report.
 
@@ -873,6 +859,6 @@ def robustness_suite(
                 for s in corpus
             )
         report["fat_tails"] = _fat_tails(
-            template, fat_tail_dfs, m, tau_max, replications, seed, theta, threads=threads
+            template, fat_tail_dfs, m, tau_max, replications, seed, theta
         )
     return report

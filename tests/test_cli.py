@@ -87,6 +87,12 @@ class TestValidate:
         assert len(report["xi_band"]["observed"]) == 8
         assert len(report["deviation_test"]["p_raw"]) == 3
 
+    def test_threads_option_is_gone(self, corpus_csv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--input", str(corpus_csv), "--out", str(tmp_path / "o"),
+                  "--threads", "2"])
+        assert exc.value.code == 2
+
     def test_zero_reps_exits_2(self, corpus_csv, tmp_path):
         assert main(
             ["validate", "--input", str(corpus_csv), "--out", str(tmp_path / "o"), "--reps", "0"]
@@ -107,7 +113,7 @@ class TestValidate:
         assert main(
             ["validate", "--input", str(corpus_csv), "--out", str(out), "--reps", "40",
              "--theta-from", "matched", "--grid", "0:0.4:0.2", "--grid-reps", "40",
-             "--tau-max", "6", "--seed", "3", "--threads", "2"]
+             "--tau-max", "6", "--seed", "3"]
         ) == 0
         report = json.loads((out / "validate.json").read_text())
         assert report["theta_source"] == "matched"
@@ -213,4 +219,4 @@ class TestManifest:
             assert main(args + ["--out", str(out)]) == 0
             manifest = json.loads((out / "run.json").read_text())
             assert manifest["command"] == args[0]
-            assert manifest["kernel_backend"] in ("native", "fallback")
+            assert manifest["kernel_backend"] == "fallback"

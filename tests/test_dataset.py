@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from costwalk import (
     DataFormatError,
@@ -88,6 +90,46 @@ class TestIngestion:
         for a, b in zip(first, second):
             assert np.array_equal(a.years, b.years)
             np.testing.assert_array_almost_equal_nulp(a.log_costs, b.log_costs, nulp=4)
+
+
+# printable text with the characters the CSV writer must quote; ingestion
+# strips cells, so generated names and sectors carry no outer whitespace
+_CELL = st.text(st.characters(codec="utf-8", exclude_categories=("C", "Z")) | st.sampled_from(' ,"'),
+                max_size=12).map(str.strip)
+
+
+@st.composite
+def corpora(draw):
+    names = draw(st.lists(_CELL.filter(bool), min_size=1, max_size=6, unique=True))
+    corpus = []
+    for name in names:
+        n_obs = draw(st.integers(2, 15))
+        log_costs = draw(st.lists(st.floats(-50.0, 50.0), min_size=n_obs, max_size=n_obs))
+        corpus.append(
+            TechnologySeries(
+                name,
+                np.arange(n_obs) + draw(st.integers(1000, 2100)),
+                np.array(log_costs),
+                sector=draw(_CELL),
+            )
+        )
+    return corpus
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora())
+def test_write_then_ingest_round_trip(tmp_path_factory, corpus):
+    path = tmp_path_factory.mktemp("round") / "corpus.csv"
+    write_corpus_csv(path, corpus)
+    back = ingest_csv(path)
+    expected = sorted(corpus, key=lambda s: s.name)  # ingest_csv orders by name
+    assert [s.name for s in back] == [s.name for s in expected]
+    assert [s.sector for s in back] == [s.sector for s in expected]
+    for a, b in zip(expected, back):
+        assert np.array_equal(a.years, b.years)
+        # costs are stored, so exp then log round both ways: 4 ulp of max(|y|, 1)
+        tolerance = 4 * np.spacing(np.maximum(np.abs(a.log_costs), 1.0))
+        assert np.all(np.abs(b.log_costs - a.log_costs) <= tolerance)
 
 
 class TestSeriesValidation:

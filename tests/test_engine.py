@@ -6,7 +6,6 @@ here is bit-exact: normalized errors compare as bytes, not within a
 tolerance.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -19,11 +18,10 @@ from costwalk import (
     corpus_template,
     error_growth,
     hindcast_corpus,
-    kernel_backend,
     load_reference_params,
     surrogate_corpus,
 )
-from costwalk._kernels import _fallback
+from costwalk import _kernels
 from costwalk.stats import derive_rng
 from costwalk.surrogate import (
     _STREAM_TAGS,
@@ -91,7 +89,7 @@ def _assert_bytes_equal(actual, expected):
 @PROPERTY
 @given(configs(), st.integers(0, 10**6))
 def test_engine_matches_per_series_kernel(config, rep):
-    reference = _fallback.corpus_norm_errors(
+    reference = _kernels.corpus_norm_errors(
         config.lengths,
         config.drifts,
         config.theta,
@@ -104,9 +102,6 @@ def test_engine_matches_per_series_kernel(config, rep):
         _assert_bytes_equal(actual, expected)
 
 
-@pytest.mark.skipif(
-    kernel_backend() != "fallback", reason="hindcast_corpus uses the compiled kernel"
-)
 @PROPERTY
 @given(configs(), st.integers(0, 10**6))
 def test_engine_matches_simulated_corpus_hindcast(config, rep):
@@ -154,14 +149,18 @@ def test_rows_do_not_depend_on_pass_size(config):
         dict(theta=0.0, innovation="student", student_df=3.0),
     ],
 )
-def test_rows_do_not_depend_on_thread_count(family):
+def test_ensemble_rows_equal_one_replication_rows(family):
     config = SurrogateConfig(
         replications=9, m=5, tau_max=20, seed=5, template=REFERENCE_TEMPLATE, **family
     )
     assert _build_plan(*_plan_key(config)).chunk < config.replications  # several passes
-    one = _xi_ensemble(config, 1)
-    two = _xi_ensemble(dataclasses.replace(config, threads=2), 1)
-    _assert_bytes_equal(two, one)
+    one_at_a_time = np.vstack(
+        [
+            _xi_from_errors(*_replication_errors(config, derive_rng(config.seed, 1, r)), config)
+            for r in range(config.replications)
+        ]
+    )
+    _assert_bytes_equal(_xi_ensemble(config, 1), one_at_a_time)
 
 
 class TestStreamTags:

@@ -5,6 +5,8 @@ import csv
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from costwalk import (
     Ecdf,
@@ -79,6 +81,47 @@ class TestEnumeration:
         assert all(r.origin_index != 5 for r in result.records)
         with pytest.raises(ValueError, match="zero volatility"):
             hindcast_series(series, m=5, on_zero_volatility="error")
+
+
+@hst.composite
+def permuted_corpora(draw):
+    """(m, tau_max, corpus, the corpus permuted): random walks with unique names,
+    some too short for one window and some with only zero-variance windows."""
+    m = draw(hst.integers(2, 6))
+    lengths = draw(hst.lists(hst.integers(2, 3 * m + 8), min_size=1, max_size=8))
+    lengths[0] = max(lengths[0], m + 2)  # at least one series can be hindcast
+    seed = draw(hst.integers(0, 2**32 - 1))
+    corpus = []
+    for j, T in enumerate(lengths):
+        if draw(hst.integers(0, 4)) == 0:
+            corpus.append(_series(-0.125 * np.arange(T), name=f"t{j}"))
+        else:
+            corpus.append(_random_series(T, seed=seed + j, name=f"t{j}"))
+    order = draw(hst.permutations(range(len(corpus))))
+    tau_max = draw(hst.none() | hst.integers(1, 10))
+    return m, tau_max, corpus, [corpus[i] for i in order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_corpora())
+def test_corpus_order_invariance(case):
+    m, tau_max, corpus, permuted = case
+    a = hindcast_corpus(corpus, m, tau_max=tau_max)
+    b = hindcast_corpus(permuted, m, tau_max=tau_max)
+
+    def key(r):
+        return (r.technology, r.origin_index, r.tau, r.norm_error)
+
+    assert sorted(map(key, a.records)) == sorted(map(key, b.records))
+    assert a.skipped_zero_volatility == b.skipped_zero_volatility
+    assert sorted(a.too_short) == sorted(b.too_short)
+    if a.records:
+        for weighting in ("pooled", "equal-technology"):
+            curve_a = error_growth(a.records, weighting=weighting)
+            curve_b = error_growth(b.records, weighting=weighting)
+            np.testing.assert_array_equal(curve_b.taus, curve_a.taus)
+            np.testing.assert_array_equal(curve_b.n_forecasts, curve_a.n_forecasts)
+            np.testing.assert_allclose(curve_b.xi, curve_a.xi, rtol=1e-12)
 
 
 class TestErrorGrowth:

@@ -1,6 +1,8 @@
 """Surrogate Monte Carlo machinery: bands, deviation tests, theta estimation."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from costwalk import (
     theta_forecast_sweep,
     variance_factors,
 )
+from costwalk import surrogate
 from costwalk.hindcast import ErrorGrowthCurve
 from costwalk.models import ImaParams
 from costwalk.stats import derive_rng, make_rng
@@ -105,18 +108,24 @@ class TestSurrogateCorpus:
 
 
 class TestDeterminism:
-    def _ensemble(self, threads):
+    def _ensemble(self):
         cfg = SurrogateConfig(
-            replications=60, theta=0.4, m=5, tau_max=15, seed=11,
-            template=SMALL_TEMPLATE, threads=threads,
+            replications=60, theta=0.4, m=5, tau_max=15, seed=11, template=SMALL_TEMPLATE
         )
         return null_xi_band(cfg).values
 
     def test_identical_reruns(self):
-        assert np.array_equal(self._ensemble(1), self._ensemble(1), equal_nan=True)
+        assert np.array_equal(self._ensemble(), self._ensemble(), equal_nan=True)
 
-    def test_thread_count_does_not_change_results(self):
-        assert np.array_equal(self._ensemble(1), self._ensemble(4), equal_nan=True)
+    def test_pass_size_does_not_change_results(self, monkeypatch):
+        default = self._ensemble()
+        for chunk in (1, 7, 60):
+
+            def plan(*key, chunk=chunk):
+                return dataclasses.replace(surrogate._build_plan(*key), chunk=chunk)
+
+            monkeypatch.setattr(surrogate, "_plan", plan)
+            assert np.array_equal(self._ensemble(), default, equal_nan=True)
 
 
 class TestNullXiBand:
@@ -193,6 +202,21 @@ class TestNullXiBand:
         for p in (band.p_raw, band.p_smoothed):
             assert np.all((p[:8] >= 0.0) & (p[:8] <= 1.0))
             assert np.all(np.isnan(p[8:]))
+
+    @pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
+    def test_unreachable_horizons_are_nan_without_warnings(self, weighting):
+        cfg = SurrogateConfig(
+            replications=100, theta=0.0, m=5, tau_max=20, seed=41, weighting=weighting,
+            template=((12, -0.08, 0.06), (14, -0.08, 0.06)),
+        )
+        records = hindcast_corpus(surrogate_corpus(cfg, derive_rng(42, 0)), 5, tau_max=20).records
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            band = null_xi_band(cfg, error_growth(records, weighting=weighting))
+            reached = [*band.quantiles.values(), band.p_raw, band.p_smoothed]
+        # the 14-point series reaches tau = 8 at most
+        for values in reached:
+            assert np.all(np.isfinite(values[:8])) and np.all(np.isnan(values[8:]))
 
     def test_few_replications_warn(self):
         cfg = SurrogateConfig(
