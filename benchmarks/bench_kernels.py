@@ -8,7 +8,10 @@ Times the hot paths on representative workloads:
   it) through the per-series kernel, one replication per call;
 * the same replication through the batched surrogate engine that every
   Monte Carlo experiment runs on, which also aggregates each replication's
-  error-growth curve.
+  error-growth curve;
+* the observed-data path on a corpus drawn from the template repeated 10
+  times (530 series): the IMA maximum likelihood fit per series, and the
+  error-growth curve of its hindcast records under both weightings.
 
 Usage: python benchmarks/bench_kernels.py [--reps 200]
 """
@@ -18,7 +21,16 @@ import time
 
 import numpy as np
 
-from costwalk import SurrogateConfig, corpus_template, load_reference_params
+from costwalk import (
+    SurrogateConfig,
+    corpus_template,
+    error_growth,
+    fit_ima_mle,
+    hindcast_corpus,
+    load_reference_params,
+    make_rng,
+    surrogate_corpus,
+)
 from costwalk import _kernels
 from costwalk.stats import derive_rng
 from costwalk.surrogate import _xi_ensemble
@@ -60,6 +72,20 @@ def bench_engine(template, theta, m, tau_max, reps):
     return _time(lambda: _xi_ensemble(config, 1), repeat=3) / reps
 
 
+def bench_observed(template, theta, m, tau_max):
+    config = SurrogateConfig(
+        replications=1, theta=theta, m=m, tau_max=tau_max, seed=42, template=template * 10
+    )
+    corpus = surrogate_corpus(config, make_rng(42))
+    t_fit = _time(lambda: [fit_ima_mle(s) for s in corpus], repeat=3) / len(corpus)
+    records = hindcast_corpus(corpus, m, tau_max=tau_max).records
+    t_curve = {
+        w: _time(lambda: error_growth(records, weighting=w))
+        for w in ("pooled", "equal-technology")
+    }
+    return len(corpus), len(records), t_fit, t_curve
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--reps", type=int, default=200, help="surrogate replications per timing")
@@ -80,6 +106,12 @@ def main():
     print(f"{'':<10} {'hindcast T=100,m=5':>22} {'surrogate 53-series rep':>26}")
     print(f"{'kernel':<10} {t_hind * 1e6:>18.1f} us {t_surr * 1e6:>22.1f} us")
     print(f"{'engine':<10} {'':>22} {t_engine * 1e6:>23.1f} us  (with Xi)")
+
+    n_series, n_records, t_fit, t_curve = bench_observed(template, 0.63, 5, 20)
+    print(f"\nobserved path, {n_series} series, {n_records} hindcast records")
+    print(f"{'fit_ima_mle':<34} {t_fit * 1e3:>8.3f} ms per fit")
+    for weighting, t in t_curve.items():
+        print(f"{'error_growth ' + weighting:<34} {t * 1e3:>8.2f} ms")
 
 
 if __name__ == "__main__":

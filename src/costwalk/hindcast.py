@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -173,11 +174,34 @@ class ErrorGrowthCurve:
         return float(self.xi[idx[0]])
 
 
-def _records_arrays(records: Sequence[HindcastRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    tau = np.array([r.tau for r in records], dtype=np.int64)
-    norm = np.array([r.norm_error for r in records])
-    tech = np.array([r.technology for r in records])
-    return tau, norm, tech
+def _sums_by_technology(
+    records: Sequence[HindcastRecord], tau_max: int | None = None
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Sorted technology names, and per-(technology, horizon) sums and counts.
+
+    ``sums[k, t-1]`` adds the squared normalized errors of technology
+    ``names[k]`` at horizon t in record order, and ``counts[k, t-1]`` counts
+    them, for t = 1..tau_max; ``tau_max=None`` takes the largest horizon in
+    the records.
+    """
+    n = len(records)
+    technologies = [r.technology for r in records]
+    names = sorted(set(technologies))
+    index = {name: k for k, name in enumerate(names)}
+    tech = np.fromiter(map(index.__getitem__, technologies), np.int64, n)
+    tau = np.fromiter(map(attrgetter("tau"), records), np.int64, n)
+    norm = np.fromiter(map(attrgetter("norm_error"), records), float, n)
+    if n and tau.min() < 1:
+        # a horizon below 1 would land in another technology's cell
+        raise ValueError(f"horizons must be at least 1, got {int(tau.min())}")
+    if tau_max is None:
+        tau_max = int(tau.max())
+    keep = tau <= tau_max
+    key = tech[keep] * tau_max + (tau[keep] - 1)
+    size = len(names) * tau_max
+    sums = np.bincount(key, weights=norm[keep] ** 2, minlength=size)
+    counts = np.bincount(key, minlength=size)
+    return names, sums.reshape(len(names), tau_max), counts.reshape(len(names), tau_max)
 
 
 def error_growth(
@@ -185,31 +209,36 @@ def error_growth(
     tau_max: int | None = None,
     weighting: str = "pooled",
 ) -> ErrorGrowthCurve:
-    """Empirical error-growth curve Xi(tau) from hindcast records."""
+    """Empirical error-growth curve Xi(tau) from hindcast records.
+
+    Squared errors are summed per (technology, horizon) in record order.
+    ``'pooled'`` adds those sums over technologies; ``'equal-technology'``
+    averages the per-technology means of the technologies present at each
+    horizon, in sorted-name order, so the result does not depend on how
+    Python orders a set of names.
+    """
     if weighting not in ("pooled", "equal-technology"):
         raise ValueError(f"unknown weighting {weighting!r}")
     if not records:
         raise ValueError("no records to aggregate")
-    tau, norm, tech = _records_arrays(records)
+    _, sums, counts = _sums_by_technology(records)
     if tau_max is not None:
-        keep = tau <= tau_max
-        tau, norm, tech = tau[keep], norm[keep], tech[keep]
-    sq = norm**2
-    taus = np.unique(tau)
-    xi = np.empty(taus.size)
-    n_forecasts = np.empty(taus.size, dtype=np.int64)
-    n_technologies = np.empty(taus.size, dtype=np.int64)
-    for i, t in enumerate(taus):
-        at = tau == t
-        n_forecasts[i] = int(at.sum())
-        techs_here = tech[at]
-        n_technologies[i] = len(set(techs_here.tolist()))
-        if weighting == "pooled":
-            xi[i] = sq[at].mean()
-        else:
-            xi[i] = np.mean([sq[at][techs_here == name].mean() for name in set(techs_here.tolist())])
+        sums, counts = sums[:, : max(tau_max, 0)], counts[:, : max(tau_max, 0)]
+    observed = np.flatnonzero(counts.sum(axis=0))
+    sums, counts = sums[:, observed], counts[:, observed]
+    n_forecasts = counts.sum(axis=0)
+    n_technologies = np.count_nonzero(counts, axis=0)
+    if weighting == "pooled":
+        xi = sums.sum(axis=0) / n_forecasts
+    else:
+        means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+        xi = means.sum(axis=0) / n_technologies
     return ErrorGrowthCurve(
-        taus=taus, xi=xi, n_forecasts=n_forecasts, n_technologies=n_technologies, weighting=weighting
+        taus=observed + 1,
+        xi=xi,
+        n_forecasts=n_forecasts,
+        n_technologies=n_technologies,
+        weighting=weighting,
     )
 
 

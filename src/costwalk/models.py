@@ -18,6 +18,9 @@ window differences. The IMA maximum likelihood fit uses the Gaussian
 conditional likelihood of the differenced series (innovation recursion
 started at zero), with mu and sigma profiled out analytically for each theta
 and theta found by a coarse grid plus golden-section refinement on [-1, 1].
+The 201 grid points are evaluated together, one vectorized pass over the
+series; the golden-section steps run the scalar recursion one theta at a
+time. Both give the same residual sum of squares, bit for bit.
 """
 
 from __future__ import annotations
@@ -118,22 +121,45 @@ def _profile_mu_rss(d: np.ndarray, theta: float) -> tuple[float, float]:
     a_t = d_t - theta*a_{t-1} and b_t = 1 - theta*b_{t-1}. Returns the
     minimizing mu and the residual sum of squares.
     """
-    a_prev = 0.0
-    b_prev = 0.0
-    s_ab = 0.0
-    s_bb = 0.0
-    a = np.empty(d.size)
-    b = np.empty(d.size)
-    for t in range(d.size):
-        a_prev = d[t] - theta * a_prev
+    theta = float(theta)
+    a_prev = b_prev = s_ab = s_bb = 0.0
+    a: list[float] = []
+    b: list[float] = []
+    for d_t in d.tolist():
+        a_prev = d_t - theta * a_prev
         b_prev = 1.0 - theta * b_prev
-        a[t] = a_prev
-        b[t] = b_prev
+        a.append(a_prev)
+        b.append(b_prev)
         s_ab += a_prev * b_prev
         s_bb += b_prev * b_prev
     mu = s_ab / s_bb
-    v = a - mu * b
+    v = np.array(a) - mu * np.array(b)
     return mu, float((v * v).sum())
+
+
+def _profile_rss_grid(d: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Residual sum of squares of ``_profile_mu_rss`` at every theta at once.
+
+    One pass over t updates the recursion for all thetas together, with the
+    same floating-point operations per theta as the scalar routine, and each
+    row of ``(v*v)`` is summed on its own, so every entry equals the scalar
+    RSS bit for bit.
+    """
+    a = np.empty((thetas.size, d.size))
+    b = np.empty((thetas.size, d.size))
+    a_prev = np.zeros(thetas.size)
+    b_prev = np.zeros(thetas.size)
+    s_ab = np.zeros(thetas.size)
+    s_bb = np.zeros(thetas.size)
+    for t, d_t in enumerate(d.tolist()):
+        a_prev = d_t - thetas * a_prev
+        b_prev = 1.0 - thetas * b_prev
+        a[:, t] = a_prev
+        b[:, t] = b_prev
+        s_ab += a_prev * b_prev
+        s_bb += b_prev * b_prev
+    v = a - (s_ab / s_bb)[:, None] * b
+    return (v * v).sum(axis=1)
 
 
 def fit_ima_mle(series: TechnologySeries) -> ImaParams:
@@ -154,14 +180,17 @@ def fit_ima_mle(series: TechnologySeries) -> ImaParams:
             f"{series.name}: increments are constant, IMA likelihood is degenerate"
         )
 
-    def concentrated_nll(theta: float) -> float:
-        _, rss = _profile_mu_rss(d, theta)
+    def nll_of_rss(rss: float) -> float:
         if rss <= 0.0 or not math.isfinite(rss):
             return math.inf
+        # math.log, not np.log: the two can differ by one ulp and flip a near-tie
         return 0.5 * n * math.log(rss / n)
 
+    def concentrated_nll(theta: float) -> float:
+        return nll_of_rss(_profile_mu_rss(d, theta)[1])
+
     grid = np.linspace(-1.0, 1.0, 201)
-    values = np.array([concentrated_nll(t) for t in grid])
+    values = np.array([nll_of_rss(rss) for rss in _profile_rss_grid(d, grid).tolist()])
     if not np.any(np.isfinite(values)):
         raise EstimationError(
             f"{series.name}: degenerate innovation variance, IMA likelihood is unbounded"

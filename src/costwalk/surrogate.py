@@ -34,7 +34,13 @@ import numpy as np
 
 from .dataset import SeriesSummary
 from .forecast import rescale_scale, variance_factors
-from .hindcast import ErrorGrowthCurve, HindcastRecord, error_growth, hindcast_corpus
+from .hindcast import (
+    ErrorGrowthCurve,
+    HindcastRecord,
+    _sums_by_technology,
+    error_growth,
+    hindcast_corpus,
+)
 from .series import TechnologySeries
 from .stats import derive_rng, student_t_cdf
 
@@ -741,21 +747,10 @@ def _half_corpus(
     records: Sequence[HindcastRecord], trials: int, tau_max: int, seed: int
 ) -> dict:
     """Subsample half the technologies many times; band the resulting curves."""
-    names = sorted({r.technology for r in records})
+    names, sums, counts = _sums_by_technology(records, tau_max)
     n_half = len(names) // 2
     if n_half < 1:
         raise ValueError("need at least 2 technologies to subsample")
-    index = {name: i for i, name in enumerate(names)}
-    tech = np.array([index[r.technology] for r in records])
-    tau = np.array([r.tau for r in records], dtype=np.int64)
-    sq = np.array([r.norm_error for r in records]) ** 2
-    keep = tau <= tau_max
-    tech, tau, sq = tech[keep], tau[keep], sq[keep]
-    key = tech * tau_max + (tau - 1)
-    sums = np.bincount(key, weights=sq, minlength=len(names) * tau_max).reshape(
-        len(names), tau_max
-    )
-    counts = np.bincount(key, minlength=len(names) * tau_max).reshape(len(names), tau_max)
 
     curves = np.empty((trials, tau_max))
     for trial in range(trials):
@@ -795,7 +790,10 @@ def _fat_tails(
     """Mean error growth for fat-tailed random walks vs normal RWD and IMA."""
 
     def mean_curve(cfg: SurrogateConfig, tag: int) -> list[float]:
-        return np.nanmean(_xi_ensemble(cfg, tag), axis=0).tolist()
+        with warnings.catch_warnings():
+            # NaN at a horizon no template series reaches
+            warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
+            return np.nanmean(_xi_ensemble(cfg, tag), axis=0).tolist()
 
     base = dict(replications=replications, m=m, tau_max=tau_max, seed=seed, template=template)
     normal = SurrogateConfig(theta=0.0, **base)

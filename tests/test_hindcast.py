@@ -1,6 +1,10 @@
 """Exhaustive hindcast engine: record enumeration, curves, pooled ECDFs."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import costwalk
 from costwalk import (
     Ecdf,
     HindcastRecord,
@@ -151,6 +156,60 @@ class TestErrorGrowth:
         with pytest.raises(ValueError):
             error_growth([])
 
+    @pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
+    def test_empty_rejected_with_tau_max(self, weighting):
+        with pytest.raises(ValueError, match="no records"):
+            error_growth([], tau_max=5, weighting=weighting)
+
+    @pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
+    @pytest.mark.parametrize("tau_max", [0, -3])
+    def test_tau_max_below_every_record_gives_empty_curve(self, weighting, tau_max):
+        records = self._constant_records(taus=(1, 2, 3))
+        curve = error_growth(records, tau_max=tau_max, weighting=weighting)
+        assert curve.taus.size == curve.xi.size == 0
+        assert curve.n_forecasts.size == curve.n_technologies.size == 0
+        assert curve.xi.dtype == np.float64
+        assert curve.n_forecasts.dtype == curve.n_technologies.dtype == np.int64
+        assert curve.weighting == weighting
+
+    @pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
+    def test_horizon_below_one_rejected(self, weighting):
+        records = self._constant_records(taus=(1, 2)) + [
+            HindcastRecord("y", 5, 2005, 0, 0.1, 1.0, -0.1, 0.1, 5)
+        ]
+        with pytest.raises(ValueError, match="at least 1"):
+            error_growth(records, weighting=weighting)
+
+    def test_tau_max_keeps_lower_horizons(self):
+        curve = error_growth(self._constant_records(c=2.0, taus=(1, 1, 3, 4)), tau_max=3)
+        assert curve.taus.tolist() == [1, 3]
+        assert curve.n_forecasts.tolist() == [2, 1]
+        assert curve.xi.tolist() == [4.0, 4.0]
+
+    def test_equal_technology_does_not_depend_on_hash_seed(self):
+        # The per-technology means must be averaged in an order that does not
+        # come from iterating a set of names, whose order follows the string
+        # hash seed.
+        script = (
+            "import numpy as np\n"
+            "from costwalk import error_growth, hindcast_corpus, make_rng, simulate_rwd\n"
+            "rng = make_rng(5)\n"
+            "corpus = [simulate_rwd(-0.05, 0.1, int(rng.integers(8, 30)), rng, name=f'tech-{j}')\n"
+            "          for j in range(60)]\n"
+            "records = hindcast_corpus(corpus, 5, tau_max=20).records\n"
+            "print(error_growth(records, weighting='equal-technology').xi.tobytes().hex())\n"
+        )
+        src = str(Path(costwalk.__file__).resolve().parents[1])
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=120, check=True,
+            )
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+
     def test_weightings_coincide_for_balanced_corpus(self):
         corpus = [_random_series(16, seed=j, name=f"t{j}") for j in range(4)]
         records = hindcast_corpus(corpus, m=5).records
@@ -165,6 +224,56 @@ class TestErrorGrowth:
         equal = error_growth(records, weighting="equal-technology")
         common = np.isin(pooled.taus, equal.taus[equal.n_technologies > 1])
         assert not np.allclose(pooled.xi[common], equal.xi[common])
+
+
+@hst.composite
+def sparse_records(draw):
+    """(records, tau_max): a few technologies at scattered horizons, so some
+    horizons are missing altogether and some technologies skip some horizons."""
+    names = draw(hst.lists(hst.sampled_from("abcdefgh"), min_size=1, max_size=6, unique=True))
+    taus = draw(hst.lists(hst.integers(1, 40), min_size=1, max_size=8, unique=True))
+    cells = draw(
+        hst.lists(
+            hst.tuples(
+                hst.sampled_from(names),
+                hst.sampled_from(taus),
+                hst.floats(-20.0, 20.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    records = [HindcastRecord(name, 5, 2005, tau, 0.1, e, -0.1, 0.1, 5) for name, tau, e in cells]
+    tau_max = draw(hst.none() | hst.integers(1, 40))
+    return records, tau_max
+
+
+def _naive_error_growth(records, tau_max, weighting):
+    """Per-horizon, per-technology loop over the records."""
+    by_tau: dict[int, dict[str, list[float]]] = {}
+    for r in records:
+        if tau_max is None or r.tau <= tau_max:
+            by_tau.setdefault(r.tau, {}).setdefault(r.technology, []).append(r.norm_error**2)
+    taus = sorted(by_tau)
+    n_forecasts = [sum(len(v) for v in by_tau[t].values()) for t in taus]
+    n_technologies = [len(by_tau[t]) for t in taus]
+    if weighting == "pooled":
+        xi = [sum(sum(v) for v in by_tau[t].values()) / c for t, c in zip(taus, n_forecasts)]
+    else:
+        xi = [sum(sum(v) / len(v) for v in by_tau[t].values()) / len(by_tau[t]) for t in taus]
+    return taus, xi, n_forecasts, n_technologies
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_records(), hst.sampled_from(["pooled", "equal-technology"]))
+def test_error_growth_equals_naive_loop(case, weighting):
+    records, tau_max = case
+    curve = error_growth(records, tau_max=tau_max, weighting=weighting)
+    taus, xi, n_forecasts, n_technologies = _naive_error_growth(records, tau_max, weighting)
+    assert curve.taus.tolist() == taus
+    assert curve.n_forecasts.tolist() == n_forecasts
+    assert curve.n_technologies.tolist() == n_technologies
+    np.testing.assert_allclose(curve.xi, xi, rtol=1e-12, atol=0.0)
 
 
 class TestPooledRescaledDistribution:

@@ -5,18 +5,25 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from costwalk import (
     EstimationError,
     ImaParams,
+    SurrogateConfig,
     TechnologySeries,
+    corpus_template,
     estimate_rwd,
     fit_ima_mle,
+    load_reference_params,
     make_rng,
     simulate_ima,
     simulate_rwd,
     simulate_trend_stationary,
+    surrogate_corpus,
 )
+from costwalk.models import _profile_mu_rss, _profile_rss_grid
 
 
 def _series(values, name="s"):
@@ -122,6 +129,88 @@ class TestFitImaMle:
         # increments of exactly -0.125 (representable) make the likelihood degenerate
         with pytest.raises(EstimationError):
             fit_ima_mle(_series(-0.125 * np.arange(8.0)))
+
+
+THETA_GRID = np.linspace(-1.0, 1.0, 201)
+
+
+@hst.composite
+def increment_vectors(draw):
+    """Increments of length 3-80: a level plus noise scaled from 1 down to
+    exactly 0, so near-constant and constant vectors are drawn too."""
+    n = draw(hst.integers(3, 80))
+    level = draw(hst.floats(-1.0, 1.0))
+    scale = draw(hst.sampled_from([1.0, 0.1, 1e-6, 1e-12, 1e-15, 0.0]))
+    noise = draw(hst.lists(hst.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return level + scale * np.array(noise)
+
+
+@settings(max_examples=80, deadline=None)
+@given(increment_vectors())
+def test_grid_rss_equals_scalar_rss(d):
+    rss = _profile_rss_grid(d, THETA_GRID)
+    expected = np.array([_profile_mu_rss(d, theta)[1] for theta in THETA_GRID])
+    assert rss.tobytes() == expected.tobytes()
+
+
+def _reference_fit(series):
+    """The IMA fit with every likelihood evaluated by a scalar recursion that
+    writes numpy elements one at a time, as fit_ima_mle did before its grid
+    was vectorized; same grid, refinement and fallbacks."""
+    d = series.diffs()
+    n = d.size
+
+    def nll(theta):
+        a_prev = b_prev = s_ab = s_bb = 0.0
+        a, b = np.empty(n), np.empty(n)
+        for t in range(n):
+            a_prev = d[t] - theta * a_prev
+            b_prev = 1.0 - theta * b_prev
+            a[t], b[t] = a_prev, b_prev
+            s_ab += a_prev * b_prev
+            s_bb += b_prev * b_prev
+        mu = s_ab / s_bb
+        v = a - mu * b
+        rss = float((v * v).sum())
+        value = 0.5 * n * math.log(rss / n) if rss > 0.0 and math.isfinite(rss) else math.inf
+        return value, mu, rss
+
+    values = np.array([nll(t)[0] for t in THETA_GRID])
+    best = int(np.argmin(values))
+    lo = max(-1.0, THETA_GRID[best] - 0.01)
+    hi = min(1.0, THETA_GRID[best] + 0.01)
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    f1, f2 = nll(x1)[0], nll(x2)[0]
+    for _ in range(60):
+        if hi - lo < 1e-8:
+            break
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = nll(x1)[0]
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = nll(x2)[0]
+    theta = min(1.0, max(-1.0, 0.5 * (lo + hi)))
+    if nll(theta)[0] > values[best]:
+        theta = float(THETA_GRID[best])
+    _, mu, rss = nll(theta)
+    return np.array([mu, math.sqrt(rss / n), theta])
+
+
+def test_fit_equals_scalar_reference_on_bench_corpus():
+    template = corpus_template(load_reference_params(improving_only=True))
+    config = SurrogateConfig(
+        replications=1, theta=0.63, m=5, tau_max=20, seed=2718, template=template
+    )
+    corpus = surrogate_corpus(config, make_rng(2718))
+    assert len(corpus) == 53
+    for series in corpus:
+        fit = fit_ima_mle(series)
+        got = np.array([fit.mu, fit.sigma, fit.theta])
+        assert got.tobytes() == _reference_fit(series).tobytes(), series.name
 
 
 class TestSimulateRwd:

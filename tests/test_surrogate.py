@@ -471,6 +471,19 @@ class TestRobustness:
         report = robustness_suite(corpus, m=5, tau_max=20, extended_tau_max=73)
         assert max(report["extended_tau"]["curve"]["tau"]) == 73
 
+    def test_fat_tails_unreachable_horizons_are_nan_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = robustness_suite(
+                [], m=5, tau_max=20, theta=0.3, seed=1, replications=20,
+                fat_tail_dfs=[3.0], template=((12, -0.08, 0.06), (14, -0.08, 0.06)),
+            )
+        curves = report["fat_tails"]
+        # the 14-point series reaches tau = 8 at most
+        for values in (curves["normal_rwd"], curves["ima"], curves["student"]["df=3"]):
+            values = np.array(values)
+            assert np.all(np.isfinite(values[:8])) and np.all(np.isnan(values[8:]))
+
     def test_fat_tails_inflate_short_horizons_only(self):
         report = robustness_suite(
             [], m=5, tau_max=20, theta=0.63, seed=9, replications=400,
