@@ -38,6 +38,7 @@ from .hindcast import (
     Ecdf,
     ErrorGrowthCurve,
     HindcastRecord,
+    HindcastRecords,
     SeriesHindcast,
     bias_test,
     error_growth,

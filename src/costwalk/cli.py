@@ -164,6 +164,7 @@ def cmd_hindcast(args: argparse.Namespace) -> int:
         f"{result.skipped_zero_volatility} zero-volatility windows skipped; "
         f"{len(excluded)} technologies excluded"
     )
+    print(f"{len(result.too_short)} improving technologies too short for the window")
     return 0
 
 
@@ -252,6 +253,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "n_records": len(result.records),
         "skipped_zero_volatility": result.skipped_zero_volatility,
         "n_improving": len(improving),
+        "n_too_short": len(result.too_short),
     }
     _write_json(out / "validate.json", report)
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .stats import student_t_cdf
 
 __all__ = [
     "HindcastRecord",
+    "HindcastRecords",
     "SeriesHindcast",
     "CorpusHindcast",
     "ErrorGrowthCurve",
@@ -43,7 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HindcastRecord:
-    """One (technology, origin, horizon) forecast error.
+    """One (technology, origin, horizon) forecast error: a row of ``HindcastRecords``.
 
     ``raw_error`` is realized log cost minus the point forecast;
     ``norm_error`` divides by the window volatility estimate.
@@ -60,12 +61,61 @@ class HindcastRecord:
     m: int
 
 
+_COLUMNS = (
+    "tech", "origin_index", "origin_year", "tau", "raw_error", "norm_error", "mu_hat", "k_hat"
+)
+
+
+@dataclass(frozen=True, eq=False)
+class HindcastRecords:
+    """Forecast errors of one hindcast as aligned columns, one entry per record.
+
+    ``names`` holds the sorted names of the technologies that have records,
+    and ``tech`` codes each record's technology as an index into it. Every
+    record uses the window of ``m`` differences. Integer indexing, and so
+    iteration, gives ``HindcastRecord`` rows; indexing with a boolean mask, or
+    any other numpy index, gives the selected records.
+    """
+
+    names: tuple[str, ...]
+    tech: np.ndarray
+    origin_index: np.ndarray
+    origin_year: np.ndarray
+    tau: np.ndarray
+    raw_error: np.ndarray
+    norm_error: np.ndarray
+    mu_hat: np.ndarray
+    k_hat: np.ndarray
+    m: int
+
+    def __len__(self) -> int:
+        return self.tau.size
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            # the row's fields follow the column order
+            tech, *ints = (int(getattr(self, c)[index]) for c in _COLUMNS[:4])
+            floats = (float(getattr(self, c)[index]) for c in _COLUMNS[4:])
+            return HindcastRecord(self.names[tech], *ints, *floats, self.m)
+        # keep only the names that still have records, so codes stay dense
+        present, tech = np.unique(self.tech[index], return_inverse=True)
+        names = tuple(self.names[k] for k in present.tolist())
+        columns = (getattr(self, c)[index] for c in _COLUMNS[1:])
+        return HindcastRecords(names, tech.astype(np.int64, copy=False), *columns, self.m)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HindcastRecords):
+            return NotImplemented
+        same = (self.names, self.m) == (other.names, other.m)
+        return same and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
+
+
 @dataclass(frozen=True)
 class SeriesHindcast:
     """All feasible forecasts for one series, plus bookkeeping."""
 
     technology: str
-    records: tuple[HindcastRecord, ...]
+    records: HindcastRecords
     skipped_zero_volatility: int
     reason: str | None = None
 
@@ -74,7 +124,7 @@ class SeriesHindcast:
 class CorpusHindcast:
     """Corpus-wide records, sorted by (technology, origin, horizon)."""
 
-    records: tuple[HindcastRecord, ...]
+    records: HindcastRecords
     skipped_zero_volatility: int
     too_short: tuple[str, ...]
 
@@ -85,49 +135,12 @@ def hindcast_series(
     tau_max: int | None = None,
     on_zero_volatility: str = "skip",
 ) -> SeriesHindcast:
-    """Generate every feasible forecast error for one series.
-
-    ``tau_max=None`` leaves horizons unrestricted. ``on_zero_volatility``
-    chooses between skipping degenerate windows with a counter (default)
-    and raising.
-    """
-    if on_zero_volatility not in ("skip", "error"):
-        raise ValueError(f"on_zero_volatility must be 'skip' or 'error', got {on_zero_volatility!r}")
-    T = series.n_obs
-    if tau_max is None:
-        tau_max = T
-    if T < m + 2:
-        return SeriesHindcast(
-            technology=series.name,
-            records=(),
-            skipped_zero_volatility=0,
-            reason=f"series has {T} points; a window of {m} differences needs at least {m + 2}",
-        )
-    origin, tau, raw, norm, mu_hat, k_hat, skipped = _kernels.hindcast_errors(
-        series.log_costs, m, tau_max
-    )
-    if skipped and on_zero_volatility == "error":
-        raise ValueError(f"{series.name}: {skipped} windows with zero volatility")
-    years = series.years
-    records = tuple(
-        HindcastRecord(
-            technology=series.name,
-            origin_index=int(origin[i]),
-            origin_year=int(years[origin[i]]),
-            tau=int(tau[i]),
-            raw_error=float(raw[i]),
-            norm_error=float(norm[i]),
-            mu_hat=float(mu_hat[i]),
-            k_hat=float(k_hat[i]),
-            m=m,
-        )
-        for i in range(tau.size)
-    )
-    return SeriesHindcast(
-        technology=series.name,
-        records=records,
-        skipped_zero_volatility=int(skipped),
-    )
+    """Generate every feasible forecast error for one series (see ``hindcast_corpus``)."""
+    result = hindcast_corpus([series], m, tau_max=tau_max, on_zero_volatility=on_zero_volatility)
+    reason = None
+    if result.too_short:
+        reason = f"series has {series.n_obs} points; a window of {m} differences needs at least {m + 2}"
+    return SeriesHindcast(series.name, result.records, result.skipped_zero_volatility, reason)
 
 
 def hindcast_corpus(
@@ -136,19 +149,42 @@ def hindcast_corpus(
     tau_max: int | None = None,
     on_zero_volatility: str = "skip",
 ) -> CorpusHindcast:
-    """Hindcast every series; output is independent of corpus ordering."""
-    per_series = [
-        hindcast_series(s, m, tau_max=tau_max, on_zero_volatility=on_zero_volatility)
-        for s in corpus
-    ]
-    per_series.sort(key=lambda h: h.technology)
-    records: list[HindcastRecord] = []
-    for h in per_series:
-        records.extend(h.records)  # already ordered by (origin, tau) within a series
+    """Hindcast every series; output is independent of corpus ordering.
+
+    ``tau_max=None`` leaves horizons unrestricted. ``on_zero_volatility``
+    chooses between skipping degenerate windows with a counter (default)
+    and raising. Technology names must be unique, since records are grouped
+    and ordered by name.
+    """
+    if on_zero_volatility not in ("skip", "error"):
+        raise ValueError(f"on_zero_volatility must be 'skip' or 'error', got {on_zero_volatility!r}")
+    repeated = sorted(name for name, n in Counter(s.name for s in corpus).items() if n > 1)
+    if repeated:
+        raise ValueError(f"technology names must be unique; repeated: {repeated}")
+    names, too_short, skipped = [], [], 0
+    # one part per technology with records, each ordered by (origin, tau),
+    # after an empty part that fixes the column dtypes
+    i, f = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    parts = [(i, i, i, i, f, f, f, f)]
+    for series in sorted(corpus, key=lambda s: s.name):
+        if series.n_obs < m + 2:
+            too_short.append(series.name)
+            continue
+        origin, tau, raw, norm, mu_hat, k_hat, n_skipped = _kernels.hindcast_errors(
+            series.log_costs, m, series.n_obs if tau_max is None else tau_max
+        )
+        if n_skipped and on_zero_volatility == "error":
+            raise ValueError(f"{series.name}: {n_skipped} windows with zero volatility")
+        skipped += n_skipped
+        if tau.size:
+            tech = np.full(tau.size, len(names), dtype=np.int64)
+            names.append(series.name)
+            parts.append((tech, origin, series.years[origin], tau, raw, norm, mu_hat, k_hat))
+    columns = (np.concatenate(column) for column in zip(*parts))
     return CorpusHindcast(
-        records=tuple(records),
-        skipped_zero_volatility=sum(h.skipped_zero_volatility for h in per_series),
-        too_short=tuple(h.technology for h in per_series if h.reason is not None),
+        records=HindcastRecords(tuple(names), *columns, m),
+        skipped_zero_volatility=skipped,
+        too_short=tuple(too_short),
     )
 
 
@@ -167,45 +203,33 @@ class ErrorGrowthCurve:
     n_technologies: np.ndarray
     weighting: str
 
-    def xi_at(self, tau: int) -> float:
-        idx = np.flatnonzero(self.taus == tau)
-        if idx.size == 0:
-            raise KeyError(f"no records at horizon {tau}")
-        return float(self.xi[idx[0]])
-
 
 def _sums_by_technology(
-    records: Sequence[HindcastRecord], tau_max: int | None = None
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Sorted technology names, and per-(technology, horizon) sums and counts.
+    records: HindcastRecords, tau_max: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-(technology, horizon) sums and counts of squared normalized errors.
 
     ``sums[k, t-1]`` adds the squared normalized errors of technology
-    ``names[k]`` at horizon t in record order, and ``counts[k, t-1]`` counts
-    them, for t = 1..tau_max; ``tau_max=None`` takes the largest horizon in
-    the records.
+    ``records.names[k]`` at horizon t in record order, and ``counts[k, t-1]``
+    counts them, for t = 1..tau_max; ``tau_max=None`` takes the largest
+    horizon in the records.
     """
-    n = len(records)
-    technologies = [r.technology for r in records]
-    names = sorted(set(technologies))
-    index = {name: k for k, name in enumerate(names)}
-    tech = np.fromiter(map(index.__getitem__, technologies), np.int64, n)
-    tau = np.fromiter(map(attrgetter("tau"), records), np.int64, n)
-    norm = np.fromiter(map(attrgetter("norm_error"), records), float, n)
-    if n and tau.min() < 1:
+    tech, tau = records.tech, records.tau
+    if tau.size and tau.min() < 1:
         # a horizon below 1 would land in another technology's cell
         raise ValueError(f"horizons must be at least 1, got {int(tau.min())}")
     if tau_max is None:
         tau_max = int(tau.max())
     keep = tau <= tau_max
     key = tech[keep] * tau_max + (tau[keep] - 1)
-    size = len(names) * tau_max
-    sums = np.bincount(key, weights=norm[keep] ** 2, minlength=size)
-    counts = np.bincount(key, minlength=size)
-    return names, sums.reshape(len(names), tau_max), counts.reshape(len(names), tau_max)
+    shape = (len(records.names), tau_max)
+    sums = np.bincount(key, weights=records.norm_error[keep] ** 2, minlength=shape[0] * shape[1])
+    counts = np.bincount(key, minlength=shape[0] * shape[1])
+    return sums.reshape(shape), counts.reshape(shape)
 
 
 def error_growth(
-    records: Sequence[HindcastRecord],
+    records: HindcastRecords,
     tau_max: int | None = None,
     weighting: str = "pooled",
 ) -> ErrorGrowthCurve:
@@ -221,7 +245,7 @@ def error_growth(
         raise ValueError(f"unknown weighting {weighting!r}")
     if not records:
         raise ValueError("no records to aggregate")
-    _, sums, counts = _sums_by_technology(records)
+    sums, counts = _sums_by_technology(records)
     if tau_max is not None:
         sums, counts = sums[:, : max(tau_max, 0)], counts[:, : max(tau_max, 0)]
     observed = np.flatnonzero(counts.sum(axis=0))
@@ -271,33 +295,28 @@ class Ecdf:
 
 
 def pooled_rescaled_distribution(
-    records: Sequence[HindcastRecord],
+    records: HindcastRecords,
     theta: float,
     split: str = "all",
 ) -> Ecdf | dict[int, Ecdf]:
     """ECDF of rescaled normalized errors eps*, pooled or split by horizon.
 
-    All records must share one window size m > 3; each record's normalized
+    The records' window size m must exceed 3; each record's normalized
     error is divided by sqrt(A*(tau, m, theta)/(1+theta^2)).
     """
     if split not in ("all", "by-horizon"):
         raise ValueError(f"split must be 'all' or 'by-horizon', got {split!r}")
     if not records:
         raise ValueError("no records to pool")
-    window_sizes = {r.m for r in records}
-    if len(window_sizes) != 1:
-        raise ValueError(f"records mix window sizes {sorted(window_sizes)}")
-    m = window_sizes.pop()
-    tau = np.array([r.tau for r in records], dtype=np.int64)
-    norm = np.array([r.norm_error for r in records])
-    scales = {int(t): rescale_scale(variance_factors(int(t), m, theta)) for t in np.unique(tau)}
-    eps = norm / np.array([scales[int(t)] for t in tau])
+    taus, horizon = np.unique(records.tau, return_inverse=True)
+    scales = np.array([rescale_scale(variance_factors(int(t), records.m, theta)) for t in taus])
+    eps = records.norm_error / scales[horizon]
     if split == "all":
         return Ecdf(eps)
-    return {int(t): Ecdf(eps[tau == t]) for t in np.unique(tau)}
+    return {int(t): Ecdf(eps[horizon == h]) for h, t in enumerate(taus)}
 
 
-def bias_test(records: Sequence[HindcastRecord], tau: int) -> float:
+def bias_test(records: HindcastRecords, tau: int) -> float:
     """Nominal two-sided t-test that rescaled errors at one horizon have mean 0.
 
     Rescaling by the (constant) variance factor does not change the t
@@ -305,7 +324,7 @@ def bias_test(records: Sequence[HindcastRecord], tau: int) -> float:
     horizon overlap in time and are correlated; the p-value is therefore
     nominal and suited to description, not strict inference.
     """
-    values = np.array([r.norm_error for r in records if r.tau == tau])
+    values = records.norm_error[records.tau == tau]
     if values.size < 2:
         raise ValueError(f"need at least 2 records at horizon {tau}, got {values.size}")
     mean = float(values.mean())
@@ -317,22 +336,32 @@ def bias_test(records: Sequence[HindcastRecord], tau: int) -> float:
     return 2.0 * min(lower, 1.0 - lower)
 
 
-def write_records_csv(path: str | Path, records: Iterable[HindcastRecord]) -> None:
+def write_records_csv(path: str | Path, records: HindcastRecords) -> None:
+    errors = (records.raw_error, records.norm_error, records.mu_hat, records.k_hat)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["technology", "t0_year", "tau", "raw_error", "norm_error", "mu_hat", "K_hat"])
-        for r in records:
-            writer.writerow(
-                [
-                    r.technology,
-                    r.origin_year,
-                    r.tau,
-                    f"{r.raw_error:.10g}",
-                    f"{r.norm_error:.10g}",
-                    f"{r.mu_hat:.10g}",
-                    f"{r.k_hat:.10g}",
-                ]
+        writer.writerows(
+            zip(
+                map(records.names.__getitem__, records.tech.tolist()),
+                records.origin_year.tolist(),
+                records.tau.tolist(),
+                *(map("{:.10g}".format, column.tolist()) for column in errors),
             )
+        )
+
+
+def _curve_table(curve: ErrorGrowthCurve, m: int, theta: float) -> dict[str, list]:
+    """The curve's columns with the analytic Xi predictions at theta = 0 and the given theta."""
+    taus = curve.taus.tolist()
+    return {
+        "tau": taus,
+        "n_forecasts": curve.n_forecasts.tolist(),
+        "n_technologies": curve.n_technologies.tolist(),
+        "xi_empirical": curve.xi.tolist(),
+        "xi_pred_theta0": [variance_factors(t, m, 0.0).xi for t in taus],
+        "xi_pred_theta": [variance_factors(t, m, theta).xi for t in taus],
+    }
 
 
 def write_error_growth_csv(
@@ -342,21 +371,9 @@ def write_error_growth_csv(
     theta: float,
 ) -> None:
     """Curve CSV with the analytic predictions at theta = 0 and the given theta."""
+    table = _curve_table(curve, m, theta)
+    tau, n_forecasts, n_technologies, *xi = table.values()
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["tau", "n_forecasts", "n_technologies", "xi_empirical", "xi_pred_theta0", "xi_pred_theta"]
-        )
-        for i, t in enumerate(curve.taus):
-            pred0 = variance_factors(int(t), m, 0.0).xi
-            pred = variance_factors(int(t), m, theta).xi
-            writer.writerow(
-                [
-                    int(t),
-                    int(curve.n_forecasts[i]),
-                    int(curve.n_technologies[i]),
-                    f"{curve.xi[i]:.10g}",
-                    f"{pred0:.10g}",
-                    f"{pred:.10g}",
-                ]
-            )
+        writer.writerow(table.keys())
+        writer.writerows(zip(tau, n_forecasts, n_technologies, *(map("{:.10g}".format, c) for c in xi)))

@@ -36,10 +36,12 @@ from .dataset import SeriesSummary
 from .forecast import rescale_scale, variance_factors
 from .hindcast import (
     ErrorGrowthCurve,
-    HindcastRecord,
+    HindcastRecords,
+    _curve_table,
     _sums_by_technology,
     error_growth,
     hindcast_corpus,
+    pooled_rescaled_distribution,
 )
 from .series import TechnologySeries
 from .stats import derive_rng, student_t_cdf
@@ -492,7 +494,7 @@ class DeviationTest:
 
 
 def distribution_deviation_test(
-    records: Sequence[HindcastRecord], theta: float, config: SurrogateConfig
+    records: HindcastRecords, theta: float, config: SurrogateConfig
 ) -> DeviationTest:
     """Test whether pooled rescaled errors are as close to t(m-1) as the null.
 
@@ -501,18 +503,15 @@ def distribution_deviation_test(
     (sum of |differences|, sum of squares, signed maximum); the null
     distribution of each measure comes from the full surrogate pipeline.
     """
-    window_sizes = {r.m for r in records}
-    if window_sizes != {config.m}:
-        raise ValueError(f"records use windows {sorted(window_sizes)}, config.m={config.m}")
+    if records.m != config.m:
+        raise ValueError(f"records use window {records.m}, config.m={config.m}")
+    pooled = pooled_rescaled_distribution(records[records.tau <= config.tau_max], theta)
     t_cdf_grid = np.array([student_t_cdf(x, config.m - 1) for x in DEVIATION_GRID])
+    observed = _deviation_stats(pooled.values, t_cdf_grid)
     # divisor turning normalized errors into eps*, by horizon
     rescale = np.array(
         [rescale_scale(variance_factors(t, config.m, theta)) for t in range(1, config.tau_max + 1)]
     )
-    tau_obs = np.array([r.tau for r in records], dtype=np.int64)
-    norm_obs = np.array([r.norm_error for r in records])
-    keep = tau_obs <= config.tau_max
-    observed = _deviation_stats(norm_obs[keep] / rescale[tau_obs[keep] - 1], t_cdf_grid)
 
     plan = _plan(*_plan_key(config))
     record_rescale = rescale[plan.tau - 1]
@@ -542,7 +541,7 @@ class ThetaWeighted:
 
 def estimate_theta_weighted(
     summaries: Sequence[SeriesSummary],
-    records: Sequence[HindcastRecord],
+    records: HindcastRecords,
     tau_max: int = 20,
 ) -> ThetaWeighted:
     """Average the full-sample theta estimates, weighted by forecast counts.
@@ -561,21 +560,16 @@ def estimate_theta_weighted(
     if not usable:
         raise ValueError("every technology is boundary-flagged; theta_w is undefined")
 
-    counts: dict[str, np.ndarray] = {}
-    for r in records:
-        if r.technology in usable and 1 <= r.tau <= tau_max:
-            counts.setdefault(r.technology, np.zeros(tau_max, dtype=np.int64))[r.tau - 1] += 1
-
-    per_horizon = np.full(tau_max, np.nan)
-    for t in range(tau_max):
-        num = 0.0
-        den = 0.0
-        for name, c in counts.items():
-            if c[t] > 0:
-                num += c[t] * usable[name]
-                den += c[t]
-        if den > 0:
-            per_horizon[t] = num / den
+    _, counts = _sums_by_technology(records, tau_max)
+    # technologies are added one at a time in sorted-name order, so each
+    # horizon's sums do not depend on how numpy would pair their terms
+    num = np.zeros(tau_max)
+    den = np.zeros(tau_max)
+    for name, c in zip(records.names, counts):
+        if name in usable:
+            num += c * usable[name]
+            den += c
+    per_horizon = np.divide(num, den, out=np.full(tau_max, np.nan), where=den > 0)
     if np.all(np.isnan(per_horizon)):
         raise ValueError("no records at any horizon <= tau_max")
     theta_w = float(np.nanmean(per_horizon))
@@ -713,49 +707,33 @@ def theta_forecast_sweep(
     )
 
 
-def _curve_as_dict(curve: ErrorGrowthCurve, m: int, theta: float) -> dict:
-    return {
-        "tau": curve.taus.tolist(),
-        "xi_empirical": curve.xi.tolist(),
-        "n_forecasts": curve.n_forecasts.tolist(),
-        "n_technologies": curve.n_technologies.tolist(),
-        "xi_pred_theta0": [variance_factors(int(t), m, 0.0).xi for t in curve.taus],
-        "xi_pred_theta": [variance_factors(int(t), m, theta).xi for t in curve.taus],
-    }
-
-
 def _vary_window(
     corpus: Sequence[TechnologySeries], ms: Sequence[int], theta: float, tau_max: int
 ) -> list[dict]:
     out = []
     for m in ms:
-        usable = [s for s in corpus if s.n_obs >= m + 2]
-        entry: dict = {"m": int(m), "n_series_used": len(usable)}
-        if not usable:
+        result = hindcast_corpus(corpus, m, tau_max=tau_max)
+        entry: dict = {"m": int(m), "n_series_used": len(corpus) - len(result.too_short)}
+        if entry["n_series_used"]:
+            entry["curve"] = _curve_table(error_growth(result.records), m, theta)
+            entry["skipped_zero_volatility"] = result.skipped_zero_volatility
+        else:
             entry["note"] = f"no series has the m + 2 = {m + 2} points needed"
-            out.append(entry)
-            continue
-        result = hindcast_corpus(usable, m, tau_max=tau_max)
-        curve = error_growth(result.records)
-        entry["curve"] = _curve_as_dict(curve, m, theta)
-        entry["skipped_zero_volatility"] = result.skipped_zero_volatility
         out.append(entry)
     return out
 
 
-def _half_corpus(
-    records: Sequence[HindcastRecord], trials: int, tau_max: int, seed: int
-) -> dict:
+def _half_corpus(records: HindcastRecords, trials: int, tau_max: int, seed: int) -> dict:
     """Subsample half the technologies many times; band the resulting curves."""
-    names, sums, counts = _sums_by_technology(records, tau_max)
-    n_half = len(names) // 2
+    sums, counts = _sums_by_technology(records, tau_max)
+    n_half = len(records.names) // 2
     if n_half < 1:
         raise ValueError("need at least 2 technologies to subsample")
 
     curves = np.empty((trials, tau_max))
     for trial in range(trials):
         rng = derive_rng(seed, _stream_tag("half-corpus"), trial)
-        chosen = rng.choice(len(names), size=n_half, replace=False)
+        chosen = rng.choice(len(records.names), size=n_half, replace=False)
         s = sums[chosen].sum(axis=0)
         c = counts[chosen].sum(axis=0)
         with np.errstate(invalid="ignore"):
@@ -848,7 +826,7 @@ def robustness_suite(
         ext = hindcast_corpus(corpus, m, tau_max=extended_tau_max)
         report["extended_tau"] = {
             "tau_max": extended_tau_max,
-            "curve": _curve_as_dict(error_growth(ext.records), m, theta),
+            "curve": _curve_table(error_growth(ext.records), m, theta),
         }
     if fat_tail_dfs is not None:
         if template is None:

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import re
+from collections import Counter
 
 import pytest
 
@@ -12,6 +14,14 @@ from costwalk.cli import main
 def _read_csv(path):
     with open(path) as handle:
         return list(csv.reader(handle))
+
+
+def _count_too_short(corpus_csv, window):
+    """Series in the corpus with fewer than the window + 2 points a hindcast needs."""
+    lengths = Counter(row[0] for row in _read_csv(corpus_csv)[1:])
+    too_short = sum(n < window + 2 for n in lengths.values())
+    assert 0 < too_short < len(lengths)  # some series are hindcast, some are not
+    return too_short
 
 
 class TestDescribe:
@@ -65,6 +75,15 @@ class TestHindcast:
             ["hindcast", "--input", str(corpus_csv), "--out", str(out), "--weighting", "equal-tech"]
         ) == 0
 
+    def test_reports_too_short_series(self, corpus_csv, tmp_path, capsys):
+        out = tmp_path / "h3"
+        assert main(["hindcast", "--input", str(corpus_csv), "--out", str(out), "--window", "18"]) == 0
+        printed = capsys.readouterr().out
+        assert re.search(r"(\d+) forecasts from", printed)
+        assert "0 technologies excluded" in printed
+        found = re.search(r"(\d+) improving technologies too short for the window", printed)
+        assert int(found[1]) == _count_too_short(corpus_csv, 18)
+
     def test_window_too_large_exits_2(self, corpus_csv, tmp_path):
         assert main(
             ["hindcast", "--input", str(corpus_csv), "--out", str(tmp_path / "o"), "--window", "40"]
@@ -86,6 +105,15 @@ class TestValidate:
         assert report["theta"] == 0.3
         assert len(report["xi_band"]["observed"]) == 8
         assert len(report["deviation_test"]["p_raw"]) == 3
+
+    def test_reports_too_short_series(self, corpus_csv, tmp_path):
+        out = tmp_path / "ts"
+        assert main(
+            ["validate", "--input", str(corpus_csv), "--out", str(out), "--window", "18",
+             "--reps", "20", "--tau-max", "6", "--seed", "3"]
+        ) == 0
+        report = json.loads((out / "validate.json").read_text())
+        assert report["hindcast"]["n_too_short"] == _count_too_short(corpus_csv, 18)
 
     def test_threads_option_is_gone(self, corpus_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:

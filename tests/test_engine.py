@@ -6,6 +6,7 @@ here is bit-exact: normalized errors compare as bytes, not within a
 tolerance.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +38,8 @@ from costwalk.surrogate import (
 
 PROPERTY = settings(max_examples=60, deadline=None)
 REFERENCE_TEMPLATE = corpus_template(load_reference_params(improving_only=True))
+DRIFTS = (min(t[1] for t in REFERENCE_TEMPLATE), max(t[1] for t in REFERENCE_TEMPLATE))
+VOLATILITIES = (min(t[2] for t in REFERENCE_TEMPLATE), max(t[2] for t in REFERENCE_TEMPLATE))
 
 
 @st.composite
@@ -117,6 +120,38 @@ def test_engine_matches_simulated_corpus_hindcast(config, rep):
         xi = _xi_from_errors(series_idx, tau, norm, config)
         np.testing.assert_allclose(xi[curve.taus - 1], curve.xi, rtol=1e-12)
         assert np.all(np.isnan(np.delete(xi, curve.taus - 1)))
+
+
+@PROPERTY
+@given(st.data())
+def test_norm_errors_do_not_depend_on_drift_or_scale(data):
+    # Drift cancels in the raw error and the window deviations, and the scale
+    # in their ratio, so only rounding separates a template from the same
+    # lengths at (mu, K) = (0, 1). Over 3,000 random templates the largest
+    # difference was 9e-13 * (1 + |error|); the tolerance leaves 1000x room.
+    m = data.draw(st.integers(4, 10))
+    lengths = data.draw(st.lists(st.integers(2, 80), min_size=1, max_size=6))
+    lengths[0] = max(lengths[0], m + 2)
+    student = data.draw(st.booleans())
+    config = SurrogateConfig(
+        replications=1,
+        theta=0.0 if student else data.draw(st.floats(-0.95, 0.95)),
+        m=m,
+        tau_max=data.draw(st.integers(1, 25)),
+        seed=data.draw(st.integers(0, 2**32)),
+        template=tuple(
+            (T, data.draw(st.floats(*DRIFTS)), data.draw(st.floats(*VOLATILITIES))) for T in lengths
+        ),
+        innovation="student" if student else "normal",
+        student_df=data.draw(st.floats(2.5, 30.0)) if student else None,
+    )
+    unit = dataclasses.replace(config, template=tuple((T, 0.0, 1.0) for T in lengths))
+    rep = data.draw(st.integers(0, 10**6))
+    series_idx, tau, norm = _replication_errors(config, derive_rng(config.seed, rep))
+    unit_idx, unit_tau, unit_norm = _replication_errors(unit, derive_rng(config.seed, rep))
+    _assert_bytes_equal(series_idx, unit_idx)  # the same records are kept
+    _assert_bytes_equal(tau, unit_tau)
+    np.testing.assert_allclose(norm, unit_norm, rtol=1e-9, atol=1e-9)
 
 
 @PROPERTY

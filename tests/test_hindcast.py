@@ -16,6 +16,7 @@ import costwalk
 from costwalk import (
     Ecdf,
     HindcastRecord,
+    HindcastRecords,
     TechnologySeries,
     bias_test,
     error_growth,
@@ -38,6 +39,28 @@ def _random_series(n_obs, seed, name="s", mu=-0.1, k=0.1):
     return simulate_rwd(mu, k, n_obs, make_rng(seed), name=name, start_year=2000)
 
 
+def _columns(rows):
+    """HindcastRecords holding hand-built rows, in their order; all share one m."""
+    names = sorted({r.technology for r in rows})
+    (m,) = {r.m for r in rows}
+
+    def column(field, dtype):
+        return np.array([getattr(r, field) for r in rows], dtype=dtype)
+
+    return HindcastRecords(
+        names=tuple(names),
+        tech=np.array([names.index(r.technology) for r in rows], dtype=np.int64),
+        origin_index=column("origin_index", np.int64),
+        origin_year=column("origin_year", np.int64),
+        tau=column("tau", np.int64),
+        raw_error=column("raw_error", np.float64),
+        norm_error=column("norm_error", np.float64),
+        mu_hat=column("mu_hat", np.float64),
+        k_hat=column("k_hat", np.float64),
+        m=m,
+    )
+
+
 class TestEnumeration:
     def test_three_records_for_t8_m5(self):
         series = _random_series(8, seed=1)
@@ -49,7 +72,7 @@ class TestEnumeration:
     def test_no_feasible_origin(self):
         series = _random_series(7, seed=2)
         result = hindcast_series(series, m=6)
-        assert result.records == ()
+        assert list(result.records) == []
         assert "at least 8" in result.reason
 
     @pytest.mark.parametrize("n_obs,m", [(10, 4), (15, 5), (30, 7), (12, 9)])
@@ -76,6 +99,28 @@ class TestEnumeration:
         a = hindcast_corpus(corpus, m=5)
         b = hindcast_corpus(list(reversed(corpus)), m=5)
         assert a.records == b.records
+
+    def test_duplicate_names_rejected(self):
+        # records are grouped and ordered by name, so two series with one
+        # name would interleave by corpus order and count as one technology
+        a = _random_series(12, seed=1, name="same")
+        b = _random_series(15, seed=2, name="same")
+        for corpus in ([a, b], [b, a]):
+            with pytest.raises(ValueError, match="same"):
+                hindcast_corpus(corpus, 5)
+
+    def test_columns_and_rows_agree(self):
+        corpus = [_random_series(12 + j, seed=j, name=f"t{j}") for j in range(3)]
+        records = hindcast_corpus(corpus + [_random_series(6, seed=9, name="short")], m=5).records
+        assert records.names == ("t0", "t1", "t2")  # "short" has no records
+        rows = list(records)
+        assert [r.technology for r in rows] == [records.names[k] for k in records.tech]
+        assert [r.tau for r in rows] == records.tau.tolist()
+        assert rows[-1] == records[len(records) - 1] == records[-1]
+        later = records[records.tech > 0]
+        assert later.names == ("t1", "t2")
+        assert later.tech.min() == 0
+        assert list(later) == [r for r in rows if r.technology != "t0"]
 
     def test_zero_volatility_window_skipped_and_counted(self):
         # first six steps are exactly constant, so the first window has K = 0
@@ -131,7 +176,7 @@ def test_corpus_order_invariance(case):
 
 class TestErrorGrowth:
     def _constant_records(self, c=1.5, taus=(1, 1, 2, 2, 3)):
-        return [
+        return _columns([
             HindcastRecord(
                 technology="x",
                 origin_index=5,
@@ -144,7 +189,7 @@ class TestErrorGrowth:
                 m=5,
             )
             for t in taus
-        ]
+        ])
 
     def test_constant_errors_square(self):
         curve = error_growth(self._constant_records(c=1.5))
@@ -174,9 +219,10 @@ class TestErrorGrowth:
 
     @pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
     def test_horizon_below_one_rejected(self, weighting):
-        records = self._constant_records(taus=(1, 2)) + [
-            HindcastRecord("y", 5, 2005, 0, 0.1, 1.0, -0.1, 0.1, 5)
-        ]
+        records = _columns(
+            list(self._constant_records(taus=(1, 2)))
+            + [HindcastRecord("y", 5, 2005, 0, 0.1, 1.0, -0.1, 0.1, 5)]
+        )
         with pytest.raises(ValueError, match="at least 1"):
             error_growth(records, weighting=weighting)
 
@@ -243,7 +289,9 @@ def sparse_records(draw):
             max_size=60,
         )
     )
-    records = [HindcastRecord(name, 5, 2005, tau, 0.1, e, -0.1, 0.1, 5) for name, tau, e in cells]
+    records = _columns(
+        [HindcastRecord(name, 5, 2005, tau, 0.1, e, -0.1, 0.1, 5) for name, tau, e in cells]
+    )
     tau_max = draw(hst.none() | hst.integers(1, 40))
     return records, tau_max
 
@@ -293,7 +341,8 @@ class TestPooledRescaledDistribution:
         assert st.kstest(ecdf.values, st.t(df=4).cdf).pvalue > 0.01
 
     def test_larger_theta_contracts_beyond_horizon_one(self):
-        records = [r for r in self._records() if r.tau >= 2]
+        records = self._records()
+        records = records[records.tau >= 2]
         base = pooled_rescaled_distribution(records, theta=0.0)
         contracted = pooled_rescaled_distribution(records, theta=0.6)
         assert np.all(np.abs(np.sort(contracted.values)) <= np.abs(np.sort(base.values)) + 1e-15)
@@ -305,12 +354,6 @@ class TestPooledRescaledDistribution:
         assert set(split) == set(r.tau for r in records)
         total = sum(e.n for e in split.values())
         assert total == len(records)
-
-    def test_mixed_windows_rejected(self):
-        records = list(self._records(n_series=5))
-        other = hindcast_corpus([_random_series(16, seed=77, name="w6")], m=6).records
-        with pytest.raises(ValueError, match="window sizes"):
-            pooled_rescaled_distribution(records + list(other), theta=0.0)
 
     def test_ecdf_evaluation_and_tails(self):
         ecdf = Ecdf(np.array([-2.0, -1.0, 1.0, 3.0]))
@@ -333,18 +376,19 @@ class TestBiasTest:
             records.append(
                 HindcastRecord("x", 5 + i, 2005 + i, 1, e * 0.1, e, -0.1, 0.1, 5)
             )
+        records = _columns(records)
         assert bias_test(records, tau=1) == pytest.approx(1.0)
 
     def test_one_sided_errors_give_low_p(self):
         rng = make_rng(6)
-        records = [
+        records = _columns([
             HindcastRecord("x", 5 + i, 2005 + i, 1, 0.1, float(e), -0.1, 0.1, 5)
             for i, e in enumerate(rng.uniform(0.5, 1.5, size=30))
-        ]
+        ])
         assert bias_test(records, tau=1) < 1e-6
 
     def test_needs_two_records(self):
-        records = [HindcastRecord("x", 5, 2005, 3, 0.1, 1.0, -0.1, 0.1, 5)]
+        records = _columns([HindcastRecord("x", 5, 2005, 3, 0.1, 1.0, -0.1, 0.1, 5)])
         with pytest.raises(ValueError):
             bias_test(records, tau=3)
 

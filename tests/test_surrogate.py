@@ -267,6 +267,17 @@ class TestDeviationTest:
         with pytest.raises(ValueError, match="config.m"):
             distribution_deviation_test(records, 0.0, cfg)
 
+    def test_no_records_rejected(self):
+        # an empty sample would give a 0/0 ECDF and NaN statistics
+        cfg = SurrogateConfig(
+            replications=10, theta=0.0, m=5, tau_max=3, seed=1, template=SMALL_TEMPLATE
+        )
+        records = hindcast_corpus(surrogate_corpus(cfg, derive_rng(1, 0)), 5, tau_max=10).records
+        beyond_tau_max = records[records.tau > cfg.tau_max]
+        for no_records in (hindcast_corpus([], 5).records, beyond_tau_max):
+            with pytest.raises(ValueError, match="no records"):
+                distribution_deviation_test(no_records, 0.0, cfg)
+
 
 def _reference_summaries():
     return [
