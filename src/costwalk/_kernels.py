@@ -1,10 +1,12 @@
 """The numpy hindcast kernels.
 
-``hindcast_errors`` is the observed-data path; ``corpus_norm_errors`` is the
-per-series reference for the surrogate engine. The batched engine in
-``surrogate.py`` repeats the arithmetic of ``corpus_norm_errors`` operation
-for operation and is tested to match it bit for bit, so a change to the
-order of operations here must be made there too.
+``hindcast_errors`` is the observed-data path, one series per call. Every
+surrogate-side hindcast takes the other path: an index plan (``_build_plan``)
+lays all series of a corpus out side by side, and one window helper
+(``_window_errors``) computes every record's normalized error from the laid
+out levels. ``corpus_norm_errors`` runs it on one corpus, the surrogate engine
+on many. Tests hold both paths to ``hindcast_errors`` bit for bit, so they
+must keep the same order of operations.
 
 Conventions, for a log-cost series y[0..T-1] and a window of m first
 differences:
@@ -22,15 +24,47 @@ differences:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
 
+# Replications per array pass times the size of the largest per-replication
+# array. The bundled 53-series template (6,391 records at m = 5, tau_max = 20)
+# then runs 2 replications per pass. Larger passes were slower per
+# replication on a 2-core Xeon with 2 MB of L2 cache per core (5 per pass
+# took about 1.5x as long), because record-sized temporaries leave the cache.
+# Speed also depends on the order in which a pass allocates and frees its
+# arrays, because glibc can return freed heap to the system and the next
+# pass then faults it back in: freeing the laid-out innovations before the
+# window step made `validate` 10-20% slower there. Time pass changes end to
+# end.
+_CHUNK_ELEMENTS = 1 << 14
+
 
 def backend() -> str:
     """Name of the kernel implementation, recorded in run manifests."""
     return "fallback"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _check_window(m: int, tau_max: int) -> None:
+    if m < 2:
+        raise ValueError(f"window must contain at least 2 differences, got m={m}")
+    if tau_max < 1:
+        raise ValueError(f"tau_max must be >= 1, got {tau_max}")
+
+
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
 
 
 def hindcast_errors(y, m, tau_max):
@@ -43,10 +77,7 @@ def hindcast_errors(y, m, tau_max):
     y = np.ascontiguousarray(y, dtype=np.float64)
     m = int(m)
     tau_max = int(tau_max)
-    if m < 2:
-        raise ValueError(f"window must contain at least 2 differences, got m={m}")
-    if tau_max < 1:
-        raise ValueError(f"tau_max must be >= 1, got {tau_max}")
+    _check_window(m, tau_max)
     T = y.size
     if T < m + 2:
         return (_EMPTY_I, _EMPTY_I, _EMPTY_F, _EMPTY_F, _EMPTY_F, _EMPTY_F, 0)
@@ -64,15 +95,127 @@ def hindcast_errors(y, m, tau_max):
     k_hat = np.sqrt(k2[keep])
 
     n_tau = np.minimum(T - 1 - origins, tau_max)
-    total = int(n_tau.sum())
     rec = np.repeat(np.arange(origins.size), n_tau)
-    starts = np.concatenate(([0], np.cumsum(n_tau)))[:-1]
-    tau = (np.arange(total, dtype=np.int64) - starts[rec]) + 1
+    tau = _ranges(n_tau) + 1
 
     o = origins[rec]
     raw = y[o + tau] - y[o] - mu[rec] * tau
     norm = raw / k_hat[rec]
     return (o, tau, raw, norm, mu[rec], k_hat[rec], n_skipped)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Static index plan for hindcasting every series of one corpus at once.
+
+    A pass lays series j out in row j of a (series, width) array padded to
+    the longest series, for the levels y and the first differences d alike;
+    every index is a flat position in that layout. Origins are the feasible
+    forecast origins i = m..T-2 of every series with T >= m + 2; records are
+    ordered by series, origin and horizon, as in ``hindcast_errors``.
+    """
+
+    n_series: int
+    width: int
+    draws: np.ndarray  # position of each point of each series, series after series
+    origin: np.ndarray  # y[i] of each origin
+    window_start: np.ndarray  # y[i - m] and d[i - m], where the window starts
+    origin_series: np.ndarray  # series of each origin
+    record_origin: np.ndarray  # origin of each record
+    target: np.ndarray  # y[i + tau] of each record
+    tau: np.ndarray  # horizon of each record
+    horizon: np.ndarray  # tau as float64: mu * horizon equals mu * tau, without a cast
+    chunk: int  # replications per array pass
+
+
+def _build_plan(lengths, m: int, tau_max: int) -> _Plan:
+    lengths = np.asarray(lengths, dtype=np.int64)
+    width = int(lengths.max(initial=0))
+    series = np.arange(lengths.size, dtype=np.int64)
+    draws = np.repeat(series * width, lengths) + _ranges(lengths)
+    n_origins = np.maximum(lengths - 1 - m, 0)
+    origin_series = np.repeat(series, n_origins)
+    origin_at = _ranges(n_origins) + m
+    origin = origin_series * width + origin_at
+    n_tau = np.minimum(lengths[origin_series] - 1 - origin_at, tau_max)
+    record_origin = np.repeat(np.arange(origin.size, dtype=np.int64), n_tau)
+    tau = _ranges(n_tau) + 1
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, tau.size, origin.size * m, lengths.size * width))
+    return _Plan(
+        n_series=lengths.size,
+        width=width,
+        draws=_read_only(draws),
+        origin=_read_only(origin),
+        window_start=_read_only(origin - m),
+        origin_series=_read_only(origin_series),
+        record_origin=_read_only(record_origin),
+        target=_read_only(origin[record_origin] + tau),
+        tau=_read_only(tau),
+        horizon=_read_only(tau.astype(np.float64)),
+        chunk=chunk,
+    )
+
+
+def _layout(plan: _Plan, values: np.ndarray) -> np.ndarray:
+    """(rows, series, width) array of (rows, points) values, zero-padded."""
+    rows = values.shape[0]
+    out = np.zeros((rows, plan.n_series, plan.width))
+    flat = out.reshape(rows, -1)
+    for b in range(rows):
+        flat[b, plan.draws] = values[b]
+    return out
+
+
+def _flat_with_differences(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Laid-out levels y and their first differences d, each flat per row."""
+    d = np.zeros_like(y)
+    np.subtract(y[:, :, 1:], y[:, :, :-1], out=d[:, :, :-1])
+    rows = y.shape[0]
+    return y.reshape(rows, -1), d.reshape(rows, -1)
+
+
+def _levels(drifts: np.ndarray, theta: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat levels and differences of the random walks that ``corpus_norm_errors``
+    describes, from laid-out innovations v, one corpus per row."""
+    y = np.zeros_like(v)
+    y[:, :, 1:] = np.cumsum((drifts[:, None] + v[:, :, 1:]) + theta * v[:, :, :-1], axis=-1)
+    return _flat_with_differences(y)
+
+
+def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    return np.take(a, index, axis=1)
+
+
+def _window_moments(
+    plan: _Plan, y: np.ndarray, d: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of the flat layouts y and d, and per origin: y[i], mu_hat, the
+    m window differences (origins x m), and K_hat^2."""
+    y_origin = _at(y, plan.origin)
+    mu = (y_origin - _at(y, plan.window_start)) / m
+    windows = _at(d, plan.window_start[:, None] + np.arange(m))
+    k2 = ((windows - mu[:, :, None]) ** 2).sum(axis=-1) / (m - 1)
+    return y_origin, mu, windows, k2
+
+
+def _window_errors(
+    plan: _Plan, y: np.ndarray, d: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(rows, records) normalized errors of the flat layouts y and d, in plan
+    order, and the mask of records to keep, or None if no window has zero variance."""
+    y_origin, mu, windows, k2 = _window_moments(plan, y, d, m)
+    del windows
+    k_hat = np.sqrt(k2)
+    # norm = (y[i + tau] - y[i] - mu * tau) / k_hat per record, computed in
+    # place so a large template needs few record-sized temporaries
+    o = plan.record_origin
+    norm = _at(y, plan.target)
+    norm -= _at(y_origin, o)
+    norm -= _at(mu, o) * plan.horizon
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm /= _at(k_hat, o)  # zero-variance origins are masked out below
+    keep = k2 > 0.0
+    return norm, (None if keep.all() else keep[:, o])
 
 
 def corpus_norm_errors(lengths, drifts, theta, innovations, m, tau_max):
@@ -82,7 +225,8 @@ def corpus_norm_errors(lengths, drifts, theta, innovations, m, tau_max):
     series, concatenated in template order. Series j is built as y[0] = 0,
     y[t] = y[t-1] + drifts[j] + v[t] + theta*v[t-1].
 
-    Returns (series_idx, tau, norm, n_skipped).
+    Returns (series_idx, tau, norm, n_skipped), records ordered by series,
+    origin and horizon; n_skipped counts zero-variance windows.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     drifts = np.asarray(drifts, dtype=np.float64)
@@ -91,29 +235,13 @@ def corpus_norm_errors(lengths, drifts, theta, innovations, m, tau_max):
         raise ValueError("lengths and drifts must have the same size")
     if int(lengths.sum()) != innovations.size:
         raise ValueError("innovations length must equal sum(lengths)")
+    m, tau_max = int(m), int(tau_max)
+    _check_window(m, tau_max)
 
-    series_idx = []
-    taus = []
-    norms = []
-    n_skipped = 0
-    offset = 0
-    for j in range(lengths.size):
-        T = int(lengths[j])
-        v = innovations[offset : offset + T]
-        offset += T
-        inc = (drifts[j] + v[1:]) + theta * v[:-1]
-        y = np.concatenate(([0.0], np.cumsum(inc)))
-        _, tau, _, norm, _, _, skipped = hindcast_errors(y, m, tau_max)
-        n_skipped += skipped
-        if tau.size:
-            series_idx.append(np.full(tau.size, j, dtype=np.int64))
-            taus.append(tau)
-            norms.append(norm)
-    if not taus:
-        return (_EMPTY_I, _EMPTY_I, _EMPTY_F, n_skipped)
-    return (
-        np.concatenate(series_idx),
-        np.concatenate(taus),
-        np.concatenate(norms),
-        n_skipped,
-    )
+    plan = _build_plan(lengths, m, tau_max)
+    v = _layout(plan, innovations[None])
+    norm, keep = _window_errors(plan, *_levels(drifts, theta, v), m)
+    keep = np.ones(plan.tau.size, dtype=bool) if keep is None else keep[0]
+    n_skipped = int(np.count_nonzero(~keep[plan.tau == 1]))  # one horizon-1 record per origin
+    series_idx = plan.origin_series[plan.record_origin]
+    return series_idx[keep], plan.tau[keep], norm[0, keep], n_skipped

@@ -194,7 +194,8 @@ class ErrorGrowthCurve:
 
     ``weighting='pooled'`` averages over all records at each horizon;
     ``'equal-technology'`` first averages within each technology. Horizons
-    with no records are omitted.
+    with no records are omitted. ``m`` is the window of the hindcast the
+    curve came from, or None for a curve not computed from records.
     """
 
     taus: np.ndarray
@@ -202,6 +203,7 @@ class ErrorGrowthCurve:
     n_forecasts: np.ndarray
     n_technologies: np.ndarray
     weighting: str
+    m: int | None = None
 
 
 def _sums_by_technology(
@@ -263,6 +265,7 @@ def error_growth(
         n_forecasts=n_forecasts,
         n_technologies=n_technologies,
         weighting=weighting,
+        m=records.m,
     )
 
 

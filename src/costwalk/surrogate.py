@@ -10,11 +10,12 @@ deviation measures), which is the only honest way to test them: hindcast
 errors overlap in time, so their correlation structure defeats textbook
 sampling theory.
 
-Every experiment runs on one numpy engine, which simulates and hindcasts a
-chunk of replications as (replications, records) arrays through a static
-index plan of the template. Its arithmetic follows the per-series kernel
-``_kernels.corpus_norm_errors`` step for step, so each replication's errors
-are bit-identical to that reference.
+Every experiment runs on one numpy engine, which simulates a chunk of
+replications and hindcasts them as (replications, records) arrays through
+the static index plan and the window helper of ``_kernels``, the same path
+``_kernels.corpus_norm_errors`` takes on one corpus. Each replication's
+errors are bit-identical to the per-series kernel ``_kernels.hindcast_errors``
+run on that replication's simulated series.
 
 Everything here is deterministic given the configuration: replication r of
 an experiment draws from an independent stream derived from (seed, tag, r),
@@ -32,6 +33,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _kernels
+from ._kernels import _build_plan, _Plan, _read_only
 from .dataset import SeriesSummary
 from .forecast import rescale_scale, variance_factors
 from .hindcast import (
@@ -83,11 +86,6 @@ def _stream_tag(experiment: str, index: int = 0) -> int:
     if index < 0 or (size is not None and index >= size):
         raise ValueError(f"{experiment!r} has {size} stream tags; index {index} is out of range")
     return first + index
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -240,66 +238,6 @@ def surrogate_corpus(config: SurrogateConfig, rng: np.random.Generator) -> list[
     return corpus
 
 
-# Replications per array pass times the size of the largest per-replication
-# array. The bundled 53-series template (6,391 records at m = 5, tau_max = 20)
-# then runs 2 replications per pass. Larger passes were slower per
-# replication on a 2-core Xeon with 2 MB of L2 cache per core (5 per pass
-# took about 1.5x as long), because record-sized temporaries leave the cache.
-_CHUNK_ELEMENTS = 1 << 14
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """Static index plan for simulating and hindcasting one template.
-
-    A pass lays series j out in row j of a (series, width) array padded to
-    the longest series, for the levels y and the first differences d alike;
-    every index is a flat position in that layout. Origins are the feasible
-    forecast origins i = m..T-2 of every series with T >= m + 2; records are
-    ordered by series, origin and horizon, as in the per-series kernel.
-    """
-
-    width: int
-    draws: np.ndarray  # position of each innovation, in draw order
-    origin: np.ndarray  # y[i] of each origin
-    window_start: np.ndarray  # y[i - m] and d[i - m], where the window starts
-    origin_series: np.ndarray  # series of each origin
-    record_origin: np.ndarray  # origin of each record
-    tau: np.ndarray  # horizon of each record
-    horizon: np.ndarray  # tau as float64: mu * horizon equals mu * tau, without a cast
-    chunk: int  # replications per array pass
-
-
-def _build_plan(lengths: tuple[int, ...], m: int, tau_max: int) -> _Plan:
-    width = max(lengths)
-    draws, series_of, origin_at, n_tau = [], [], [], []
-    for j, T in enumerate(lengths):
-        draws.append(j * width + np.arange(T))
-        origins = np.arange(m, T - 1)
-        series_of.append(np.full(origins.size, j))
-        origin_at.append(origins)
-        n_tau.append(np.minimum(T - 1 - origins, tau_max))
-    series_of = np.concatenate(series_of)
-    origin_at = np.concatenate(origin_at)
-    n_tau = np.concatenate(n_tau)
-    origin = series_of * width + origin_at
-    record_origin = np.repeat(np.arange(origin.size), n_tau)
-    first = np.cumsum(n_tau) - n_tau
-    tau = np.arange(record_origin.size) - first[record_origin] + 1
-    chunk = max(1, _CHUNK_ELEMENTS // max(tau.size, origin.size * m, len(lengths) * width))
-    return _Plan(
-        width=width,
-        draws=_read_only(np.concatenate(draws)),
-        origin=_read_only(origin),
-        window_start=_read_only(origin - m),
-        origin_series=_read_only(series_of),
-        record_origin=_read_only(record_origin),
-        tau=_read_only(tau),
-        horizon=_read_only(tau.astype(np.float64)),
-        chunk=chunk,
-    )
-
-
 # Every theta of a matching grid, and the band and deviation test of one
 # validation, share a plan. One-corpus calls build theirs uncached, so a
 # large test template is not kept alive.
@@ -311,61 +249,28 @@ def _plan_key(config: SurrogateConfig) -> tuple[tuple[int, ...], int, int]:
 
 
 def _simulate(
-    config: SurrogateConfig, plan: _Plan, rngs: Sequence[np.random.Generator]
+    config: SurrogateConfig, plan: _Plan, innovations: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Normalized hindcast errors of one simulated corpus per generator.
+    """Normalized hindcast errors of one simulated corpus per row of innovations.
 
-    Returns a (len(rngs), records) array in plan order, and a mask of the
-    records to keep, or None when no window in the pass had zero variance.
-    Row b is bit-identical to ``_kernels.corpus_norm_errors`` on the
-    innovations drawn from rngs[b].
+    Returns ``_kernels._window_errors``' (rows, records) errors and keep mask.
+    Row b is bit-identical to ``_kernels.hindcast_errors`` on each series
+    that ``surrogate_corpus`` builds from the innovations in row b.
     """
-    n = len(rngs)
-    m = config.m
-    v = np.zeros((n, len(config.template), plan.width))
-    flat = v.reshape(n, -1)
-    for b, rng in enumerate(rngs):
-        flat[b, plan.draws] = _innovations(config, rng)
-    y = np.zeros_like(v)
-    y[:, :, 1:] = np.cumsum(
-        (config.drifts[:, None] + v[:, :, 1:]) + config.theta * v[:, :, :-1], axis=-1
-    )
-    d = np.zeros_like(y)
-    np.subtract(y[:, :, 1:], y[:, :, :-1], out=d[:, :, :-1])
-    y = y.reshape(n, -1)
-    d = d.reshape(n, -1)
-
-    def at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
-        return np.take(a, index, axis=1)
-
-    y_origin = at(y, plan.origin)
-    mu = (y_origin - at(y, plan.window_start)) / m
-    windows = at(d, plan.window_start[:, None] + np.arange(m))
-    k2 = ((windows - mu[:, :, None]) ** 2).sum(axis=-1) / (m - 1)
-    del windows
-    k_hat = np.sqrt(k2)
-    # norm = (y[i + tau] - y[i] - mu * tau) / k_hat per record, computed in
-    # place so a large template needs few record-sized temporaries
-    o = plan.record_origin
-    norm = at(y, plan.origin[o] + plan.tau)
-    norm -= at(y_origin, o)
-    norm -= at(mu, o) * plan.horizon
-    with np.errstate(divide="ignore", invalid="ignore"):
-        norm /= at(k_hat, o)  # zero-variance origins are masked out below
-    keep = k2 > 0.0
-    return norm, (None if keep.all() else keep[:, o])
+    # v is held until the errors exist (see _kernels._CHUNK_ELEMENTS)
+    v = _kernels._layout(plan, innovations)
+    y, d = _kernels._levels(config.drifts, config.theta, v)
+    return _kernels._window_errors(plan, y, d, config.m)
 
 
 def _replication_errors(
     config: SurrogateConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(series_idx, tau, norm_error) of one simulated corpus, in kernel order."""
-    plan = _build_plan(*_plan_key(config))
-    norm, keep = _simulate(config, plan, [rng])
-    series_idx = plan.origin_series[plan.record_origin]
-    if keep is None:
-        return series_idx, plan.tau, norm[0]
-    return series_idx[keep[0]], plan.tau[keep[0]], norm[0, keep[0]]
+    v = _innovations(config, rng)
+    return _kernels.corpus_norm_errors(
+        config.lengths, config.drifts, config.theta, v, config.m, config.tau_max
+    )[:3]
 
 
 def _xi_rows(
@@ -427,7 +332,8 @@ def _run(
     for start in range(0, config.replications, plan.chunk):
         stop = min(start + plan.chunk, config.replications)
         rngs = [derive_rng(config.seed, tag, rep) for rep in range(start, stop)]
-        out[start:stop] = rows_of(*_simulate(config, plan, rngs))
+        innovations = np.array([_innovations(config, rng) for rng in rngs])
+        out[start:stop] = rows_of(*_simulate(config, plan, innovations))
     return out
 
 
@@ -444,14 +350,37 @@ def _xi_ensemble(config: SurrogateConfig, tag: int) -> np.ndarray:
     )
 
 
+def _check_curve(curve: ErrorGrowthCurve, config: SurrogateConfig) -> None:
+    """An observed curve is compared only with nulls aggregated the same way."""
+    if curve.weighting != config.weighting:
+        raise ValueError(
+            f"observed curve uses {curve.weighting!r} weighting, "
+            f"config.weighting={config.weighting!r}"
+        )
+    if curve.m is not None and curve.m != config.m:
+        raise ValueError(f"observed curve uses window {curve.m}, config.m={config.m}")
+
+
+def _check_theta_grid(theta_grid: Sequence[float]) -> np.ndarray:
+    theta_grid = np.asarray(theta_grid, dtype=float)
+    if theta_grid.size == 0:
+        raise ValueError("theta grid is empty")
+    if not np.all(np.abs(theta_grid) < 1.0):
+        raise ValueError("theta grid must lie strictly inside (-1, 1)")
+    return theta_grid
+
+
 def null_xi_band(
     config: SurrogateConfig, observed_curve: ErrorGrowthCurve | None = None
 ) -> NullEnsemble:
     """Null ensemble of error-growth curves, with per-horizon bands.
 
     When an observed curve is supplied, per-horizon p-values report the
-    share of replications whose Xi is at least the observed one.
+    share of replications whose Xi is at least the observed one. The curve's
+    weighting and window must match the config's.
     """
+    if observed_curve is not None:
+        _check_curve(observed_curve, config)
     if config.replications < 100:
         warnings.warn(
             f"{config.replications} replications give unstable quantile bands; "
@@ -600,12 +529,12 @@ def estimate_theta_matched(
     config: SurrogateConfig,
     theta_grid: Sequence[float],
 ) -> ThetaMatched:
-    """Pick theta so surrogate error growth matches the observed curve."""
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    if theta_grid.size == 0:
-        raise ValueError("theta grid is empty")
-    if np.any(np.abs(theta_grid) >= 1.0):
-        raise ValueError("theta grid must lie strictly inside (-1, 1)")
+    """Pick theta so surrogate error growth matches the observed curve.
+
+    The curve's weighting and window must match the config's.
+    """
+    _check_curve(observed_curve, config)
+    theta_grid = _check_theta_grid(theta_grid)
     max_simulable_tau = int(config.lengths.max()) - config.m - 1
     keep = (observed_curve.taus <= config.tau_max) & (observed_curve.taus <= max_simulable_tau)
     taus = observed_curve.taus[keep]
@@ -664,37 +593,40 @@ def theta_forecast_sweep(
     correction theta*v_hat(t0), where the innovation recursion is started at
     zero at the beginning of each window (the window is too short to infer
     the pre-window innovation). Errors are normalized per window and pooled
-    per horizon.
+    per horizon. The grid must lie inside (-1, 1), the window must hold at
+    least 2 differences, and horizons must be positive integers.
     """
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    horizons = np.asarray(sorted(set(int(h) for h in horizons)), dtype=np.int64)
-    if horizons.size == 0 or horizons.min() < 1:
+    theta_grid = _check_theta_grid(theta_grid)
+    if m != int(m) or m < 2:
+        raise ValueError(f"window must be an integer of at least 2 differences, got m={m}")
+    m = int(m)
+    requested = np.asarray(horizons, dtype=float).ravel()
+    if requested.size == 0 or not np.all(
+        np.isfinite(requested) & (requested >= 1) & (requested == np.round(requested))
+    ):
         raise ValueError("horizons must be positive integers")
-    all_thetas = np.concatenate((theta_grid, [0.0]))  # last column is the baseline
+    horizons = np.unique(requested.astype(np.int64))
+    lengths = np.array([s.log_costs.size for s in corpus], dtype=np.int64)
+    if not np.any(lengths >= m + 2):
+        raise ValueError(f"no feasible forecasts at horizons {horizons.tolist()}")
+
+    plan = _build_plan(lengths, m, 1)
+    levels = _kernels._layout(plan, np.concatenate([s.log_costs for s in corpus])[None])
+    y, d = _kernels._flat_with_differences(levels)
+    y_origin, mu, windows, k2 = (a[0] for a in _kernels._window_moments(plan, y, d, m))
+    all_thetas = np.append(theta_grid, 0.0)  # last column is the baseline
+    v_hat = np.zeros((plan.origin.size, all_thetas.size))
+    for k in range(m):
+        v_hat = (windows[:, k] - mu)[:, None] - all_thetas * v_hat
+    last = plan.origin_series * plan.width + lengths[plan.origin_series] - 1  # series' last point
     acc = np.zeros((all_thetas.size, horizons.size))
     cnt = np.zeros(horizons.size, dtype=np.int64)
-
-    for series in corpus:
-        y = series.log_costs
-        T = y.size
-        if T < m + 2:
-            continue
-        d = np.diff(y)
-        for i in range(m, T - 1):
-            mu = (y[i] - y[i - m]) / m
-            window = d[i - m : i]
-            k2 = float(((window - mu) ** 2).sum()) / (m - 1)
-            if k2 <= 0.0:
-                continue
-            v_hat = np.zeros(all_thetas.size)
-            for dt in window:
-                v_hat = (dt - mu) - all_thetas * v_hat
-            for hi, h in enumerate(horizons):
-                if h > T - 1 - i:
-                    break  # horizons are sorted; later ones are infeasible too
-                e = (y[i + h] - y[i] - mu * h) - all_thetas * v_hat
-                acc[:, hi] += e * e / k2
-                cnt[hi] += 1
+    for hi, h in enumerate(horizons):
+        use = (k2 > 0.0) & (plan.origin + h <= last)
+        e = (y[0, plan.origin[use] + h] - y_origin[use] - mu[use] * h)[:, None]
+        e = e - all_thetas * v_hat[use]
+        acc[:, hi] = (e * e / k2[use, None]).sum(axis=0)  # row by row, in corpus order
+        cnt[hi] = np.count_nonzero(use)
     if np.any(cnt == 0):
         missing = horizons[cnt == 0].tolist()
         raise ValueError(f"no feasible forecasts at horizons {missing}")

@@ -1,9 +1,9 @@
 """The batched surrogate engine against the per-series reference, as properties.
 
 The engine simulates and hindcasts several replications per array pass. Its
-arithmetic follows the per-series kernel step for step, so every property
-here is bit-exact: normalized errors compare as bytes, not within a
-tolerance.
+arithmetic follows the per-series kernel ``_kernels.hindcast_errors`` step
+for step, so every property here is bit-exact: normalized errors compare as
+bytes, not within a tolerance.
 """
 
 import dataclasses
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from costwalk import (
@@ -27,6 +27,7 @@ from costwalk.stats import derive_rng
 from costwalk.surrogate import (
     _STREAM_TAGS,
     _build_plan,
+    _innovations,
     _plan_key,
     _replication_errors,
     _simulate,
@@ -83,6 +84,23 @@ def _per_series_innovations(config, rng):
     return np.concatenate(blocks)
 
 
+def _per_series_reference(config, innovations):
+    """(series_idx, tau, norm, n_skipped) from one ``hindcast_errors`` call per
+    series, each built from its block of innovations as the engine builds it."""
+    series_idx, taus, norms, n_skipped = [], [], [], 0
+    offset = 0
+    for j, (T, mu, _) in enumerate(config.template):
+        v = innovations[offset : offset + T]
+        offset += T
+        y = np.concatenate(([0.0], np.cumsum((mu + v[1:]) + config.theta * v[:-1])))
+        _, tau, _, norm, _, _, skipped = _kernels.hindcast_errors(y, config.m, config.tau_max)
+        series_idx.append(np.full(tau.size, j, dtype=np.int64))
+        taus.append(tau)
+        norms.append(norm)
+        n_skipped += skipped
+    return np.concatenate(series_idx), np.concatenate(taus), np.concatenate(norms), n_skipped
+
+
 def _assert_bytes_equal(actual, expected):
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
@@ -91,18 +109,29 @@ def _assert_bytes_equal(actual, expected):
 
 @PROPERTY
 @given(configs(), st.integers(0, 10**6))
+@example(  # every window of a mu = K = 0 series is skipped; the 5-point series is too short
+    SurrogateConfig(
+        replications=1,
+        theta=0.3,
+        m=4,
+        tau_max=3,
+        seed=1,
+        template=((9, 0.0, 0.0), (5, -0.1, 0.2), (12, 0.0, 0.0), (10, -0.1, 0.2)),
+    ),
+    0,
+)
 def test_engine_matches_per_series_kernel(config, rep):
-    reference = _kernels.corpus_norm_errors(
-        config.lengths,
-        config.drifts,
-        config.theta,
-        _per_series_innovations(config, derive_rng(config.seed, rep)),
-        config.m,
-        config.tau_max,
-    )
+    innovations = _per_series_innovations(config, derive_rng(config.seed, rep))
+    reference = _per_series_reference(config, innovations)
     engine = _replication_errors(config, derive_rng(config.seed, rep))
+    corpus = _kernels.corpus_norm_errors(
+        config.lengths, config.drifts, config.theta, innovations, config.m, config.tau_max
+    )
     for actual, expected in zip(engine, reference[:3]):
         _assert_bytes_equal(actual, expected)
+    for actual, expected in zip(corpus[:3], reference[:3]):
+        _assert_bytes_equal(actual, expected)
+    assert corpus[3] == reference[3]
 
 
 @PROPERTY
@@ -163,7 +192,8 @@ def test_rows_do_not_depend_on_pass_size(config):
 
     def xi_in_passes_of(size):
         rngs = [derive_rng(config.seed, 7, r) for r in range(reps)]
-        passes = [_simulate(config, plan, rngs[i : i + size]) for i in range(0, reps, size)]
+        innovations = np.array([_innovations(config, rng) for rng in rngs])
+        passes = [_simulate(config, plan, innovations[i : i + size]) for i in range(0, reps, size)]
         return np.vstack([_xi_rows(*p, series_idx, plan.tau, config) for p in passes])
 
     one_at_a_time = np.vstack(

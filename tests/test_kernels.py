@@ -17,6 +17,10 @@ class TestKernelInputs:
     def test_too_short_series(self):
         out = _kernels.hindcast_errors(_random_walk(6, seed=3), 5, 20)
         assert all(a.size == 0 for a in out[:6]) and out[6] == 0
+        lengths = np.array([6, 2, 3], dtype=np.int64)
+        v = make_rng(3).standard_normal(int(lengths.sum()))
+        out = _kernels.corpus_norm_errors(lengths, np.full(3, -0.05), 0.4, v, 5, 20)
+        assert all(a.size == 0 for a in out[:3]) and out[3] == 0
 
     def test_corpus_validates_input_sizes(self):
         lengths = np.array([10], dtype=np.int64)

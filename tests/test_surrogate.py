@@ -43,6 +43,7 @@ def _analytic_curve(m, theta, tau_max):
         n_forecasts=np.ones(tau_max, dtype=np.int64),
         n_technologies=np.ones(tau_max, dtype=np.int64),
         weighting="pooled",
+        m=m,
     )
 
 
@@ -217,6 +218,20 @@ class TestNullXiBand:
         # the 14-point series reaches tau = 8 at most
         for values in reached:
             assert np.all(np.isfinite(values[:8])) and np.all(np.isnan(values[8:]))
+
+    @pytest.mark.parametrize(
+        "mismatch, message",
+        [(dict(weighting="equal-technology"), "weighting"), (dict(m=6), "window")],
+    )
+    def test_curve_must_match_config(self, mismatch, message):
+        cfg = SurrogateConfig(
+            replications=100, theta=0.0, m=5, tau_max=10, seed=1, template=SMALL_TEMPLATE
+        )
+        curve = dataclasses.replace(_analytic_curve(5, 0.0, 10), **mismatch)
+        with pytest.raises(ValueError, match=message):
+            null_xi_band(cfg, curve)
+        with pytest.raises(ValueError, match=message):
+            estimate_theta_matched(curve, cfg, [0.0, 0.2])
 
     def test_few_replications_warn(self):
         cfg = SurrogateConfig(
@@ -402,6 +417,23 @@ class TestThetaForecastSweep:
         best = sweep.best_theta[0]
         assert 0.3 <= best <= 0.7
         assert sweep.ratios[:, 0].min() > 0.8  # MA adjustment helps, but modestly
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (dict(theta_grid=[]), "grid is empty"),
+            (dict(theta_grid=[0.0, 1.5]), r"inside \(-1, 1\)"),
+            (dict(m=1), "at least 2"),
+            (dict(m=0), "at least 2"),
+            (dict(horizons=[1.7]), "positive integers"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, args, message):
+        rng = make_rng(33)
+        corpus = [simulate_ima(ImaParams(-0.05, 0.06, 0.5), 20, rng, name=f"c{j}") for j in range(5)]
+        call = dict(corpus=corpus, m=5, theta_grid=[0.0, 0.5], horizons=[1, 3]) | args
+        with pytest.raises(ValueError, match=message):
+            theta_forecast_sweep(**call)
 
     def test_infeasible_horizon_rejected(self):
         rng = make_rng(32)
