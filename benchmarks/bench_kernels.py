@@ -12,6 +12,9 @@ Times the hot paths on representative workloads:
   Monte Carlo experiment runs on: the same plan and window helper, a cached
   plan and several replications per array pass, plus each replication's
   error-growth curve;
+* the error-growth aggregation of one such pass on its own, under pooled and
+  equal-technology weighting (the cell sums and the reduction that the
+  observed curve shares);
 * the observed-data path on a corpus drawn from the template repeated 10
   times (530 series): the IMA maximum likelihood fit per series, building
   its hindcast records, writing them to ``records.csv``, and their
@@ -38,9 +41,16 @@ from costwalk import (
     surrogate_corpus,
 )
 from costwalk import _kernels
-from costwalk.hindcast import write_records_csv
+from costwalk.hindcast import _cells, write_records_csv
 from costwalk.stats import derive_rng
-from costwalk.surrogate import _xi_ensemble
+from costwalk.surrogate import (
+    _build_plan,
+    _innovations,
+    _plan_key,
+    _simulate,
+    _xi_ensemble,
+    _xi_rows,
+)
 
 
 def _time(fn, repeat=5):
@@ -77,6 +87,27 @@ def bench_engine(template, theta, m, tau_max, reps):
         replications=reps, theta=theta, m=m, tau_max=tau_max, seed=42, template=template
     )
     return _time(lambda: _xi_ensemble(config, 1), repeat=3) / reps
+
+
+def bench_xi_pass(template, theta, m, tau_max, loops=200):
+    """Time of reducing one engine pass's errors to Xi curves, per weighting."""
+    times = {}
+    for weighting in ("pooled", "equal-technology"):
+        config = SurrogateConfig(
+            replications=1, theta=theta, m=m, tau_max=tau_max, seed=42, template=template,
+            weighting=weighting,
+        )
+        plan = _build_plan(*_plan_key(config))
+        rngs = [derive_rng(42, 1, rep) for rep in range(plan.chunk)]
+        norm, keep = _simulate(config, plan, np.array([_innovations(config, r) for r in rngs]))
+        cell = _cells(plan.origin_series[plan.record_origin], plan.tau, tau_max)
+
+        def run():
+            for _ in range(loops):
+                _xi_rows(norm, keep, cell, config)
+
+        times[weighting] = _time(run) / loops
+    return plan.chunk, times
 
 
 def bench_observed(template, theta, m, tau_max):
@@ -116,6 +147,11 @@ def main():
     print(f"{'hindcast_errors':<19} {t_hind * 1e6:>18.1f} us")
     print(f"{'corpus_norm_errors':<19} {'':>22} {t_surr * 1e6:>23.1f} us  (plan per call)")
     print(f"{'engine':<19} {'':>22} {t_engine * 1e6:>23.1f} us  (with Xi)")
+
+    chunk, t_xi = bench_xi_pass(template, 0.63, 5, 20)
+    print(f"\nXi aggregation of one engine pass ({chunk} replications)")
+    for weighting, t in t_xi.items():
+        print(f"{weighting:<34} {t * 1e6:>8.1f} us per pass")
 
     n_series, n_records, t_fit, t_stage = bench_observed(template, 0.63, 5, 20)
     print(f"\nobserved path, {n_series} series, {n_records} hindcast records")

@@ -54,11 +54,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_window(m: int, tau_max: int) -> None:
+def _integer(name: str, value) -> int:
+    """``value`` as an int, if it is a whole number such as 5, 5.0 or np.int64(5)."""
+    whole = isinstance(value, (float, np.floating)) and value.is_integer()
+    if not (whole or isinstance(value, (int, np.integer))):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_window(m, tau_max) -> tuple[int, int | None]:
+    """m and tau_max as ints (a None cap stays None), if m >= 2 and tau_max >= 1."""
+    m = _integer("m", m)
     if m < 2:
         raise ValueError(f"window must contain at least 2 differences, got m={m}")
-    if tau_max < 1:
-        raise ValueError(f"tau_max must be >= 1, got {tau_max}")
+    if tau_max is not None:
+        tau_max = _integer("tau_max", tau_max)
+        if tau_max < 1:
+            raise ValueError(f"tau_max must be >= 1, got {tau_max}")
+    return m, tau_max
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -75,9 +88,7 @@ def hindcast_errors(y, m, tau_max):
     windows whose records were dropped.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
-    m = int(m)
-    tau_max = int(tau_max)
-    _check_window(m, tau_max)
+    m, tau_max = _check_window(m, tau_max)
     T = y.size
     if T < m + 2:
         return (_EMPTY_I, _EMPTY_I, _EMPTY_F, _EMPTY_F, _EMPTY_F, _EMPTY_F, 0)
@@ -235,8 +246,7 @@ def corpus_norm_errors(lengths, drifts, theta, innovations, m, tau_max):
         raise ValueError("lengths and drifts must have the same size")
     if int(lengths.sum()) != innovations.size:
         raise ValueError("innovations length must equal sum(lengths)")
-    m, tau_max = int(m), int(tau_max)
-    _check_window(m, tau_max)
+    m, tau_max = _check_window(m, tau_max)
 
     plan = _build_plan(lengths, m, tau_max)
     v = _layout(plan, innovations[None])

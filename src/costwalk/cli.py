@@ -16,6 +16,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -176,16 +177,23 @@ def cmd_validate(args: argparse.Namespace) -> int:
     improving, _ = select_improving(corpus, alpha=args.alpha)
     if not improving:
         raise DataFormatError("no improving technologies to validate against")
-    summaries = summarize_corpus(improving, alpha=args.alpha)
     result = hindcast_corpus(improving, args.window, tau_max=args.tau_max)
     if not result.records:
         raise DataFormatError("no feasible forecasts; series too short for the window")
     curve = error_growth(result.records)
-    template = corpus_template(summaries)
+    base = SurrogateConfig(
+        replications=args.reps,
+        theta=args.theta,
+        m=args.window,
+        tau_max=args.tau_max,
+        seed=args.seed,
+        template=corpus_template(improving),
+    )
 
     report: dict = {"window": args.window, "tau_max": args.tau_max, "seed": args.seed}
     theta = args.theta
     if args.theta_from == "weighted":
+        summaries = summarize_corpus(improving, alpha=args.alpha)
         tw = estimate_theta_weighted(summaries, result.records, tau_max=args.tau_max)
         theta = tw.theta_w
         report["theta_weighted"] = {
@@ -194,14 +202,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "excluded": list(tw.excluded),
         }
     elif args.theta_from == "matched":
-        match_cfg = SurrogateConfig(
-            replications=args.grid_reps,
-            theta=0.0,
-            m=args.window,
-            tau_max=args.tau_max,
-            seed=args.seed,
-            template=template,
-        )
+        match_cfg = dataclasses.replace(base, replications=args.grid_reps)
         tm = estimate_theta_matched(curve, match_cfg, _parse_grid(args.grid))
         theta = tm.theta_m
         report["theta_matched"] = {
@@ -213,34 +214,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     report["theta"] = theta
     report["theta_source"] = args.theta_from or "fixed"
 
-    config = SurrogateConfig(
-        replications=args.reps,
-        theta=theta,
-        m=args.window,
-        tau_max=args.tau_max,
-        seed=args.seed,
-        template=template,
-    )
+    config = dataclasses.replace(base, theta=theta)
     band = null_xi_band(config, curve)
     report["xi_band"] = {
         "tau": band.taus,
         "observed": band.observed,
-        "q025": band.quantile(0.025),
-        "q500": band.quantile(0.5),
-        "q975": band.quantile(0.975),
+        **band.quantiles,
         "p_raw": band.p_raw,
         "p_smoothed": band.p_smoothed,
         "replications": args.reps,
     }
 
-    dev_cfg = SurrogateConfig(
-        replications=args.deviation_reps or args.reps,
-        theta=theta,
-        m=args.window,
-        tau_max=args.tau_max,
-        seed=args.seed,
-        template=template,
-    )
+    dev_cfg = dataclasses.replace(config, replications=args.deviation_reps or args.reps)
     dev = distribution_deviation_test(result.records, theta, dev_cfg)
     report["deviation_test"] = {
         "statistics": list(dev.statistic_names),
@@ -257,15 +242,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     }
     _write_json(out / "validate.json", report)
 
+    columns = ("observed", "q025", "q500", "q975", "p_raw", "p_smoothed")
     with open(out / "xi_band.csv", "w", encoding="utf-8", newline="") as handle:
         handle.write("tau,observed_xi,q025,q500,q975,p_raw,p_smoothed\n")
-        q025, q500, q975 = band.quantile(0.025), band.quantile(0.5), band.quantile(0.975)
-        for i, t in enumerate(band.taus):
-            obs = band.observed[i]
-            handle.write(
-                f"{int(t)},{obs:.10g},{q025[i]:.10g},{q500[i]:.10g},{q975[i]:.10g},"
-                f"{band.p_raw[i]:.10g},{band.p_smoothed[i]:.10g}\n"
-            )
+        for t, *values in zip(band.taus.tolist(), *(report["xi_band"][c] for c in columns)):
+            handle.write(f"{t}," + ",".join(f"{v:.10g}" for v in values) + "\n")
     print(f"validation report written to {out / 'validate.json'} (theta={theta:.4g})")
     return 0
 

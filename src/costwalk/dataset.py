@@ -214,6 +214,12 @@ def select_improving(
     return improving, excluded
 
 
+def _drift_and_volatility(series: TechnologySeries) -> tuple[float, float]:
+    """Mean and Bessel-corrected standard deviation of the annual log changes."""
+    d = series.diffs()
+    return float(d.mean()), float(d.std(ddof=1))
+
+
 def summarize(series: TechnologySeries, alpha: float = DEFAULT_ALPHA) -> SeriesSummary:
     """Full-sample summary: drift, volatility, MA coefficient, trend p-value.
 
@@ -224,10 +230,8 @@ def summarize(series: TechnologySeries, alpha: float = DEFAULT_ALPHA) -> SeriesS
     """
     if series.n_obs < 3:
         raise ValueError(f"{series.name}: need at least 3 observations, got {series.n_obs}")
-    d = series.diffs()
-    mu_full = float(d.mean())
-    k_full = float(d.std(ddof=1))
-    p_value = one_sided_t_test(d)
+    mu_full, k_full = _drift_and_volatility(series)
+    p_value = one_sided_t_test(series.diffs())
     if k_full == 0.0:
         theta, boundary = 0.0, False
     elif series.n_obs < 4:
@@ -345,13 +349,16 @@ def load_reference_params(improving_only: bool = False) -> list[ReferenceParams]
 
 
 def corpus_template(
-    entries: Sequence[ReferenceParams] | Sequence[SeriesSummary],
+    entries: Sequence[ReferenceParams] | Sequence[SeriesSummary] | Sequence[TechnologySeries],
 ) -> tuple[tuple[int, float, float], ...]:
-    """(n_obs, mu, K) triples for surrogate-corpus generation."""
+    """(n_obs, mu, K) triples for surrogate-corpus generation; a series gives the
+    drift and volatility that ``summarize`` reports, without fitting its MA model."""
     triples = []
     for e in entries:
         if isinstance(e, ReferenceParams):
             triples.append((e.n_obs, e.mu, e.k))
+        elif isinstance(e, TechnologySeries):
+            triples.append((e.n_obs, *_drift_and_volatility(e)))
         else:
             triples.append((e.n_obs, e.mu_full, e.k_full))
     return tuple(triples)

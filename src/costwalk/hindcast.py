@@ -154,8 +154,9 @@ def hindcast_corpus(
     ``tau_max=None`` leaves horizons unrestricted. ``on_zero_volatility``
     chooses between skipping degenerate windows with a counter (default)
     and raising. Technology names must be unique, since records are grouped
-    and ordered by name.
+    and ordered by name. ``m`` and ``tau_max`` must be whole numbers.
     """
+    m, tau_max = _kernels._check_window(m, tau_max)
     if on_zero_volatility not in ("skip", "error"):
         raise ValueError(f"on_zero_volatility must be 'skip' or 'error', got {on_zero_volatility!r}")
     repeated = sorted(name for name, n in Counter(s.name for s in corpus).items() if n > 1)
@@ -206,6 +207,46 @@ class ErrorGrowthCurve:
     m: int | None = None
 
 
+def _cells(tech: np.ndarray, tau: np.ndarray, tau_max: int) -> np.ndarray:
+    """Each record's flat index in a (technologies, tau_max) grid of cells."""
+    return tech * tau_max + (tau - 1)
+
+
+def _cell_sums(
+    errors: np.ndarray, cell: np.ndarray, shape: tuple[int, int], keep: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-(row, technology, horizon) sums and counts of squared errors.
+
+    ``errors`` is (rows, records), ``cell`` each record's ``_cells`` index in
+    the grid ``shape`` and ``keep`` an optional (rows, records) mask. Each cell
+    adds its squares in record order, whatever the other rows hold.
+    """
+    rows = errors.shape[0]
+    size = shape[0] * shape[1]
+    key = np.broadcast_to(np.arange(rows)[:, None] * size + cell, errors.shape)
+    sq = errors * errors
+    key, sq = (key.ravel(), sq.ravel()) if keep is None else (key[keep], sq[keep])
+    sums = np.bincount(key, weights=sq, minlength=rows * size)
+    counts = np.bincount(key, minlength=rows * size)
+    return sums.reshape(rows, *shape), counts.reshape(rows, *shape)
+
+
+def _xi(sums: np.ndarray, counts: np.ndarray, weighting: str) -> np.ndarray:
+    """Xi per horizon (see ``error_growth``) of (..., technologies, horizons) cell sums.
+
+    Technologies are added one at a time in axis order (a cumulative sum never
+    regroups terms), so one without records adds an exact zero. NaN where a
+    horizon has no records.
+    """
+    if weighting == "pooled":
+        terms, n = sums, counts.sum(axis=-2)
+    else:
+        terms = np.divide(sums, counts, out=np.zeros(sums.shape), where=counts > 0)
+        n = np.count_nonzero(counts, axis=-2)
+    with np.errstate(invalid="ignore"):  # 0 / 0 at a horizon without records
+        return np.cumsum(terms, axis=-2)[..., -1, :] / n
+
+
 def _sums_by_technology(
     records: HindcastRecords, tau_max: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -216,18 +257,16 @@ def _sums_by_technology(
     counts them, for t = 1..tau_max; ``tau_max=None`` takes the largest
     horizon in the records.
     """
-    tech, tau = records.tech, records.tau
+    tau = records.tau
     if tau.size and tau.min() < 1:
         # a horizon below 1 would land in another technology's cell
         raise ValueError(f"horizons must be at least 1, got {int(tau.min())}")
     if tau_max is None:
         tau_max = int(tau.max())
-    keep = tau <= tau_max
-    key = tech[keep] * tau_max + (tau[keep] - 1)
+    cell = _cells(records.tech, tau, tau_max)
     shape = (len(records.names), tau_max)
-    sums = np.bincount(key, weights=records.norm_error[keep] ** 2, minlength=shape[0] * shape[1])
-    counts = np.bincount(key, minlength=shape[0] * shape[1])
-    return sums.reshape(shape), counts.reshape(shape)
+    sums, counts = _cell_sums(records.norm_error[None], cell, shape, (tau <= tau_max)[None])
+    return sums[0], counts[0]
 
 
 def error_growth(
@@ -240,8 +279,8 @@ def error_growth(
     Squared errors are summed per (technology, horizon) in record order.
     ``'pooled'`` adds those sums over technologies; ``'equal-technology'``
     averages the per-technology means of the technologies present at each
-    horizon, in sorted-name order, so the result does not depend on how
-    Python orders a set of names.
+    horizon. Technologies are added one at a time in sorted-name order, and
+    the surrogate nulls (``surrogate._xi_rows``) reduce through the same code.
     """
     if weighting not in ("pooled", "equal-technology"):
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -250,20 +289,13 @@ def error_growth(
     sums, counts = _sums_by_technology(records)
     if tau_max is not None:
         sums, counts = sums[:, : max(tau_max, 0)], counts[:, : max(tau_max, 0)]
-    observed = np.flatnonzero(counts.sum(axis=0))
-    sums, counts = sums[:, observed], counts[:, observed]
     n_forecasts = counts.sum(axis=0)
-    n_technologies = np.count_nonzero(counts, axis=0)
-    if weighting == "pooled":
-        xi = sums.sum(axis=0) / n_forecasts
-    else:
-        means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-        xi = means.sum(axis=0) / n_technologies
+    observed = np.flatnonzero(n_forecasts)
     return ErrorGrowthCurve(
         taus=observed + 1,
-        xi=xi,
-        n_forecasts=n_forecasts,
-        n_technologies=n_technologies,
+        xi=_xi(sums, counts, weighting)[observed],
+        n_forecasts=n_forecasts[observed],
+        n_technologies=np.count_nonzero(counts, axis=0)[observed],
         weighting=weighting,
         m=records.m,
     )
@@ -297,6 +329,11 @@ class Ecdf:
         return {"positive": (pos, pos_frac), "negative": (neg, neg_frac)}
 
 
+def _rescale_divisors(taus, m: int, theta: float) -> np.ndarray:
+    """Per horizon in ``taus``, sqrt(A*(tau, m, theta)/(1+theta^2)): normalized error / eps*."""
+    return np.array([rescale_scale(variance_factors(int(t), m, theta)) for t in taus])
+
+
 def pooled_rescaled_distribution(
     records: HindcastRecords,
     theta: float,
@@ -312,8 +349,7 @@ def pooled_rescaled_distribution(
     if not records:
         raise ValueError("no records to pool")
     taus, horizon = np.unique(records.tau, return_inverse=True)
-    scales = np.array([rescale_scale(variance_factors(int(t), records.m, theta)) for t in taus])
-    eps = records.norm_error / scales[horizon]
+    eps = records.norm_error / _rescale_divisors(taus, records.m, theta)[horizon]
     if split == "all":
         return Ecdf(eps)
     return {int(t): Ecdf(eps[horizon == h]) for h, t in enumerate(taus)}

@@ -15,7 +15,10 @@ replications and hindcasts them as (replications, records) arrays through
 the static index plan and the window helper of ``_kernels``, the same path
 ``_kernels.corpus_norm_errors`` takes on one corpus. Each replication's
 errors are bit-identical to the per-series kernel ``_kernels.hindcast_errors``
-run on that replication's simulated series.
+run on that replication's simulated series. The statistics of a replication
+come from the same code as the observed ones: the Xi cell sums and their
+reduction, and the eps* divisor, are ``hindcast``'s, so the observed corpus
+and its nulls share one implementation of each statistic.
 
 Everything here is deterministic given the configuration: replication r of
 an experiment draws from an independent stream derived from (seed, tag, r),
@@ -34,14 +37,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels import _build_plan, _Plan, _read_only
-from .dataset import SeriesSummary
-from .forecast import rescale_scale, variance_factors
+from ._kernels import _build_plan, _integer, _Plan, _read_only
+from .dataset import SeriesSummary, corpus_template
+from .forecast import variance_factors  # noqa: F401  (perfbench/tracing.py patches this name)
 from .hindcast import (
     ErrorGrowthCurve,
     HindcastRecords,
+    _cell_sums,
+    _cells,
     _curve_table,
+    _rescale_divisors,
     _sums_by_technology,
+    _xi,
     error_growth,
     hindcast_corpus,
     pooled_rescaled_distribution,
@@ -98,7 +105,8 @@ class SurrogateConfig:
     K^2. The Student innovation family models fat-tailed shocks for the
     robustness check and is defined only for theta = 0 (plain random walk).
     At least one template series must have the m + 2 points a hindcast
-    needs.
+    needs. ``replications``, ``m`` and ``tau_max`` must be whole numbers and
+    are stored as ints.
     """
 
     replications: int
@@ -112,6 +120,8 @@ class SurrogateConfig:
     weighting: str = "pooled"
 
     def __post_init__(self) -> None:
+        for name in ("replications", "m", "tau_max"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.replications < 1:
             raise ValueError(f"need at least 1 replication, got {self.replications}")
         if not self.template:
@@ -274,45 +284,24 @@ def _replication_errors(
 
 
 def _xi_rows(
-    norm: np.ndarray,
-    keep: np.ndarray | None,
-    series_idx: np.ndarray,
-    tau: np.ndarray,
-    config: SurrogateConfig,
+    norm: np.ndarray, keep: np.ndarray | None, cell: np.ndarray, config: SurrogateConfig
 ) -> np.ndarray:
     """Per-horizon Xi of each row of ``norm`` (NaN where a row has no records).
 
-    One bincount covers all rows; each bin still sums its records in row
-    order, so every row equals its own single-replication aggregate.
+    ``cell`` places each record in the (series, horizon) grid (``hindcast._cells``).
+    The cell sums and their reduction are ``error_growth``'s, so each row is
+    bit-identical to the observed curve of that replication's corpus (while
+    the series names sort in template order, below 1,000 series).
     """
-    rows = norm.shape[0]
-    tau_max = config.tau_max
-    if config.weighting == "pooled":
-        groups = tau_max
-        key = np.arange(rows)[:, None] * groups + (tau - 1)
-    else:
-        groups = len(config.template) * tau_max
-        key = np.arange(rows)[:, None] * groups + (series_idx * tau_max + (tau - 1))
-    sq = norm * norm
-    key = np.broadcast_to(key, norm.shape)
-    key, sq = (key.ravel(), sq.ravel()) if keep is None else (key[keep], sq[keep])
-    sums = np.bincount(key, weights=sq, minlength=rows * groups)
-    counts = np.bincount(key, minlength=rows * groups)
-    with np.errstate(invalid="ignore"):
-        xi = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    if config.weighting == "pooled":
-        return xi.reshape(rows, tau_max)
-    with warnings.catch_warnings():
-        # NaN at a horizon no series of the row reaches
-        warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
-        return np.nanmean(xi.reshape(rows, -1, tau_max), axis=1)
+    shape = (len(config.template), config.tau_max)
+    return _xi(*_cell_sums(norm, cell, shape, keep), config.weighting)
 
 
 def _xi_from_errors(
     series_idx: np.ndarray, tau: np.ndarray, norm: np.ndarray, config: SurrogateConfig
 ) -> np.ndarray:
     """Per-horizon Xi of one replication (length tau_max, NaN where no records)."""
-    return _xi_rows(norm[None, :], None, series_idx, tau, config)[0]
+    return _xi_rows(norm[None, :], None, _cells(series_idx, tau, config.tau_max), config)[0]
 
 
 def _run(
@@ -340,13 +329,9 @@ def _run(
 def _xi_ensemble(config: SurrogateConfig, tag: int) -> np.ndarray:
     """(replications, tau_max) Xi curves of the surrogate null."""
     plan = _plan(*_plan_key(config))
-    series_idx = plan.origin_series[plan.record_origin]
+    cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
     return _run(
-        config,
-        plan,
-        tag,
-        config.tau_max,
-        lambda norm, keep: _xi_rows(norm, keep, series_idx, plan.tau, config),
+        config, plan, tag, config.tau_max, lambda norm, keep: _xi_rows(norm, keep, cell, config)
     )
 
 
@@ -437,13 +422,8 @@ def distribution_deviation_test(
     pooled = pooled_rescaled_distribution(records[records.tau <= config.tau_max], theta)
     t_cdf_grid = np.array([student_t_cdf(x, config.m - 1) for x in DEVIATION_GRID])
     observed = _deviation_stats(pooled.values, t_cdf_grid)
-    # divisor turning normalized errors into eps*, by horizon
-    rescale = np.array(
-        [rescale_scale(variance_factors(t, config.m, theta)) for t in range(1, config.tau_max + 1)]
-    )
-
     plan = _plan(*_plan_key(config))
-    record_rescale = rescale[plan.tau - 1]
+    record_rescale = _rescale_divisors(range(1, config.tau_max + 1), config.m, theta)[plan.tau - 1]
 
     def rows_of(norm: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
         eps = norm / record_rescale
@@ -490,17 +470,13 @@ def estimate_theta_weighted(
         raise ValueError("every technology is boundary-flagged; theta_w is undefined")
 
     _, counts = _sums_by_technology(records, tau_max)
-    # technologies are added one at a time in sorted-name order, so each
-    # horizon's sums do not depend on how numpy would pair their terms
-    num = np.zeros(tau_max)
-    den = np.zeros(tau_max)
-    for name, c in zip(records.names, counts):
-        if name in usable:
-            num += c * usable[name]
-            den += c
-    per_horizon = np.divide(num, den, out=np.full(tau_max, np.nan), where=den > 0)
-    if np.all(np.isnan(per_horizon)):
+    rows = [k for k, name in enumerate(records.names) if name in usable]
+    counts = counts[rows]
+    if not counts.any():
         raise ValueError("no records at any horizon <= tau_max")
+    # the pooled reduction of counts * theta gives sum(c * theta) / sum(c) per horizon
+    thetas = np.array([usable[records.names[k]] for k in rows])
+    per_horizon = _xi(counts * thetas[:, None], counts, "pooled")
     theta_w = float(np.nanmean(per_horizon))
     return ThetaWeighted(
         theta_w=theta_w,
@@ -597,9 +573,7 @@ def theta_forecast_sweep(
     least 2 differences, and horizons must be positive integers.
     """
     theta_grid = _check_theta_grid(theta_grid)
-    if m != int(m) or m < 2:
-        raise ValueError(f"window must be an integer of at least 2 differences, got m={m}")
-    m = int(m)
+    m, _ = _kernels._check_window(m, None)
     requested = np.asarray(horizons, dtype=float).ravel()
     if requested.size == 0 or not np.all(
         np.isfinite(requested) & (requested >= 1) & (requested == np.round(requested))
@@ -662,17 +636,11 @@ def _half_corpus(records: HindcastRecords, trials: int, tau_max: int, seed: int)
     if n_half < 1:
         raise ValueError("need at least 2 technologies to subsample")
 
-    curves = np.empty((trials, tau_max))
-    for trial in range(trials):
-        rng = derive_rng(seed, _stream_tag("half-corpus"), trial)
-        chosen = rng.choice(len(records.names), size=n_half, replace=False)
-        s = sums[chosen].sum(axis=0)
-        c = counts[chosen].sum(axis=0)
-        with np.errstate(invalid="ignore"):
-            curves[trial] = np.where(c > 0, s / np.maximum(c, 1), np.nan)
-    full_counts = counts.sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        full = np.where(full_counts > 0, sums.sum(axis=0) / np.maximum(full_counts, 1), np.nan)
+    rngs = (derive_rng(seed, _stream_tag("half-corpus"), trial) for trial in range(trials))
+    chosen = [rng.choice(len(records.names), size=n_half, replace=False) for rng in rngs]
+    chosen = np.array(chosen, dtype=np.int64).reshape(trials, n_half)  # also for 0 trials
+    curves = _xi(sums[chosen], counts[chosen], "pooled")
+    full = _xi(sums, counts, "pooled")
     lo = np.nanquantile(curves, 0.025, axis=0)
     hi = np.nanquantile(curves, 0.975, axis=0)
     valid = ~np.isnan(full)
@@ -762,10 +730,7 @@ def robustness_suite(
         }
     if fat_tail_dfs is not None:
         if template is None:
-            template = tuple(
-                (s.n_obs, float(np.mean(np.diff(s.log_costs))), float(np.std(np.diff(s.log_costs), ddof=1)))
-                for s in corpus
-            )
+            template = corpus_template(corpus)
         report["fat_tails"] = _fat_tails(
             template, fat_tail_dfs, m, tau_max, replications, seed, theta
         )

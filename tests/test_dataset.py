@@ -12,6 +12,7 @@ from costwalk import (
     DataWarning,
     SeriesSummary,
     TechnologySeries,
+    corpus_template,
     ingest_csv,
     load_reference_params,
     make_rng,
@@ -193,6 +194,12 @@ class TestSummarize:
     def test_too_short(self):
         with pytest.raises(ValueError):
             summarize(TechnologySeries("x", np.array([1, 2]), np.array([0.0, -0.1])))
+
+    def test_template_from_series_equals_template_from_summaries(self):
+        # validate builds its surrogate template from the series, fitting no MA model
+        rng = make_rng(90101)
+        corpus = [simulate_rwd(-0.05, 0.1, n, rng, name=f"s{n}") for n in (5, 12, 40)]
+        assert corpus_template(corpus) == corpus_template([summarize(s) for s in corpus])
 
 
 def _summaries_from_reference(improving_only=True):

@@ -75,6 +75,16 @@ class TestEnumeration:
         assert list(result.records) == []
         assert "at least 8" in result.reason
 
+    def test_window_and_cap_must_be_whole_numbers(self):
+        corpus = [_random_series(7, seed=5)]
+        with pytest.raises(ValueError, match="m must be an integer"):
+            hindcast_corpus(corpus, 5.7)  # not "too short", and not labelled m = 5.7
+        with pytest.raises(ValueError, match="tau_max must be an integer"):
+            hindcast_corpus(corpus, 5, tau_max=20.5)
+        records = hindcast_corpus(corpus, np.float64(5.0), tau_max=np.int64(20)).records
+        assert type(records.m) is int
+        assert records == hindcast_corpus(corpus, 5, tau_max=20).records
+
     @pytest.mark.parametrize("n_obs,m", [(10, 4), (15, 5), (30, 7), (12, 9)])
     def test_unrestricted_count_formula(self, n_obs, m):
         series = _random_series(n_obs, seed=n_obs * m)

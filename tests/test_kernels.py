@@ -22,6 +22,19 @@ class TestKernelInputs:
         out = _kernels.corpus_norm_errors(lengths, np.full(3, -0.05), 0.4, v, 5, 20)
         assert all(a.size == 0 for a in out[:3]) and out[3] == 0
 
+    @pytest.mark.parametrize("m, tau_max", [(5.7, 20), (5, 20.5)])
+    def test_hindcast_errors_rejects_fractional_window(self, m, tau_max):
+        # int() would truncate 5.7 to a window of 5
+        with pytest.raises(ValueError, match="must be an integer"):
+            _kernels.hindcast_errors(_random_walk(30, seed=4), m, tau_max)
+
+    @pytest.mark.parametrize("m, tau_max", [(5.7, 20), (5, 20.5)])
+    def test_corpus_norm_errors_rejects_fractional_window(self, m, tau_max):
+        lengths = np.array([30], dtype=np.int64)
+        v = make_rng(4).standard_normal(30)
+        with pytest.raises(ValueError, match="must be an integer"):
+            _kernels.corpus_norm_errors(lengths, np.array([-0.05]), 0.4, v, m, tau_max)
+
     def test_corpus_validates_input_sizes(self):
         lengths = np.array([10], dtype=np.int64)
         with pytest.raises(ValueError, match="innovations"):

@@ -64,6 +64,14 @@ class TestSurrogateConfig:
         with pytest.raises(ValueError):
             SurrogateConfig(**{**ok, "weighting": "mean"})
 
+    def test_counts_must_be_whole_numbers(self):
+        ok = dict(replications=10, theta=0.0, m=5, tau_max=20, seed=1, template=SMALL_TEMPLATE)
+        for field, value in (("m", 5.5), ("tau_max", 20.5), ("replications", 10.5)):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SurrogateConfig(**{**ok, field: value})
+        whole = SurrogateConfig(**{**ok, "m": 5.0, "tau_max": np.int64(20), "replications": 10.0})
+        assert [type(v) for v in (whole.replications, whole.m, whole.tau_max)] == [int] * 3
+
     def test_template_must_allow_one_hindcast(self):
         # with no series of m + 2 points, the band would be all NaN and the
         # deviation test would reduce an empty array
