@@ -43,14 +43,7 @@ from costwalk import (
 from costwalk import _kernels
 from costwalk.hindcast import _cells, write_records_csv
 from costwalk.stats import derive_rng
-from costwalk.surrogate import (
-    _build_plan,
-    _innovations,
-    _plan_key,
-    _simulate,
-    _xi_ensemble,
-    _xi_rows,
-)
+from costwalk.surrogate import _innovations, _simulate, _xi_ensemble, _xi_rows
 
 
 def _time(fn, repeat=5):
@@ -97,7 +90,7 @@ def bench_xi_pass(template, theta, m, tau_max, loops=200):
             replications=1, theta=theta, m=m, tau_max=tau_max, seed=42, template=template,
             weighting=weighting,
         )
-        plan = _build_plan(*_plan_key(config))
+        plan = _kernels._build_plan(config.lengths, m, tau_max)
         rngs = [derive_rng(42, 1, rep) for rep in range(plan.chunk)]
         norm, keep = _simulate(config, plan, np.array([_innovations(config, r) for r in rngs]))
         cell = _cells(plan.origin_series[plan.record_origin], plan.tau, tau_max)

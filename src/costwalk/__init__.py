@@ -37,13 +37,10 @@ from .hindcast import (
     CorpusHindcast,
     Ecdf,
     ErrorGrowthCurve,
-    HindcastRecord,
     HindcastRecords,
-    SeriesHindcast,
     bias_test,
     error_growth,
     hindcast_corpus,
-    hindcast_series,
     pooled_rescaled_distribution,
 )
 from .models import (

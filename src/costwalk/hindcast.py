@@ -26,13 +26,10 @@ from .series import TechnologySeries
 from .stats import student_t_cdf
 
 __all__ = [
-    "HindcastRecord",
     "HindcastRecords",
-    "SeriesHindcast",
     "CorpusHindcast",
     "ErrorGrowthCurve",
     "Ecdf",
-    "hindcast_series",
     "hindcast_corpus",
     "error_growth",
     "pooled_rescaled_distribution",
@@ -40,25 +37,6 @@ __all__ = [
     "write_records_csv",
     "write_error_growth_csv",
 ]
-
-
-@dataclass(frozen=True)
-class HindcastRecord:
-    """One (technology, origin, horizon) forecast error: a row of ``HindcastRecords``.
-
-    ``raw_error`` is realized log cost minus the point forecast;
-    ``norm_error`` divides by the window volatility estimate.
-    """
-
-    technology: str
-    origin_index: int
-    origin_year: int
-    tau: int
-    raw_error: float
-    norm_error: float
-    mu_hat: float
-    k_hat: float
-    m: int
 
 
 _COLUMNS = (
@@ -72,9 +50,11 @@ class HindcastRecords:
 
     ``names`` holds the sorted names of the technologies that have records,
     and ``tech`` codes each record's technology as an index into it. Every
-    record uses the window of ``m`` differences. Integer indexing, and so
-    iteration, gives ``HindcastRecord`` rows; indexing with a boolean mask, or
-    any other numpy index, gives the selected records.
+    record uses the window of ``m`` differences. ``raw_error`` is realized
+    log cost minus the point forecast and ``norm_error`` divides it by the
+    window volatility estimate ``k_hat``. Indexing with a boolean mask
+    or an index array gives the selected records; a single record is read
+    from the columns, so an integer index raises ``TypeError``.
     """
 
     names: tuple[str, ...]
@@ -93,10 +73,7 @@ class HindcastRecords:
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            # the row's fields follow the column order
-            tech, *ints = (int(getattr(self, c)[index]) for c in _COLUMNS[:4])
-            floats = (float(getattr(self, c)[index]) for c in _COLUMNS[4:])
-            return HindcastRecord(self.names[tech], *ints, *floats, self.m)
+            raise TypeError("select records with a mask or an index array, not an integer")
         # keep only the names that still have records, so codes stay dense
         present, tech = np.unique(self.tech[index], return_inverse=True)
         names = tuple(self.names[k] for k in present.tolist())
@@ -111,16 +88,6 @@ class HindcastRecords:
 
 
 @dataclass(frozen=True)
-class SeriesHindcast:
-    """All feasible forecasts for one series, plus bookkeeping."""
-
-    technology: str
-    records: HindcastRecords
-    skipped_zero_volatility: int
-    reason: str | None = None
-
-
-@dataclass(frozen=True)
 class CorpusHindcast:
     """Corpus-wide records, sorted by (technology, origin, horizon)."""
 
@@ -129,36 +96,20 @@ class CorpusHindcast:
     too_short: tuple[str, ...]
 
 
-def hindcast_series(
-    series: TechnologySeries,
-    m: int,
-    tau_max: int | None = None,
-    on_zero_volatility: str = "skip",
-) -> SeriesHindcast:
-    """Generate every feasible forecast error for one series (see ``hindcast_corpus``)."""
-    result = hindcast_corpus([series], m, tau_max=tau_max, on_zero_volatility=on_zero_volatility)
-    reason = None
-    if result.too_short:
-        reason = f"series has {series.n_obs} points; a window of {m} differences needs at least {m + 2}"
-    return SeriesHindcast(series.name, result.records, result.skipped_zero_volatility, reason)
-
-
 def hindcast_corpus(
     corpus: Sequence[TechnologySeries],
     m: int,
     tau_max: int | None = None,
-    on_zero_volatility: str = "skip",
 ) -> CorpusHindcast:
     """Hindcast every series; output is independent of corpus ordering.
 
-    ``tau_max=None`` leaves horizons unrestricted. ``on_zero_volatility``
-    chooses between skipping degenerate windows with a counter (default)
-    and raising. Technology names must be unique, since records are grouped
-    and ordered by name. ``m`` and ``tau_max`` must be whole numbers.
+    ``tau_max=None`` leaves horizons unrestricted. Windows with zero
+    volatility are skipped and counted in ``skipped_zero_volatility``;
+    ``too_short`` names the series with fewer than m + 2 points. Technology
+    names must be unique, since records are grouped and ordered by name.
+    ``m`` and ``tau_max`` must be whole numbers.
     """
     m, tau_max = _kernels._check_window(m, tau_max)
-    if on_zero_volatility not in ("skip", "error"):
-        raise ValueError(f"on_zero_volatility must be 'skip' or 'error', got {on_zero_volatility!r}")
     repeated = sorted(name for name, n in Counter(s.name for s in corpus).items() if n > 1)
     if repeated:
         raise ValueError(f"technology names must be unique; repeated: {repeated}")
@@ -174,8 +125,6 @@ def hindcast_corpus(
         origin, tau, raw, norm, mu_hat, k_hat, n_skipped = _kernels.hindcast_errors(
             series.log_costs, m, series.n_obs if tau_max is None else tau_max
         )
-        if n_skipped and on_zero_volatility == "error":
-            raise ValueError(f"{series.name}: {n_skipped} windows with zero volatility")
         skipped += n_skipped
         if tau.size:
             tech = np.full(tau.size, len(names), dtype=np.int64)
@@ -334,25 +283,17 @@ def _rescale_divisors(taus, m: int, theta: float) -> np.ndarray:
     return np.array([rescale_scale(variance_factors(int(t), m, theta)) for t in taus])
 
 
-def pooled_rescaled_distribution(
-    records: HindcastRecords,
-    theta: float,
-    split: str = "all",
-) -> Ecdf | dict[int, Ecdf]:
-    """ECDF of rescaled normalized errors eps*, pooled or split by horizon.
+def pooled_rescaled_distribution(records: HindcastRecords, theta: float) -> Ecdf:
+    """ECDF of the rescaled normalized errors eps* of all records.
 
     The records' window size m must exceed 3; each record's normalized
-    error is divided by sqrt(A*(tau, m, theta)/(1+theta^2)).
+    error is divided by sqrt(A*(tau, m, theta)/(1+theta^2)). Pass
+    ``records[records.tau == t]`` for the ECDF of one horizon.
     """
-    if split not in ("all", "by-horizon"):
-        raise ValueError(f"split must be 'all' or 'by-horizon', got {split!r}")
     if not records:
         raise ValueError("no records to pool")
     taus, horizon = np.unique(records.tau, return_inverse=True)
-    eps = records.norm_error / _rescale_divisors(taus, records.m, theta)[horizon]
-    if split == "all":
-        return Ecdf(eps)
-    return {int(t): Ecdf(eps[horizon == h]) for h, t in enumerate(taus)}
+    return Ecdf(records.norm_error / _rescale_divisors(taus, records.m, theta)[horizon])
 
 
 def bias_test(records: HindcastRecords, tau: int) -> float:

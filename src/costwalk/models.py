@@ -229,22 +229,14 @@ def _simulated_years(n_obs: int, start_year: int) -> np.ndarray:
 
 
 def _draw_increments(
-    rng: np.random.Generator,
-    n: int,
-    sd: float,
-    innovation: str,
-    student_df: float | None,
+    rng: np.random.Generator, n: int, sd: float, student_df: float | None
 ) -> np.ndarray:
-    if innovation == "normal":
+    if student_df is None:
         return sd * rng.standard_normal(n)
-    if innovation == "student":
-        if student_df is None or student_df <= 2:
-            raise ValueError(
-                "student innovations need df > 2 so increments can be scaled to sd K"
-            )
-        # standard t has variance df/(df-2); rescale so the sd equals K
-        return sd * math.sqrt((student_df - 2.0) / student_df) * rng.standard_t(student_df, n)
-    raise ValueError(f"unknown innovation family {innovation!r}")
+    if student_df <= 2:
+        raise ValueError("student innovations need df > 2 so increments can be scaled to sd K")
+    # standard t has variance df/(df-2); rescale so the sd equals K
+    return sd * math.sqrt((student_df - 2.0) / student_df) * rng.standard_t(student_df, n)
 
 
 def simulate_rwd(
@@ -252,21 +244,21 @@ def simulate_rwd(
     k: float,
     n_obs: int,
     rng: np.random.Generator,
-    innovation: str = "normal",
     student_df: float | None = None,
     name: str = "rwd-sim",
     start_year: int = 1,
 ) -> TechnologySeries:
     """Random walk with drift starting at y_0 = 0.
 
-    Increments are IID with mean ``mu`` and standard deviation ``k``, drawn
-    from a normal or (rescaled) Student t family.
+    Increments are IID with mean ``mu`` and standard deviation ``k``: normal
+    when ``student_df`` is None, otherwise Student t with ``student_df``
+    degrees of freedom, rescaled to standard deviation ``k``.
     """
     if k < 0:
         raise ValueError("increment standard deviation cannot be negative")
     if n_obs < 2:
         raise ValueError(f"need at least 2 observations, got {n_obs}")
-    noise = _draw_increments(rng, n_obs - 1, k, innovation, student_df)
+    noise = _draw_increments(rng, n_obs - 1, k, student_df)
     y = np.concatenate(([0.0], np.cumsum(mu + noise)))
     return TechnologySeries(name=name, years=_simulated_years(n_obs, start_year), log_costs=y)
 

@@ -13,9 +13,11 @@ sampling theory.
 Every experiment runs on one numpy engine, which simulates a chunk of
 replications and hindcasts them as (replications, records) arrays through
 the static index plan and the window helper of ``_kernels``, the same path
-``_kernels.corpus_norm_errors`` takes on one corpus. Each replication's
-errors are bit-identical to the per-series kernel ``_kernels.hindcast_errors``
-run on that replication's simulated series. The statistics of a replication
+``_kernels.corpus_norm_errors`` takes on one corpus. Each experiment, and
+each theta of a matching grid, builds its own plan: a plan costs far less
+than one pass, so none is cached. Each replication's errors are
+bit-identical to the per-series kernel ``_kernels.hindcast_errors`` run on
+that replication's simulated series. The statistics of a replication
 come from the same code as the observed ones: the Xi cell sums and their
 reduction, and the eps* divisor, are ``hindcast``'s, so the observed corpus
 and its nulls share one implementation of each statistic.
@@ -102,11 +104,13 @@ class SurrogateConfig:
     ``template`` holds one (n_obs, mu, K) triple per technology; simulated
     series match those lengths and parameters, with innovation standard
     deviation sigma = K/sqrt(1+theta^2) so the increment variance equals
-    K^2. The Student innovation family models fat-tailed shocks for the
-    robustness check and is defined only for theta = 0 (plain random walk).
-    At least one template series must have the m + 2 points a hindcast
-    needs. ``replications``, ``m`` and ``tau_max`` must be whole numbers and
-    are stored as ints.
+    K^2. Innovations are normal when ``student_df`` is None; otherwise they
+    are Student t with that many degrees of freedom (more than 2), rescaled
+    to the same variance, which models fat-tailed shocks for the robustness
+    check and is defined only for theta = 0 (plain random walk). At least
+    one template series must have the m + 2 points a hindcast needs.
+    ``replications``, ``m``, ``tau_max`` and the template lengths must be
+    whole numbers and are stored as ints; every length must be at least 2.
     """
 
     replications: int
@@ -115,7 +119,6 @@ class SurrogateConfig:
     tau_max: int
     seed: int
     template: tuple[tuple[int, float, float], ...]
-    innovation: str = "normal"
     student_df: float | None = None
     weighting: str = "pooled"
 
@@ -126,6 +129,10 @@ class SurrogateConfig:
             raise ValueError(f"need at least 1 replication, got {self.replications}")
         if not self.template:
             raise ValueError("corpus template is empty")
+        template = tuple((_integer("template length", n), mu, k) for n, mu, k in self.template)
+        if min(t[0] for t in template) < 2:
+            raise ValueError("every template series needs at least 2 points")
+        object.__setattr__(self, "template", template)
         if self.m < 4:
             raise ValueError(f"window m={self.m} too small; error rescaling needs m > 3")
         if max(t[0] for t in self.template) < self.m + 2:
@@ -135,10 +142,8 @@ class SurrogateConfig:
             )
         if self.tau_max < 1:
             raise ValueError(f"tau_max must be >= 1, got {self.tau_max}")
-        if self.innovation not in ("normal", "student"):
-            raise ValueError(f"unknown innovation family {self.innovation!r}")
-        if self.innovation == "student":
-            if self.student_df is None or self.student_df <= 2:
+        if self.student_df is not None:
+            if self.student_df <= 2:
                 raise ValueError("student innovations need df > 2")
             if self.theta != 0.0:
                 raise ValueError("student innovations are defined for the theta = 0 random walk")
@@ -160,7 +165,7 @@ class SurrogateConfig:
     @functools.cached_property
     def _draw_scales(self) -> np.ndarray:
         """Scale of each innovation draw, series after series in template order."""
-        if self.innovation == "normal":
+        if self.student_df is None:
             scale = 1.0 / math.sqrt(1.0 + self.theta * self.theta)
         else:
             df = float(self.student_df)
@@ -182,18 +187,17 @@ class NullEnsemble:
 
     statistic: str
     values: np.ndarray
-    observed: np.ndarray | float | None = None
+    observed: np.ndarray | None = None
     taus: np.ndarray | None = None
 
-    def quantile(self, q: float) -> np.ndarray | float:
+    def quantile(self, q: float) -> np.ndarray:
         with warnings.catch_warnings():
             # NaN at a horizon no replication reaches
             warnings.filterwarnings("ignore", "All-NaN slice encountered", RuntimeWarning)
-            out = np.nanquantile(self.values, q, axis=0)
-        return float(out) if np.ndim(out) == 0 else out
+            return np.nanquantile(self.values, q, axis=0)
 
     @property
-    def quantiles(self) -> dict[str, np.ndarray | float]:
+    def quantiles(self) -> dict[str, np.ndarray]:
         return {
             "q025": self.quantile(0.025),
             "q500": self.quantile(0.5),
@@ -209,14 +213,12 @@ class NullEnsemble:
         return np.where(np.isnan(observed), np.nan, counts)
 
     @property
-    def p_raw(self) -> np.ndarray | float:
-        p = self._exceed_counts() / self.values.shape[0]
-        return float(p) if np.ndim(p) == 0 else p
+    def p_raw(self) -> np.ndarray:
+        return self._exceed_counts() / self.values.shape[0]
 
     @property
-    def p_smoothed(self) -> np.ndarray | float:
-        p = (self._exceed_counts() + 1.0) / (self.values.shape[0] + 1.0)
-        return float(p) if np.ndim(p) == 0 else p
+    def p_smoothed(self) -> np.ndarray:
+        return (self._exceed_counts() + 1.0) / (self.values.shape[0] + 1.0)
 
 
 def _innovations(config: SurrogateConfig, rng: np.random.Generator) -> np.ndarray:
@@ -226,7 +228,7 @@ def _innovations(config: SurrogateConfig, rng: np.random.Generator) -> np.ndarra
     because the generator consumes its stream value by value.
     """
     n = config._draw_scales.size
-    if config.innovation == "normal":
+    if config.student_df is None:
         return config._draw_scales * rng.standard_normal(n)
     return config._draw_scales * rng.standard_t(float(config.student_df), n)
 
@@ -234,28 +236,19 @@ def _innovations(config: SurrogateConfig, rng: np.random.Generator) -> np.ndarra
 def surrogate_corpus(config: SurrogateConfig, rng: np.random.Generator) -> list[TechnologySeries]:
     """One simulated corpus matching the template lengths and parameters."""
     blocks = np.split(_innovations(config, rng), np.cumsum(config.lengths)[:-1])
+    width = max(3, len(str(len(blocks) - 1)))  # names sort in template order
     corpus = []
     for j, ((n_obs, mu, _), v) in enumerate(zip(config.template, blocks)):
         increments = (mu + v[1:]) + config.theta * v[:-1]
         y = np.concatenate(([0.0], np.cumsum(increments)))
         corpus.append(
             TechnologySeries(
-                name=f"surrogate-{j:03d}",
+                name=f"surrogate-{j:0{width}d}",
                 years=np.arange(1, n_obs + 1, dtype=np.int64),
                 log_costs=y,
             )
         )
     return corpus
-
-
-# Every theta of a matching grid, and the band and deviation test of one
-# validation, share a plan. One-corpus calls build theirs uncached, so a
-# large test template is not kept alive.
-_plan = functools.lru_cache(maxsize=4)(_build_plan)
-
-
-def _plan_key(config: SurrogateConfig) -> tuple[tuple[int, ...], int, int]:
-    return tuple(config.lengths.tolist()), config.m, config.tau_max
 
 
 def _simulate(
@@ -290,8 +283,7 @@ def _xi_rows(
 
     ``cell`` places each record in the (series, horizon) grid (``hindcast._cells``).
     The cell sums and their reduction are ``error_growth``'s, so each row is
-    bit-identical to the observed curve of that replication's corpus (while
-    the series names sort in template order, below 1,000 series).
+    bit-identical to the observed curve of that replication's corpus.
     """
     shape = (len(config.template), config.tau_max)
     return _xi(*_cell_sums(norm, cell, shape, keep), config.weighting)
@@ -328,7 +320,7 @@ def _run(
 
 def _xi_ensemble(config: SurrogateConfig, tag: int) -> np.ndarray:
     """(replications, tau_max) Xi curves of the surrogate null."""
-    plan = _plan(*_plan_key(config))
+    plan = _build_plan(config.lengths, config.m, config.tau_max)
     cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
     return _run(
         config, plan, tag, config.tau_max, lambda norm, keep: _xi_rows(norm, keep, cell, config)
@@ -422,7 +414,7 @@ def distribution_deviation_test(
     pooled = pooled_rescaled_distribution(records[records.tau <= config.tau_max], theta)
     t_cdf_grid = np.array([student_t_cdf(x, config.m - 1) for x in DEVIATION_GRID])
     observed = _deviation_stats(pooled.values, t_cdf_grid)
-    plan = _plan(*_plan_key(config))
+    plan = _build_plan(config.lengths, config.m, config.tau_max)
     record_rescale = _rescale_divisors(range(1, config.tau_max + 1), config.m, theta)[plan.tau - 1]
 
     def rows_of(norm: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
@@ -683,7 +675,7 @@ def _fat_tails(
         "student": {},
     }
     for df_i, df in enumerate(dfs):
-        cfg = SurrogateConfig(theta=0.0, innovation="student", student_df=float(df), **base)
+        cfg = SurrogateConfig(theta=0.0, student_df=float(df), **base)
         report["student"][f"df={df:g}"] = mean_curve(cfg, _stream_tag("fat-tails-student", df_i))
     return report
 

@@ -30,7 +30,6 @@ from costwalk.surrogate import (
     _STREAM_TAGS,
     _build_plan,
     _innovations,
-    _plan_key,
     _replication_errors,
     _simulate,
     _stream_tag,
@@ -68,7 +67,6 @@ def configs(draw):
         tau_max=draw(st.integers(1, 12)),
         seed=draw(st.integers(0, 2**32)),
         template=tuple(template),
-        innovation="student" if student else "normal",
         student_df=draw(st.floats(2.5, 30.0)) if student else None,
         weighting=draw(st.sampled_from(["pooled", "equal-technology"])),
     )
@@ -76,7 +74,7 @@ def configs(draw):
 
 def _per_series_innovations(config, rng):
     """One draw call per series: the reference for the engine's single draw."""
-    if config.innovation == "normal":
+    if config.student_df is None:
         scale = 1.0 / math.sqrt(1.0 + config.theta * config.theta)
         blocks = [k * scale * rng.standard_normal(n) for n, _, k in config.template]
     else:
@@ -154,13 +152,22 @@ def test_engine_matches_per_series_kernel(config, rep):
     ),
     0,
 )
+# Past 999 series the names need a fourth digit to sort in template order,
+# which is the order the engine adds the series in.
+@example(
+    SurrogateConfig(
+        replications=1, theta=0.5, m=4, tau_max=5, seed=0, template=((10, -0.1, 0.2),) * 1001
+    ),
+    0,
+)
 def test_engine_matches_simulated_corpus_hindcast(config, rep):
     corpus = surrogate_corpus(config, derive_rng(config.seed, rep))
     records = hindcast_corpus(corpus, config.m, tau_max=config.tau_max).records
     series_idx, tau, norm = _replication_errors(config, derive_rng(config.seed, rep))
-    _assert_bytes_equal(norm, np.array([r.norm_error for r in records], dtype=np.float64))
-    _assert_bytes_equal(tau, np.array([r.tau for r in records], dtype=np.int64))
-    assert [f"surrogate-{j:03d}" for j in series_idx] == [r.technology for r in records]
+    _assert_bytes_equal(norm, records.norm_error)
+    _assert_bytes_equal(tau, records.tau)
+    names = [records.names[k] for k in records.tech.tolist()]
+    assert [corpus[j].name for j in series_idx.tolist()] == names
     if records:
         curve = error_growth(records, weighting=config.weighting)
         xi = _xi_from_errors(series_idx, tau, norm, config)
@@ -202,7 +209,6 @@ def test_norm_errors_do_not_depend_on_drift_or_scale(data):
         template=tuple(
             (T, data.draw(st.floats(*DRIFTS)), data.draw(st.floats(*VOLATILITIES))) for T in lengths
         ),
-        innovation="student" if student else "normal",
         student_df=data.draw(st.floats(2.5, 30.0)) if student else None,
     )
     unit = dataclasses.replace(config, template=tuple((T, 0.0, 1.0) for T in lengths))
@@ -217,7 +223,7 @@ def test_norm_errors_do_not_depend_on_drift_or_scale(data):
 @PROPERTY
 @given(configs())
 def test_rows_do_not_depend_on_pass_size(config):
-    plan = _build_plan(*_plan_key(config))
+    plan = _build_plan(config.lengths, config.m, config.tau_max)
     cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
     reps = config.replications
 
@@ -242,14 +248,14 @@ def test_rows_do_not_depend_on_pass_size(config):
     [
         dict(theta=0.63),
         dict(theta=0.63, weighting="equal-technology"),
-        dict(theta=0.0, innovation="student", student_df=3.0),
+        dict(theta=0.0, student_df=3.0),
     ],
 )
 def test_ensemble_rows_equal_one_replication_rows(family):
     config = SurrogateConfig(
         replications=9, m=5, tau_max=20, seed=5, template=REFERENCE_TEMPLATE, **family
     )
-    assert _build_plan(*_plan_key(config)).chunk < config.replications  # several passes
+    assert _build_plan(config.lengths, config.m, config.tau_max).chunk < config.replications  # several passes
     one_at_a_time = np.vstack(
         [
             _xi_from_errors(*_replication_errors(config, derive_rng(config.seed, 1, r)), config)

@@ -15,13 +15,11 @@ from hypothesis import strategies as hst
 import costwalk
 from costwalk import (
     Ecdf,
-    HindcastRecord,
     HindcastRecords,
     TechnologySeries,
     bias_test,
     error_growth,
     hindcast_corpus,
-    hindcast_series,
     make_rng,
     pooled_rescaled_distribution,
     simulate_rwd,
@@ -39,41 +37,38 @@ def _random_series(n_obs, seed, name="s", mu=-0.1, k=0.1):
     return simulate_rwd(mu, k, n_obs, make_rng(seed), name=name, start_year=2000)
 
 
-def _columns(rows):
-    """HindcastRecords holding hand-built rows, in their order; all share one m."""
-    names = sorted({r.technology for r in rows})
-    (m,) = {r.m for r in rows}
-
-    def column(field, dtype):
-        return np.array([getattr(r, field) for r in rows], dtype=dtype)
-
+def _columns(rows, m=5):
+    """HindcastRecords holding hand-built rows, in their order. A row is the tuple
+    (technology, origin_index, origin_year, tau, raw_error, norm_error, mu_hat, k_hat)."""
+    technology, *columns = zip(*rows)
+    names = sorted(set(technology))
     return HindcastRecords(
-        names=tuple(names),
-        tech=np.array([names.index(r.technology) for r in rows], dtype=np.int64),
-        origin_index=column("origin_index", np.int64),
-        origin_year=column("origin_year", np.int64),
-        tau=column("tau", np.int64),
-        raw_error=column("raw_error", np.float64),
-        norm_error=column("norm_error", np.float64),
-        mu_hat=column("mu_hat", np.float64),
-        k_hat=column("k_hat", np.float64),
-        m=m,
+        tuple(names),
+        np.array([names.index(t) for t in technology], dtype=np.int64),
+        *(np.array(c, dtype=np.int64) for c in columns[:3]),
+        *(np.array(c, dtype=np.float64) for c in columns[3:]),
+        m,
     )
+
+
+def _technologies(records):
+    """Each record's technology name."""
+    return [records.names[k] for k in records.tech.tolist()]
 
 
 class TestEnumeration:
     def test_three_records_for_t8_m5(self):
         series = _random_series(8, seed=1)
-        result = hindcast_series(series, m=5)
-        pairs = [(r.origin_index, r.tau) for r in result.records]
-        assert pairs == [(5, 1), (5, 2), (6, 1)]
-        assert result.records[0].origin_year == 2005
+        records = hindcast_corpus([series], m=5).records
+        assert records.origin_index.tolist() == [5, 5, 6]
+        assert records.tau.tolist() == [1, 2, 1]
+        assert records.origin_year.tolist() == [2005, 2005, 2006]
 
     def test_no_feasible_origin(self):
         series = _random_series(7, seed=2)
-        result = hindcast_series(series, m=6)
-        assert list(result.records) == []
-        assert "at least 8" in result.reason
+        result = hindcast_corpus([series], m=6)
+        assert len(result.records) == 0
+        assert result.too_short == ("s",)
 
     def test_window_and_cap_must_be_whole_numbers(self):
         corpus = [_random_series(7, seed=5)]
@@ -88,21 +83,21 @@ class TestEnumeration:
     @pytest.mark.parametrize("n_obs,m", [(10, 4), (15, 5), (30, 7), (12, 9)])
     def test_unrestricted_count_formula(self, n_obs, m):
         series = _random_series(n_obs, seed=n_obs * m)
-        result = hindcast_series(series, m=m)
+        result = hindcast_corpus([series], m=m)
         assert len(result.records) == (n_obs - m - 1) * (n_obs - m) // 2
 
     def test_tau_max_caps_horizons(self):
         series = _random_series(20, seed=3)
-        result = hindcast_series(series, m=5, tau_max=4)
-        assert max(r.tau for r in result.records) == 4
+        result = hindcast_corpus([series], m=5, tau_max=4)
+        assert result.records.tau.max() == 4
 
     def test_raw_error_recomputes(self):
         series = _random_series(25, seed=4)
         y = series.log_costs
-        for r in hindcast_series(series, m=5).records:
-            recomputed = y[r.origin_index + r.tau] - (y[r.origin_index] + r.mu_hat * r.tau)
-            assert abs(recomputed - r.raw_error) <= 1e-12
-            assert r.norm_error == pytest.approx(r.raw_error / r.k_hat, rel=1e-12)
+        r = hindcast_corpus([series], m=5).records
+        recomputed = y[r.origin_index + r.tau] - (y[r.origin_index] + r.mu_hat * r.tau)
+        assert np.all(np.abs(recomputed - r.raw_error) <= 1e-12)
+        np.testing.assert_allclose(r.norm_error, r.raw_error / r.k_hat, rtol=1e-12)
 
     def test_corpus_order_independent(self):
         corpus = [_random_series(15 + j, seed=j, name=f"t{j}") for j in range(5)]
@@ -119,28 +114,32 @@ class TestEnumeration:
             with pytest.raises(ValueError, match="same"):
                 hindcast_corpus(corpus, 5)
 
-    def test_columns_and_rows_agree(self):
+    def test_selection_keeps_names_dense(self):
         corpus = [_random_series(12 + j, seed=j, name=f"t{j}") for j in range(3)]
         records = hindcast_corpus(corpus + [_random_series(6, seed=9, name="short")], m=5).records
         assert records.names == ("t0", "t1", "t2")  # "short" has no records
-        rows = list(records)
-        assert [r.technology for r in rows] == [records.names[k] for k in records.tech]
-        assert [r.tau for r in rows] == records.tau.tolist()
-        assert rows[-1] == records[len(records) - 1] == records[-1]
-        later = records[records.tech > 0]
+        keep = records.tech > 0
+        later = records[keep]
         assert later.names == ("t1", "t2")
         assert later.tech.min() == 0
-        assert list(later) == [r for r in rows if r.technology != "t0"]
+        assert _technologies(later) == [t for t in _technologies(records) if t != "t0"]
+        assert later.norm_error.tolist() == records.norm_error[keep].tolist()
+        assert later == records[np.flatnonzero(keep)]
+
+    def test_integer_index_raises(self):
+        records = hindcast_corpus([_random_series(12, seed=1)], m=5).records
+        for index in (0, -1, np.int64(2)):
+            with pytest.raises(TypeError, match="mask"):
+                records[index]
+        with pytest.raises(TypeError):
+            list(records)
 
     def test_zero_volatility_window_skipped_and_counted(self):
         # first six steps are exactly constant, so the first window has K = 0
         y = np.concatenate((-0.125 * np.arange(6.0), [-0.625 - 0.3, -0.625 - 0.5, -0.625 - 0.6]))
-        series = _series(y)
-        result = hindcast_series(series, m=5)
+        result = hindcast_corpus([_series(y)], m=5)
         assert result.skipped_zero_volatility == 1
-        assert all(r.origin_index != 5 for r in result.records)
-        with pytest.raises(ValueError, match="zero volatility"):
-            hindcast_series(series, m=5, on_zero_volatility="error")
+        assert np.all(result.records.origin_index != 5)
 
 
 @hst.composite
@@ -169,10 +168,11 @@ def test_corpus_order_invariance(case):
     a = hindcast_corpus(corpus, m, tau_max=tau_max)
     b = hindcast_corpus(permuted, m, tau_max=tau_max)
 
-    def key(r):
-        return (r.technology, r.origin_index, r.tau, r.norm_error)
+    def keys(records):
+        columns = (records.origin_index.tolist(), records.tau.tolist(), records.norm_error.tolist())
+        return sorted(zip(_technologies(records), *columns))
 
-    assert sorted(map(key, a.records)) == sorted(map(key, b.records))
+    assert keys(a.records) == keys(b.records)
     assert a.skipped_zero_volatility == b.skipped_zero_volatility
     assert sorted(a.too_short) == sorted(b.too_short)
     if a.records:
@@ -185,21 +185,11 @@ def test_corpus_order_invariance(case):
 
 
 class TestErrorGrowth:
+    def _constant_rows(self, c=1.5, taus=(1, 1, 2, 2, 3)):
+        return [("x", 5, 2005, t, c * 0.1, c, -0.1, 0.1) for t in taus]
+
     def _constant_records(self, c=1.5, taus=(1, 1, 2, 2, 3)):
-        return _columns([
-            HindcastRecord(
-                technology="x",
-                origin_index=5,
-                origin_year=2005,
-                tau=t,
-                raw_error=c * 0.1,
-                norm_error=c,
-                mu_hat=-0.1,
-                k_hat=0.1,
-                m=5,
-            )
-            for t in taus
-        ])
+        return _columns(self._constant_rows(c, taus))
 
     def test_constant_errors_square(self):
         curve = error_growth(self._constant_records(c=1.5))
@@ -229,10 +219,8 @@ class TestErrorGrowth:
 
     @pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
     def test_horizon_below_one_rejected(self, weighting):
-        records = _columns(
-            list(self._constant_records(taus=(1, 2)))
-            + [HindcastRecord("y", 5, 2005, 0, 0.1, 1.0, -0.1, 0.1, 5)]
-        )
+        below_one = ("y", 5, 2005, 0, 0.1, 1.0, -0.1, 0.1)
+        records = _columns(self._constant_rows(taus=(1, 2)) + [below_one])
         with pytest.raises(ValueError, match="at least 1"):
             error_growth(records, weighting=weighting)
 
@@ -299,9 +287,7 @@ def sparse_records(draw):
             max_size=60,
         )
     )
-    records = _columns(
-        [HindcastRecord(name, 5, 2005, tau, 0.1, e, -0.1, 0.1, 5) for name, tau, e in cells]
-    )
+    records = _columns([(name, 5, 2005, tau, 0.1, e, -0.1, 0.1) for name, tau, e in cells])
     tau_max = draw(hst.none() | hst.integers(1, 40))
     return records, tau_max
 
@@ -309,9 +295,10 @@ def sparse_records(draw):
 def _naive_error_growth(records, tau_max, weighting):
     """Per-horizon, per-technology loop over the records."""
     by_tau: dict[int, dict[str, list[float]]] = {}
-    for r in records:
-        if tau_max is None or r.tau <= tau_max:
-            by_tau.setdefault(r.tau, {}).setdefault(r.technology, []).append(r.norm_error**2)
+    columns = (_technologies(records), records.tau.tolist(), records.norm_error.tolist())
+    for name, tau, e in zip(*columns):
+        if tau_max is None or tau <= tau_max:
+            by_tau.setdefault(tau, {}).setdefault(name, []).append(e**2)
     taus = sorted(by_tau)
     n_forecasts = [sum(len(v) for v in by_tau[t].values()) for t in taus]
     n_technologies = [len(by_tau[t]) for t in taus]
@@ -359,11 +346,14 @@ class TestPooledRescaledDistribution:
         assert np.abs(contracted.values).max() < np.abs(base.values).max()
 
     def test_split_by_horizon(self):
+        # one call per horizon mask splits the pooled sample without changing it
         records = self._records(n_series=50)
-        split = pooled_rescaled_distribution(records, theta=0.3, split="by-horizon")
-        assert set(split) == set(r.tau for r in records)
-        total = sum(e.n for e in split.values())
-        assert total == len(records)
+        taus = np.unique(records.tau).tolist()
+        split = [pooled_rescaled_distribution(records[records.tau == t], theta=0.3) for t in taus]
+        assert sum(e.n for e in split) == len(records)
+        pooled = pooled_rescaled_distribution(records, theta=0.3)
+        values = np.sort(np.concatenate([e.values for e in split]))
+        np.testing.assert_array_equal(values, pooled.values)
 
     def test_ecdf_evaluation_and_tails(self):
         ecdf = Ecdf(np.array([-2.0, -1.0, 1.0, 3.0]))
@@ -381,24 +371,22 @@ class TestPooledRescaledDistribution:
 
 class TestBiasTest:
     def test_symmetric_errors_give_high_p(self):
-        records = []
-        for i, e in enumerate([1.0, -1.0, 0.5, -0.5, 2.0, -2.0]):
-            records.append(
-                HindcastRecord("x", 5 + i, 2005 + i, 1, e * 0.1, e, -0.1, 0.1, 5)
-            )
-        records = _columns(records)
+        records = _columns([
+            ("x", 5 + i, 2005 + i, 1, e * 0.1, e, -0.1, 0.1)
+            for i, e in enumerate([1.0, -1.0, 0.5, -0.5, 2.0, -2.0])
+        ])
         assert bias_test(records, tau=1) == pytest.approx(1.0)
 
     def test_one_sided_errors_give_low_p(self):
         rng = make_rng(6)
         records = _columns([
-            HindcastRecord("x", 5 + i, 2005 + i, 1, 0.1, float(e), -0.1, 0.1, 5)
+            ("x", 5 + i, 2005 + i, 1, 0.1, float(e), -0.1, 0.1)
             for i, e in enumerate(rng.uniform(0.5, 1.5, size=30))
         ])
         assert bias_test(records, tau=1) < 1e-6
 
     def test_needs_two_records(self):
-        records = _columns([HindcastRecord("x", 5, 2005, 3, 0.1, 1.0, -0.1, 0.1, 5)])
+        records = _columns([("x", 5, 2005, 3, 0.1, 1.0, -0.1, 0.1)])
         with pytest.raises(ValueError):
             bias_test(records, tau=3)
 
@@ -416,7 +404,7 @@ class TestBiasTest:
 
 class TestCsvEmitters:
     def test_records_csv(self, tmp_path):
-        records = hindcast_series(_random_series(12, seed=8, name="abc"), m=5).records
+        records = hindcast_corpus([_random_series(12, seed=8, name="abc")], m=5).records
         path = tmp_path / "records.csv"
         write_records_csv(path, records)
         with open(path) as handle:
@@ -424,10 +412,10 @@ class TestCsvEmitters:
         assert rows[0] == ["technology", "t0_year", "tau", "raw_error", "norm_error", "mu_hat", "K_hat"]
         assert len(rows) == len(records) + 1
         assert rows[1][0] == "abc"
-        assert float(rows[1][3]) == pytest.approx(records[0].raw_error, rel=1e-9)
+        assert float(rows[1][3]) == pytest.approx(records.raw_error[0], rel=1e-9)
 
     def test_error_growth_csv(self, tmp_path):
-        records = hindcast_series(_random_series(20, seed=9), m=5, tau_max=6).records
+        records = hindcast_corpus([_random_series(20, seed=9)], m=5, tau_max=6).records
         curve = error_growth(records)
         path = tmp_path / "growth.csv"
         write_error_growth_csv(path, curve, m=5, theta=0.63)

@@ -55,7 +55,5 @@ class TestHotPathConsistency:
         corpus = surrogate_corpus(config, derive_rng(42, 0))
         records = hindcast_corpus(corpus, 5, tau_max=20).records
         # both paths order records by (series, origin, tau) already
-        norm_slow = np.array([r.norm_error for r in records])
-        tau_slow = np.array([r.tau for r in records])
-        np.testing.assert_allclose(norm_fast, norm_slow, rtol=1e-10)
-        np.testing.assert_array_equal(tau_fast, tau_slow)
+        np.testing.assert_allclose(norm_fast, records.norm_error, rtol=1e-10)
+        np.testing.assert_array_equal(tau_fast, records.tau)

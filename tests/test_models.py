@@ -226,12 +226,12 @@ class TestSimulateRwd:
 
     def test_student_increments_scaled_to_k(self):
         n = 1_000_000
-        series = simulate_rwd(0.0, 0.05, n, make_rng(2), innovation="student", student_df=7)
+        series = simulate_rwd(0.0, 0.05, n, make_rng(2), student_df=7)
         assert series.diffs().std(ddof=1) == pytest.approx(0.05, rel=0.01)
 
     def test_student_kurtosis_exceeds_normal(self):
         n = 1_000_000
-        heavy = simulate_rwd(0.0, 0.05, n, make_rng(3), innovation="student", student_df=3)
+        heavy = simulate_rwd(0.0, 0.05, n, make_rng(3), student_df=3)
         normal = simulate_rwd(0.0, 0.05, n, make_rng(3))
         k_heavy = st.kurtosis(heavy.diffs())
         k_normal = st.kurtosis(normal.diffs())
@@ -240,11 +240,7 @@ class TestSimulateRwd:
 
     def test_rejects_low_df(self):
         with pytest.raises(ValueError):
-            simulate_rwd(0.0, 0.05, 10, make_rng(4), innovation="student", student_df=2.0)
-
-    def test_rejects_unknown_family(self):
-        with pytest.raises(ValueError):
-            simulate_rwd(0.0, 0.05, 10, make_rng(4), innovation="cauchy")
+            simulate_rwd(0.0, 0.05, 10, make_rng(4), student_df=2.0)
 
 
 class TestSimulateIma:

@@ -58,9 +58,9 @@ class TestSurrogateConfig:
         with pytest.raises(ValueError):
             SurrogateConfig(**{**ok, "m": 3})
         with pytest.raises(ValueError):
-            SurrogateConfig(**{**ok, "innovation": "student"})  # df missing
+            SurrogateConfig(**{**ok, "student_df": 2.0})
         with pytest.raises(ValueError):
-            SurrogateConfig(**{**ok, "innovation": "student", "student_df": 3, "theta": 0.5})
+            SurrogateConfig(**{**ok, "student_df": 3, "theta": 0.5})
         with pytest.raises(ValueError):
             SurrogateConfig(**{**ok, "weighting": "mean"})
 
@@ -71,6 +71,18 @@ class TestSurrogateConfig:
                 SurrogateConfig(**{**ok, field: value})
         whole = SurrogateConfig(**{**ok, "m": 5.0, "tau_max": np.int64(20), "replications": 10.0})
         assert [type(v) for v in (whole.replications, whole.m, whole.tau_max)] == [int] * 3
+
+    def test_template_lengths_must_be_whole_numbers_of_at_least_two(self):
+        # the engine and surrogate_corpus must accept the same templates
+        ok = dict(replications=1, theta=0.0, m=5, tau_max=20, seed=1)
+        with pytest.raises(ValueError, match="template length must be an integer"):
+            SurrogateConfig(**ok, template=((20.7, -0.1, 0.2), (12, -0.1, 0.2)))
+        for short in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 points"):
+                SurrogateConfig(**ok, template=((20, -0.1, 0.2), (short, -0.1, 0.2)))
+        cfg = SurrogateConfig(**ok, template=((20.0, -0.1, 0.2), (np.int64(2), -0.1, 0.2)))
+        assert [type(t[0]) for t in cfg.template] == [int, int]
+        assert [s.n_obs for s in surrogate_corpus(cfg, derive_rng(1, 0))] == [20, 2]
 
     def test_template_must_allow_one_hindcast(self):
         # with no series of m + 2 points, the band would be all NaN and the
@@ -88,6 +100,17 @@ class TestSurrogateCorpus:
         )
         corpus = surrogate_corpus(cfg, derive_rng(2, 0))
         assert [s.n_obs for s in corpus] == [t[0] for t in SMALL_TEMPLATE]
+
+    def test_student_df_draws_student_noise(self):
+        # the degrees of freedom alone pick the Student family, rescaled to sd K
+        base = dict(replications=1, theta=0.0, m=5, tau_max=20, seed=2, template=SMALL_TEMPLATE)
+        normal = surrogate_corpus(SurrogateConfig(**base), derive_rng(2, 0))
+        student = surrogate_corpus(SurrogateConfig(**base, student_df=3.0), derive_rng(2, 0))
+        assert not any(a.equals(b) for a, b in zip(normal, student))
+        n_obs, mu, k = SMALL_TEMPLATE[0]
+        t = derive_rng(2, 0).standard_t(3.0, n_obs)
+        expected = mu + k * math.sqrt(1 / 3) * t[1:]
+        np.testing.assert_allclose(student[0].diffs(), expected, rtol=1e-12, atol=1e-12)
 
     def test_theta_zero_nests_plain_random_walk(self):
         cfg = SurrogateConfig(
@@ -128,12 +151,13 @@ class TestDeterminism:
 
     def test_pass_size_does_not_change_results(self, monkeypatch):
         default = self._ensemble()
+        build = surrogate._build_plan
         for chunk in (1, 7, 60):
 
             def plan(*key, chunk=chunk):
-                return dataclasses.replace(surrogate._build_plan(*key), chunk=chunk)
+                return dataclasses.replace(build(*key), chunk=chunk)
 
-            monkeypatch.setattr(surrogate, "_plan", plan)
+            monkeypatch.setattr(surrogate, "_build_plan", plan)
             assert np.array_equal(self._ensemble(), default, equal_nan=True)
 
 
