@@ -9,9 +9,12 @@ Times the hot paths on representative workloads:
   it) through ``corpus_norm_errors``, one replication per call, which builds
   the corpus's index plan on every call;
 * the same replication through the batched surrogate engine that every
-  Monte Carlo experiment runs on: the same plan and window helper, a cached
-  plan and several replications per array pass, plus each replication's
-  error-growth curve;
+  Monte Carlo experiment at one theta runs on: the same plan and window
+  helper, the plan built once per experiment and several replications per
+  array pass, plus each replication's error-growth curve;
+* theta matching's common-random-numbers pass, per replication: one draw
+  gives the error-growth curve at all 19 theta of the grid 0, 0.05, ..., 0.9
+  (the engine would simulate 19 corpora for it);
 * the error-growth aggregation of one such pass on its own, under pooled and
   equal-technology weighting (the cell sums and the reduction that the
   observed curve shares);
@@ -26,6 +29,7 @@ Usage: python benchmarks/bench_kernels.py [--reps 200]
 import argparse
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +38,7 @@ from costwalk import (
     SurrogateConfig,
     corpus_template,
     error_growth,
+    estimate_theta_matched,
     fit_ima_mle,
     hindcast_corpus,
     load_reference_params,
@@ -80,6 +85,19 @@ def bench_engine(template, theta, m, tau_max, reps):
         replications=reps, theta=theta, m=m, tau_max=tau_max, seed=42, template=template
     )
     return _time(lambda: _xi_ensemble(config, 1), repeat=3) / reps
+
+
+def bench_matching(template, m, tau_max, reps, grid=np.linspace(0.0, 0.9, 19)):
+    """Time per replication of matching theta over ``grid``, observed curve given."""
+    config = SurrogateConfig(
+        replications=reps, theta=0.0, m=m, tau_max=tau_max, seed=42, template=template
+    )
+    corpus = surrogate_corpus(config, make_rng(7))
+    curve = error_growth(hindcast_corpus(corpus, m, tau_max=tau_max).records)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # Z - 1 need not change sign
+        t = _time(lambda: estimate_theta_matched(curve, config, grid), repeat=3)
+    return grid.size, t / reps
 
 
 def bench_xi_pass(template, theta, m, tau_max, loops=200):
@@ -140,6 +158,8 @@ def main():
     print(f"{'hindcast_errors':<19} {t_hind * 1e6:>18.1f} us")
     print(f"{'corpus_norm_errors':<19} {'':>22} {t_surr * 1e6:>23.1f} us  (plan per call)")
     print(f"{'engine':<19} {'':>22} {t_engine * 1e6:>23.1f} us  (with Xi)")
+    n_theta, t_match = bench_matching(template, 5, 20, args.reps)
+    print(f"{'theta matching':<19} {'':>22} {t_match * 1e6:>23.1f} us  (Xi at {n_theta} theta)")
 
     chunk, t_xi = bench_xi_pass(template, 0.63, 5, 20)
     print(f"\nXi aggregation of one engine pass ({chunk} replications)")

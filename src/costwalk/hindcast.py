@@ -176,8 +176,22 @@ def _cell_sums(
     sq = errors * errors
     key, sq = (key.ravel(), sq.ravel()) if keep is None else (key[keep], sq[keep])
     sums = np.bincount(key, weights=sq, minlength=rows * size)
-    counts = np.bincount(key, minlength=rows * size)
-    return sums.reshape(rows, *shape), counts.reshape(rows, *shape)
+    return sums.reshape(rows, *shape), _cell_counts(cell, shape, rows, keep)
+
+
+def _cell_counts(
+    cell: np.ndarray, shape: tuple[int, int], rows: int, keep: np.ndarray | None = None
+) -> np.ndarray:
+    """``_cell_sums``' per-(row, technology, horizon) record counts.
+
+    Without a mask every row holds the same records, so the cells are counted
+    once and the (read-only) result repeats them over the rows.
+    """
+    size = shape[0] * shape[1]
+    if keep is None:
+        return np.broadcast_to(np.bincount(cell, minlength=size).reshape(shape), (rows, *shape))
+    key = (np.arange(rows)[:, None] * size + cell)[keep]
+    return np.bincount(key, minlength=rows * size).reshape(rows, *shape)
 
 
 def _xi(sums: np.ndarray, counts: np.ndarray, weighting: str) -> np.ndarray:
@@ -229,7 +243,8 @@ def error_growth(
     ``'pooled'`` adds those sums over technologies; ``'equal-technology'``
     averages the per-technology means of the technologies present at each
     horizon. Technologies are added one at a time in sorted-name order, and
-    the surrogate nulls (``surrogate._xi_rows``) reduce through the same code.
+    the single-theta surrogate nulls (``surrogate._xi_rows``) reduce through
+    the same code.
     """
     if weighting not in ("pooled", "equal-technology"):
         raise ValueError(f"unknown weighting {weighting!r}")

@@ -10,17 +10,27 @@ deviation measures), which is the only honest way to test them: hindcast
 errors overlap in time, so their correlation structure defeats textbook
 sampling theory.
 
-Every experiment runs on one numpy engine, which simulates a chunk of
-replications and hindcasts them as (replications, records) arrays through
-the static index plan and the window helper of ``_kernels``, the same path
-``_kernels.corpus_norm_errors`` takes on one corpus. Each experiment, and
-each theta of a matching grid, builds its own plan: a plan costs far less
-than one pass, so none is cached. Each replication's errors are
-bit-identical to the per-series kernel ``_kernels.hindcast_errors`` run on
-that replication's simulated series. The statistics of a replication
-come from the same code as the observed ones: the Xi cell sums and their
-reduction, and the eps* divisor, are ``hindcast``'s, so the observed corpus
-and its nulls share one implementation of each statistic.
+Every experiment at one theta runs on one numpy engine, which simulates a
+chunk of replications and hindcasts them as (replications, records) arrays
+through the static index plan and the window helper of ``_kernels``, the same
+path ``_kernels.corpus_norm_errors`` takes on one corpus. Each experiment
+builds its own plan: a plan costs far less than one pass, so none is cached.
+Each replication's errors are bit-identical to the per-series kernel
+``_kernels.hindcast_errors`` run on that replication's simulated series. The
+statistics of a replication come from the same code as the observed ones: the
+Xi cell sums and their reduction, and the eps* divisor, are ``hindcast``'s,
+so the observed corpus and its nulls share one implementation of each
+statistic.
+
+Theta matching needs the null at every theta of a grid, and takes a second
+path over the same plan and window moments: common random numbers. Drift and
+scale cancel in a normalized error, so one draw per replication gives the
+normalized error of every record as a closed-form function of theta (see
+``_matching_terms``), and one batched matrix product per pass gives Xi at
+every theta of the grid (``_matching_xi``). Every Z(theta) then averages the
+same draws, which also makes Z a smooth function of theta. The tests hold
+this path to the engine and to ``hindcast``'s Xi reduction on the same draws
+to 1e-12 relative.
 
 Everything here is deterministic given the configuration: replication r of
 an experiment draws from an independent stream derived from (seed, tag, r),
@@ -34,7 +44,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +55,7 @@ from .forecast import variance_factors  # noqa: F401  (perfbench/tracing.py patc
 from .hindcast import (
     ErrorGrowthCurve,
     HindcastRecords,
+    _cell_counts,
     _cell_sums,
     _cells,
     _curve_table,
@@ -77,22 +88,22 @@ __all__ = [
 DEVIATION_GRID = np.linspace(-15.0, 15.0, 1000)
 
 # Replication r of an experiment draws from derive_rng(seed, tag, r). Each
-# experiment owns a block of tags, (first tag, number of tags); only the
-# last block may be open-ended (None), so no two experiments share a stream.
-_STREAM_TAGS: dict[str, tuple[int, int | None]] = {
+# experiment owns a block of tags, (first tag, number of tags), so no two
+# experiments share a stream.
+_STREAM_TAGS: dict[str, tuple[int, int]] = {
     "xi-band": (1, 1),
     "deviation": (2, 1),
     "half-corpus": (3, 1),
     "fat-tails-normal": (4, 1),
     "fat-tails-ima": (5, 1),
     "fat-tails-student": (6, 94),  # one per degrees-of-freedom value
-    "theta-match": (100, None),  # one per grid point
+    "theta-match": (100, 1),  # one draw per replication serves the whole grid
 }
 
 
 def _stream_tag(experiment: str, index: int = 0) -> int:
     first, size = _STREAM_TAGS[experiment]
-    if index < 0 or (size is not None and index >= size):
+    if not 0 <= index < size:
         raise ValueError(f"{experiment!r} has {size} stream tags; index {index} is out of range")
     return first + index
 
@@ -111,6 +122,8 @@ class SurrogateConfig:
     one template series must have the m + 2 points a hindcast needs.
     ``replications``, ``m``, ``tau_max`` and the template lengths must be
     whole numbers and are stored as ints; every length must be at least 2.
+    theta must lie strictly inside (-1, 1), and every mu and K must be finite
+    with K >= 0 (a K = 0 series has zero-variance windows only).
     """
 
     replications: int
@@ -127,11 +140,16 @@ class SurrogateConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.replications < 1:
             raise ValueError(f"need at least 1 replication, got {self.replications}")
+        if not (math.isfinite(self.theta) and abs(self.theta) < 1.0):
+            raise ValueError(f"theta must lie strictly inside (-1, 1), got {self.theta!r}")
         if not self.template:
             raise ValueError("corpus template is empty")
         template = tuple((_integer("template length", n), mu, k) for n, mu, k in self.template)
         if min(t[0] for t in template) < 2:
             raise ValueError("every template series needs at least 2 points")
+        for n, mu, k in template:
+            if not (math.isfinite(mu) and math.isfinite(k) and k >= 0.0):
+                raise ValueError(f"template series ({n}, {mu}, {k}) needs a finite mu and K >= 0")
         object.__setattr__(self, "template", template)
         if self.m < 4:
             raise ValueError(f"window m={self.m} too small; error rescaling needs m > 3")
@@ -296,6 +314,20 @@ def _xi_from_errors(
     return _xi_rows(norm[None, :], None, _cells(series_idx, tau, config.tau_max), config)[0]
 
 
+def _draws(
+    config: SurrogateConfig, plan: _Plan, tag: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The replications of each array pass and their innovations, one row each.
+
+    Replication r draws from stream (seed, tag, r), so what a replication
+    draws does not depend on how many replications share a pass.
+    """
+    for start in range(0, config.replications, plan.chunk):
+        stop = min(start + plan.chunk, config.replications)
+        rngs = [derive_rng(config.seed, tag, rep) for rep in range(start, stop)]
+        yield slice(start, stop), np.array([_innovations(config, rng) for rng in rngs])
+
+
 def _run(
     config: SurrogateConfig,
     plan: _Plan,
@@ -305,16 +337,11 @@ def _run(
 ) -> np.ndarray:
     """(replications, width) matrix of a statistic of each replication.
 
-    ``rows_of`` reduces one pass's (norm, keep) to its rows. Replication r
-    draws from stream (seed, tag, r), so the result does not depend on how
-    many replications share a pass.
+    ``rows_of`` reduces one pass's (norm, keep) to its rows.
     """
     out = np.empty((config.replications, width))
-    for start in range(0, config.replications, plan.chunk):
-        stop = min(start + plan.chunk, config.replications)
-        rngs = [derive_rng(config.seed, tag, rep) for rep in range(start, stop)]
-        innovations = np.array([_innovations(config, rng) for rng in rngs])
-        out[start:stop] = rows_of(*_simulate(config, plan, innovations))
+    for reps, innovations in _draws(config, plan, tag):
+        out[reps] = rows_of(*_simulate(config, plan, innovations))
     return out
 
 
@@ -478,12 +505,91 @@ def estimate_theta_weighted(
     )
 
 
+def _matching_terms(
+    plan: _Plan, innovations: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Theta-free terms of the normalized errors of one pass's corpora.
+
+    Row b of ``innovations`` holds one corpus's innovations w: standard
+    normal draws times each series' K. Drift and scale cancel in a normalized
+    error, so the corpus at any theta may take the levels y = a + theta*b,
+    with the level paths a[t] = w[1] + ... + w[t] and
+    b[t] = w[0] + ... + w[t-1]. Returns the raw
+    errors r0 and r1 of a and b at each record, (rows, records), and the
+    window moments (k0, k1, k2) at each origin, (rows, 3, origins), so that a
+    record's normalized error at theta is
+
+        (r0 + theta*r1) / sqrt(k0 + theta*k1 + theta^2*k2),
+
+    where the root is K_hat of y at the record's origin.
+    """
+    v = _kernels._layout(plan, innovations)
+    rows = v.shape[0]
+    paths = np.zeros((2 * rows, *v.shape[1:]))  # a in the first rows, b in the last
+    np.cumsum(v[:, :, 1:], axis=-1, out=paths[:rows, :, 1:])
+    np.cumsum(v[:, :, :-1], axis=-1, out=paths[rows:, :, 1:])
+    y, d = _kernels._flat_with_differences(paths)
+    y_origin, mu, windows, k2 = _kernels._window_moments(plan, y, d, m)
+    deviations = windows - mu[:, :, None]
+    k1 = 2.0 * (deviations[:rows] * deviations[rows:]).sum(axis=-1) / (m - 1)
+    raw = _kernels._raw_errors(plan, y, y_origin, mu)
+    return raw[:rows], raw[rows:], np.stack((k2[:rows], k1, k2[rows:]), axis=1)
+
+
+def _matching_xi(
+    plan: _Plan,
+    cell: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    theta_grid: np.ndarray,
+    config: SurrogateConfig,
+) -> np.ndarray:
+    """(rows, grid, tau_max) Xi of each corpus of ``_matching_terms`` at every theta.
+
+    A squared normalized error is (r0^2 + theta*2*r0*r1 + theta^2*r1^2) / q(theta),
+    with q the window variance, so one batched matrix product of 1/q, per
+    theta and origin, with those three terms laid out per origin and horizon
+    gives every Xi sum. A record weighs 1 when pooled and 1/n(technology, tau)
+    under equal-technology weighting, and the reduction divides by what
+    ``hindcast._xi`` divides by. An origin whose q vanishes at some theta of
+    the grid drops out at every theta, so every Xi of a corpus averages the
+    same records; with continuous draws that happens only where K = 0.
+    NaN at a horizon without records.
+    """
+    r0, r1, k = terms
+    rows, tau_max = r0.shape[0], config.tau_max
+    powers = theta_grid[:, None] ** np.arange(3)  # 1, theta, theta^2 per grid point
+    q = powers @ k  # (rows, grid, origins)
+    keep = np.all(q > 0.0, axis=1)
+    kept = _kernels._at(keep, plan.record_origin)
+    counts = _cell_counts(cell, (plan.n_series, tau_max), rows, None if keep.all() else kept)
+    if config.weighting == "pooled":
+        weight, n = kept, counts.sum(axis=-2)
+    else:
+        per_record = counts.reshape(rows, -1)[:, cell]
+        weight = np.divide(1.0, per_record, out=np.zeros(kept.shape), where=kept)
+        n = np.count_nonzero(counts, axis=-2)
+    slot = plan.record_origin * (3 * tau_max) + (plan.tau - 1)
+    blocks = np.zeros((rows, plan.origin.size * 3 * tau_max))
+    for power, term in enumerate((r0 * r0, 2.0 * r0 * r1, r1 * r1)):
+        term *= weight
+        for b in range(rows):  # faster than one (rows, records) scatter
+            blocks[b, slot + power * tau_max] = term[b]
+    np.copyto(q, 1.0, where=~keep[:, None])  # dropped origins weigh nothing: any finite q
+    inverse_q = np.reciprocal(q, out=q)
+    s = np.matmul(inverse_q, blocks.reshape(rows, plan.origin.size, 3 * tau_max))
+    sums = (powers[:, None, :] @ s.reshape(rows, theta_grid.size, 3, tau_max))[:, :, 0]
+    with np.errstate(invalid="ignore"):  # 0 / 0 at a horizon without records
+        return sums / n[:, None, :]
+
+
 @dataclass(frozen=True)
 class ThetaMatched:
     """Global theta matched to the observed error growth.
 
     ``z_values[i]`` is the mean over horizons of observed Xi divided by the
-    null-average Xi at theta_grid[i]; the estimate minimizes |Z - 1|.
+    null-average Xi at theta_grid[i]; the estimate minimizes |Z - 1| over the
+    grid. Every Z comes from the same surrogate draws (common random numbers),
+    and ``bracketed`` says whether Z - 1 changes sign over the grid.
     """
 
     theta_m: float
@@ -499,9 +605,16 @@ def estimate_theta_matched(
 ) -> ThetaMatched:
     """Pick theta so surrogate error growth matches the observed curve.
 
-    The curve's weighting and window must match the config's.
+    The curve's weighting and window must match the config's, and the
+    innovations must be normal; the config's own theta is not used.
+    Replication r draws once, from the "theta-match" stream, and its corpus
+    serves every theta of the grid. Z compares the horizons up to tau_max
+    that the longest template series reaches; a ValueError names any of them
+    that only zero-volatility series reach.
     """
     _check_curve(observed_curve, config)
+    if config.student_df is not None:
+        raise ValueError("theta matching needs normal innovations; config.student_df must be None")
     theta_grid = _check_theta_grid(theta_grid)
     max_simulable_tau = int(config.lengths.max()) - config.m - 1
     keep = (observed_curve.taus <= config.tau_max) & (observed_curve.taus <= max_simulable_tau)
@@ -513,12 +626,23 @@ def estimate_theta_matched(
             "reachable by the template series"
         )
 
-    z_values = np.empty(theta_grid.size)
-    for gi, theta in enumerate(theta_grid):
-        cfg = dataclasses.replace(config, theta=float(theta))
-        values = _xi_ensemble(cfg, _stream_tag("theta-match", gi))
-        xi_sim = np.nanmean(values[:, taus - 1], axis=0)  # kept horizons are simulable
-        z_values[gi] = float(np.mean(xi_obs / xi_sim))
+    # the K-scaled draws of the theta = 0 config, whose drift the terms drop
+    base = dataclasses.replace(config, theta=0.0)
+    plan = _build_plan(base.lengths, base.m, base.tau_max)
+    cell = _cells(plan.origin_series[plan.record_origin], plan.tau, base.tau_max)
+    total = np.zeros((theta_grid.size, taus.size))
+    reached = np.zeros(taus.size, dtype=np.int64)  # replications with records at each horizon
+    for _, innovations in _draws(base, plan, _stream_tag("theta-match")):
+        terms = _matching_terms(plan, innovations, base.m)
+        xi = _matching_xi(plan, cell, terms, theta_grid, base)[:, :, taus - 1]
+        total += np.nansum(xi, axis=0)
+        reached += np.count_nonzero(~np.isnan(xi[:, 0]), axis=0)  # same records at every theta
+    if not reached.all():
+        raise ValueError(
+            f"no surrogate records at horizons {taus[reached == 0].tolist()}: only "
+            "zero-volatility template series reach them"
+        )
+    z_values = np.mean(xi_obs / (total / reached), axis=-1)
 
     signs = np.sign(z_values - 1.0)
     bracketed = bool(np.any(signs > 0) and np.any(signs < 0))

@@ -268,8 +268,9 @@ def test_ensemble_rows_equal_one_replication_rows(family):
 class TestStreamTags:
     def test_experiments_own_disjoint_tag_blocks(self):
         blocks = sorted(_STREAM_TAGS.values())
+        assert all(isinstance(size, int) and size >= 1 for _, size in blocks)  # each has a size
         for (first, size), (next_first, _) in zip(blocks, blocks[1:]):
-            assert size is not None and first + size <= next_first
+            assert first + size <= next_first
         assert all(first >= 1 for first, _ in blocks)
 
     def test_index_outside_the_block_rejected(self):
@@ -279,3 +280,5 @@ class TestStreamTags:
             _stream_tag("fat-tails-student", size)
         with pytest.raises(ValueError):
             _stream_tag("theta-match", -1)
+        with pytest.raises(ValueError, match="theta-match"):
+            _stream_tag("theta-match", 1)  # one stream serves the whole grid

@@ -84,6 +84,26 @@ class TestSurrogateConfig:
         assert [type(t[0]) for t in cfg.template] == [int, int]
         assert [s.n_obs for s in surrogate_corpus(cfg, derive_rng(1, 0))] == [20, 2]
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(theta=math.nan), "theta"),
+            (dict(theta=1.0), "theta"),
+            (dict(theta=-1.5), "theta"),
+            (dict(template=((20, math.nan, 0.2), (12, -0.1, 0.2))), "finite mu"),
+            (dict(template=((20, -math.inf, 0.2), (12, -0.1, 0.2))), "finite mu"),
+            (dict(template=((20, -0.1, math.nan), (12, -0.1, 0.2))), "K >= 0"),
+            (dict(template=((20, -0.1, math.inf), (12, -0.1, 0.2))), "K >= 0"),
+            (dict(template=((20, -0.1, -0.2), (12, -0.1, 0.2))), "K >= 0"),
+        ],
+    )
+    def test_theta_and_template_parameters_must_be_finite(self, change, message):
+        # a NaN theta banded all-NaN and a NaN K dropped that series' records
+        ok = dict(replications=1, theta=0.0, m=5, tau_max=20, seed=1, template=SMALL_TEMPLATE)
+        with pytest.raises(ValueError, match=message):
+            SurrogateConfig(**{**ok, **change})
+        SurrogateConfig(**{**ok, "template": ((20, -0.1, 0.0), (12, -0.1, 0.2))})  # K = 0 is legal
+
     def test_template_must_allow_one_hindcast(self):
         # with no series of m + 2 points, the band would be all NaN and the
         # deviation test would reduce an empty array
@@ -424,6 +444,66 @@ class TestThetaMatched:
             )
         assert np.all(np.diff(result.z_values) < 0)
         assert not result.bracketed
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.2, 0.4, 0.6], [0.5, 0.7]])
+    def test_bracketed_agrees_with_z(self, grid):
+        cfg = SurrogateConfig(
+            replications=200, theta=0.0, m=5, tau_max=15, seed=7, template=SMALL_TEMPLATE
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = estimate_theta_matched(_analytic_curve(5, 0.3, 15), cfg, grid)
+        z = result.z_values
+        assert result.bracketed == (bool(np.any(z > 1.0)) and bool(np.any(z < 1.0)))
+        assert result.bracketed == (grid[0] == 0.0)  # the curve's theta, 0.3, lies inside
+        assert any("sign" in str(w.message) for w in caught) != result.bracketed
+        assert result.theta_m == grid[int(np.argmin(np.abs(z - 1.0)))]
+
+    @pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
+    def test_unreachable_horizons_are_left_out_without_warnings(self, weighting):
+        # SMALL_TEMPLATE reaches tau = 14 at most; Z compares horizons 1..14
+        cfg = SurrogateConfig(
+            replications=50, theta=0.0, m=5, tau_max=20, seed=7, template=SMALL_TEMPLATE,
+            weighting=weighting,
+        )
+        curve = dataclasses.replace(_analytic_curve(5, 0.3, 20), weighting=weighting)
+        short = dataclasses.replace(_analytic_curve(5, 0.3, 14), weighting=weighting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)
+            result = estimate_theta_matched(curve, cfg, [0.0, 0.3, 0.6])
+            expected = estimate_theta_matched(short, cfg, [0.0, 0.3, 0.6])
+        assert np.all(np.isfinite(result.z_values))
+        np.testing.assert_array_equal(result.z_values, expected.z_values)
+
+    @pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
+    def test_zero_volatility_series_adds_no_records(self, weighting):
+        # appended last, a K = 0 series leaves the other series' draws as they were
+        ok = dict(replications=50, theta=0.0, m=5, tau_max=14, seed=7, weighting=weighting)
+        curve = dataclasses.replace(_analytic_curve(5, 0.3, 14), weighting=weighting)
+        z = [
+            estimate_theta_matched(
+                curve, SurrogateConfig(**ok, template=template), [0.0, 0.3, 0.6]
+            ).z_values
+            for template in (SMALL_TEMPLATE, SMALL_TEMPLATE + ((20, -0.08, 0.0),))
+        ]
+        np.testing.assert_allclose(z[1], z[0], rtol=1e-12)
+
+    def test_horizons_only_zero_volatility_series_reach_raise(self):
+        cfg = SurrogateConfig(
+            replications=10, theta=0.0, m=5, tau_max=10, seed=7,
+            template=((12, -0.08, 0.06), (30, -0.08, 0.0)),
+        )
+        with pytest.raises(ValueError, match=r"horizons \[7, 8, 9, 10\].*zero-volatility"):
+            estimate_theta_matched(_analytic_curve(5, 0.3, 10), cfg, [0.0, 0.3])
+
+    def test_student_innovations_rejected(self):
+        cfg = SurrogateConfig(
+            replications=10, theta=0.0, m=5, tau_max=10, seed=1, template=SMALL_TEMPLATE,
+            student_df=3.0,
+        )
+        with pytest.raises(ValueError, match="normal innovations"):
+            estimate_theta_matched(_analytic_curve(5, 0.0, 10), cfg, [0.0, 0.2])
 
     def test_grid_validation(self):
         cfg = SurrogateConfig(
