@@ -5,9 +5,9 @@ Times the hot paths on representative workloads:
 
 * per-series exhaustive hindcast, ``hindcast_errors`` (one long series, many
   origins);
-* surrogate replication (simulate a 53-series corpus profile and hindcast
-  it) through ``corpus_norm_errors``, one replication per call, which builds
-  the corpus's index plan on every call;
+* surrogate replication (simulate the unit, drift-free walks of a 53-series
+  corpus profile and hindcast them) through ``corpus_norm_errors``, one
+  replication per call, which builds the corpus's index plan on every call;
 * the same replication through the batched surrogate engine that every
   Monte Carlo experiment at one theta runs on: the same plan and window
   helper, the plan built once per experiment and several replications per
@@ -68,14 +68,11 @@ def bench_hindcast(y, m, tau_max, loops=200):
     return _time(run) / loops
 
 
-def bench_surrogate(lengths, drifts, vols, theta, m, tau_max, reps):
-    sigma = vols / np.sqrt(1 + theta * theta)
-
+def bench_surrogate(lengths, theta, m, tau_max, reps):
     def run():
         for rep in range(reps):
-            rng = derive_rng(42, rep)
-            v = np.concatenate([s * rng.standard_normal(n) for n, s in zip(lengths, sigma)])
-            _kernels.corpus_norm_errors(lengths, drifts, theta, v, m, tau_max)
+            w = derive_rng(42, rep).standard_normal(int(lengths.sum()))
+            _kernels.corpus_norm_errors(lengths, theta, w, m, tau_max)
 
     return _time(run, repeat=3) / reps
 
@@ -110,12 +107,12 @@ def bench_xi_pass(template, theta, m, tau_max, loops=200):
         )
         plan = _kernels._build_plan(config.lengths, m, tau_max)
         rngs = [derive_rng(42, 1, rep) for rep in range(plan.chunk)]
-        norm, keep = _simulate(config, plan, np.array([_innovations(config, r) for r in rngs]))
+        norm = _simulate(config, plan, np.array([_innovations(config, r) for r in rngs]))
         cell = _cells(plan.origin_series[plan.record_origin], plan.tau, tau_max)
 
         def run():
             for _ in range(loops):
-                _xi_rows(norm, keep, cell, config)
+                _xi_rows(norm, cell, config)
 
         times[weighting] = _time(run) / loops
     return plan.chunk, times
@@ -147,11 +144,9 @@ def main():
 
     template = corpus_template(load_reference_params(improving_only=True))
     lengths = np.array([t[0] for t in template], dtype=np.int64)
-    drifts = np.array([t[1] for t in template])
-    vols = np.array([t[2] for t in template])
 
     t_hind = bench_hindcast(y, 5, 20)
-    t_surr = bench_surrogate(lengths, drifts, vols, 0.63, 5, 20, args.reps)
+    t_surr = bench_surrogate(lengths, 0.63, 5, 20, args.reps)
     t_engine = bench_engine(template, 0.63, 5, 20, args.reps)
 
     print(f"{'':<19} {'hindcast T=100,m=5':>22} {'surrogate 53-series rep':>26}")

@@ -122,8 +122,9 @@ class _Plan:
     A pass lays series j out in row j of a (series, width) array padded to
     the longest series, for the levels y and the first differences d alike;
     every index is a flat position in that layout. Origins are the feasible
-    forecast origins i = m..T-2 of every series with T >= m + 2; records are
-    ordered by series, origin and horizon, as in ``hindcast_errors``.
+    forecast origins i = m..T-2 of every series with T >= m + 2, or only of
+    the series that ``_build_plan``'s optional ``hindcast`` mask marks; records
+    are ordered by series, origin and horizon, as in ``hindcast_errors``.
     """
 
     n_series: int
@@ -139,12 +140,14 @@ class _Plan:
     chunk: int  # replications per array pass
 
 
-def _build_plan(lengths, m: int, tau_max: int) -> _Plan:
+def _build_plan(lengths, m: int, tau_max: int, hindcast=None) -> _Plan:
     lengths = np.asarray(lengths, dtype=np.int64)
     width = int(lengths.max(initial=0))
     series = np.arange(lengths.size, dtype=np.int64)
     draws = np.repeat(series * width, lengths) + _ranges(lengths)
     n_origins = np.maximum(lengths - 1 - m, 0)
+    if hindcast is not None:
+        n_origins[~np.asarray(hindcast, dtype=bool)] = 0
     origin_series = np.repeat(series, n_origins)
     origin_at = _ranges(n_origins) + m
     origin = origin_series * width + origin_at
@@ -185,11 +188,12 @@ def _flat_with_differences(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y.reshape(rows, -1), d.reshape(rows, -1)
 
 
-def _levels(drifts: np.ndarray, theta: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat levels and differences of the random walks that ``corpus_norm_errors``
-    describes, from laid-out innovations v, one corpus per row."""
+def _levels(theta: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat levels and differences of the drift-free walks
+    y[t] = y[t-1] + v[t] + theta*v[t-1], y[0] = 0, from laid-out innovations
+    v, one corpus per row."""
     y = np.zeros_like(v)
-    y[:, :, 1:] = np.cumsum((drifts[:, None] + v[:, :, 1:]) + theta * v[:, :, :-1], axis=-1)
+    y[:, :, 1:] = np.cumsum(v[:, :, 1:] + theta * v[:, :, :-1], axis=-1)
     return _flat_with_differences(y)
 
 
@@ -236,28 +240,25 @@ def _window_errors(
     return norm, (None if keep.all() else keep[:, o])
 
 
-def corpus_norm_errors(lengths, drifts, theta, innovations, m, tau_max):
-    """Simulate one corpus of correlated random walks and hindcast it.
+def corpus_norm_errors(lengths, theta, innovations, m, tau_max):
+    """Simulate one corpus of drift-free correlated random walks and hindcast it.
 
-    ``innovations`` holds one block of T_j pre-scaled noise values v per
-    series, concatenated in template order. Series j is built as y[0] = 0,
-    y[t] = y[t-1] + drifts[j] + v[t] + theta*v[t-1].
+    ``innovations`` holds one block of T_j noise values v per series,
+    concatenated in template order. Series j is built as y[0] = 0,
+    y[t] = y[t-1] + v[t] + theta*v[t-1].
 
     Returns (series_idx, tau, norm, n_skipped), records ordered by series,
     origin and horizon; n_skipped counts zero-variance windows.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    drifts = np.asarray(drifts, dtype=np.float64)
     innovations = np.ascontiguousarray(innovations, dtype=np.float64)
-    if lengths.size != drifts.size:
-        raise ValueError("lengths and drifts must have the same size")
     if int(lengths.sum()) != innovations.size:
         raise ValueError("innovations length must equal sum(lengths)")
     m, tau_max = _check_window(m, tau_max)
 
     plan = _build_plan(lengths, m, tau_max)
     v = _layout(plan, innovations[None])
-    norm, keep = _window_errors(plan, *_levels(drifts, theta, v), m)
+    norm, keep = _window_errors(plan, *_levels(theta, v), m)
     keep = np.ones(plan.tau.size, dtype=bool) if keep is None else keep[0]
     n_skipped = int(np.count_nonzero(~keep[plan.tau == 1]))  # one horizon-1 record per origin
     series_idx = plan.origin_series[plan.record_origin]

@@ -103,13 +103,20 @@ def _load_corpus(args: argparse.Namespace):
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    """The points of np.arange(start, stop + step/2, step), each rounded to the
+    fewest decimal places that hold start, stop and step, so that a point is
+    the float nearest its decimal value (0.15, not 0.15000000000000002)."""
     try:
-        start, stop, step = (float(part) for part in text.split(":"))
+        start, stop, step = values = [float(part) for part in text.split(":")]
     except ValueError:
         raise ValueError(f"grid must be 'start:stop:step', got {text!r}") from None
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, values)) or step <= 0 or stop < start:
         raise ValueError(f"bad grid {text!r}")
-    return np.arange(start, stop + step / 2, step)
+    # at most 15 places: rounding scales a point |x| < 9 to an integer below 2^53
+    d = next((d for d in range(16) if np.all(np.round(values, d) == values)), None)
+    if d is None:
+        raise ValueError(f"grid {text!r} needs more than 15 decimal places")
+    return np.round(np.arange(start, stop + step / 2, step), d)
 
 
 def cmd_describe(args: argparse.Namespace) -> int:
@@ -171,8 +178,10 @@ def cmd_hindcast(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     out = _prepare_out(args, "validate")
-    if args.reps < 1:
-        raise ValueError(f"--reps must be >= 1, got {args.reps}")
+    deviation_reps = args.reps if args.deviation_reps is None else args.deviation_reps
+    for flag, reps in (("--reps", args.reps), ("--deviation-reps", deviation_reps)):
+        if reps < 1:
+            raise ValueError(f"{flag} must be >= 1, got {reps}")
     corpus = _load_corpus(args)
     improving, _ = select_improving(corpus, alpha=args.alpha)
     if not improving:
@@ -225,7 +234,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "replications": args.reps,
     }
 
-    dev_cfg = dataclasses.replace(config, replications=args.deviation_reps or args.reps)
+    dev_cfg = dataclasses.replace(config, replications=deviation_reps)
     dev = distribution_deviation_test(result.records, theta, dev_cfg)
     report["deviation_test"] = {
         "statistics": list(dev.statistic_names),

@@ -10,21 +10,27 @@ deviation measures), which is the only honest way to test them: hindcast
 errors overlap in time, so their correlation structure defeats textbook
 sampling theory.
 
+A normalized error depends on neither drift nor volatility, so the nulls
+simulate, from one vector w of unit innovations per replication, the
+drift-free walks y[t] = y[t-1] + w[t] + theta*w[t-1] of the template lengths.
+A K = 0 series, whose windows all have zero variance, draws its block of w
+but gets no forecast origins. ``surrogate_corpus`` keeps drifts and scales.
+
 Every experiment at one theta runs on one numpy engine, which simulates a
 chunk of replications and hindcasts them as (replications, records) arrays
 through the static index plan and the window helper of ``_kernels``, the same
 path ``_kernels.corpus_norm_errors`` takes on one corpus. Each experiment
 builds its own plan: a plan costs far less than one pass, so none is cached.
 Each replication's errors are bit-identical to the per-series kernel
-``_kernels.hindcast_errors`` run on that replication's simulated series. The
+``_kernels.hindcast_errors`` run on that replication's walks. The
 statistics of a replication come from the same code as the observed ones: the
 Xi cell sums and their reduction, and the eps* divisor, are ``hindcast``'s,
 so the observed corpus and its nulls share one implementation of each
 statistic.
 
 Theta matching needs the null at every theta of a grid, and takes a second
-path over the same plan and window moments: common random numbers. Drift and
-scale cancel in a normalized error, so one draw per replication gives the
+path over the same plan, draws and window moments: common random numbers.
+The walk is linear in theta, so one draw per replication gives the
 normalized error of every record as a closed-form function of theta (see
 ``_matching_terms``), and one batched matrix product per pass gives Xi at
 every theta of the grid (``_matching_xi``). Every Z(theta) then averages the
@@ -39,7 +45,6 @@ so results are bit-identical however many replications share an array pass.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import warnings
@@ -112,14 +117,16 @@ def _stream_tag(experiment: str, index: int = 0) -> int:
 class SurrogateConfig:
     """Recipe for one surrogate experiment.
 
-    ``template`` holds one (n_obs, mu, K) triple per technology; simulated
-    series match those lengths and parameters, with innovation standard
-    deviation sigma = K/sqrt(1+theta^2) so the increment variance equals
-    K^2. Innovations are normal when ``student_df`` is None; otherwise they
-    are Student t with that many degrees of freedom (more than 2), rescaled
-    to the same variance, which models fat-tailed shocks for the robustness
-    check and is defined only for theta = 0 (plain random walk). At least
-    one template series must have the m + 2 points a hindcast needs.
+    ``template`` holds one (n_obs, mu, K) triple per technology. Innovations
+    are normal when ``student_df`` is None; otherwise they are Student t with
+    that many degrees of freedom (more than 2), which models fat-tailed
+    shocks for the robustness check and is defined only for theta = 0 (plain
+    random walk). ``surrogate_corpus`` matches the lengths and parameters,
+    with innovation standard deviation sigma = K/sqrt(1+theta^2) so the
+    increment variance equals K^2 (Student draws rescaled to the same
+    variance). Of the template, the nulls read only the lengths and which K
+    are 0 (see the module docstring). At least one template series must have the m + 2
+    points a hindcast needs.
     ``replications``, ``m``, ``tau_max`` and the template lengths must be
     whole numbers and are stored as ints; every length must be at least 2.
     theta must lie strictly inside (-1, 1), and every mu and K must be finite
@@ -173,22 +180,8 @@ class SurrogateConfig:
         return _read_only(np.array([t[0] for t in self.template], dtype=np.int64))
 
     @functools.cached_property
-    def drifts(self) -> np.ndarray:
-        return _read_only(np.array([t[1] for t in self.template], dtype=np.float64))
-
-    @functools.cached_property
     def volatilities(self) -> np.ndarray:
         return _read_only(np.array([t[2] for t in self.template], dtype=np.float64))
-
-    @functools.cached_property
-    def _draw_scales(self) -> np.ndarray:
-        """Scale of each innovation draw, series after series in template order."""
-        if self.student_df is None:
-            scale = 1.0 / math.sqrt(1.0 + self.theta * self.theta)
-        else:
-            df = float(self.student_df)
-            scale = math.sqrt((df - 2.0) / df)
-        return _read_only(np.repeat(self.volatilities * scale, self.lengths))
 
 
 @dataclass
@@ -240,20 +233,27 @@ class NullEnsemble:
 
 
 def _innovations(config: SurrogateConfig, rng: np.random.Generator) -> np.ndarray:
-    """Pre-scaled innovations of one corpus, series after series.
+    """Unit innovations of one corpus, series after series: standard normal,
+    or Student t with ``student_df`` degrees of freedom, unscaled.
 
     One draw call per corpus gives the same bits as one call per series,
     because the generator consumes its stream value by value.
     """
-    n = config._draw_scales.size
+    n = int(config.lengths.sum())
     if config.student_df is None:
-        return config._draw_scales * rng.standard_normal(n)
-    return config._draw_scales * rng.standard_t(float(config.student_df), n)
+        return rng.standard_normal(n)
+    return rng.standard_t(float(config.student_df), n)
 
 
 def surrogate_corpus(config: SurrogateConfig, rng: np.random.Generator) -> list[TechnologySeries]:
     """One simulated corpus matching the template lengths and parameters."""
-    blocks = np.split(_innovations(config, rng), np.cumsum(config.lengths)[:-1])
+    if config.student_df is None:
+        scale = 1.0 / math.sqrt(1.0 + config.theta * config.theta)
+    else:
+        df = float(config.student_df)
+        scale = math.sqrt((df - 2.0) / df)
+    sigma = np.repeat(config.volatilities * scale, config.lengths)
+    blocks = np.split(sigma * _innovations(config, rng), np.cumsum(config.lengths)[:-1])
     width = max(3, len(str(len(blocks) - 1)))  # names sort in template order
     corpus = []
     for j, ((n_obs, mu, _), v) in enumerate(zip(config.template, blocks)):
@@ -269,34 +269,38 @@ def surrogate_corpus(config: SurrogateConfig, rng: np.random.Generator) -> list[
     return corpus
 
 
-def _simulate(
-    config: SurrogateConfig, plan: _Plan, innovations: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Normalized hindcast errors of one simulated corpus per row of innovations.
+def _engine_plan(config: SurrogateConfig) -> _Plan:
+    """The plan of the config's walks, where K = 0 series get no origins."""
+    plan = _build_plan(config.lengths, config.m, config.tau_max, config.volatilities > 0.0)
+    if plan.tau.size == 0:
+        raise ValueError("no surrogate records: every series long enough for a window has K = 0")
+    return plan
 
-    Returns ``_kernels._window_errors``' (rows, records) errors and keep mask.
-    Row b is bit-identical to ``_kernels.hindcast_errors`` on each series
-    that ``surrogate_corpus`` builds from the innovations in row b.
+
+def _simulate(config: SurrogateConfig, plan: _Plan, innovations: np.ndarray) -> np.ndarray:
+    """(rows, records) normalized hindcast errors of one corpus of walks per
+    row of unit innovations.
+
+    Row b is bit-identical to ``_kernels.hindcast_errors`` on each walk built
+    from the innovations in row b. No window of a walk of continuous draws
+    has zero variance, so every record of the plan is kept.
     """
     # v is held until the errors exist (see _kernels._CHUNK_ELEMENTS)
     v = _kernels._layout(plan, innovations)
-    y, d = _kernels._levels(config.drifts, config.theta, v)
-    return _kernels._window_errors(plan, y, d, config.m)
+    y, d = _kernels._levels(config.theta, v)
+    return _kernels._window_errors(plan, y, d, config.m)[0]
 
 
 def _replication_errors(
     config: SurrogateConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(series_idx, tau, norm_error) of one simulated corpus, in kernel order."""
-    v = _innovations(config, rng)
-    return _kernels.corpus_norm_errors(
-        config.lengths, config.drifts, config.theta, v, config.m, config.tau_max
-    )[:3]
+    """(series_idx, tau, norm_error) of one replication, in plan order."""
+    plan = _engine_plan(config)
+    norm = _simulate(config, plan, _innovations(config, rng)[None])
+    return plan.origin_series[plan.record_origin], plan.tau, norm[0]
 
 
-def _xi_rows(
-    norm: np.ndarray, keep: np.ndarray | None, cell: np.ndarray, config: SurrogateConfig
-) -> np.ndarray:
+def _xi_rows(norm: np.ndarray, cell: np.ndarray, config: SurrogateConfig) -> np.ndarray:
     """Per-horizon Xi of each row of ``norm`` (NaN where a row has no records).
 
     ``cell`` places each record in the (series, horizon) grid (``hindcast._cells``).
@@ -304,20 +308,20 @@ def _xi_rows(
     bit-identical to the observed curve of that replication's corpus.
     """
     shape = (len(config.template), config.tau_max)
-    return _xi(*_cell_sums(norm, cell, shape, keep), config.weighting)
+    return _xi(*_cell_sums(norm, cell, shape), config.weighting)
 
 
 def _xi_from_errors(
     series_idx: np.ndarray, tau: np.ndarray, norm: np.ndarray, config: SurrogateConfig
 ) -> np.ndarray:
     """Per-horizon Xi of one replication (length tau_max, NaN where no records)."""
-    return _xi_rows(norm[None, :], None, _cells(series_idx, tau, config.tau_max), config)[0]
+    return _xi_rows(norm[None, :], _cells(series_idx, tau, config.tau_max), config)[0]
 
 
 def _draws(
     config: SurrogateConfig, plan: _Plan, tag: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """The replications of each array pass and their innovations, one row each.
+    """The replications of each array pass and their unit innovations, one row each.
 
     Replication r draws from stream (seed, tag, r), so what a replication
     draws does not depend on how many replications share a pass.
@@ -333,25 +337,23 @@ def _run(
     plan: _Plan,
     tag: int,
     width: int,
-    rows_of: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
+    rows_of: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """(replications, width) matrix of a statistic of each replication.
 
-    ``rows_of`` reduces one pass's (norm, keep) to its rows.
+    ``rows_of`` reduces one pass's normalized errors to its rows.
     """
     out = np.empty((config.replications, width))
     for reps, innovations in _draws(config, plan, tag):
-        out[reps] = rows_of(*_simulate(config, plan, innovations))
+        out[reps] = rows_of(_simulate(config, plan, innovations))
     return out
 
 
 def _xi_ensemble(config: SurrogateConfig, tag: int) -> np.ndarray:
     """(replications, tau_max) Xi curves of the surrogate null."""
-    plan = _build_plan(config.lengths, config.m, config.tau_max)
+    plan = _engine_plan(config)
     cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
-    return _run(
-        config, plan, tag, config.tau_max, lambda norm, keep: _xi_rows(norm, keep, cell, config)
-    )
+    return _run(config, plan, tag, config.tau_max, lambda norm: _xi_rows(norm, cell, config))
 
 
 def _check_curve(curve: ErrorGrowthCurve, config: SurrogateConfig) -> None:
@@ -441,14 +443,11 @@ def distribution_deviation_test(
     pooled = pooled_rescaled_distribution(records[records.tau <= config.tau_max], theta)
     t_cdf_grid = np.array([student_t_cdf(x, config.m - 1) for x in DEVIATION_GRID])
     observed = _deviation_stats(pooled.values, t_cdf_grid)
-    plan = _build_plan(config.lengths, config.m, config.tau_max)
+    plan = _engine_plan(config)
     record_rescale = _rescale_divisors(range(1, config.tau_max + 1), config.m, theta)[plan.tau - 1]
 
-    def rows_of(norm: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
-        eps = norm / record_rescale
-        if keep is not None:
-            return np.array([_deviation_stats(e[k], t_cdf_grid) for e, k in zip(eps, keep)])
-        return np.array([_deviation_stats(e, t_cdf_grid) for e in eps])
+    def rows_of(norm: np.ndarray) -> np.ndarray:
+        return np.array([_deviation_stats(e, t_cdf_grid) for e in norm / record_rescale])
 
     values = _run(config, plan, _stream_tag("deviation"), 3, rows_of)
     null = NullEnsemble(statistic="ecdf-deviation", values=values, observed=observed)
@@ -510,11 +509,9 @@ def _matching_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Theta-free terms of the normalized errors of one pass's corpora.
 
-    Row b of ``innovations`` holds one corpus's innovations w: standard
-    normal draws times each series' K. Drift and scale cancel in a normalized
-    error, so the corpus at any theta may take the levels y = a + theta*b,
-    with the level paths a[t] = w[1] + ... + w[t] and
-    b[t] = w[0] + ... + w[t-1]. Returns the raw
+    Row b of ``innovations`` holds one corpus's unit innovations w. The
+    walks at any theta are y = a + theta*b, with the level paths
+    a[t] = w[1] + ... + w[t] and b[t] = w[0] + ... + w[t-1]. Returns the raw
     errors r0 and r1 of a and b at each record, (rows, records), and the
     window moments (k0, k1, k2) at each origin, (rows, 3, origins), so that a
     record's normalized error at theta is
@@ -550,36 +547,27 @@ def _matching_xi(
     theta and origin, with those three terms laid out per origin and horizon
     gives every Xi sum. A record weighs 1 when pooled and 1/n(technology, tau)
     under equal-technology weighting, and the reduction divides by what
-    ``hindcast._xi`` divides by. An origin whose q vanishes at some theta of
-    the grid drops out at every theta, so every Xi of a corpus averages the
-    same records; with continuous draws that happens only where K = 0.
-    NaN at a horizon without records.
+    ``hindcast._xi`` divides by. NaN at a horizon without records.
     """
     r0, r1, k = terms
     rows, tau_max = r0.shape[0], config.tau_max
     powers = theta_grid[:, None] ** np.arange(3)  # 1, theta, theta^2 per grid point
-    q = powers @ k  # (rows, grid, origins)
-    keep = np.all(q > 0.0, axis=1)
-    kept = _kernels._at(keep, plan.record_origin)
-    counts = _cell_counts(cell, (plan.n_series, tau_max), rows, None if keep.all() else kept)
+    counts = _cell_counts(cell, (plan.n_series, tau_max), 1)[0]
     if config.weighting == "pooled":
-        weight, n = kept, counts.sum(axis=-2)
+        weight, n = 1.0, counts.sum(axis=0)
     else:
-        per_record = counts.reshape(rows, -1)[:, cell]
-        weight = np.divide(1.0, per_record, out=np.zeros(kept.shape), where=kept)
-        n = np.count_nonzero(counts, axis=-2)
+        weight, n = 1.0 / counts.ravel()[cell], np.count_nonzero(counts, axis=0)
     slot = plan.record_origin * (3 * tau_max) + (plan.tau - 1)
     blocks = np.zeros((rows, plan.origin.size * 3 * tau_max))
     for power, term in enumerate((r0 * r0, 2.0 * r0 * r1, r1 * r1)):
         term *= weight
         for b in range(rows):  # faster than one (rows, records) scatter
             blocks[b, slot + power * tau_max] = term[b]
-    np.copyto(q, 1.0, where=~keep[:, None])  # dropped origins weigh nothing: any finite q
-    inverse_q = np.reciprocal(q, out=q)
+    inverse_q = np.reciprocal(powers @ k)  # (rows, grid, origins)
     s = np.matmul(inverse_q, blocks.reshape(rows, plan.origin.size, 3 * tau_max))
     sums = (powers[:, None, :] @ s.reshape(rows, theta_grid.size, 3, tau_max))[:, :, 0]
     with np.errstate(invalid="ignore"):  # 0 / 0 at a horizon without records
-        return sums / n[:, None, :]
+        return sums / n
 
 
 @dataclass(frozen=True)
@@ -607,8 +595,8 @@ def estimate_theta_matched(
 
     The curve's weighting and window must match the config's, and the
     innovations must be normal; the config's own theta is not used.
-    Replication r draws once, from the "theta-match" stream, and its corpus
-    serves every theta of the grid. Z compares the horizons up to tau_max
+    Replication r draws once, from the "theta-match" stream, and its walks
+    serve every theta of the grid. Z compares the horizons up to tau_max
     that the longest template series reaches; a ValueError names any of them
     that only zero-volatility series reach.
     """
@@ -626,23 +614,19 @@ def estimate_theta_matched(
             "reachable by the template series"
         )
 
-    # the K-scaled draws of the theta = 0 config, whose drift the terms drop
-    base = dataclasses.replace(config, theta=0.0)
-    plan = _build_plan(base.lengths, base.m, base.tau_max)
-    cell = _cells(plan.origin_series[plan.record_origin], plan.tau, base.tau_max)
-    total = np.zeros((theta_grid.size, taus.size))
-    reached = np.zeros(taus.size, dtype=np.int64)  # replications with records at each horizon
-    for _, innovations in _draws(base, plan, _stream_tag("theta-match")):
-        terms = _matching_terms(plan, innovations, base.m)
-        xi = _matching_xi(plan, cell, terms, theta_grid, base)[:, :, taus - 1]
-        total += np.nansum(xi, axis=0)
-        reached += np.count_nonzero(~np.isnan(xi[:, 0]), axis=0)  # same records at every theta
-    if not reached.all():
+    plan = _engine_plan(config)
+    unreached = taus[~np.isin(taus, plan.tau)]
+    if unreached.size:
         raise ValueError(
-            f"no surrogate records at horizons {taus[reached == 0].tolist()}: only "
+            f"no surrogate records at horizons {unreached.tolist()}: only "
             "zero-volatility template series reach them"
         )
-    z_values = np.mean(xi_obs / (total / reached), axis=-1)
+    cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
+    total = np.zeros((theta_grid.size, taus.size))
+    for _, innovations in _draws(config, plan, _stream_tag("theta-match")):
+        terms = _matching_terms(plan, innovations, config.m)
+        total += _matching_xi(plan, cell, terms, theta_grid, config)[:, :, taus - 1].sum(axis=0)
+    z_values = np.mean(xi_obs / (total / config.replications), axis=-1)
 
     signs = np.sign(z_values - 1.0)
     bracketed = bool(np.any(signs > 0) and np.any(signs < 0))

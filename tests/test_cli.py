@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from costwalk.cli import main
+from costwalk.cli import _parse_grid, main
 
 
 def _read_csv(path):
@@ -126,6 +126,15 @@ class TestValidate:
             ["validate", "--input", str(corpus_csv), "--out", str(tmp_path / "o"), "--reps", "0"]
         ) == 2
 
+    @pytest.mark.parametrize("flags", [("--deviation-reps", "0"), ("--deviation-reps", "-3")])
+    def test_nonpositive_deviation_reps_exit_2(self, corpus_csv, tmp_path, capsys, flags):
+        # 0 used to fall back to --reps and run 40 replications
+        assert main(
+            ["validate", "--input", str(corpus_csv), "--out", str(tmp_path / "o"),
+             "--reps", "40", "--tau-max", "6", *flags]
+        ) == 2
+        assert "--deviation-reps must be >= 1" in capsys.readouterr().err
+
     def test_theta_from_weighted(self, corpus_csv, tmp_path):
         out = tmp_path / "w"
         assert main(
@@ -146,6 +155,37 @@ class TestValidate:
         report = json.loads((out / "validate.json").read_text())
         assert report["theta_source"] == "matched"
         assert report["theta_matched"]["theta_m"] in (0.0, 0.2, 0.4)
+
+    def test_grid_points_are_the_typed_decimals(self, corpus_csv, tmp_path):
+        # np.arange gave 0.15000000000000002 here, and the band ran at that theta
+        out = tmp_path / "g"
+        assert main(
+            ["validate", "--input", str(corpus_csv), "--out", str(out), "--reps", "20",
+             "--theta-from", "matched", "--grid", "0.05:0.15:0.05", "--grid-reps", "20",
+             "--tau-max", "6", "--seed", "3"]
+        ) == 0
+        report = json.loads((out / "validate.json").read_text())
+        assert report["theta_matched"]["grid"] == [0.05, 0.1, 0.15]
+        assert report["theta"] in (0.05, 0.1, 0.15)
+
+    @pytest.mark.parametrize(
+        "grid, points",
+        [
+            ("0:0.9:0.05", [float(f"{0.05 * k:.2f}") for k in range(19)]),
+            ("0:0.24:0.1", [0.0, 0.1, 0.2]),  # 0.3 is more than half a step past stop
+            ("0:0.26:0.1", [0.0, 0.1, 0.2, 0.3]),  # and here less
+            ("0.3:0.3:0.1", [0.3]),
+        ],
+    )
+    def test_parse_grid(self, grid, points):
+        assert _parse_grid(grid).tolist() == points
+
+    @pytest.mark.parametrize(
+        "grid", ["0:0.9", "a:b:c", "0:nan:0.1", "0:0.9:0", "0.5:0.1:0.1", "0:0.9:1e-16"]
+    )
+    def test_bad_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            _parse_grid(grid)
 
 
 class TestForecast:

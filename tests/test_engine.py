@@ -1,13 +1,14 @@
 """The batched surrogate engine against the per-series reference, as properties.
 
-The engine simulates and hindcasts several replications per array pass. Its
-arithmetic follows the per-series kernel ``_kernels.hindcast_errors`` step
-for step, so every property here is bit-exact: normalized errors compare as
-bytes, not within a tolerance.
+The engine simulates and hindcasts several replications per array pass: the
+unit, drift-free walks of the template lengths, with no origins in a K = 0
+series. Its arithmetic follows the per-series kernel
+``_kernels.hindcast_errors`` step for step, so every property here is
+bit-exact: normalized errors compare as bytes, not within a tolerance.
 """
 
 import dataclasses
-import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,16 +20,21 @@ from costwalk import (
     corpus_template,
     distribution_deviation_test,
     error_growth,
+    estimate_theta_matched,
     hindcast_corpus,
     load_reference_params,
+    null_xi_band,
     surrogate_corpus,
 )
 from costwalk import _kernels
 from costwalk.hindcast import _cells
+from costwalk.series import TechnologySeries
 from costwalk.stats import derive_rng
 from costwalk.surrogate import (
     _STREAM_TAGS,
     _build_plan,
+    _engine_plan,
+    _fat_tails,
     _innovations,
     _replication_errors,
     _simulate,
@@ -47,15 +53,15 @@ VOLATILITIES = (min(t[2] for t in REFERENCE_TEMPLATE), max(t[2] for t in REFEREN
 @st.composite
 def configs(draw):
     """Small random templates, including series too short for one window and
-    mu = K = 0 series, whose windows all have exactly zero variance."""
+    mu = K = 0 series, which the engine does not hindcast."""
     m = draw(st.integers(4, 10))
     n_series = draw(st.integers(1, 6))
     lengths = draw(st.lists(st.integers(2, 3 * m + 6), min_size=n_series, max_size=n_series))
     longest = draw(st.integers(0, n_series - 1))
     lengths[longest] = max(lengths[longest], m + 2)  # one series can be hindcast
     template = []
-    for T in lengths:
-        if draw(st.integers(0, 4)) == 0:
+    for j, T in enumerate(lengths):
+        if j != longest and draw(st.integers(0, 4)) == 0:
             template.append((T, 0.0, 0.0))
         else:
             template.append((T, draw(st.floats(-0.5, 0.5)), draw(st.floats(0.001, 0.5))))
@@ -75,24 +81,39 @@ def configs(draw):
 def _per_series_innovations(config, rng):
     """One draw call per series: the reference for the engine's single draw."""
     if config.student_df is None:
-        scale = 1.0 / math.sqrt(1.0 + config.theta * config.theta)
-        blocks = [k * scale * rng.standard_normal(n) for n, _, k in config.template]
+        blocks = [rng.standard_normal(n) for n in config.lengths]
     else:
-        df = float(config.student_df)
-        scale = math.sqrt((df - 2.0) / df)
-        blocks = [k * scale * rng.standard_t(df, n) for n, _, k in config.template]
+        blocks = [rng.standard_t(float(config.student_df), n) for n in config.lengths]
     return np.concatenate(blocks)
+
+
+def _unit_walks(config, innovations):
+    """Each series' drift-free walk y[t] = y[t-1] + w[t] + theta*w[t-1] from
+    its block of unit innovations, built as the engine builds it."""
+    blocks = np.split(innovations, np.cumsum(config.lengths)[:-1])
+    return [np.concatenate(([0.0], np.cumsum(w[1:] + config.theta * w[:-1]))) for w in blocks]
+
+
+def _name(config, j):
+    """The name ``surrogate_corpus`` gives series j."""
+    return f"surrogate-{j:0{max(3, len(str(len(config.template) - 1)))}d}"
+
+
+def _unit_corpus(config, innovations):
+    """The walks of the series with K > 0, named as ``surrogate_corpus`` names them."""
+    walks = _unit_walks(config, innovations)
+    return [
+        TechnologySeries(_name(config, j), np.arange(1, y.size + 1), y)
+        for j, y in enumerate(walks)
+        if config.volatilities[j] > 0.0
+    ]
 
 
 def _per_series_reference(config, innovations):
     """(series_idx, tau, norm, n_skipped) from one ``hindcast_errors`` call per
-    series, each built from its block of innovations as the engine builds it."""
+    walk of ``_unit_walks``, K = 0 series included."""
     series_idx, taus, norms, n_skipped = [], [], [], 0
-    offset = 0
-    for j, (T, mu, _) in enumerate(config.template):
-        v = innovations[offset : offset + T]
-        offset += T
-        y = np.concatenate(([0.0], np.cumsum((mu + v[1:]) + config.theta * v[:-1])))
+    for j, y in enumerate(_unit_walks(config, innovations)):
         _, tau, _, norm, _, _, skipped = _kernels.hindcast_errors(y, config.m, config.tau_max)
         series_idx.append(np.full(tau.size, j, dtype=np.int64))
         taus.append(tau)
@@ -109,7 +130,7 @@ def _assert_bytes_equal(actual, expected):
 
 @PROPERTY
 @given(configs(), st.integers(0, 10**6))
-@example(  # every window of a mu = K = 0 series is skipped; the 5-point series is too short
+@example(  # the mu = K = 0 series get no records; the 5-point series is too short
     SurrogateConfig(
         replications=1,
         theta=0.3,
@@ -125,10 +146,11 @@ def test_engine_matches_per_series_kernel(config, rep):
     reference = _per_series_reference(config, innovations)
     engine = _replication_errors(config, derive_rng(config.seed, rep))
     corpus = _kernels.corpus_norm_errors(
-        config.lengths, config.drifts, config.theta, innovations, config.m, config.tau_max
+        config.lengths, config.theta, innovations, config.m, config.tau_max
     )
+    volatile = config.volatilities[reference[0]] > 0.0
     for actual, expected in zip(engine, reference[:3]):
-        _assert_bytes_equal(actual, expected)
+        _assert_bytes_equal(actual, expected[volatile])
     for actual, expected in zip(corpus[:3], reference[:3]):
         _assert_bytes_equal(actual, expected)
     assert corpus[3] == reference[3]
@@ -161,13 +183,13 @@ def test_engine_matches_per_series_kernel(config, rep):
     0,
 )
 def test_engine_matches_simulated_corpus_hindcast(config, rep):
-    corpus = surrogate_corpus(config, derive_rng(config.seed, rep))
+    corpus = _unit_corpus(config, _per_series_innovations(config, derive_rng(config.seed, rep)))
     records = hindcast_corpus(corpus, config.m, tau_max=config.tau_max).records
     series_idx, tau, norm = _replication_errors(config, derive_rng(config.seed, rep))
     _assert_bytes_equal(norm, records.norm_error)
     _assert_bytes_equal(tau, records.tau)
     names = [records.names[k] for k in records.tech.tolist()]
-    assert [corpus[j].name for j in series_idx.tolist()] == names
+    assert [_name(config, j) for j in series_idx.tolist()] == names
     if records:
         curve = error_growth(records, weighting=config.weighting)
         xi = _xi_from_errors(series_idx, tau, norm, config)
@@ -178,11 +200,12 @@ def test_engine_matches_simulated_corpus_hindcast(config, rep):
 @PROPERTY
 @given(configs(), st.data())
 def test_deviation_statistics_equal_their_null_row(config, data):
-    # a corpus that replication r of the null simulates gives row r as its
+    # the walks that replication r of the null simulates give row r as their
     # observed statistics: the observed and the null path share the hindcast
     # and the eps* divisor
     r = data.draw(st.integers(0, config.replications - 1))
-    corpus = surrogate_corpus(config, derive_rng(config.seed, _stream_tag("deviation"), r))
+    rng = derive_rng(config.seed, _stream_tag("deviation"), r)
+    corpus = _unit_corpus(config, _per_series_innovations(config, rng))
     records = hindcast_corpus(corpus, config.m, tau_max=config.tau_max).records
     assume(len(records) > 0)
     test = distribution_deviation_test(records, config.theta, config)
@@ -193,9 +216,9 @@ def test_deviation_statistics_equal_their_null_row(config, data):
 @given(st.data())
 def test_norm_errors_do_not_depend_on_drift_or_scale(data):
     # Drift cancels in the raw error and the window deviations, and the scale
-    # in their ratio, so only rounding separates a template from the same
-    # lengths at (mu, K) = (0, 1). Over 3,000 random templates the largest
-    # difference was 9e-13 * (1 + |error|); the tolerance leaves 1000x room.
+    # in their ratio, so the engine simulates the unit, drift-free walk
+    # whatever the template's (mu, K) > 0: the same lengths at (0, 1) give
+    # the same bytes.
     m = data.draw(st.integers(4, 10))
     lengths = data.draw(st.lists(st.integers(2, 80), min_size=1, max_size=6))
     lengths[0] = max(lengths[0], m + 2)
@@ -217,13 +240,69 @@ def test_norm_errors_do_not_depend_on_drift_or_scale(data):
     unit_idx, unit_tau, unit_norm = _replication_errors(unit, derive_rng(config.seed, rep))
     _assert_bytes_equal(series_idx, unit_idx)  # the same records are kept
     _assert_bytes_equal(tau, unit_tau)
-    np.testing.assert_allclose(norm, unit_norm, rtol=1e-9, atol=1e-9)
+    _assert_bytes_equal(norm, unit_norm)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_nulls_do_not_depend_on_drift_or_scale(scale):
+    # Scaling every K and changing every mu leaves the band, the deviation
+    # null and Z(theta) equal as bytes. When the walks carried mu and K, this
+    # template gave a band of rounding noise at K = 1e-160 and of zeros at
+    # K = 1e160.
+    base = dict(replications=100, theta=0.3, m=5, tau_max=4, seed=3)
+    template = ((30, -0.05, 0.1), (25, -0.1, 0.1), (12, -0.2, 0.0))
+    moved = tuple((T, 1.0 - 7.0 * mu, k * scale) for T, mu, k in template)
+    observed = SurrogateConfig(**base, template=template)
+    corpus = surrogate_corpus(observed, derive_rng(8, 0))
+    records = hindcast_corpus(corpus, 5, tau_max=4).records
+    nulls = []
+    for t in (template, moved):
+        config = SurrogateConfig(**base, template=t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # Z - 1 need not change sign
+            z = estimate_theta_matched(error_growth(records), config, [0.0, 0.3, 0.6]).z_values
+        deviation = distribution_deviation_test(records, 0.3, config).null.values
+        nulls.append((null_xi_band(config).values, deviation, z))
+    for actual, expected in zip(*nulls):
+        _assert_bytes_equal(actual, expected)
+
+
+def test_zero_volatility_series_has_no_null_records():
+    # Series 0 has K = 0, so its windows have zero variance: each null row is
+    # the statistic of series 1's walk alone, drawn after series 0's 20 draws.
+    template = ((20, -0.08, 0.0), (20, -0.08, 0.06))
+    config = SurrogateConfig(replications=3, theta=0.3, m=5, tau_max=6, seed=4, template=template)
+    assert np.all(_engine_plan(config).origin_series == 1)
+
+    def observed(config, *stream):
+        corpus = _unit_corpus(config, _per_series_innovations(config, derive_rng(*stream)))
+        records = hindcast_corpus(corpus, config.m, tau_max=config.tau_max).records
+        assert records.names == ("surrogate-001",)
+        return records
+
+    with pytest.warns(UserWarning, match="replications"):
+        band = null_xi_band(config).values
+    for r in range(config.replications):
+        records = observed(config, config.seed, _stream_tag("xi-band"), r)
+        _assert_bytes_equal(band[r], error_growth(records).xi)
+        records = observed(config, config.seed, _stream_tag("deviation"), r)
+        test = distribution_deviation_test(records, config.theta, config)
+        _assert_bytes_equal(test.null.values[r], test.observed)
+
+    curves = _fat_tails(template, [3.0], 5, 6, 1, 4, 0.3)
+    student = dataclasses.replace(config, replications=1, theta=0.0, student_df=3.0)
+    for curve, cfg, tag in (
+        (curves["normal_rwd"], dataclasses.replace(config, theta=0.0), "fat-tails-normal"),
+        (curves["ima"], config, "fat-tails-ima"),
+        (curves["student"]["df=3"], student, "fat-tails-student"),
+    ):
+        assert curve == error_growth(observed(cfg, 4, _stream_tag(tag), 0)).xi.tolist()
 
 
 @PROPERTY
 @given(configs())
 def test_rows_do_not_depend_on_pass_size(config):
-    plan = _build_plan(config.lengths, config.m, config.tau_max)
+    plan = _engine_plan(config)
     cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
     reps = config.replications
 
@@ -231,7 +310,7 @@ def test_rows_do_not_depend_on_pass_size(config):
         rngs = [derive_rng(config.seed, 7, r) for r in range(reps)]
         innovations = np.array([_innovations(config, rng) for rng in rngs])
         passes = [_simulate(config, plan, innovations[i : i + size]) for i in range(0, reps, size)]
-        return np.vstack([_xi_rows(*p, cell, config) for p in passes])
+        return np.vstack([_xi_rows(p, cell, config) for p in passes])
 
     one_at_a_time = np.vstack(
         [

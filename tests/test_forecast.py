@@ -122,10 +122,10 @@ class TestErrorRescaling:
         # for the pure random walk the collapse to t(m-1) is exact
         m, n_series = 5, 50_000
         lengths = np.full(n_series, m + 2, dtype=np.int64)
-        drifts = np.full(n_series, -0.1)
         rng = make_rng(777)
-        v = 0.15 * rng.standard_normal(int(lengths.sum()))
-        _, tau, norm, _ = corpus_norm_errors(lengths, drifts, 0.0, v, m, 50)
+        # at theta = 0 the increments are v[1:], so a drift of -0.1 rides in v
+        v = -0.1 + 0.15 * rng.standard_normal(int(lengths.sum()))
+        _, tau, norm, _ = corpus_norm_errors(lengths, 0.0, v, m, 50)
         assert np.all(tau == 1)
         eps = norm / math.sqrt(variance_factors(1, m, 0.0).a)
         assert st.kstest(eps, st.t(df=m - 1).cdf).pvalue > 0.01
@@ -139,10 +139,9 @@ class TestErrorRescaling:
         for seed, (mu, k) in enumerate([(-0.5, 0.24), (-0.02, 0.02)]):
             T = m + 1 + tau  # exactly one record at this horizon per series
             lengths = np.full(n_series, T, dtype=np.int64)
-            drifts = np.full(n_series, mu)
             rng = make_rng(1000 + seed)
-            v = k * rng.standard_normal(int(lengths.sum()))
-            _, taus, norm, _ = corpus_norm_errors(lengths, drifts, 0.0, v, m, tau)
+            v = mu + k * rng.standard_normal(int(lengths.sum()))  # the drift rides in v
+            _, taus, norm, _ = corpus_norm_errors(lengths, 0.0, v, m, tau)
             eps = norm[taus == tau] / math.sqrt(variance_factors(tau, m, 0.0).a)
             assert eps.size == n_series
             samples.append(eps)

@@ -19,7 +19,7 @@ class TestKernelInputs:
         assert all(a.size == 0 for a in out[:6]) and out[6] == 0
         lengths = np.array([6, 2, 3], dtype=np.int64)
         v = make_rng(3).standard_normal(int(lengths.sum()))
-        out = _kernels.corpus_norm_errors(lengths, np.full(3, -0.05), 0.4, v, 5, 20)
+        out = _kernels.corpus_norm_errors(lengths, 0.4, v, 5, 20)
         assert all(a.size == 0 for a in out[:3]) and out[3] == 0
 
     @pytest.mark.parametrize("m, tau_max", [(5.7, 20), (5, 20.5)])
@@ -33,14 +33,12 @@ class TestKernelInputs:
         lengths = np.array([30], dtype=np.int64)
         v = make_rng(4).standard_normal(30)
         with pytest.raises(ValueError, match="must be an integer"):
-            _kernels.corpus_norm_errors(lengths, np.array([-0.05]), 0.4, v, m, tau_max)
+            _kernels.corpus_norm_errors(lengths, 0.4, v, m, tau_max)
 
     def test_corpus_validates_input_sizes(self):
         lengths = np.array([10], dtype=np.int64)
         with pytest.raises(ValueError, match="innovations"):
-            _kernels.corpus_norm_errors(lengths, np.array([0.1]), 0.0, np.zeros(5), 5, 20)
-        with pytest.raises(ValueError, match="drifts"):
-            _kernels.corpus_norm_errors(lengths, np.array([0.1, 0.2]), 0.0, np.zeros(10), 5, 20)
+            _kernels.corpus_norm_errors(lengths, 0.0, np.zeros(5), 5, 20)
 
 
 class TestHotPathConsistency:

@@ -4,11 +4,10 @@
 normalized errors of every theta of its grid in closed form from that draw
 (``surrogate._matching_terms``), then Xi at every theta from one matrix
 product (``surrogate._matching_xi``). The engine simulates the same draw at
-one theta with the template's drift and a theta-dependent scale, which
-cancel in a normalized error, so the two paths agree to rounding rather than
-bit for bit. The tolerances are relative, 1e-12 (of 1 + |value| where a
-value can be near zero). Over 10,000 random templates of the strategy below
-the largest difference was 4.3e-13 * (1 + |error|) in a normalized error and
+one theta directly, so the two paths agree to rounding rather than bit for
+bit. The tolerances are relative, 1e-12 (of 1 + |value| where a value can be
+near zero). Over 10,000 random templates of the strategy below the largest
+difference was 4.3e-13 * (1 + |error|) in a normalized error and
 1.5e-14 * (1 + |Xi|) in Xi.
 """
 
@@ -29,24 +28,25 @@ from costwalk import (
     load_reference_params,
     surrogate_corpus,
 )
-from costwalk.hindcast import _cell_sums, _cells, _xi
+from costwalk.hindcast import _cells
 from costwalk.stats import derive_rng
 from costwalk.surrogate import (
-    _build_plan,
+    _engine_plan,
     _innovations,
     _matching_terms,
     _matching_xi,
     _simulate,
     _stream_tag,
     _xi_ensemble,
+    _xi_rows,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None)
 REFERENCE_TEMPLATE = corpus_template(load_reference_params(improving_only=True))
 DRIFTS = (min(t[1] for t in REFERENCE_TEMPLATE), max(t[1] for t in REFERENCE_TEMPLATE))
 VOLATILITIES = (min(t[2] for t in REFERENCE_TEMPLATE), max(t[2] for t in REFERENCE_TEMPLATE))
-# a mu = K = 0 series, whose windows all have zero variance, and a 5-point
-# series, too short for one window
+# a mu = K = 0 series, which gets no records, and a 5-point series, too short
+# for one window
 EDGE_TEMPLATE = ((9, 0.0, 0.0), (5, -0.1, 0.2), (12, -0.3, 0.05), (10, -0.1, 0.2))
 
 
@@ -61,8 +61,8 @@ def configs(draw):
     longest = draw(st.integers(0, n_series - 1))
     lengths[longest] = max(lengths[longest], m + 2)  # one series can be hindcast
     template = []
-    for T in lengths:
-        if draw(st.integers(0, 4)) == 0:
+    for j, T in enumerate(lengths):
+        if j != longest and draw(st.integers(0, 4)) == 0:
             template.append((T, 0.0, 0.0))
         else:
             template.append((T, draw(st.floats(*DRIFTS)), draw(st.floats(*VOLATILITIES))))
@@ -78,13 +78,10 @@ def configs(draw):
 
 
 def _crn_norm(terms, theta, plan):
-    """Each record's normalized error at theta from the theta-free terms, and
-    the mask of records whose window variance is positive."""
+    """Each record's normalized error at theta from the theta-free terms."""
     r0, r1, k = terms
     q = k[:, 0] + theta * k[:, 1] + theta * theta * k[:, 2]
-    keep = (q > 0.0)[:, plan.record_origin]
-    k_hat = np.sqrt(np.where(q > 0.0, q, 1.0))[:, plan.record_origin]
-    return (r0 + theta * r1) / k_hat, keep
+    return (r0 + theta * r1) / np.sqrt(q)[:, plan.record_origin]
 
 
 @PROPERTY
@@ -101,27 +98,21 @@ def _crn_norm(terms, theta, plan):
     0,
 )
 def test_matching_equals_engine_on_the_same_draws(config, rep):
-    plan = _build_plan(config.lengths, config.m, config.tau_max)
+    plan = _engine_plan(config)
     streams = [(config.seed, rep, r) for r in range(config.replications)]
-    base = dataclasses.replace(config, theta=0.0)
-    terms = _matching_terms(
-        plan, np.array([_innovations(base, derive_rng(*s)) for s in streams]), config.m
-    )
-    engine_norm, engine_keep = _simulate(
-        config, plan, np.array([_innovations(config, derive_rng(*s)) for s in streams])
-    )
-    norm, keep = _crn_norm(terms, config.theta, plan)
-    np.testing.assert_array_equal(keep, True if engine_keep is None else engine_keep)
-    assert np.all(np.abs(norm - engine_norm)[keep] <= 1e-12 * (1.0 + np.abs(engine_norm[keep])))
+    innovations = np.array([_innovations(config, derive_rng(*s)) for s in streams])
+    terms = _matching_terms(plan, innovations, config.m)
+    engine_norm = _simulate(config, plan, innovations)
+    norm = _crn_norm(terms, config.theta, plan)
+    assert np.all(np.abs(norm - engine_norm) <= 1e-12 * (1.0 + np.abs(engine_norm)))
 
-    # Xi at every theta of a grid equals the cell sums of that theta's errors
+    # Xi at every theta of a grid equals the engine's Xi at that theta
     grid = np.array([config.theta, 0.0, 0.9])
     cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
     xi = _matching_xi(plan, cell, terms, grid, config)
     for g, theta in enumerate(grid):
-        norm, keep = _crn_norm(terms, theta, plan)
-        shape = (plan.n_series, config.tau_max)
-        expected = _xi(*_cell_sums(norm, cell, shape, keep), config.weighting)
+        at_theta = dataclasses.replace(config, theta=theta)
+        expected = _xi_rows(_simulate(at_theta, plan, innovations), cell, at_theta)
         np.testing.assert_allclose(xi[:, g], expected, rtol=1e-12, atol=1e-12)
 
 

@@ -1,6 +1,7 @@
 """Surrogate Monte Carlo machinery: bands, deviation tests, theta estimation."""
 
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -148,6 +149,24 @@ class TestSurrogateCorpus:
         first = surrogate_corpus(cfg, derive_rng(2, 0))
         second = surrogate_corpus(cfg, derive_rng(2, 0))
         assert all(a.equals(b) for a, b in zip(first, second))
+
+    @pytest.mark.parametrize(
+        "copies, digest",
+        [
+            (1, "862aea2321f06fc8c9aa07cf739fa86e57f67e6db71d074016a5459acc0fdaf1"),
+            (10, "fa7ba67730034a3e746c27568450829b41360754b141aae8f949b5e055789b9f"),
+        ],
+    )
+    def test_benchmark_corpora_are_pinned(self, copies, digest):
+        # perfbench/workloads.py's build_inputs makes the benchmark's x1 and
+        # x10 corpora this way, so these bytes must not move
+        cfg = SurrogateConfig(
+            replications=1, theta=0.63, m=5, tau_max=20, seed=4242,
+            template=REFERENCE_TEMPLATE * copies,
+        )
+        corpus = surrogate_corpus(cfg, make_rng(4242))
+        log_costs = b"".join(s.log_costs.astype(np.float64).tobytes() for s in corpus)
+        assert hashlib.sha256(log_costs).hexdigest() == digest
 
     def test_pooled_drift_estimates_unbiased(self):
         cfg = SurrogateConfig(
@@ -496,6 +515,27 @@ class TestThetaMatched:
         )
         with pytest.raises(ValueError, match=r"horizons \[7, 8, 9, 10\].*zero-volatility"):
             estimate_theta_matched(_analytic_curve(5, 0.3, 10), cfg, [0.0, 0.3])
+
+    def test_no_surrogate_records_rejected(self):
+        # the 20-point series has K = 0 and the 5-point one is too short for a
+        # window, so no null has a record; the band used to average the
+        # rounding noise of the first series' drift
+        template = ((20, -0.08, 0.0), (5, -0.1, 0.1))
+        ok = dict(replications=100, theta=0.3, m=5, tau_max=10, seed=1)
+        cfg = SurrogateConfig(**ok, template=template)
+        corpus = surrogate_corpus(SurrogateConfig(**ok, template=SMALL_TEMPLATE), derive_rng(1, 0))
+        records = hindcast_corpus(corpus, 5, tau_max=10).records
+        message = "no surrogate records.*K = 0"
+        with pytest.raises(ValueError, match=message):
+            null_xi_band(cfg, error_growth(records))
+        with pytest.raises(ValueError, match=message):
+            distribution_deviation_test(records, 0.3, cfg)
+        with pytest.raises(ValueError, match=message):
+            estimate_theta_matched(error_growth(records), cfg, [0.0, 0.3])
+        with pytest.raises(ValueError, match=message):
+            robustness_suite(
+                [], m=5, tau_max=10, replications=10, fat_tail_dfs=[3.0], template=template
+            )
 
     def test_student_innovations_rejected(self):
         cfg = SurrogateConfig(
