@@ -74,7 +74,7 @@ from .stats import (
     student_t_quantile,
 )
 from .surrogate import (
-    DeviationTest,
+    DEVIATION_STATISTICS,
     NullEnsemble,
     SurrogateConfig,
     ThetaMatched,

@@ -34,10 +34,12 @@ from .dataset import (
     summarize_corpus,
     write_summary_csv,
 )
+from .forecast import variance_factors
 from .hindcast import error_growth, hindcast_corpus, write_error_growth_csv, write_records_csv
 from .models import EstimationError
 from .scenarios import (
     CrossingSpec,
+    NoCrossingError,
     TechState,
     crossing_probability,
     deterministic_trend_crossing,
@@ -45,6 +47,7 @@ from .scenarios import (
     forecast_technology,
 )
 from .surrogate import (
+    DEVIATION_STATISTICS,
     SurrogateConfig,
     distribution_deviation_test,
     estimate_theta_matched,
@@ -155,6 +158,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
 
 def cmd_hindcast(args: argparse.Namespace) -> int:
     out = _prepare_out(args, "hindcast")
+    variance_factors(1, args.window, args.theta)  # the overlay's (m, theta), before any output
     corpus = _load_corpus(args)
     improving, excluded = select_improving(corpus, alpha=args.alpha)
     if not improving:
@@ -237,7 +241,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     dev_cfg = dataclasses.replace(config, replications=deviation_reps)
     dev = distribution_deviation_test(result.records, theta, dev_cfg)
     report["deviation_test"] = {
-        "statistics": list(dev.statistic_names),
+        "statistics": list(DEVIATION_STATISTICS),
         "observed": dev.observed,
         "p_raw": dev.p_raw,
         "p_smoothed": dev.p_smoothed,
@@ -291,6 +295,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     out = _prepare_out(args, "compare")
+    if args.tau_max < 1:
+        raise ValueError(f"--tau-max must be >= 1, got {args.tau_max}")
     tech_a = TechState(math.log(args.cost_a), args.mu_a, args.k_a, args.m)
     for k_b in args.k_b:
         tech_b = TechState(math.log(args.cost_b), args.mu_b, k_b, args.m)
@@ -303,7 +309,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         try:
             midpoint = even_odds_horizon(spec, 1.0, float(args.tau_max))
             note = f"even odds at tau = {midpoint:.2f}"
-        except ValueError:
+        except NoCrossingError:
             note = "no even-odds horizon within range"
         print(f"K_b={k_b:g}: wrote {path.name}; {note}")
     return 0

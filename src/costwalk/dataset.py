@@ -47,7 +47,6 @@ __all__ = [
     "summarize_corpus",
     "mu_k_regression",
     "write_summary_csv",
-    "ReferenceParams",
     "load_reference_params",
     "corpus_template",
 ]
@@ -200,10 +199,17 @@ def write_corpus_csv(path: str | Path, corpus: Iterable[TechnologySeries]) -> No
                 writer.writerow([series.name, int(year), repr(math.exp(log_cost)), series.sector])
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def select_improving(
     corpus: Sequence[TechnologySeries], alpha: float = DEFAULT_ALPHA
 ) -> tuple[list[TechnologySeries], list[TechnologySeries]]:
-    """Partition a corpus into (improving, excluded) at significance ``alpha``."""
+    """Partition a corpus into (improving, excluded) at significance ``alpha``,
+    which must lie in [0, 1]."""
+    _check_alpha(alpha)
     improving: list[TechnologySeries] = []
     excluded: list[TechnologySeries] = []
     for series in corpus:
@@ -226,8 +232,9 @@ def summarize(series: TechnologySeries, alpha: float = DEFAULT_ALPHA) -> SeriesS
     The MA coefficient comes from the IMA maximum likelihood fit with its own
     free mean. Degenerate series (constant log changes, K = 0) take theta = 0
     by convention since the coefficient is unidentified; series with fewer
-    than 4 points report theta as NaN.
+    than 4 points report theta as NaN. ``alpha`` must lie in [0, 1].
     """
+    _check_alpha(alpha)
     if series.n_obs < 3:
         raise ValueError(f"{series.name}: need at least 3 observations, got {series.n_obs}")
     mu_full, k_full = _drift_and_volatility(series)
@@ -306,58 +313,43 @@ def write_summary_csv(path: str | Path, summaries: Iterable[SeriesSummary]) -> N
             )
 
 
-@dataclass(frozen=True)
-class ReferenceParams:
-    """One bundled technology parameter row (full-sample summaries)."""
+def load_reference_params(improving_only: bool = False) -> list[SeriesSummary]:
+    """Bundled 66-technology summary table (53 improving, 13 excluded).
 
-    name: str
-    sector: str
-    n_obs: int
-    mu: float
-    p_value: float
-    k: float
-    theta: float
-
-    @property
-    def improving(self) -> bool:
-        return self.p_value < DEFAULT_ALPHA
-
-    @property
-    def theta_boundary(self) -> bool:
-        return abs(abs(self.theta) - 1.0) < models.THETA_BOUNDARY_TOL
-
-
-def load_reference_params(improving_only: bool = False) -> list[ReferenceParams]:
-    """Bundled 66-technology parameter table (53 improving, 13 excluded)."""
+    Each row is the ``SeriesSummary`` of one technology: a fit is flagged at
+    the boundary when |theta| is within ``models.THETA_BOUNDARY_TOL`` of 1, and
+    a technology is improving when its p-value is below ``DEFAULT_ALPHA``.
+    """
     text = resources.files("costwalk._data").joinpath("reference_params.csv").read_text("utf-8")
-    rows = list(csv.DictReader(text.splitlines()))
-    out = [
-        ReferenceParams(
-            name=r["technology"],
-            sector=r["sector"],
-            n_obs=int(r["T"]),
-            mu=float(r["mu"]),
-            p_value=float(r["p_value"]),
-            k=float(r["K"]),
-            theta=float(r["theta"]),
+    out = []
+    for r in csv.DictReader(text.splitlines()):
+        theta, p_value = float(r["theta"]), float(r["p_value"])
+        out.append(
+            SeriesSummary(
+                name=r["technology"],
+                sector=r["sector"],
+                n_obs=int(r["T"]),
+                mu_full=float(r["mu"]),
+                k_full=float(r["K"]),
+                theta_full=theta,
+                theta_boundary=abs(abs(theta) - 1.0) < models.THETA_BOUNDARY_TOL,
+                p_value=p_value,
+                improving=p_value < DEFAULT_ALPHA,
+            )
         )
-        for r in rows
-    ]
     if improving_only:
         out = [r for r in out if r.improving]
     return out
 
 
 def corpus_template(
-    entries: Sequence[ReferenceParams] | Sequence[SeriesSummary] | Sequence[TechnologySeries],
+    entries: Sequence[SeriesSummary] | Sequence[TechnologySeries],
 ) -> tuple[tuple[int, float, float], ...]:
     """(n_obs, mu, K) triples for surrogate-corpus generation; a series gives the
     drift and volatility that ``summarize`` reports, without fitting its MA model."""
     triples = []
     for e in entries:
-        if isinstance(e, ReferenceParams):
-            triples.append((e.n_obs, e.mu, e.k))
-        elif isinstance(e, TechnologySeries):
+        if isinstance(e, TechnologySeries):
             triples.append((e.n_obs, *_drift_and_volatility(e)))
         else:
             triples.append((e.n_obs, e.mu_full, e.k_full))

@@ -12,6 +12,7 @@ through repeated list prices.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -162,36 +163,29 @@ def _cells(tech: np.ndarray, tau: np.ndarray, tau_max: int) -> np.ndarray:
 
 
 def _cell_sums(
-    errors: np.ndarray, cell: np.ndarray, shape: tuple[int, int], keep: np.ndarray | None = None
+    errors: np.ndarray, cell: np.ndarray, shape: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-(row, technology, horizon) sums and counts of squared errors.
 
-    ``errors`` is (rows, records), ``cell`` each record's ``_cells`` index in
-    the grid ``shape`` and ``keep`` an optional (rows, records) mask. Each cell
-    adds its squares in record order, whatever the other rows hold.
+    ``errors`` is (rows, records) and ``cell`` each record's ``_cells`` index
+    in the grid ``shape``. Each cell adds its squares in record order, whatever
+    the other rows hold.
     """
     rows = errors.shape[0]
     size = shape[0] * shape[1]
-    key = np.broadcast_to(np.arange(rows)[:, None] * size + cell, errors.shape)
-    sq = errors * errors
-    key, sq = (key.ravel(), sq.ravel()) if keep is None else (key[keep], sq[keep])
-    sums = np.bincount(key, weights=sq, minlength=rows * size)
-    return sums.reshape(rows, *shape), _cell_counts(cell, shape, rows, keep)
+    key = np.arange(rows)[:, None] * size + cell
+    sums = np.bincount(key.ravel(), weights=(errors * errors).ravel(), minlength=rows * size)
+    return sums.reshape(rows, *shape), _cell_counts(cell, shape, rows)
 
 
-def _cell_counts(
-    cell: np.ndarray, shape: tuple[int, int], rows: int, keep: np.ndarray | None = None
-) -> np.ndarray:
+def _cell_counts(cell: np.ndarray, shape: tuple[int, int], rows: int) -> np.ndarray:
     """``_cell_sums``' per-(row, technology, horizon) record counts.
 
-    Without a mask every row holds the same records, so the cells are counted
-    once and the (read-only) result repeats them over the rows.
+    Every row holds the same records, so the cells are counted once and the
+    (read-only) result repeats them over the rows.
     """
     size = shape[0] * shape[1]
-    if keep is None:
-        return np.broadcast_to(np.bincount(cell, minlength=size).reshape(shape), (rows, *shape))
-    key = (np.arange(rows)[:, None] * size + cell)[keep]
-    return np.bincount(key, minlength=rows * size).reshape(rows, *shape)
+    return np.broadcast_to(np.bincount(cell, minlength=size).reshape(shape), (rows, *shape))
 
 
 def _xi(sums: np.ndarray, counts: np.ndarray, weighting: str) -> np.ndarray:
@@ -226,9 +220,10 @@ def _sums_by_technology(
         raise ValueError(f"horizons must be at least 1, got {int(tau.min())}")
     if tau_max is None:
         tau_max = int(tau.max())
-    cell = _cells(records.tech, tau, tau_max)
+    inside = tau <= tau_max
+    cell = _cells(records.tech[inside], tau[inside], tau_max)
     shape = (len(records.names), tau_max)
-    sums, counts = _cell_sums(records.norm_error[None], cell, shape, (tau <= tau_max)[None])
+    sums, counts = _cell_sums(records.norm_error[None, inside], cell, shape)
     return sums[0], counts[0]
 
 
@@ -331,19 +326,22 @@ def bias_test(records: HindcastRecords, tau: int) -> float:
     return 2.0 * min(lower, 1.0 - lower)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module writes it as one field of a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])  # a second field: a lone "" would be quoted
+    return buffer.getvalue()[: -len(",\r\n")]
+
+
 def write_records_csv(path: str | Path, records: HindcastRecords) -> None:
-    errors = (records.raw_error, records.norm_error, records.mu_hat, records.k_hat)
+    """One row per record, as the csv module writes it: each name is quoted
+    once, and each row is formatted with one call."""
+    names = [_csv_field(name) for name in records.names]
+    row = "{},{},{},{:.10g},{:.10g},{:.10g},{:.10g}\r\n".format
+    columns = (getattr(records, c).tolist() for c in _COLUMNS[2:])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["technology", "t0_year", "tau", "raw_error", "norm_error", "mu_hat", "K_hat"])
-        writer.writerows(
-            zip(
-                map(records.names.__getitem__, records.tech.tolist()),
-                records.origin_year.tolist(),
-                records.tau.tolist(),
-                *(map("{:.10g}".format, column.tolist()) for column in errors),
-            )
-        )
+        handle.write("technology,t0_year,tau,raw_error,norm_error,mu_hat,K_hat\r\n")
+        handle.writelines(map(row, map(names.__getitem__, records.tech.tolist()), *columns))
 
 
 def _curve_table(curve: ErrorGrowthCurve, m: int, theta: float) -> dict[str, list]:

@@ -39,7 +39,7 @@ __all__ = [
 
 
 class NoCrossingError(ValueError):
-    """The deterministic trend race has no crossing (follower never catches up)."""
+    """No crossing: the follower never catches up, or the odds never reach one half."""
 
 
 @dataclass(frozen=True)
@@ -98,29 +98,21 @@ def crossing_probability(spec: CrossingSpec, tau: float) -> float:
 def even_odds_horizon(spec: CrossingSpec, tau_lo: float = 1.0, tau_hi: float = 100.0) -> float:
     """Continuous horizon where the crossing probability reaches one half.
 
-    Found by bisection; requires the probability to pass through 0.5 inside
-    [tau_lo, tau_hi]. Since sigma_Z > 0, this is exactly the root of mu_Z.
+    Since sigma_Z > 0, this is the root of mu_Z, tau = (y_A - y_B)/(mu_B - mu_A),
+    and it must lie in [tau_lo, tau_hi], with tau_lo >= 1. Equal costs and
+    drifts give even odds at every horizon, hence tau_lo. Any other case
+    raises ``NoCrossingError``.
     """
-    f_lo = crossing_probability(spec, tau_lo) - 0.5
-    f_hi = crossing_probability(spec, tau_hi) - 0.5
-    if f_lo == 0.0:
+    if tau_lo < 1:
+        raise ValueError(f"horizon must be >= 1, got {tau_lo}")
+    a, b = spec.tech_a, spec.tech_b
+    cost_gap, drift_gap = a.current_log_cost - b.current_log_cost, b.mu - a.mu
+    if cost_gap == 0.0 and drift_gap == 0.0:
         return tau_lo
-    if f_hi == 0.0:
-        return tau_hi
-    if f_lo * f_hi > 0:
-        raise NoCrossingError(
-            f"probability does not pass through 0.5 on [{tau_lo}, {tau_hi}]"
-        )
-    for _ in range(200):
-        mid = 0.5 * (tau_lo + tau_hi)
-        f_mid = crossing_probability(spec, mid) - 0.5
-        if f_mid == 0.0 or (tau_hi - tau_lo) < 1e-10:
-            return mid
-        if f_lo * f_mid < 0:
-            tau_hi = mid
-        else:
-            tau_lo, f_lo = mid, f_mid
-    return 0.5 * (tau_lo + tau_hi)
+    tau = cost_gap / drift_gap if drift_gap != 0.0 else math.nan
+    if not tau_lo <= tau <= tau_hi:
+        raise NoCrossingError(f"probability does not pass through 0.5 on [{tau_lo}, {tau_hi}]")
+    return tau
 
 
 def forecast_technology(

@@ -79,7 +79,7 @@ __all__ = [
     "NullEnsemble",
     "surrogate_corpus",
     "null_xi_band",
-    "DeviationTest",
+    "DEVIATION_STATISTICS",
     "distribution_deviation_test",
     "ThetaWeighted",
     "estimate_theta_weighted",
@@ -91,6 +91,7 @@ __all__ = [
 ]
 
 DEVIATION_GRID = np.linspace(-15.0, 15.0, 1000)
+DEVIATION_STATISTICS = ("sum_abs", "sum_sq", "max_signed")  # _deviation_stats' columns
 
 # Replication r of an experiment draws from derive_rng(seed, tag, r). Each
 # experiment owns a block of tags, (first tag, number of tags), so no two
@@ -411,32 +412,17 @@ def _deviation_stats(eps: np.ndarray, t_cdf_grid: np.ndarray) -> np.ndarray:
     return np.array([np.abs(delta).sum(), (delta**2).sum(), delta.max()])
 
 
-@dataclass
-class DeviationTest:
-    """Observed ECDF deviations from Student t(m-1) and their null p-values."""
-
-    statistic_names: tuple[str, str, str]
-    observed: np.ndarray
-    null: NullEnsemble
-
-    @property
-    def p_raw(self) -> np.ndarray:
-        return self.null.p_raw
-
-    @property
-    def p_smoothed(self) -> np.ndarray:
-        return self.null.p_smoothed
-
-
 def distribution_deviation_test(
     records: HindcastRecords, theta: float, config: SurrogateConfig
-) -> DeviationTest:
+) -> NullEnsemble:
     """Test whether pooled rescaled errors are as close to t(m-1) as the null.
 
     The pooled eps* ECDF is measured on 1000 equally spaced points of
     [-15, 15] against the Student t(m-1) CDF under three deviation measures
     (sum of |differences|, sum of squares, signed maximum); the null
     distribution of each measure comes from the full surrogate pipeline.
+    The ensemble's columns, in ``observed`` and ``values``, are the measures
+    named in ``DEVIATION_STATISTICS``.
     """
     if records.m != config.m:
         raise ValueError(f"records use window {records.m}, config.m={config.m}")
@@ -450,10 +436,7 @@ def distribution_deviation_test(
         return np.array([_deviation_stats(e, t_cdf_grid) for e in norm / record_rescale])
 
     values = _run(config, plan, _stream_tag("deviation"), 3, rows_of)
-    null = NullEnsemble(statistic="ecdf-deviation", values=values, observed=observed)
-    return DeviationTest(
-        statistic_names=("sum_abs", "sum_sq", "max_signed"), observed=observed, null=null
-    )
+    return NullEnsemble(statistic="ecdf-deviation", values=values, observed=observed)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,14 @@ class TestDescribe:
             counts[alpha] = sum(int(r[-1]) for r in rows)
         assert counts[0.01] <= counts[0.5]
 
+    @pytest.mark.parametrize("alpha", ["-1", "2", "nan"])
+    def test_alpha_outside_unit_interval_exits_2(self, corpus_csv, tmp_path, capsys, alpha):
+        # --alpha -1 used to report every technology as excluded and exit 0
+        out = tmp_path / "o"
+        assert main(["describe", "--input", str(corpus_csv), "--out", str(out), "--alpha", alpha]) == 2
+        assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+
     def test_empty_corpus_exits_2(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("technology,year,cost\n")
@@ -88,6 +96,17 @@ class TestHindcast:
         assert main(
             ["hindcast", "--input", str(corpus_csv), "--out", str(tmp_path / "o"), "--window", "40"]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(("--window", "3"), "m=3 is too small"), (("--theta", "1.5"), "theta must lie")],
+    )
+    def test_bad_overlay_fails_before_any_output(self, corpus_csv, tmp_path, capsys, flags, message):
+        # the overlay's (m, theta) used to be checked after records.csv was written
+        out = tmp_path / "o"
+        assert main(["hindcast", "--input", str(corpus_csv), "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run.json"]
 
 
 class TestValidate:
@@ -134,6 +153,14 @@ class TestValidate:
              "--reps", "40", "--tau-max", "6", *flags]
         ) == 2
         assert "--deviation-reps must be >= 1" in capsys.readouterr().err
+
+    def test_alpha_outside_unit_interval_exits_2(self, corpus_csv, tmp_path, capsys):
+        # --alpha 2 used to count every series as improving
+        assert main(
+            ["validate", "--input", str(corpus_csv), "--out", str(tmp_path / "o"),
+             "--reps", "5", "--tau-max", "6", "--alpha", "2"]
+        ) == 2
+        assert "alpha must lie in [0, 1]" in capsys.readouterr().err
 
     def test_theta_from_weighted(self, corpus_csv, tmp_path):
         out = tmp_path / "w"
@@ -250,6 +277,19 @@ class TestCompare:
              "--m", "3", "--theta", "0.0"]
         )
         assert code == 2  # m <= 3 rejected
+
+    def test_zero_tau_max_exits_2(self, tmp_path, capsys):
+        # used to write a header-only CSV and exit 0
+        out = tmp_path / "c3"
+        code = main(
+            ["compare", "--out", str(out),
+             "--cost-a", "3.0", "--mu-a", "-0.1", "--k-a", "0.1",
+             "--cost-b", "1.0", "--mu-b", "0", "--k-b", "0.1",
+             "--m", "5", "--tau-max", "0"]
+        )
+        assert code == 2
+        assert "--tau-max must be >= 1" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run.json"]
 
 
 class TestTrend:

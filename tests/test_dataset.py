@@ -161,6 +161,15 @@ class TestSelection:
         improving, excluded = select_improving(corpus, alpha=0.0)
         assert not improving and len(excluded) == len(corpus)
 
+    @pytest.mark.parametrize("alpha", [-1.0, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # alpha = -1 used to exclude every series, alpha = 2 to keep every one
+        corpus = self._random_corpus()
+        with pytest.raises(ValueError, match="alpha"):
+            select_improving(corpus, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            summarize(corpus[0], alpha=alpha)
+
     def test_strongly_improving_kept_and_rising_excluded(self):
         rng = make_rng(11)
         down = simulate_rwd(-0.50, 0.24, 38, rng, name="down")
@@ -202,23 +211,6 @@ class TestSummarize:
         assert corpus_template(corpus) == corpus_template([summarize(s) for s in corpus])
 
 
-def _summaries_from_reference(improving_only=True):
-    return [
-        SeriesSummary(
-            name=r.name,
-            sector=r.sector,
-            n_obs=r.n_obs,
-            mu_full=r.mu,
-            k_full=r.k,
-            theta_full=r.theta,
-            theta_boundary=r.theta_boundary,
-            p_value=r.p_value,
-            improving=r.improving,
-        )
-        for r in load_reference_params(improving_only=improving_only)
-    ]
-
-
 class TestReferenceTable:
     def test_shape(self):
         rows = load_reference_params()
@@ -228,7 +220,7 @@ class TestReferenceTable:
     def test_boundary_flags(self):
         improving = load_reference_params(improving_only=True)
         assert sum(r.theta_boundary for r in improving) == 8
-        usable = [r.theta for r in improving if not r.theta_boundary]
+        usable = [r.theta_full for r in improving if not r.theta_boundary]
         # equal-weight mean of the remaining MA coefficients, and their sign balance
         assert np.mean(usable) == pytest.approx(0.27, abs=0.01)
         assert np.std(usable, ddof=1) == pytest.approx(0.35, abs=0.01)
@@ -258,7 +250,7 @@ class TestMuKRegression:
 
     def test_reference_corpus_linear(self):
         # published fit: K = 0.02 - 0.76*mu with R^2 0.87, se (0.008, 0.04)
-        reg = mu_k_regression(_summaries_from_reference())
+        reg = mu_k_regression(load_reference_params(improving_only=True))
         assert reg.linear.intercept == pytest.approx(0.02, abs=0.008)
         assert reg.linear.slope == pytest.approx(-0.76, abs=0.04)
         assert reg.linear.r_squared == pytest.approx(0.87, abs=0.02)
@@ -267,13 +259,13 @@ class TestMuKRegression:
 
     def test_reference_corpus_log_log(self):
         # published fit: K = e^-0.68 * (-mu)^0.72 with R^2 0.73
-        reg = mu_k_regression(_summaries_from_reference())
+        reg = mu_k_regression(load_reference_params(improving_only=True))
         assert reg.log_log.intercept == pytest.approx(-0.68, abs=0.05)
         assert reg.log_log.slope == pytest.approx(0.72, abs=0.02)
         assert reg.log_log.r_squared == pytest.approx(0.73, abs=0.02)
 
     def test_nonnegative_mu_excluded_with_warning(self):
-        summaries = _summaries_from_reference()
+        summaries = load_reference_params(improving_only=True)
         summaries.append(
             SeriesSummary(
                 name="weird",
@@ -293,4 +285,4 @@ class TestMuKRegression:
 
     def test_needs_three_improving(self):
         with pytest.raises(ValueError):
-            mu_k_regression(_summaries_from_reference()[:2])
+            mu_k_regression(load_reference_params(improving_only=True)[:2])

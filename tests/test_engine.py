@@ -209,7 +209,7 @@ def test_deviation_statistics_equal_their_null_row(config, data):
     records = hindcast_corpus(corpus, config.m, tau_max=config.tau_max).records
     assume(len(records) > 0)
     test = distribution_deviation_test(records, config.theta, config)
-    _assert_bytes_equal(test.observed, test.null.values[r])
+    _assert_bytes_equal(test.observed, test.values[r])
 
 
 @PROPERTY
@@ -261,7 +261,7 @@ def test_nulls_do_not_depend_on_drift_or_scale(scale):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # Z - 1 need not change sign
             z = estimate_theta_matched(error_growth(records), config, [0.0, 0.3, 0.6]).z_values
-        deviation = distribution_deviation_test(records, 0.3, config).null.values
+        deviation = distribution_deviation_test(records, 0.3, config).values
         nulls.append((null_xi_band(config).values, deviation, z))
     for actual, expected in zip(*nulls):
         _assert_bytes_equal(actual, expected)
@@ -287,7 +287,7 @@ def test_zero_volatility_series_has_no_null_records():
         _assert_bytes_equal(band[r], error_growth(records).xi)
         records = observed(config, config.seed, _stream_tag("deviation"), r)
         test = distribution_deviation_test(records, config.theta, config)
-        _assert_bytes_equal(test.null.values[r], test.observed)
+        _assert_bytes_equal(test.values[r], test.observed)
 
     curves = _fat_tails(template, [3.0], 5, 6, 1, 4, 0.3)
     student = dataclasses.replace(config, replications=1, theta=0.0, student_df=3.0)

@@ -414,6 +414,29 @@ class TestCsvEmitters:
         assert rows[1][0] == "abc"
         assert float(rows[1][3]) == pytest.approx(records.raw_error[0], rel=1e-9)
 
+    def test_records_csv_bytes_equal_csv_module(self, tmp_path):
+        # each name is quoted once and each row formatted in one call; the
+        # file must stay what csv.writer writes, names that need quoting included
+        names = ["", " pad ", "a, b", 'say "hi"', '"', "two\nlines", "cr\r", "Größe — 太阳能", "plain"]
+        raw = [0.1, -2.5e-12, 1e300, -0.0, np.inf, np.nan, 1 / 3, 123456789012.0, 7.0]
+        rows = [
+            (name, j, 1990 + j, 1 + j % 3, e, e / 0.3, -0.05, 0.3)
+            for j, (name, e) in enumerate(zip(names, raw))
+        ]
+        records = _columns(rows)
+        path = tmp_path / "records.csv"
+        write_records_csv(path, records)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["technology", "t0_year", "tau", "raw_error", "norm_error", "mu_hat", "K_hat"])
+            for tech, year, tau, *errors in zip(
+                _technologies(records), records.origin_year.tolist(), records.tau.tolist(),
+                records.raw_error, records.norm_error, records.mu_hat, records.k_hat,
+            ):
+                writer.writerow([tech, year, tau, *(f"{float(e):.10g}" for e in errors)])
+        assert path.read_bytes() == expected.read_bytes()
+
     def test_error_growth_csv(self, tmp_path):
         records = hindcast_corpus([_random_series(20, seed=9)], m=5, tau_max=6).records
         curve = error_growth(records)

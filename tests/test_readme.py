@@ -1,0 +1,27 @@
+"""The README's library example runs as written, on a small corpus."""
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _library_block() -> str:
+    text = README.read_text("utf-8")
+    library = text[text.index("## Library"):]
+    return re.search(r"```python\n(.*?)```", library, re.S)[1]
+
+
+def test_library_block_runs(corpus_csv, monkeypatch):
+    monkeypatch.chdir(corpus_csv.parent)  # the block reads "corpus.csv"
+    namespace: dict = {}
+    exec(compile(_library_block(), str(README), "exec"), namespace)
+    cw = namespace["cw"]
+    # the values the block's comments quote
+    assert namespace["fc"].median_cost == pytest.approx(0.15, abs=0.01)
+    assert cw.crossing_probability(namespace["spec"], tau=15) == pytest.approx(0.62, abs=0.01)
+    assert cw.even_odds_horizon(namespace["spec"]) == pytest.approx(math.log(3) / 0.10)
+    assert namespace["band"].values.shape == (1000, 20)

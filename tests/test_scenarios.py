@@ -105,6 +105,21 @@ class TestCrossingProbability:
         with pytest.raises(NoCrossingError):
             even_odds_horizon(CrossingSpec(a, b, 0.0), 1, 50)
 
+    def test_even_odds_horizon_range_edges(self):
+        a = TechState(2.0, -0.5, 0.1, 10)
+        b = TechState(0.0, 0.0, 0.2, 10)
+        spec = CrossingSpec(a, b, 0.3)  # mu_Z = -2 + 0.5*tau, zero at tau = 4 exactly
+        assert even_odds_horizon(spec, 1, 4) == 4.0
+        assert even_odds_horizon(spec, 4, 9) == 4.0
+        assert crossing_probability(spec, 4.0) == 0.5
+        # equal costs and drifts: even odds at every horizon, so the range's start
+        assert even_odds_horizon(CrossingSpec(a, a, 0.3), 2.5, 9) == 2.5
+        for tau_lo, tau_hi in ((1, 3.99), (4.01, 9)):  # the root outside the range
+            with pytest.raises(NoCrossingError):
+                even_odds_horizon(spec, tau_lo, tau_hi)
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            even_odds_horizon(spec, 0.5, 9)
+
 
 class TestForecastTechnology:
     def test_full_window_estimates(self):

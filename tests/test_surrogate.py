@@ -366,18 +366,9 @@ class TestDeviationTest:
 
 
 def _reference_summaries():
+    # named as surrogate_corpus names the series of a template
     return [
-        SeriesSummary(
-            name=f"surrogate-{j:03d}",
-            sector=r.sector,
-            n_obs=r.n_obs,
-            mu_full=r.mu,
-            k_full=r.k,
-            theta_full=r.theta,
-            theta_boundary=r.theta_boundary,
-            p_value=r.p_value,
-            improving=True,
-        )
+        dataclasses.replace(r, name=f"surrogate-{j:03d}")
         for j, r in enumerate(load_reference_params(improving_only=True))
     ]
 
@@ -437,7 +428,7 @@ class TestThetaWeighted:
             for r in params:
                 if not r.theta_boundary:
                     c = max(0, r.n_obs - 5 - tau)
-                    num += c * r.theta
+                    num += c * r.theta_full
                     den += c
             expected_by_tau.append(num / den)
         assert result.theta_w == pytest.approx(float(np.mean(expected_by_tau)), abs=1e-12)
