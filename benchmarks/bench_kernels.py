@@ -12,6 +12,9 @@ Times the hot paths on representative workloads:
   Monte Carlo experiment at one theta runs on: the same plan and window
   helper, the plan built once per experiment and several replications per
   array pass, plus each replication's error-growth curve;
+* validate's joint pass, per replication: the engine with both the
+  error-growth curve and the three ECDF-deviation measures of each
+  replication, the two nulls that ``validation_nulls`` reads from one draw;
 * theta matching's common-random-numbers pass, per replication: one draw
   gives the error-growth curve at all 19 theta of the grid 0, 0.05, ..., 0.9
   (the engine would simulate 19 corpora for it);
@@ -47,8 +50,18 @@ from costwalk import (
 )
 from costwalk import _kernels
 from costwalk.hindcast import _cells, write_records_csv
-from costwalk.stats import derive_rng
-from costwalk.surrogate import _innovations, _simulate, _xi_ensemble, _xi_rows
+from costwalk.stats import derive_rng, student_t_cdf
+from costwalk.surrogate import (
+    DEVIATION_GRID,
+    _deviation_statistic,
+    _engine_plan,
+    _innovations,
+    _run,
+    _simulate,
+    _xi_ensemble,
+    _xi_rows,
+    _xi_statistic,
+)
 
 
 def _time(fn, repeat=5):
@@ -82,6 +95,20 @@ def bench_engine(template, theta, m, tau_max, reps):
         replications=reps, theta=theta, m=m, tau_max=tau_max, seed=42, template=template
     )
     return _time(lambda: _xi_ensemble(config, 1), repeat=3) / reps
+
+
+def bench_joint(template, theta, m, tau_max, reps):
+    """Time per replication of the engine with Xi and the deviation measures."""
+    config = SurrogateConfig(
+        replications=reps, theta=theta, m=m, tau_max=tau_max, seed=42, template=template
+    )
+    plan = _engine_plan(config)
+    t_cdf_grid = np.array([student_t_cdf(x, m - 1) for x in DEVIATION_GRID])
+    statistics = [
+        _xi_statistic(config, plan, reps),
+        _deviation_statistic(config, plan, reps, theta, t_cdf_grid),
+    ]
+    return _time(lambda: _run(config, plan, 1, statistics), repeat=3) / reps
 
 
 def bench_matching(template, m, tau_max, reps, grid=np.linspace(0.0, 0.9, 19)):
@@ -148,11 +175,13 @@ def main():
     t_hind = bench_hindcast(y, 5, 20)
     t_surr = bench_surrogate(lengths, 0.63, 5, 20, args.reps)
     t_engine = bench_engine(template, 0.63, 5, 20, args.reps)
+    t_joint = bench_joint(template, 0.63, 5, 20, args.reps)
 
     print(f"{'':<19} {'hindcast T=100,m=5':>22} {'surrogate 53-series rep':>26}")
     print(f"{'hindcast_errors':<19} {t_hind * 1e6:>18.1f} us")
     print(f"{'corpus_norm_errors':<19} {'':>22} {t_surr * 1e6:>23.1f} us  (plan per call)")
     print(f"{'engine':<19} {'':>22} {t_engine * 1e6:>23.1f} us  (with Xi)")
+    print(f"{'validate pass':<19} {'':>22} {t_joint * 1e6:>23.1f} us  (Xi + deviation)")
     n_theta, t_match = bench_matching(template, 5, 20, args.reps)
     print(f"{'theta matching':<19} {'':>22} {t_match * 1e6:>23.1f} us  (Xi at {n_theta} theta)")
 

@@ -87,6 +87,7 @@ from .surrogate import (
     robustness_suite,
     surrogate_corpus,
     theta_forecast_sweep,
+    validation_nulls,
 )
 
 __version__ = "0.1.0"

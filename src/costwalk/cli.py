@@ -49,11 +49,13 @@ from .scenarios import (
 from .surrogate import (
     DEVIATION_STATISTICS,
     SurrogateConfig,
-    distribution_deviation_test,
     estimate_theta_matched,
     estimate_theta_weighted,
-    null_xi_band,
+    validation_nulls,
 )
+
+# not called here; perfbench/tracing.py patches these names in this module
+from .surrogate import distribution_deviation_test, null_xi_band  # noqa: F401
 
 DEFAULT_SEED = 1234567  # fixed so randomized commands are reproducible by default
 
@@ -228,7 +230,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     report["theta_source"] = args.theta_from or "fixed"
 
     config = dataclasses.replace(base, theta=theta)
-    band = null_xi_band(config, curve)
+    band, dev = validation_nulls(config, curve, result.records, deviation_reps)
     report["xi_band"] = {
         "tau": band.taus,
         "observed": band.observed,
@@ -238,14 +240,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "replications": args.reps,
     }
 
-    dev_cfg = dataclasses.replace(config, replications=deviation_reps)
-    dev = distribution_deviation_test(result.records, theta, dev_cfg)
     report["deviation_test"] = {
         "statistics": list(DEVIATION_STATISTICS),
         "observed": dev.observed,
         "p_raw": dev.p_raw,
         "p_smoothed": dev.p_smoothed,
-        "replications": dev_cfg.replications,
+        "replications": deviation_reps,
     }
     report["hindcast"] = {
         "n_records": len(result.records),
@@ -297,10 +297,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out = _prepare_out(args, "compare")
     if args.tau_max < 1:
         raise ValueError(f"--tau-max must be >= 1, got {args.tau_max}")
+    for flag, cost in (("--cost-a", args.cost_a), ("--cost-b", args.cost_b)):
+        if not (math.isfinite(cost) and cost > 0.0):
+            raise ValueError(f"{flag} must be a finite positive cost, got {cost}")
     tech_a = TechState(math.log(args.cost_a), args.mu_a, args.k_a, args.m)
-    for k_b in args.k_b:
-        tech_b = TechState(math.log(args.cost_b), args.mu_b, k_b, args.m)
-        spec = CrossingSpec(tech_a=tech_a, tech_b=tech_b, theta=args.theta)
+    specs = [  # every scenario is checked before any CSV is written
+        CrossingSpec(tech_a, TechState(math.log(args.cost_b), args.mu_b, k_b, args.m), args.theta)
+        for k_b in args.k_b
+    ]
+    for k_b, spec in zip(args.k_b, specs):
         path = out / f"compare_kb{k_b:g}.csv"
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write("tau,p_cross\n")
@@ -362,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--deviation-reps",
         type=int,
         default=None,
-        help="replications for the distribution deviation test (default: --reps)",
+        help="replications for the distribution deviation test (default: --reps); "
+        "the band and the test read the same draws, so the first min(--reps, "
+        "--deviation-reps) replications serve both",
     )
     group = p.add_mutually_exclusive_group()
     group.add_argument("--theta", type=float, default=0.0)

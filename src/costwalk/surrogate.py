@@ -28,6 +28,16 @@ Xi cell sums and their reduction, and the eps* divisor, are ``hindcast``'s,
 so the observed corpus and its nulls share one implementation of each
 statistic.
 
+``validate`` needs two nulls at its theta, the Xi band and the ECDF deviation
+test, and reads both from one ensemble (``validation_nulls``): replication r
+draws once, from the "xi-band" stream, and its normalized errors give band
+row r and, divided by each record's eps* divisor, deviation row r. A
+statistic asked for fewer replications reads the leading ones, so the first
+min(band, deviation) rows of each do not depend on the other count, and
+``null_xi_band`` and ``distribution_deviation_test`` return the same rows as
+single-statistic calls of the same pass. Each p-value is valid on its own,
+but the band and the deviation test are not independent.
+
 Theta matching needs the null at every theta of a grid, and takes a second
 path over the same plan, draws and window moments: common random numbers.
 The walk is linear in theta, so one draw per replication gives the
@@ -81,6 +91,7 @@ __all__ = [
     "null_xi_band",
     "DEVIATION_STATISTICS",
     "distribution_deviation_test",
+    "validation_nulls",
     "ThetaWeighted",
     "estimate_theta_weighted",
     "ThetaMatched",
@@ -97,8 +108,8 @@ DEVIATION_STATISTICS = ("sum_abs", "sum_sq", "max_signed")  # _deviation_stats' 
 # experiment owns a block of tags, (first tag, number of tags), so no two
 # experiments share a stream.
 _STREAM_TAGS: dict[str, tuple[int, int]] = {
-    "xi-band": (1, 1),
-    "deviation": (2, 1),
+    "xi-band": (1, 1),  # the Xi band and the deviation test read the same draws
+    # 2 stays unused: earlier deviation nulls drew from it, and reusing it would repeat their draws
     "half-corpus": (3, 1),
     "fat-tails-normal": (4, 1),
     "fat-tails-ima": (5, 1),
@@ -320,41 +331,51 @@ def _xi_from_errors(
 
 
 def _draws(
-    config: SurrogateConfig, plan: _Plan, tag: int
+    config: SurrogateConfig, plan: _Plan, tag: int, replications: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """The replications of each array pass and their unit innovations, one row each.
 
     Replication r draws from stream (seed, tag, r), so what a replication
     draws does not depend on how many replications share a pass.
     """
-    for start in range(0, config.replications, plan.chunk):
-        stop = min(start + plan.chunk, config.replications)
+    for start in range(0, replications, plan.chunk):
+        stop = min(start + plan.chunk, replications)
         rngs = [derive_rng(config.seed, tag, rep) for rep in range(start, stop)]
         yield slice(start, stop), np.array([_innovations(config, rng) for rng in rngs])
 
 
-def _run(
-    config: SurrogateConfig,
-    plan: _Plan,
-    tag: int,
-    width: int,
-    rows_of: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """(replications, width) matrix of a statistic of each replication.
+# (replications, width, rows_of): a statistic of the first ``replications``
+# replications, where ``rows_of`` reduces normalized errors to one row each
+_Statistic = tuple[int, int, Callable[[np.ndarray], np.ndarray]]
 
-    ``rows_of`` reduces one pass's normalized errors to its rows.
+
+def _run(
+    config: SurrogateConfig, plan: _Plan, tag: int, statistics: Sequence[_Statistic]
+) -> list[np.ndarray]:
+    """One (replications, width) matrix per statistic; row r is replication r's.
+
+    One draw and one simulation per replication serve every statistic, so a
+    statistic's rows do not depend on how many replications the others take.
     """
-    out = np.empty((config.replications, width))
-    for reps, innovations in _draws(config, plan, tag):
-        out[reps] = rows_of(_simulate(config, plan, innovations))
+    out = [np.empty((reps, width)) for reps, width, _ in statistics]
+    for rows, innovations in _draws(config, plan, tag, max(s[0] for s in statistics)):
+        norm = _simulate(config, plan, innovations)
+        for values, (reps, _, rows_of) in zip(out, statistics):
+            if rows.start < reps:
+                values[rows.start : min(rows.stop, reps)] = rows_of(norm[: reps - rows.start])
     return out
+
+
+def _xi_statistic(config: SurrogateConfig, plan: _Plan, replications: int) -> _Statistic:
+    """Xi curves, (replications, tau_max)."""
+    cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
+    return replications, config.tau_max, lambda norm: _xi_rows(norm, cell, config)
 
 
 def _xi_ensemble(config: SurrogateConfig, tag: int) -> np.ndarray:
     """(replications, tau_max) Xi curves of the surrogate null."""
     plan = _engine_plan(config)
-    cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
-    return _run(config, plan, tag, config.tau_max, lambda norm: _xi_rows(norm, cell, config))
+    return _run(config, plan, tag, [_xi_statistic(config, plan, config.replications)])[0]
 
 
 def _check_curve(curve: ErrorGrowthCurve, config: SurrogateConfig) -> None:
@@ -377,6 +398,33 @@ def _check_theta_grid(theta_grid: Sequence[float]) -> np.ndarray:
     return theta_grid
 
 
+def _band_observed(
+    config: SurrogateConfig, observed_curve: ErrorGrowthCurve | None
+) -> np.ndarray | None:
+    """The observed Xi at horizons 1..tau_max (NaN where the curve has none),
+    after checking the curve and warning below 100 replications."""
+    if observed_curve is not None:
+        _check_curve(observed_curve, config)
+    if config.replications < 100:
+        warnings.warn(
+            f"{config.replications} replications give unstable quantile bands; "
+            "100 or more are recommended",
+            stacklevel=3,
+        )
+    if observed_curve is None:
+        return None
+    observed = np.full(config.tau_max, np.nan)
+    for t, x in zip(observed_curve.taus, observed_curve.xi):
+        if 1 <= t <= config.tau_max:
+            observed[int(t) - 1] = x
+    return observed
+
+
+def _band(values: np.ndarray, observed: np.ndarray | None) -> NullEnsemble:
+    taus = np.arange(1, values.shape[1] + 1, dtype=np.int64)
+    return NullEnsemble(statistic="xi", values=values, observed=observed, taus=taus)
+
+
 def null_xi_band(
     config: SurrogateConfig, observed_curve: ErrorGrowthCurve | None = None
 ) -> NullEnsemble:
@@ -384,25 +432,11 @@ def null_xi_band(
 
     When an observed curve is supplied, per-horizon p-values report the
     share of replications whose Xi is at least the observed one. The curve's
-    weighting and window must match the config's.
+    weighting and window must match the config's. Replication r draws from
+    the "xi-band" stream, as in ``validation_nulls``.
     """
-    if observed_curve is not None:
-        _check_curve(observed_curve, config)
-    if config.replications < 100:
-        warnings.warn(
-            f"{config.replications} replications give unstable quantile bands; "
-            "100 or more are recommended",
-            stacklevel=2,
-        )
-    values = _xi_ensemble(config, _stream_tag("xi-band"))
-    taus = np.arange(1, config.tau_max + 1, dtype=np.int64)
-    observed = None
-    if observed_curve is not None:
-        observed = np.full(config.tau_max, np.nan)
-        for t, x in zip(observed_curve.taus, observed_curve.xi):
-            if 1 <= t <= config.tau_max:
-                observed[int(t) - 1] = x
-    return NullEnsemble(statistic="xi", values=values, observed=observed, taus=taus)
+    observed = _band_observed(config, observed_curve)
+    return _band(_xi_ensemble(config, _stream_tag("xi-band")), observed)
 
 
 def _deviation_stats(eps: np.ndarray, t_cdf_grid: np.ndarray) -> np.ndarray:
@@ -410,6 +444,31 @@ def _deviation_stats(eps: np.ndarray, t_cdf_grid: np.ndarray) -> np.ndarray:
     ecdf = np.searchsorted(np.sort(eps), DEVIATION_GRID, side="right") / eps.size
     delta = ecdf - t_cdf_grid
     return np.array([np.abs(delta).sum(), (delta**2).sum(), delta.max()])
+
+
+def _deviation_observed(
+    records: HindcastRecords, theta: float, config: SurrogateConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The deviation measures of the records' pooled eps* at theta, and the
+    t(m-1) CDF on the grid that they compare with."""
+    if records.m != config.m:
+        raise ValueError(f"records use window {records.m}, config.m={config.m}")
+    pooled = pooled_rescaled_distribution(records[records.tau <= config.tau_max], theta)
+    t_cdf_grid = np.array([student_t_cdf(x, config.m - 1) for x in DEVIATION_GRID])
+    return _deviation_stats(pooled.values, t_cdf_grid), t_cdf_grid
+
+
+def _deviation_statistic(
+    config: SurrogateConfig, plan: _Plan, replications: int, theta: float, t_cdf_grid: np.ndarray
+) -> _Statistic:
+    """Deviation measures, (replications, 3), of each record's error over its
+    eps* divisor at theta."""
+    divisors = _rescale_divisors(range(1, config.tau_max + 1), config.m, theta)[plan.tau - 1]
+
+    def rows_of(norm: np.ndarray) -> np.ndarray:
+        return np.array([_deviation_stats(e, t_cdf_grid) for e in norm / divisors])
+
+    return replications, len(DEVIATION_STATISTICS), rows_of
 
 
 def distribution_deviation_test(
@@ -422,21 +481,50 @@ def distribution_deviation_test(
     (sum of |differences|, sum of squares, signed maximum); the null
     distribution of each measure comes from the full surrogate pipeline.
     The ensemble's columns, in ``observed`` and ``values``, are the measures
-    named in ``DEVIATION_STATISTICS``.
+    named in ``DEVIATION_STATISTICS``. Replication r draws from the
+    "xi-band" stream, so its row comes from the same walks as row r of
+    ``null_xi_band``'s ensemble at the same config.
     """
-    if records.m != config.m:
-        raise ValueError(f"records use window {records.m}, config.m={config.m}")
-    pooled = pooled_rescaled_distribution(records[records.tau <= config.tau_max], theta)
-    t_cdf_grid = np.array([student_t_cdf(x, config.m - 1) for x in DEVIATION_GRID])
-    observed = _deviation_stats(pooled.values, t_cdf_grid)
+    observed, t_cdf_grid = _deviation_observed(records, theta, config)
     plan = _engine_plan(config)
-    record_rescale = _rescale_divisors(range(1, config.tau_max + 1), config.m, theta)[plan.tau - 1]
-
-    def rows_of(norm: np.ndarray) -> np.ndarray:
-        return np.array([_deviation_stats(e, t_cdf_grid) for e in norm / record_rescale])
-
-    values = _run(config, plan, _stream_tag("deviation"), 3, rows_of)
+    deviation = _deviation_statistic(config, plan, config.replications, theta, t_cdf_grid)
+    (values,) = _run(config, plan, _stream_tag("xi-band"), [deviation])
     return NullEnsemble(statistic="ecdf-deviation", values=values, observed=observed)
+
+
+def validation_nulls(
+    config: SurrogateConfig,
+    observed_curve: ErrorGrowthCurve,
+    records: HindcastRecords,
+    deviation_reps: int,
+) -> tuple[NullEnsemble, NullEnsemble]:
+    """``null_xi_band(config, observed_curve)`` and the deviation test of the
+    records at config.theta with ``deviation_reps`` replications, from one
+    ensemble.
+
+    Replication r's walks give band row r, for r below config.replications,
+    and deviation row r, for r below deviation_reps, so each ensemble equals
+    the single-statistic call's as bytes. Each p-value is valid on its own,
+    but the band and the deviation test are not independent.
+    """
+    deviation_reps = _integer("deviation_reps", deviation_reps)
+    if deviation_reps < 1:
+        raise ValueError(f"need at least 1 deviation replication, got {deviation_reps}")
+    observed_band = _band_observed(config, observed_curve)
+    observed_deviation, t_cdf_grid = _deviation_observed(records, config.theta, config)
+    plan = _engine_plan(config)
+    band, deviation = _run(
+        config,
+        plan,
+        _stream_tag("xi-band"),
+        [
+            _xi_statistic(config, plan, config.replications),
+            _deviation_statistic(config, plan, deviation_reps, config.theta, t_cdf_grid),
+        ],
+    )
+    return _band(band, observed_band), NullEnsemble(
+        statistic="ecdf-deviation", values=deviation, observed=observed_deviation
+    )
 
 
 @dataclass(frozen=True)
@@ -606,7 +694,7 @@ def estimate_theta_matched(
         )
     cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
     total = np.zeros((theta_grid.size, taus.size))
-    for _, innovations in _draws(config, plan, _stream_tag("theta-match")):
+    for _, innovations in _draws(config, plan, _stream_tag("theta-match"), config.replications):
         terms = _matching_terms(plan, innovations, config.m)
         total += _matching_xi(plan, cell, terms, theta_grid, config)[:, :, taus - 1].sum(axis=0)
     z_values = np.mean(xi_obs / (total / config.replications), axis=-1)

@@ -291,6 +291,37 @@ class TestCompare:
         assert "--tau-max must be >= 1" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["run.json"]
 
+    @pytest.mark.parametrize(
+        "flag, cost",
+        [("--cost-a", "-1"), ("--cost-b", "0"), ("--cost-a", "inf"), ("--cost-b", "nan")],
+    )
+    def test_nonpositive_cost_exits_2(self, tmp_path, capsys, flag, cost):
+        # a cost <= 0 used to fail with "math domain error", which names no flag
+        out = tmp_path / "c4"
+        costs = {"--cost-a": "3.0", "--cost-b": "1.0", flag: cost}
+        code = main(
+            ["compare", "--out", str(out), "--mu-a", "-0.1", "--k-a", "0.1",
+             "--mu-b", "0", "--k-b", "0.1", "--m", "5", *(x for kv in costs.items() for x in kv)]
+        )
+        assert code == 2
+        assert f"{flag} must be a finite positive cost" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+
+    def test_bad_scenario_fails_before_any_output(self, tmp_path, capsys):
+        # the first --k-b's CSV used to be written and reported before the
+        # negative second one failed
+        out = tmp_path / "c5"
+        code = main(
+            ["compare", "--out", str(out),
+             "--cost-a", "3.0", "--mu-a", "-0.1", "--k-a", "0.1",
+             "--cost-b", "1.0", "--mu-b", "0", "--k-b", "0.05", "-0.05", "--m", "5"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "volatility cannot be negative" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+
 
 class TestTrend:
     def test_reference_value(self, tmp_path, capsys):

@@ -25,6 +25,7 @@ from costwalk import (
     load_reference_params,
     null_xi_band,
     surrogate_corpus,
+    validation_nulls,
 )
 from costwalk import _kernels
 from costwalk.hindcast import _cells
@@ -204,12 +205,88 @@ def test_deviation_statistics_equal_their_null_row(config, data):
     # observed statistics: the observed and the null path share the hindcast
     # and the eps* divisor
     r = data.draw(st.integers(0, config.replications - 1))
-    rng = derive_rng(config.seed, _stream_tag("deviation"), r)
+    rng = derive_rng(config.seed, _stream_tag("xi-band"), r)
     corpus = _unit_corpus(config, _per_series_innovations(config, rng))
     records = hindcast_corpus(corpus, config.m, tau_max=config.tau_max).records
     assume(len(records) > 0)
     test = distribution_deviation_test(records, config.theta, config)
     _assert_bytes_equal(test.observed, test.values[r])
+
+
+@PROPERTY
+@given(configs(), st.integers(1, 9), st.data())
+def test_one_corpus_gives_its_band_and_deviation_rows(config, deviation_reps, data):
+    # one draw serves both nulls: the walks of replication r give band row r
+    # and deviation row r as their observed statistics
+    r = data.draw(st.integers(0, min(config.replications, deviation_reps) - 1))
+    rng = derive_rng(config.seed, _stream_tag("xi-band"), r)
+    corpus = _unit_corpus(config, _per_series_innovations(config, rng))
+    records = hindcast_corpus(corpus, config.m, tau_max=config.tau_max).records
+    assume(len(records) > 0)
+    curve = error_growth(records, weighting=config.weighting)
+    with pytest.warns(UserWarning, match="replications"):
+        band, deviation = validation_nulls(config, curve, records, deviation_reps)
+    _assert_bytes_equal(band.values[r, curve.taus - 1], curve.xi)
+    assert np.all(np.isnan(np.delete(band.values[r], curve.taus - 1)))
+    _assert_bytes_equal(deviation.values[r], deviation.observed)
+
+
+def _validation_inputs(replications):
+    config = SurrogateConfig(
+        replications=replications, theta=0.63, m=5, tau_max=20, seed=9, template=REFERENCE_TEMPLATE
+    )
+    assert 5 % _engine_plan(config).chunk  # a pass straddles replication 5
+    records = hindcast_corpus(surrogate_corpus(config, derive_rng(10, 0)), 5, tau_max=20).records
+    return config, error_growth(records), records
+
+
+def _validation_nulls(config, curve, records, deviation_reps):
+    with pytest.warns(UserWarning, match="replications"):
+        return validation_nulls(config, curve, records, deviation_reps)
+
+
+@pytest.mark.parametrize("reps, deviation_reps", [(5, 8), (8, 5), (6, 6)])
+def test_validation_nulls_equal_the_single_null_calls(reps, deviation_reps):
+    config, curve, records = _validation_inputs(reps)
+    band, deviation = _validation_nulls(config, curve, records, deviation_reps)
+    with pytest.warns(UserWarning, match="replications"):
+        single_band = null_xi_band(config, curve)
+    single_deviation = distribution_deviation_test(
+        records, config.theta, dataclasses.replace(config, replications=deviation_reps)
+    )
+    for actual, expected in ((band, single_band), (deviation, single_deviation)):
+        assert actual.statistic == expected.statistic
+        _assert_bytes_equal(actual.values, expected.values)
+        _assert_bytes_equal(actual.observed, expected.observed)
+    _assert_bytes_equal(band.taus, single_band.taus)
+
+
+def test_each_null_is_the_prefix_of_a_longer_one():
+    # the first min(band, deviation) replications of each statistic do not
+    # depend on how many the other takes, with the deviation count above and
+    # below the band's
+    config, curve, records = _validation_inputs(8)
+    band, deviation = _validation_nulls(config, curve, records, 8)
+    fewer = dataclasses.replace(config, replications=5)
+    short_band, long_deviation = _validation_nulls(fewer, curve, records, 8)
+    long_band, short_deviation = _validation_nulls(config, curve, records, 5)
+    _assert_bytes_equal(short_band.values, band.values[:5])
+    _assert_bytes_equal(long_band.values, band.values)
+    _assert_bytes_equal(short_deviation.values, deviation.values[:5])
+    _assert_bytes_equal(long_deviation.values, deviation.values)
+
+
+def test_validation_nulls_keep_the_single_call_checks():
+    config, curve, records = _validation_inputs(100)
+    other_weighting = dataclasses.replace(curve, weighting="equal-technology")
+    with pytest.raises(ValueError, match="weighting"):
+        validation_nulls(config, other_weighting, records, 100)
+    window_6 = dataclasses.replace(config, m=6)
+    with pytest.raises(ValueError, match="config.m"):  # the records' window
+        validation_nulls(window_6, dataclasses.replace(curve, m=6), records, 100)
+    for bad in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="deviation"):
+            validation_nulls(config, curve, records, bad)
 
 
 @PROPERTY
@@ -285,7 +362,6 @@ def test_zero_volatility_series_has_no_null_records():
     for r in range(config.replications):
         records = observed(config, config.seed, _stream_tag("xi-band"), r)
         _assert_bytes_equal(band[r], error_growth(records).xi)
-        records = observed(config, config.seed, _stream_tag("deviation"), r)
         test = distribution_deviation_test(records, config.theta, config)
         _assert_bytes_equal(test.values[r], test.observed)
 

@@ -25,3 +25,4 @@ def test_library_block_runs(corpus_csv, monkeypatch):
     assert cw.crossing_probability(namespace["spec"], tau=15) == pytest.approx(0.62, abs=0.01)
     assert cw.even_odds_horizon(namespace["spec"]) == pytest.approx(math.log(3) / 0.10)
     assert namespace["band"].values.shape == (1000, 20)
+    assert namespace["deviation"].values.shape == (1000, 3)
