@@ -49,6 +49,7 @@ from .models import (
     RwdEstimate,
     estimate_rwd,
     fit_ima_mle,
+    fit_ima_mle_corpus,
     simulate_ima,
     simulate_rwd,
     simulate_trend_stationary,

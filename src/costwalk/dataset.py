@@ -234,35 +234,47 @@ def summarize(series: TechnologySeries, alpha: float = DEFAULT_ALPHA) -> SeriesS
     by convention since the coefficient is unidentified; series with fewer
     than 4 points report theta as NaN. ``alpha`` must lie in [0, 1].
     """
-    _check_alpha(alpha)
-    if series.n_obs < 3:
-        raise ValueError(f"{series.name}: need at least 3 observations, got {series.n_obs}")
-    mu_full, k_full = _drift_and_volatility(series)
-    p_value = one_sided_t_test(series.diffs())
-    if k_full == 0.0:
-        theta, boundary = 0.0, False
-    elif series.n_obs < 4:
-        theta, boundary = math.nan, False
-    else:
-        fit = models.fit_ima_mle(series)
-        theta, boundary = fit.theta, fit.boundary
-    return SeriesSummary(
-        name=series.name,
-        sector=series.sector,
-        n_obs=series.n_obs,
-        mu_full=mu_full,
-        k_full=k_full,
-        theta_full=theta,
-        theta_boundary=boundary,
-        p_value=p_value,
-        improving=p_value < alpha,
-    )
+    return summarize_corpus([series], alpha=alpha)[0]
 
 
 def summarize_corpus(
     corpus: Sequence[TechnologySeries], alpha: float = DEFAULT_ALPHA
 ) -> list[SeriesSummary]:
-    return [summarize(series, alpha=alpha) for series in corpus]
+    """``summarize`` of every series; the IMA fits of all series with K > 0
+    and at least 4 points run together, in one ``models.fit_ima_mle_corpus``
+    call."""
+    _check_alpha(alpha)
+    for series in corpus:
+        if series.n_obs < 3:
+            raise ValueError(f"{series.name}: need at least 3 observations, got {series.n_obs}")
+    moments = [_drift_and_volatility(series) for series in corpus]
+    fitted = [
+        i for i, (_, k_full) in enumerate(moments) if k_full != 0.0 and corpus[i].n_obs >= 4
+    ]
+    fits = dict(zip(fitted, models.fit_ima_mle_corpus([corpus[i] for i in fitted])))
+    summaries = []
+    for i, (series, (mu_full, k_full)) in enumerate(zip(corpus, moments)):
+        if i in fits:
+            theta, boundary = fits[i].theta, fits[i].boundary
+        elif k_full == 0.0:
+            theta, boundary = 0.0, False
+        else:
+            theta, boundary = math.nan, False
+        p_value = one_sided_t_test(series.diffs())
+        summaries.append(
+            SeriesSummary(
+                name=series.name,
+                sector=series.sector,
+                n_obs=series.n_obs,
+                mu_full=mu_full,
+                k_full=k_full,
+                theta_full=theta,
+                theta_boundary=boundary,
+                p_value=p_value,
+                improving=p_value < alpha,
+            )
+        )
+    return summaries
 
 
 def mu_k_regression(summaries: Sequence[SeriesSummary]) -> MuKRegression:

@@ -18,8 +18,11 @@ from costwalk import (
     make_rng,
     mu_k_regression,
     select_improving,
+    fit_ima_mle,
     simulate_rwd,
+    simulate_trend_stationary,
     summarize,
+    summarize_corpus,
     write_corpus_csv,
 )
 
@@ -209,6 +212,37 @@ class TestSummarize:
         rng = make_rng(90101)
         corpus = [simulate_rwd(-0.05, 0.1, n, rng, name=f"s{n}") for n in (5, 12, 40)]
         assert corpus_template(corpus) == corpus_template([summarize(s) for s in corpus])
+
+
+    def test_corpus_mixing_every_kind_of_row_equals_one_at_a_time(self):
+        rng = make_rng(4711)
+
+        def sine(name, n_obs, period):
+            # strongly positive lag-one correlation: the MA root sits at +1
+            d = np.sin(np.arange(n_obs - 1) / period) - 0.2
+            return TechnologySeries(name, np.arange(n_obs) + 2000, np.r_[0.0, np.cumsum(d)])
+
+        corpus = [
+            simulate_rwd(-0.05, 0.1, 25, rng, name="ordinary-25"),
+            TechnologySeries("flat", np.arange(8) + 2000, -0.125 * np.arange(8.0)),
+            sine("plus-one", 15, 3.0),
+            TechnologySeries("three", np.arange(3) + 2000, np.array([0.0, -0.1, -0.3])),
+            simulate_trend_stationary(0.0, -0.05, 0.2, 40, make_rng(1000), name="minus-one"),
+            simulate_rwd(-0.05, 0.1, 25, rng, name="ordinary-25b"),
+            simulate_rwd(-0.05, 0.1, 9, rng, name="ordinary-9"),
+        ]
+        rows = summarize_corpus(corpus)
+        assert [repr(r) for r in rows] == [repr(summarize(s)) for s in corpus]
+        by_name = {r.name: r for r in rows}
+        assert by_name["flat"].theta_full == 0.0 and not by_name["flat"].theta_boundary
+        assert math.isnan(by_name["three"].theta_full) and not by_name["three"].theta_boundary
+        assert by_name["plus-one"].theta_full == 1.0 and by_name["plus-one"].theta_boundary
+        assert by_name["minus-one"].theta_full == -1.0 and by_name["minus-one"].theta_boundary
+        for series in corpus:
+            if series.name.startswith("ordinary"):
+                fit = fit_ima_mle(series)
+                assert by_name[series.name].theta_full == fit.theta
+                assert by_name[series.name].theta_boundary == fit.boundary
 
 
 class TestReferenceTable:
