@@ -24,8 +24,9 @@ Times the hot paths on representative workloads:
 * the observed-data path on a corpus drawn from the template repeated 10
   times (530 series): the IMA maximum likelihood fit of the whole corpus
   in one lockstep call (as ``describe`` runs it) and of one series alone,
-  building the hindcast records, writing them to ``records.csv``, and
-  their error-growth curve under both weightings.
+  reading the corpus from its long CSV (``ingest_csv``), building the
+  hindcast records, writing them to ``records.csv``, and their error-growth
+  curve under both weightings.
 
 Usage: python benchmarks/bench_kernels.py [--reps 200]
 """
@@ -46,9 +47,11 @@ from costwalk import (
     fit_ima_mle,
     fit_ima_mle_corpus,
     hindcast_corpus,
+    ingest_csv,
     load_reference_params,
     make_rng,
     surrogate_corpus,
+    write_corpus_csv,
 )
 from costwalk import _kernels
 from costwalk.hindcast import _cells, write_records_csv
@@ -162,6 +165,9 @@ def bench_observed(template, theta, m, tau_max):
     t_stage = {"hindcast_corpus": _time(lambda: hindcast_corpus(corpus, m, tau_max=tau_max))}
     records = hindcast_corpus(corpus, m, tau_max=tau_max).records
     with tempfile.TemporaryDirectory() as directory:
+        corpus_path = Path(directory) / "corpus.csv"
+        write_corpus_csv(corpus_path, corpus)
+        t_stage["ingest_csv"] = _time(lambda: ingest_csv(corpus_path))
         path = Path(directory) / "records.csv"
         t_stage["write_records_csv"] = _time(lambda: write_records_csv(path, records))
     for w in ("pooled", "equal-technology"):

@@ -185,7 +185,10 @@ def cmd_hindcast(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     out = _prepare_out(args, "validate")
     deviation_reps = args.reps if args.deviation_reps is None else args.deviation_reps
-    for flag, reps in (("--reps", args.reps), ("--deviation-reps", deviation_reps)):
+    checked = [("--reps", args.reps), ("--deviation-reps", deviation_reps)]
+    if args.theta_from == "matched":
+        checked.append(("--grid-reps", args.grid_reps))
+    for flag, reps in checked:
         if reps < 1:
             raise ValueError(f"{flag} must be >= 1, got {reps}")
     corpus = _load_corpus(args)
@@ -266,6 +269,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_forecast(args: argparse.Namespace) -> int:
     out = _prepare_out(args, "forecast")
+    if args.horizon < 1:
+        raise ValueError(f"--horizon must be >= 1, got {args.horizon}")
+    try:
+        window = "all" if args.window == "all" else int(args.window)
+    except ValueError:
+        raise ValueError(f"--window must be 'all' or an integer, got {args.window!r}") from None
     corpus = _load_corpus(args)
     by_name = {s.name: s for s in corpus}
     if args.tech not in by_name:
@@ -273,7 +282,6 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             f"technology {args.tech!r} not in corpus; available: {sorted(by_name)}"
         )
     series = by_name[args.tech]
-    window = "all" if args.window == "all" else int(args.window)
     forecasts = forecast_technology(series, args.horizon, args.theta, m=window)
     origin_year = int(series.years[-1])
     _write_json(

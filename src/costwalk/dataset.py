@@ -142,7 +142,7 @@ def ingest_csv(path: str | Path) -> list[TechnologySeries]:
             )
         has_sector = len(header) > 3 and header[3] == "sector"
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():  # no cells, or only blank ones
                 continue
             if len(row) < 3:
                 raise DataFormatError(f"line {line_no}: expected at least 3 columns, got {len(row)}")
@@ -162,21 +162,19 @@ def ingest_csv(path: str | Path) -> list[TechnologySeries]:
                 sectors[tech] = row[3].strip()
 
     out: list[TechnologySeries] = []
-    for tech in sorted(by_tech):
-        years = np.array(sorted(by_tech[tech]), dtype=np.int64)
-        logs = np.array([by_tech[tech][y] for y in years])
-        start, stop = _longest_run(years)
-        if stop - start < years.size:
+    for tech, obs in sorted(by_tech.items()):
+        years = sorted(obs)
+        if years[-1] - years[0] != len(years) - 1:  # distinct sorted years with a gap
+            start, stop = _longest_run(np.array(years, dtype=np.int64))
             kept = f"{years[start]}-{years[stop - 1]}"
-            dropped = sorted(set(years.tolist()) - set(years[start:stop].tolist()))
+            dropped = years[:start] + years[stop:]
             warnings.warn(
                 f"{tech}: years are not contiguous; keeping {kept} and dropping {dropped}",
                 DataWarning,
                 stacklevel=2,
             )
             years = years[start:stop]
-            logs = logs[start:stop]
-        if years.size < 2:
+        if len(years) < 2:
             warnings.warn(
                 f"{tech}: fewer than 2 contiguous observations, series dropped",
                 DataWarning,
@@ -184,7 +182,12 @@ def ingest_csv(path: str | Path) -> list[TechnologySeries]:
             )
             continue
         out.append(
-            TechnologySeries(name=tech, years=years, log_costs=logs, sector=sectors.get(tech, ""))
+            TechnologySeries(
+                name=tech,
+                years=np.array(years, dtype=np.int64),
+                log_costs=np.array([obs[y] for y in years]),
+                sector=sectors.get(tech, ""),
+            )
         )
     return out
 

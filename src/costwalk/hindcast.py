@@ -334,14 +334,37 @@ def _csv_field(text: str) -> str:
 
 
 def write_records_csv(path: str | Path, records: HindcastRecords) -> None:
-    """One row per record, as the csv module writes it: each name is quoted
-    once, and each row is formatted with one call."""
-    names = [_csv_field(name) for name in records.names]
-    row = "{},{},{},{:.10g},{:.10g},{:.10g},{:.10g}\r\n".format
-    columns = (getattr(records, c).tolist() for c in _COLUMNS[2:])
+    """One row per record, as the csv module writes it.
+
+    The records of one forecast origin share its technology, ``t0_year``,
+    ``mu_hat`` and ``K_hat``, so the rows come in runs: consecutive records
+    equal in those four columns, the two floats compared as bits (``0.0`` and
+    ``-0.0``, or two NaN payloads, start a new run). Each name is quoted once;
+    each run's ``name,t0_year,`` head and ``,mu_hat,K_hat`` tail are formatted
+    once, into a row template that leaves ``tau`` and the two errors open (a
+    ``%`` in a name is doubled there), and the run's rows are then filled in
+    with one ``%`` call.
+    """
+    n = len(records)
+    mu_hat = np.asarray(records.mu_hat, dtype=np.float64)
+    k_hat = np.asarray(records.k_hat, dtype=np.float64)
+    starts_run = np.zeros(n, dtype=bool)
+    starts_run[:1] = True
+    for key in (records.tech, records.origin_year, mu_hat.view(np.int64), k_hat.view(np.int64)):
+        starts_run[1:] |= key[1:] != key[:-1]
+    start = np.flatnonzero(starts_run)
+    names = [_csv_field(name).replace("%", "%%") for name in records.names]
+    origins = zip(*(c[start].tolist() for c in (records.tech, records.origin_year, mu_hat, k_hat)))
+    templates = [f"{names[t]},{y},%s,%.10g,%.10g,{mu:.10g},{k:.10g}\r\n" for t, y, mu, k in origins]
+    values = [None] * (3 * n)  # tau, raw_error, norm_error of each record in turn
+    values[0::3] = records.tau.tolist()
+    values[1::3] = records.raw_error.tolist()
+    values[2::3] = records.norm_error.tolist()
+    bounds = [*start.tolist(), n]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("technology,t0_year,tau,raw_error,norm_error,mu_hat,K_hat\r\n")
-        handle.writelines(map(row, map(names.__getitem__, records.tech.tolist()), *columns))
+        for template, a, b in zip(templates, bounds, bounds[1:]):
+            handle.write(template * (b - a) % tuple(values[3 * a : 3 * b]))
 
 
 def _curve_table(curve: ErrorGrowthCurve, m: int, theta: float) -> dict[str, list]:

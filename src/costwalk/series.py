@@ -28,9 +28,9 @@ class TechnologySeries:
             raise ValueError(f"{self.name}: years and log_costs must be 1-d and equal length")
         if years.size < 2:
             raise ValueError(f"{self.name}: need at least 2 observations, got {years.size}")
-        if np.any(np.diff(years) != 1):
+        if (years[1:] - years[:-1] != 1).any():
             raise ValueError(f"{self.name}: years must be consecutive with step 1")
-        if not np.all(np.isfinite(log_costs)):
+        if not np.isfinite(log_costs).all():
             raise ValueError(f"{self.name}: log costs must be finite")
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "log_costs", log_costs)

@@ -162,6 +162,16 @@ class TestValidate:
         ) == 2
         assert "alpha must lie in [0, 1]" in capsys.readouterr().err
 
+    def test_zero_grid_reps_names_the_flag(self, corpus_csv, tmp_path, capsys):
+        # used to exit 2 with "need at least 1 replication", which names no flag
+        out = tmp_path / "o"
+        assert main(
+            ["validate", "--input", str(corpus_csv), "--out", str(out),
+             "--theta-from", "matched", "--grid-reps", "0"]
+        ) == 2
+        assert "--grid-reps must be >= 1, got 0" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+
     def test_theta_from_weighted(self, corpus_csv, tmp_path):
         out = tmp_path / "w"
         assert main(
@@ -242,6 +252,27 @@ class TestForecast:
              "--tech", "nope", "--horizon", "5"]
         ) == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--window", "abc"), "--window must be 'all' or an integer, got 'abc'"),
+            (("--window", "2.5"), "--window must be 'all' or an integer, got '2.5'"),
+            (("--horizon", "0"), "--horizon must be >= 1, got 0"),
+            (("--horizon", "-2"), "--horizon must be >= 1, got -2"),
+        ],
+    )
+    def test_bad_flag_is_named(self, corpus_csv, tmp_path, capsys, flags, message):
+        # used to exit 2 with "invalid literal for int()" or "tau_max must be
+        # >= 1", which name no flag
+        out = tmp_path / "o"
+        args = {"--horizon": "5", "--window": "all", flags[0]: flags[1]}
+        assert main(
+            ["forecast", "--input", str(corpus_csv), "--out", str(out), "--tech", "tech00",
+             *(x for kv in args.items() for x in kv)]
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run.json"]
 
     def test_integer_window(self, corpus_csv, tmp_path):
         out = tmp_path / "fw"

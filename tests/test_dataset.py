@@ -1,6 +1,7 @@
 """Ingestion, selection filter, summaries, and the volatility-drift relation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,64 @@ class TestIngestion:
         (series,) = ingest_csv(path)
         assert series.sector == "Energy"
 
+    def test_blank_rows_skipped(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "technology,year,cost\nX,2000,10\n\n , ,\n,,\nX,2001,9\n\t\nX,2002,8, \n \x0b,\n",
+        )
+        (series,) = ingest_csv(path)
+        assert np.array_equal(series.years, [2000, 2001, 2002])
+
+    def test_interleaved_technologies_and_unsorted_years(self, tmp_path):
+        rows = ["B,2003,5", "A,2001,9", "B,2001,7", "A,2000,10", "B,2002,6", "A,2002,8"]
+        path = _write(tmp_path, "technology,year,cost\n" + "\n".join(rows) + "\n")
+        a, b = ingest_csv(path)
+        assert (a.name, b.name) == ("A", "B")
+        assert np.array_equal(a.years, [2000, 2001, 2002])
+        assert np.array_equal(b.years, [2001, 2002, 2003])
+        np.testing.assert_array_equal(a.log_costs, [math.log(10.0), math.log(9.0), math.log(8.0)])
+        np.testing.assert_array_equal(b.log_costs, [math.log(7.0), math.log(6.0), math.log(5.0)])
+
+    def test_gap_tie_keeps_later_run(self, tmp_path):
+        years = [2000, 2001, 2002, 2005, 2006, 2007]
+        rows = [f"X,{y},{100 - y % 100}" for y in years]
+        path = _write(tmp_path, "technology,year,cost\n" + "\n".join(rows) + "\n")
+        with pytest.warns(DataWarning) as caught:
+            (series,) = ingest_csv(path)
+        assert [str(w.message) for w in caught] == [
+            "X: years are not contiguous; keeping 2005-2007 and dropping [2000, 2001, 2002]"
+        ]
+        assert np.array_equal(series.years, [2005, 2006, 2007])
+        np.testing.assert_array_equal(series.log_costs, [math.log(95.0), math.log(94.0), math.log(93.0)])
+
+    def test_technology_below_two_points_dropped(self, tmp_path):
+        rows = ["A,2000,5", "A,2002,4", "A,2004,3", "B,1990,2", "C,2000,10", "C,2001,9"]
+        path = _write(tmp_path, "technology,year,cost\n" + "\n".join(rows) + "\n")
+        with pytest.warns(DataWarning) as caught:
+            corpus = ingest_csv(path)
+        assert [s.name for s in corpus] == ["C"]
+        assert [str(w.message) for w in caught] == [
+            "A: years are not contiguous; keeping 2004-2004 and dropping [2000, 2002]",
+            "A: fewer than 2 contiguous observations, series dropped",
+            "B: fewer than 2 contiguous observations, series dropped",
+        ]
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("X,abc,11", "X,2003,-1", "line 3: year 'abc' is not an integer"),
+            ("X,2003,-1", "X,abc,11", "line 3: cost must be a finite positive number, got -1"),
+            ("X,2000,12", "X,2004", "line 3: duplicate observation for (X, 2000)"),
+            (",2003,5", "X,2000,12", "line 3: empty technology name"),
+            ("X,2003", ",2004,5", "line 3: expected at least 3 columns, got 2"),
+        ],
+    )
+    def test_first_bad_line_named(self, tmp_path, first, second, message):
+        text = f"technology,year,cost\nX,2000,10\n{first}\nX,2001,9\n{second}\n"
+        with pytest.raises(DataFormatError) as caught:
+            ingest_csv(_write(tmp_path, text))
+        assert str(caught.value) == message
+
     def test_round_trip_idempotent(self, tmp_path, corpus_csv):
         first = ingest_csv(corpus_csv)
         out = tmp_path / "round.csv"
@@ -134,6 +193,41 @@ def test_write_then_ingest_round_trip(tmp_path_factory, corpus):
         # costs are stored, so exp then log round both ways: 4 ulp of max(|y|, 1)
         tolerance = 4 * np.spacing(np.maximum(np.abs(a.log_costs), 1.0))
         assert np.all(np.abs(b.log_costs - a.log_costs) <= tolerance)
+
+
+@st.composite
+def gapped_rows(draw):
+    """(rows, expected): the shuffled CSV rows of a few technologies whose years
+    have gaps, and the series ingestion must build from them."""
+    names = draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=4, unique=True))
+    rows, expected = [], []
+    for name in names:
+        years = sorted(draw(st.sets(st.integers(1990, 2010), min_size=1, max_size=15)))
+        costs = {y: draw(st.floats(1e-3, 1e3)) for y in years}
+        rows += [f"{name},{y},{costs[y]!r}" for y in years]
+        runs = [[years[0]]]  # maximal runs of consecutive years, in order
+        for y in years[1:]:
+            if y == runs[-1][-1] + 1:
+                runs[-1].append(y)
+            else:
+                runs.append([y])
+        kept = max(reversed(runs), key=len)  # the later run wins a tie
+        if len(kept) >= 2:
+            expected.append(TechnologySeries(name, np.array(kept), np.array([math.log(costs[y]) for y in kept])))
+    return draw(st.permutations(rows)), sorted(expected, key=lambda s: s.name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gapped_rows())
+def test_shuffled_gapped_rows_give_the_series_built_directly(tmp_path_factory, case):
+    rows, expected = case
+    path = tmp_path_factory.mktemp("gapped") / "corpus.csv"
+    path.write_text("technology,year,cost\n" + "\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)
+        corpus = ingest_csv(path)
+    assert [s.name for s in corpus] == [s.name for s in expected]
+    assert all(a.equals(b) for a, b in zip(corpus, expected))
 
 
 class TestSeriesValidation:

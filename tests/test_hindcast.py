@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import costwalk
@@ -402,6 +402,59 @@ class TestBiasTest:
         assert float(np.median(ps)) > 0.1
 
 
+def _assert_records_csv_is_csv_module(directory, records):
+    """write_records_csv writes, byte for byte, what csv.writer writes for the records."""
+    path = directory / "records.csv"
+    write_records_csv(path, records)
+    expected = directory / "expected.csv"
+    with open(expected, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["technology", "t0_year", "tau", "raw_error", "norm_error", "mu_hat", "K_hat"])
+        for tech, year, tau, *errors in zip(
+            _technologies(records), records.origin_year.tolist(), records.tau.tolist(),
+            records.raw_error, records.norm_error, records.mu_hat, records.k_hat,
+        ):
+            writer.writerow([tech, year, tau, *(f"{float(e):.10g}" for e in errors)])
+    assert path.read_bytes() == expected.read_bytes()
+
+
+# a NaN whose payload differs from np.nan's; both print as "nan"
+_OTHER_NAN = float(np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0])
+_FLOATS = hst.sampled_from([0.0, -0.0, np.nan, _OTHER_NAN, np.inf, -np.inf, -0.05]) | hst.floats()
+_NO_RECORDS = HindcastRecords(
+    (), *(np.empty(0, dtype=np.int64) for _ in range(4)), *(np.empty(0) for _ in range(4)), 5
+)
+
+
+@hst.composite
+def origin_runs(draw):
+    """Records in runs of one (technology, year, mu_hat, k_hat) each, in no
+    particular order, drawn from few values so that neighbouring runs often
+    share the technology and year but not mu_hat or k_hat, or the reverse."""
+    names = draw(
+        hst.lists(
+            hst.sampled_from(["a", "b, c", 'say "x"', "100%", "%s", "%(k)d", "two\nlines", "Größe"]),
+            min_size=1, max_size=3, unique=True,
+        )
+    )
+    origins = hst.tuples(
+        hst.sampled_from(names), hst.sampled_from([1990, 1991]), _FLOATS, _FLOATS, hst.integers(1, 4)
+    )
+    rows = [
+        (name, 0, year, draw(hst.integers(1, 30)), draw(_FLOATS), draw(_FLOATS), mu, k)
+        for name, year, mu, k, size in draw(hst.lists(origins, min_size=1, max_size=12))
+        for _ in range(size)
+    ]
+    return _columns(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@example(_NO_RECORDS)
+@given(origin_runs())
+def test_records_csv_runs_bytes_equal_csv_module(tmp_path_factory, records):
+    _assert_records_csv_is_csv_module(tmp_path_factory.mktemp("runs"), records)
+
+
 class TestCsvEmitters:
     def test_records_csv(self, tmp_path):
         records = hindcast_corpus([_random_series(12, seed=8, name="abc")], m=5).records
@@ -415,27 +468,16 @@ class TestCsvEmitters:
         assert float(rows[1][3]) == pytest.approx(records.raw_error[0], rel=1e-9)
 
     def test_records_csv_bytes_equal_csv_module(self, tmp_path):
-        # each name is quoted once and each row formatted in one call; the
-        # file must stay what csv.writer writes, names that need quoting included
+        # each name is quoted once and each origin's head and tail formatted
+        # once; the file must stay what csv.writer writes, names that need
+        # quoting included
         names = ["", " pad ", "a, b", 'say "hi"', '"', "two\nlines", "cr\r", "Größe — 太阳能", "plain"]
         raw = [0.1, -2.5e-12, 1e300, -0.0, np.inf, np.nan, 1 / 3, 123456789012.0, 7.0]
         rows = [
             (name, j, 1990 + j, 1 + j % 3, e, e / 0.3, -0.05, 0.3)
             for j, (name, e) in enumerate(zip(names, raw))
         ]
-        records = _columns(rows)
-        path = tmp_path / "records.csv"
-        write_records_csv(path, records)
-        expected = tmp_path / "expected.csv"
-        with open(expected, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["technology", "t0_year", "tau", "raw_error", "norm_error", "mu_hat", "K_hat"])
-            for tech, year, tau, *errors in zip(
-                _technologies(records), records.origin_year.tolist(), records.tau.tolist(),
-                records.raw_error, records.norm_error, records.mu_hat, records.k_hat,
-            ):
-                writer.writerow([tech, year, tau, *(f"{float(e):.10g}" for e in errors)])
-        assert path.read_bytes() == expected.read_bytes()
+        _assert_records_csv_is_csv_module(tmp_path, _columns(rows))
 
     def test_error_growth_csv(self, tmp_path):
         records = hindcast_corpus([_random_series(20, seed=9)], m=5, tau_max=6).records
