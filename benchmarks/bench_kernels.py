@@ -23,7 +23,8 @@ Times the hot paths on representative workloads:
   observed curve shares);
 * the observed-data path on a corpus drawn from the template repeated 10
   times (530 series): the IMA maximum likelihood fit of the whole corpus
-  in one lockstep call (as ``describe`` runs it) and of one series alone,
+  in one lockstep call and of one series alone, the whole summary of the
+  corpus (moments, trend p-values and that fit, as ``describe`` runs it),
   reading the corpus from its long CSV (``ingest_csv``), building the
   hindcast records, writing them to ``records.csv``, and their error-growth
   curve under both weightings.
@@ -50,14 +51,14 @@ from costwalk import (
     ingest_csv,
     load_reference_params,
     make_rng,
+    summarize_corpus,
     surrogate_corpus,
     write_corpus_csv,
 )
 from costwalk import _kernels
 from costwalk.hindcast import _cells, write_records_csv
-from costwalk.stats import derive_rng, student_t_cdf
+from costwalk.stats import derive_rng
 from costwalk.surrogate import (
-    DEVIATION_GRID,
     _deviation_statistic,
     _engine_plan,
     _innovations,
@@ -108,11 +109,9 @@ def bench_joint(template, theta, m, tau_max, reps):
         replications=reps, theta=theta, m=m, tau_max=tau_max, seed=42, template=template
     )
     plan = _engine_plan(config)
-    t_cdf_grid = np.array([student_t_cdf(x, m - 1) for x in DEVIATION_GRID])
-    statistics = [
-        _xi_statistic(config, plan, reps),
-        _deviation_statistic(config, plan, reps, theta, t_cdf_grid),
-    ]
+    records = hindcast_corpus(surrogate_corpus(config, make_rng(7)), m, tau_max=tau_max).records
+    _, deviation = _deviation_statistic(records, config, plan, reps)
+    statistics = [_xi_statistic(config, plan, reps), deviation]
     return _time(lambda: _run(config, plan, 1, statistics), repeat=3) / reps
 
 
@@ -161,6 +160,8 @@ def bench_observed(template, theta, m, tau_max):
         f"fit_ima_mle, one series (T={corpus[0].n_obs})": _time(
             lambda: fit_ima_mle(corpus[0]), repeat=3
         ),
+        "summarize_corpus, per series": _time(lambda: summarize_corpus(corpus), repeat=3)
+        / len(corpus),
     }
     t_stage = {"hindcast_corpus": _time(lambda: hindcast_corpus(corpus, m, tau_max=tau_max))}
     records = hindcast_corpus(corpus, m, tau_max=tau_max).records

@@ -422,7 +422,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (DataFormatError, OSError, ValueError, KeyError) as exc:  # OSError: a bad --input/--out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EstimationError, FloatingPointError) as exc:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import models
 from .series import TechnologySeries
-from .stats import OlsFit, ols_fit, one_sided_t_test
+from .stats import OlsFit, ols_fit, one_sided_t_p_value, one_sided_t_test
 
 __all__ = [
     "DataFormatError",
@@ -117,20 +117,28 @@ def _longest_run(years: np.ndarray) -> tuple[int, int]:
     return int(starts[best]), int(stops[best])
 
 
+def _rows(reader):
+    """The rows of a ``csv.reader``; a csv error becomes a ``DataFormatError`` naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(f"line {reader.line_num}: {exc}") from None
+
+
 def ingest_csv(path: str | Path) -> list[TechnologySeries]:
     """Read a long-format cost CSV into one series per technology.
 
     Hard errors (``DataFormatError``): missing/invalid header, unparseable
-    rows, nonpositive costs, duplicate (technology, year) pairs. Gap years
-    reduce a technology to its longest contiguous run with a ``DataWarning``
-    naming the dropped span; technologies left with fewer than 2 points are
-    dropped entirely, also with a warning.
+    rows (out-of-int64 years and oversized fields too), nonpositive costs,
+    duplicate (technology, year) pairs. Gap years reduce a technology to its
+    longest contiguous run with a ``DataWarning`` naming the dropped span;
+    technologies left with fewer than 2 points are dropped with a warning.
     """
     path = Path(path)
     by_tech: dict[str, dict[int, float]] = {}
     sectors: dict[str, str] = {}
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = _rows(csv.reader(handle))
         try:
             header = next(reader)
         except StopIteration:
@@ -153,6 +161,8 @@ def ingest_csv(path: str | Path) -> list[TechnologySeries]:
                 year = int(row[1].strip())
             except ValueError:
                 raise DataFormatError(f"line {line_no}: year {row[1]!r} is not an integer") from None
+            if not -(2**63) <= year < 2**63:
+                raise DataFormatError(f"line {line_no}: year {row[1]!r} is outside the int64 range")
             cost = _parse_positive_cost(row[2].strip(), line_no)
             obs = by_tech.setdefault(tech, {})
             if year in obs:
@@ -223,9 +233,8 @@ def select_improving(
     return improving, excluded
 
 
-def _drift_and_volatility(series: TechnologySeries) -> tuple[float, float]:
-    """Mean and Bessel-corrected standard deviation of the annual log changes."""
-    d = series.diffs()
+def _drift_and_volatility(d: np.ndarray) -> tuple[float, float]:
+    """Mean and Bessel-corrected standard deviation of the annual log changes ``d``."""
     return float(d.mean()), float(d.std(ddof=1))
 
 
@@ -233,9 +242,9 @@ def summarize(series: TechnologySeries, alpha: float = DEFAULT_ALPHA) -> SeriesS
     """Full-sample summary: drift, volatility, MA coefficient, trend p-value.
 
     The MA coefficient comes from the IMA maximum likelihood fit with its own
-    free mean. Degenerate series (constant log changes, K = 0) take theta = 0
-    by convention since the coefficient is unidentified; series with fewer
-    than 4 points report theta as NaN. ``alpha`` must lie in [0, 1].
+    free mean. Equal log changes (K = 0, or K rounded just above 0) give
+    theta = 0 by convention since the coefficient is unidentified; other
+    series with fewer than 4 points report NaN. ``alpha`` must lie in [0, 1].
     """
     return summarize_corpus([series], alpha=alpha)[0]
 
@@ -243,27 +252,26 @@ def summarize(series: TechnologySeries, alpha: float = DEFAULT_ALPHA) -> SeriesS
 def summarize_corpus(
     corpus: Sequence[TechnologySeries], alpha: float = DEFAULT_ALPHA
 ) -> list[SeriesSummary]:
-    """``summarize`` of every series; the IMA fits of all series with K > 0
-    and at least 4 points run together, in one ``models.fit_ima_mle_corpus``
-    call."""
+    """``summarize`` of every series; the IMA fits of all series with at
+    least 4 points, unequal log changes and K > 0 run together, in one
+    ``models.fit_ima_mle_corpus`` call. Equal log changes give theta = 0."""
     _check_alpha(alpha)
     for series in corpus:
         if series.n_obs < 3:
             raise ValueError(f"{series.name}: need at least 3 observations, got {series.n_obs}")
-    moments = [_drift_and_volatility(series) for series in corpus]
-    fitted = [
-        i for i, (_, k_full) in enumerate(moments) if k_full != 0.0 and corpus[i].n_obs >= 4
-    ]
+    diffs = [series.diffs() for series in corpus]
+    moments = [_drift_and_volatility(d) for d in diffs]
+    # K = 0 can also come from squares that underflow; both leave theta unidentified
+    flat = [k == 0.0 or models._constant_increments(d) for d, (_, k) in zip(diffs, moments)]
+    fitted = [i for i, series in enumerate(corpus) if series.n_obs >= 4 and not flat[i]]
     fits = dict(zip(fitted, models.fit_ima_mle_corpus([corpus[i] for i in fitted])))
     summaries = []
     for i, (series, (mu_full, k_full)) in enumerate(zip(corpus, moments)):
         if i in fits:
             theta, boundary = fits[i].theta, fits[i].boundary
-        elif k_full == 0.0:
-            theta, boundary = 0.0, False
         else:
-            theta, boundary = math.nan, False
-        p_value = one_sided_t_test(series.diffs())
+            theta, boundary = 0.0 if flat[i] else math.nan, False
+        p_value = one_sided_t_p_value(mu_full, k_full, series.n_obs - 1)
         summaries.append(
             SeriesSummary(
                 name=series.name,
@@ -365,7 +373,7 @@ def corpus_template(
     triples = []
     for e in entries:
         if isinstance(e, TechnologySeries):
-            triples.append((e.n_obs, *_drift_and_volatility(e)))
+            triples.append((e.n_obs, *_drift_and_volatility(e.diffs())))
         else:
             triples.append((e.n_obs, e.mu_full, e.k_full))
     return tuple(triples)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .forecast import rescale_scale, variance_factors
 from .series import TechnologySeries
-from .stats import student_t_cdf
+from .stats import one_sided_t_test
 
 __all__ = [
     "HindcastRecords",
@@ -288,9 +287,10 @@ class Ecdf:
         return {"positive": (pos, pos_frac), "negative": (neg, neg_frac)}
 
 
-def _rescale_divisors(taus, m: int, theta: float) -> np.ndarray:
-    """Per horizon in ``taus``, sqrt(A*(tau, m, theta)/(1+theta^2)): normalized error / eps*."""
-    return np.array([rescale_scale(variance_factors(int(t), m, theta)) for t in taus])
+def _rescale_divisors(tau: np.ndarray, m: int, theta: float) -> np.ndarray:
+    """Each record's normalized error / eps*: sqrt(A*(tau, m, theta)/(1+theta^2)) at its tau."""
+    taus, horizon = np.unique(tau, return_inverse=True)
+    return np.array([rescale_scale(variance_factors(int(t), m, theta)) for t in taus])[horizon]
 
 
 def pooled_rescaled_distribution(records: HindcastRecords, theta: float) -> Ecdf:
@@ -302,8 +302,7 @@ def pooled_rescaled_distribution(records: HindcastRecords, theta: float) -> Ecdf
     """
     if not records:
         raise ValueError("no records to pool")
-    taus, horizon = np.unique(records.tau, return_inverse=True)
-    return Ecdf(records.norm_error / _rescale_divisors(taus, records.m, theta)[horizon])
+    return Ecdf(records.norm_error / _rescale_divisors(records.tau, records.m, theta))
 
 
 def bias_test(records: HindcastRecords, tau: int) -> float:
@@ -317,12 +316,7 @@ def bias_test(records: HindcastRecords, tau: int) -> float:
     values = records.norm_error[records.tau == tau]
     if values.size < 2:
         raise ValueError(f"need at least 2 records at horizon {tau}, got {values.size}")
-    mean = float(values.mean())
-    sd = float(values.std(ddof=1))
-    if sd == 0.0:
-        return 1.0 if mean == 0.0 else 0.0
-    t_stat = mean / (sd / math.sqrt(values.size))
-    lower = student_t_cdf(t_stat, values.size - 1)
+    lower = one_sided_t_test(values)  # zero variance: p = 1 at mean 0, else 0
     return 2.0 * min(lower, 1.0 - lower)
 
 

@@ -226,6 +226,11 @@ def _nll(rss: np.ndarray, n: np.ndarray) -> np.ndarray:
     ])
 
 
+def _constant_increments(d: np.ndarray) -> bool:
+    """Equal increments leave theta unidentified and, as sigma -> 0, the likelihood unbounded."""
+    return bool(np.ptp(d) == 0.0)
+
+
 def fit_ima_mle(series: TechnologySeries) -> ImaParams:
     """Maximum likelihood IMA(1,1) fit of the differenced series.
 
@@ -255,8 +260,7 @@ def fit_ima_mle_corpus(corpus: Sequence[TechnologySeries]) -> list[ImaParams]:
             )
             continue
         d = series.diffs()
-        if np.ptp(d) == 0.0:
-            # constant increments: sigma -> 0 makes the likelihood unbounded
+        if _constant_increments(d):
             failures[i] = EstimationError(
                 f"{series.name}: increments are constant, IMA likelihood is degenerate"
             )

@@ -34,6 +34,7 @@ __all__ = [
     "student_t_quantile",
     "ols_fit",
     "one_sided_t_test",
+    "one_sided_t_p_value",
     "make_rng",
     "derive_rng",
 ]
@@ -230,8 +231,11 @@ def one_sided_t_test(diffs: np.ndarray) -> float:
     n = diffs.size
     if n < 2:
         raise ValueError(f"need at least 2 observations, got {n}")
-    mean = float(diffs.mean())
-    sd = float(diffs.std(ddof=1))
+    return one_sided_t_p_value(float(diffs.mean()), float(diffs.std(ddof=1)), n)
+
+
+def one_sided_t_p_value(mean: float, sd: float, n: int) -> float:
+    """``one_sided_t_test`` of n >= 2 values with this mean and Bessel-corrected sd."""
     if sd == 0.0:
         if mean < 0.0:
             return 0.0

@@ -79,7 +79,6 @@ from .hindcast import (
     _xi,
     error_growth,
     hindcast_corpus,
-    pooled_rescaled_distribution,
 )
 from .series import TechnologySeries
 from .stats import derive_rng, student_t_cdf
@@ -303,15 +302,6 @@ def _simulate(config: SurrogateConfig, plan: _Plan, innovations: np.ndarray) -> 
     return _kernels._window_errors(plan, y, d, config.m)[0]
 
 
-def _replication_errors(
-    config: SurrogateConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(series_idx, tau, norm_error) of one replication, in plan order."""
-    plan = _engine_plan(config)
-    norm = _simulate(config, plan, _innovations(config, rng)[None])
-    return plan.origin_series[plan.record_origin], plan.tau, norm[0]
-
-
 def _xi_rows(norm: np.ndarray, cell: np.ndarray, config: SurrogateConfig) -> np.ndarray:
     """Per-horizon Xi of each row of ``norm`` (NaN where a row has no records).
 
@@ -321,13 +311,6 @@ def _xi_rows(norm: np.ndarray, cell: np.ndarray, config: SurrogateConfig) -> np.
     """
     shape = (len(config.template), config.tau_max)
     return _xi(*_cell_sums(norm, cell, shape), config.weighting)
-
-
-def _xi_from_errors(
-    series_idx: np.ndarray, tau: np.ndarray, norm: np.ndarray, config: SurrogateConfig
-) -> np.ndarray:
-    """Per-horizon Xi of one replication (length tau_max, NaN where no records)."""
-    return _xi_rows(norm[None, :], _cells(series_idx, tau, config.tau_max), config)[0]
 
 
 def _draws(
@@ -446,48 +429,40 @@ def _deviation_stats(eps: np.ndarray, t_cdf_grid: np.ndarray) -> np.ndarray:
     return np.array([np.abs(delta).sum(), (delta**2).sum(), delta.max()])
 
 
-def _deviation_observed(
-    records: HindcastRecords, theta: float, config: SurrogateConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """The deviation measures of the records' pooled eps* at theta, and the
-    t(m-1) CDF on the grid that they compare with."""
+def _deviation_statistic(
+    records: HindcastRecords, config: SurrogateConfig, plan: _Plan, replications: int
+) -> tuple[np.ndarray, _Statistic]:
+    """The deviation measures of the records' pooled eps* at config.theta, and the
+    statistic of each replication's measures, (replications, 3), taken the same way."""
     if records.m != config.m:
         raise ValueError(f"records use window {records.m}, config.m={config.m}")
-    pooled = pooled_rescaled_distribution(records[records.tau <= config.tau_max], theta)
+    inside = records.tau <= config.tau_max
+    if not inside.any():
+        raise ValueError("no records to pool")
     t_cdf_grid = np.array([student_t_cdf(x, config.m - 1) for x in DEVIATION_GRID])
-    return _deviation_stats(pooled.values, t_cdf_grid), t_cdf_grid
-
-
-def _deviation_statistic(
-    config: SurrogateConfig, plan: _Plan, replications: int, theta: float, t_cdf_grid: np.ndarray
-) -> _Statistic:
-    """Deviation measures, (replications, 3), of each record's error over its
-    eps* divisor at theta."""
-    divisors = _rescale_divisors(range(1, config.tau_max + 1), config.m, theta)[plan.tau - 1]
+    eps = records.norm_error[inside] / _rescale_divisors(records.tau[inside], config.m, config.theta)
+    divisors = _rescale_divisors(plan.tau, config.m, config.theta)
 
     def rows_of(norm: np.ndarray) -> np.ndarray:
         return np.array([_deviation_stats(e, t_cdf_grid) for e in norm / divisors])
 
-    return replications, len(DEVIATION_STATISTICS), rows_of
+    return _deviation_stats(eps, t_cdf_grid), (replications, len(DEVIATION_STATISTICS), rows_of)
 
 
-def distribution_deviation_test(
-    records: HindcastRecords, theta: float, config: SurrogateConfig
-) -> NullEnsemble:
+def distribution_deviation_test(records: HindcastRecords, config: SurrogateConfig) -> NullEnsemble:
     """Test whether pooled rescaled errors are as close to t(m-1) as the null.
 
-    The pooled eps* ECDF is measured on 1000 equally spaced points of
-    [-15, 15] against the Student t(m-1) CDF under three deviation measures
-    (sum of |differences|, sum of squares, signed maximum); the null
+    The pooled eps* ECDF at config.theta is measured on 1000 equally spaced
+    points of [-15, 15] against the Student t(m-1) CDF under three deviation
+    measures (sum of |differences|, sum of squares, signed maximum); the null
     distribution of each measure comes from the full surrogate pipeline.
     The ensemble's columns, in ``observed`` and ``values``, are the measures
     named in ``DEVIATION_STATISTICS``. Replication r draws from the
     "xi-band" stream, so its row comes from the same walks as row r of
     ``null_xi_band``'s ensemble at the same config.
     """
-    observed, t_cdf_grid = _deviation_observed(records, theta, config)
     plan = _engine_plan(config)
-    deviation = _deviation_statistic(config, plan, config.replications, theta, t_cdf_grid)
+    observed, deviation = _deviation_statistic(records, config, plan, config.replications)
     (values,) = _run(config, plan, _stream_tag("xi-band"), [deviation])
     return NullEnsemble(statistic="ecdf-deviation", values=values, observed=observed)
 
@@ -511,16 +486,13 @@ def validation_nulls(
     if deviation_reps < 1:
         raise ValueError(f"need at least 1 deviation replication, got {deviation_reps}")
     observed_band = _band_observed(config, observed_curve)
-    observed_deviation, t_cdf_grid = _deviation_observed(records, config.theta, config)
     plan = _engine_plan(config)
+    observed_deviation, statistic = _deviation_statistic(records, config, plan, deviation_reps)
     band, deviation = _run(
         config,
         plan,
         _stream_tag("xi-band"),
-        [
-            _xi_statistic(config, plan, config.replications),
-            _deviation_statistic(config, plan, deviation_reps, config.theta, t_cdf_grid),
-        ],
+        [_xi_statistic(config, plan, config.replications), statistic],
     )
     return _band(band, observed_band), NullEnsemble(
         statistic="ecdf-deviation", values=deviation, observed=observed_deviation
@@ -802,18 +774,18 @@ def _vary_window(
 
 def _half_corpus(records: HindcastRecords, trials: int, tau_max: int, seed: int) -> dict:
     """Subsample half the technologies many times; band the resulting curves."""
+    if trials < 1:
+        raise ValueError(f"half_dataset_trials must be >= 1, got {trials}")
     sums, counts = _sums_by_technology(records, tau_max)
     n_half = len(records.names) // 2
     if n_half < 1:
         raise ValueError("need at least 2 technologies to subsample")
 
     rngs = (derive_rng(seed, _stream_tag("half-corpus"), trial) for trial in range(trials))
-    chosen = [rng.choice(len(records.names), size=n_half, replace=False) for rng in rngs]
-    chosen = np.array(chosen, dtype=np.int64).reshape(trials, n_half)  # also for 0 trials
-    curves = _xi(sums[chosen], counts[chosen], "pooled")
+    chosen = np.array([rng.choice(len(records.names), size=n_half, replace=False) for rng in rngs])
+    band = NullEnsemble(statistic="xi", values=_xi(sums[chosen], counts[chosen], "pooled"))
     full = _xi(sums, counts, "pooled")
-    lo = np.nanquantile(curves, 0.025, axis=0)
-    hi = np.nanquantile(curves, 0.975, axis=0)
+    lo, hi = band.quantile(0.025), band.quantile(0.975)
     valid = ~np.isnan(full)
     inside = np.mean((full[valid] >= lo[valid]) & (full[valid] <= hi[valid]))
     return {

@@ -18,7 +18,8 @@ import costwalk as cw
 from costwalk import variance_factors
 from costwalk.hindcast import error_growth, hindcast_corpus
 from costwalk.stats import derive_rng, make_rng
-from costwalk.surrogate import _replication_errors, _xi_from_errors
+
+from reference import replication_errors, xi_from_errors
 
 
 def _report(num: int, passed: bool, detail: str) -> None:
@@ -31,7 +32,7 @@ def _ensemble_errors(n_series, n_obs, mu, k, theta, m, tau_max, seed):
     config = cw.SurrogateConfig(
         replications=1, theta=theta, m=m, tau_max=tau_max, seed=seed, template=template
     )
-    sidx, tau, norm = _replication_errors(config, derive_rng(seed, 0))
+    sidx, tau, norm = replication_errors(config, derive_rng(seed, 0))
     return sidx, tau, norm
 
 
@@ -146,8 +147,8 @@ def test_acceptance_05_theta_recovery_by_matching():
     truth_cfg = cw.SurrogateConfig(
         replications=1, theta=0.4, m=5, tau_max=20, seed=810, template=template
     )
-    sidx, tau, norm = _replication_errors(truth_cfg, derive_rng(810, 0))
-    observed = _xi_from_errors(sidx, tau, norm, truth_cfg)
+    sidx, tau, norm = replication_errors(truth_cfg, derive_rng(810, 0))
+    observed = xi_from_errors(sidx, tau, norm, truth_cfg)
     curve = cw.ErrorGrowthCurve(
         taus=np.arange(1, 21),
         xi=observed,
@@ -260,11 +261,11 @@ def test_acceptance_10_historical_corpus():
     dev_cfg = cw.SurrogateConfig(
         replications=2000, theta=tm.theta_m, m=5, tau_max=20, seed=1111, template=template
     )
-    accept = cw.distribution_deviation_test(capped, tm.theta_m, dev_cfg)
+    accept = cw.distribution_deviation_test(capped, dev_cfg)
     dev_cfg_w = cw.SurrogateConfig(
         replications=2000, theta=tw.theta_w, m=5, tau_max=20, seed=1212, template=template
     )
-    reject = cw.distribution_deviation_test(capped, tw.theta_w, dev_cfg_w)
+    reject = cw.distribution_deviation_test(capped, dev_cfg_w)
     checks["deviation"] = bool(np.all(accept.p_raw > 0.05) and np.all(reject.p_raw < 0.05))
 
     ok = all(checks.values())

