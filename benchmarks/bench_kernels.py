@@ -15,9 +15,11 @@ Times the hot paths on representative workloads:
 * validate's joint pass, per replication: the engine with both the
   error-growth curve and the three ECDF-deviation measures of each
   replication, the two nulls that ``validation_nulls`` reads from one draw;
-* theta matching's common-random-numbers pass, per replication: one draw
-  gives the error-growth curve at all 19 theta of the grid 0, 0.05, ..., 0.9
-  (the engine would simulate 19 corpora for it);
+* theta matching, per grid: the exact null mean of Xi at horizons 1..20
+  (``null_xi_mean``) on the grids 0, 0.05, ..., 0.9 (19 theta, perfbench's)
+  and 0, 0.01, ..., 0.9 (91 theta, the CLI default), and the whole
+  ``estimate_theta_matched`` call on each, which adds the bisection for the
+  root of Z - 1; no replication is drawn;
 * the error-growth aggregation of one such pass on its own, under pooled and
   equal-technology weighting (the cell sums and the reduction that the
   observed curve shares);
@@ -67,6 +69,7 @@ from costwalk.surrogate import (
     _xi_ensemble,
     _xi_rows,
     _xi_statistic,
+    null_xi_mean,
 )
 
 
@@ -115,17 +118,19 @@ def bench_joint(template, theta, m, tau_max, reps):
     return _time(lambda: _run(config, plan, 1, statistics), repeat=3) / reps
 
 
-def bench_matching(template, m, tau_max, reps, grid=np.linspace(0.0, 0.9, 19)):
-    """Time per replication of matching theta over ``grid``, observed curve given."""
+def bench_matching(template, m, tau_max, grid):
+    """Times of the exact null mean on ``grid`` and of matching theta over it;
+    the observed corpus is drawn at theta = 0.63, so the bisection runs too."""
     config = SurrogateConfig(
-        replications=reps, theta=0.0, m=m, tau_max=tau_max, seed=42, template=template
+        replications=1, theta=0.63, m=m, tau_max=tau_max, seed=42, template=template
     )
     corpus = surrogate_corpus(config, make_rng(7))
     curve = error_growth(hindcast_corpus(corpus, m, tau_max=tau_max).records)
+    t_mean = _time(lambda: null_xi_mean(m, tau_max, grid), repeat=20)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # Z - 1 need not change sign
-        t = _time(lambda: estimate_theta_matched(curve, config, grid), repeat=3)
-    return grid.size, t / reps
+        t_match = _time(lambda: estimate_theta_matched(curve, config, grid), repeat=20)
+    return t_mean, t_match
 
 
 def bench_xi_pass(template, theta, m, tau_max, loops=200):
@@ -197,8 +202,12 @@ def main():
     print(f"{'corpus_norm_errors':<19} {'':>22} {t_surr * 1e6:>23.1f} us  (plan per call)")
     print(f"{'engine':<19} {'':>22} {t_engine * 1e6:>23.1f} us  (with Xi)")
     print(f"{'validate pass':<19} {'':>22} {t_joint * 1e6:>23.1f} us  (Xi + deviation)")
-    n_theta, t_match = bench_matching(template, 5, 20, args.reps)
-    print(f"{'theta matching':<19} {'':>22} {t_match * 1e6:>23.1f} us  (Xi at {n_theta} theta)")
+
+    print("\ntheta matching, no replication (m=5, tau 1..20)")
+    for n_theta in (19, 91):
+        t_mean, t_match = bench_matching(template, 5, 20, np.linspace(0.0, 0.9, n_theta))
+        print(f"{f'null_xi_mean, {n_theta} theta':<34} {t_mean * 1e3:>8.2f} ms per grid")
+        print(f"{f'estimate_theta_matched, {n_theta} theta':<34} {t_match * 1e3:>8.2f} ms per grid")
 
     chunk, t_xi = bench_xi_pass(template, 0.63, 5, 20)
     print(f"\nXi aggregation of one engine pass ({chunk} replications)")

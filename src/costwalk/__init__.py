@@ -85,6 +85,7 @@ from .surrogate import (
     estimate_theta_matched,
     estimate_theta_weighted,
     null_xi_band,
+    null_xi_mean,
     robustness_suite,
     surrogate_corpus,
     theta_forecast_sweep,

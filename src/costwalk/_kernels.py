@@ -213,17 +213,6 @@ def _window_moments(
     return y_origin, mu, windows, k2
 
 
-def _raw_errors(plan: _Plan, y: np.ndarray, y_origin: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """(rows, records) raw errors y[i + tau] - y[i] - mu_hat * tau in plan order,
-    from ``_window_moments``' y[i] and mu_hat. Computed in place, so a large
-    template needs few record-sized temporaries."""
-    o = plan.record_origin
-    raw = _at(y, plan.target)
-    raw -= _at(y_origin, o)
-    raw -= _at(mu, o) * plan.horizon
-    return raw
-
-
 def _window_errors(
     plan: _Plan, y: np.ndarray, d: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -233,7 +222,11 @@ def _window_errors(
     del windows
     k_hat = np.sqrt(k2)
     o = plan.record_origin
-    norm = _raw_errors(plan, y, y_origin, mu)
+    # the raw errors y[i + tau] - y[i] - mu_hat * tau, in place, so that a large
+    # template needs few record-sized temporaries
+    norm = _at(y, plan.target)
+    norm -= _at(y_origin, o)
+    norm -= _at(mu, o) * plan.horizon
     with np.errstate(divide="ignore", invalid="ignore"):
         norm /= _at(k_hat, o)  # zero-variance origins are masked out below
     keep = k2 > 0.0

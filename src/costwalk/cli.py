@@ -220,14 +220,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "excluded": list(tw.excluded),
         }
     elif args.theta_from == "matched":
-        match_cfg = dataclasses.replace(base, replications=args.grid_reps)
-        tm = estimate_theta_matched(curve, match_cfg, _parse_grid(args.grid))
+        tm = estimate_theta_matched(curve, base, _parse_grid(args.grid))
         theta = tm.theta_m
         report["theta_matched"] = {
             "theta_m": tm.theta_m,
             "grid": tm.theta_grid,
             "z_values": tm.z_values,
             "bracketed": tm.bracketed,
+            "theta_root": tm.theta_root,
         }
     report["theta"] = theta
     report["theta_source"] = args.theta_from or "fixed"
@@ -383,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--theta", type=float, default=0.0)
     group.add_argument("--theta-from", choices=("weighted", "matched"), default=None)
     p.add_argument("--grid", default="0:0.9:0.01", help="theta grid for --theta-from matched")
-    p.add_argument("--grid-reps", type=int, default=3000, help="replications per grid point")
+    p.add_argument(
+        "--grid-reps", type=int, default=3000, help="unused: theta matching draws no replication"
+    )
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("forecast", help="distributional forecast for one technology")

@@ -118,9 +118,13 @@ def _longest_run(years: np.ndarray) -> tuple[int, int]:
 
 
 def _rows(reader):
-    """The rows of a ``csv.reader``; a csv error becomes a ``DataFormatError`` naming the line."""
+    """(line, row) for each row of a ``csv.reader``, line being the physical line the row
+    starts on; a csv error becomes a ``DataFormatError`` naming the line."""
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1  # a quoted cell can span lines
     except csv.Error as exc:
         raise DataFormatError(f"line {reader.line_num}: {exc}") from None
 
@@ -140,7 +144,7 @@ def ingest_csv(path: str | Path) -> list[TechnologySeries]:
     with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = _rows(csv.reader(handle))
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise DataFormatError(f"{path}: file is empty") from None
         header = [cell.strip().lower() for cell in header]
@@ -149,7 +153,7 @@ def ingest_csv(path: str | Path) -> list[TechnologySeries]:
                 f"{path}: expected header 'technology,year,cost', got {','.join(header)}"
             )
         has_sector = len(header) > 3 and header[3] == "sector"
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in reader:
             if not "".join(row).strip():  # no cells, or only blank ones
                 continue
             if len(row) < 3:

@@ -174,17 +174,9 @@ def _cell_sums(
     size = shape[0] * shape[1]
     key = np.arange(rows)[:, None] * size + cell
     sums = np.bincount(key.ravel(), weights=(errors * errors).ravel(), minlength=rows * size)
-    return sums.reshape(rows, *shape), _cell_counts(cell, shape, rows)
-
-
-def _cell_counts(cell: np.ndarray, shape: tuple[int, int], rows: int) -> np.ndarray:
-    """``_cell_sums``' per-(row, technology, horizon) record counts.
-
-    Every row holds the same records, so the cells are counted once and the
-    (read-only) result repeats them over the rows.
-    """
-    size = shape[0] * shape[1]
-    return np.broadcast_to(np.bincount(cell, minlength=size).reshape(shape), (rows, *shape))
+    # every row holds the same records: count the cells once, repeat (read-only) over rows
+    counts = np.bincount(cell, minlength=size).reshape(shape)
+    return sums.reshape(rows, *shape), np.broadcast_to(counts, (rows, *shape))
 
 
 def _xi(sums: np.ndarray, counts: np.ndarray, weighting: str) -> np.ndarray:

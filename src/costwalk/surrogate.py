@@ -38,15 +38,14 @@ min(band, deviation) rows of each do not depend on the other count, and
 single-statistic calls of the same pass. Each p-value is valid on its own,
 but the band and the deviation test are not independent.
 
-Theta matching needs the null at every theta of a grid, and takes a second
-path over the same plan, draws and window moments: common random numbers.
-The walk is linear in theta, so one draw per replication gives the
-normalized error of every record as a closed-form function of theta (see
-``_matching_terms``), and one batched matrix product per pass gives Xi at
-every theta of the grid (``_matching_xi``). Every Z(theta) then averages the
-same draws, which also makes Z a smooth function of theta. The tests hold
-this path to the engine and to ``hindcast``'s Xi reduction on the same draws
-to 1e-12 relative.
+Theta matching needs only the mean of the null Xi at every theta of a grid,
+and that mean has an exact form, so it draws no replication. The unit walk's
+increments w[t] + theta*w[t-1] are a stationary MA(1), so every record of
+every series has the same E[eps^2] = g(m, tau, theta), which is then the
+null mean of Xi under both weightings. ``null_xi_mean`` computes g as the
+expectation of a ratio of quadratic forms in normal variables. Z(theta)
+therefore carries no Monte Carlo error and does not depend on the template,
+which only decides the horizons Z can compare.
 
 Everything here is deterministic given the configuration: replication r of
 an experiment draws from an independent stream derived from (seed, tag, r),
@@ -66,11 +65,10 @@ import numpy as np
 from . import _kernels
 from ._kernels import _build_plan, _integer, _Plan, _read_only
 from .dataset import SeriesSummary, corpus_template
-from .forecast import variance_factors  # noqa: F401  (perfbench/tracing.py patches this name)
+from .forecast import variance_factors
 from .hindcast import (
     ErrorGrowthCurve,
     HindcastRecords,
-    _cell_counts,
     _cell_sums,
     _cells,
     _curve_table,
@@ -93,6 +91,7 @@ __all__ = [
     "validation_nulls",
     "ThetaWeighted",
     "estimate_theta_weighted",
+    "null_xi_mean",
     "ThetaMatched",
     "estimate_theta_matched",
     "ThetaSweep",
@@ -113,7 +112,7 @@ _STREAM_TAGS: dict[str, tuple[int, int]] = {
     "fat-tails-normal": (4, 1),
     "fat-tails-ima": (5, 1),
     "fat-tails-student": (6, 94),  # one per degrees-of-freedom value
-    "theta-match": (100, 1),  # one draw per replication serves the whole grid
+    # 100 stays unused too: theta matching drew from it before it used the exact null mean
 }
 
 
@@ -547,70 +546,72 @@ def estimate_theta_weighted(
     )
 
 
-def _matching_terms(
-    plan: _Plan, innovations: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Theta-free terms of the normalized errors of one pass's corpora.
+def null_xi_mean(m: int, tau_max: int, theta_grid: Sequence[float]) -> np.ndarray:
+    """(grid, tau_max) exact mean of the null Xi at horizons 1..tau_max, per theta.
 
-    Row b of ``innovations`` holds one corpus's unit innovations w. The
-    walks at any theta are y = a + theta*b, with the level paths
-    a[t] = w[1] + ... + w[t] and b[t] = w[0] + ... + w[t-1]. Returns the raw
-    errors r0 and r1 of a and b at each record, (rows, records), and the
-    window moments (k0, k1, k2) at each origin, (rows, 3, origins), so that a
-    record's normalized error at theta is
+    A record of the unit walk y[t] = y[t-1] + w[t] + theta*w[t-1] at origin
+    i reads the unit normals w[i-m..i+tau], whatever its series, length or
+    origin, so its E[eps^2] is one number g(m, tau, theta), the mean of Xi
+    under both weightings. With eps = c'w / sqrt(w'Bw), where w'Bw is K_hat^2
+    on m - 1 degrees of freedom (J. R. Magnus, Ann. d'Econ. et de Stat. 4,
+    1986),
 
-        (r0 + theta*r1) / sqrt(k0 + theta*k1 + theta^2*k2),
+        g = int_0^inf det(I + 2tB)^(-1/2) c'(I + 2tB)^(-1) c dt.
 
-    where the root is K_hat of y at the record's origin.
+    B touches only the m + 1 window innovations, where c is theta on w[i]
+    minus tau times the drift estimate's coefficients, so one eigensystem of
+    B per theta serves every tau; the tau future innovations add the
+    constant (tau-1)(1+theta)^2 + 1 to c'(I + 2tB)^(-1) c. The integral is a
+    trapezoid rule in s = log t with step 1/4 on [-40, 160/(m-3)], which
+    converges exponentially: the integrand decays like e^s below and like
+    e^(-(m-3)s/2) above. At theta = 0 the rows are the paper's closed form,
+    ``variance_factors(tau, m, 0).xi``, as bits.
     """
-    v = _kernels._layout(plan, innovations)
-    rows = v.shape[0]
-    paths = np.zeros((2 * rows, *v.shape[1:]))  # a in the first rows, b in the last
-    np.cumsum(v[:, :, 1:], axis=-1, out=paths[:rows, :, 1:])
-    np.cumsum(v[:, :, :-1], axis=-1, out=paths[rows:, :, 1:])
-    y, d = _kernels._flat_with_differences(paths)
-    y_origin, mu, windows, k2 = _kernels._window_moments(plan, y, d, m)
-    deviations = windows - mu[:, :, None]
-    k1 = 2.0 * (deviations[:rows] * deviations[rows:]).sum(axis=-1) / (m - 1)
-    raw = _kernels._raw_errors(plan, y, y_origin, mu)
-    return raw[:rows], raw[rows:], np.stack((k2[:rows], k1, k2[rows:]), axis=1)
+    theta = _check_theta_grid(theta_grid)
+    if m < 4:
+        raise ValueError(f"window m={m} too small; the null mean of Xi needs m > 3")
+    j = np.arange(m)
+    diffs = np.zeros((theta.size, m, m + 1))  # window difference j is w[j+1] + theta*w[j]
+    diffs[:, j, j] = theta[:, None]
+    diffs[:, j, j + 1] = 1.0
+    drift = diffs.mean(axis=1)
+    centered = diffs - drift[:, None, :]
+    lam, q = np.linalg.eigh(np.swapaxes(centered, 1, 2) @ centered / (m - 1))
+    lam[:, :2] = 0.0  # B has rank m - 1, so rounding must not bend its null directions
+    step = 0.25
+    t = np.exp(np.arange(-40.0, 160.0 / (m - 3), step))
+    x = 2.0 * t[:, None] * lam[:, None, :]  # (grid, nodes, m + 1)
+    weight = step * t * np.exp(-0.5 * np.log1p(x).sum(axis=-1))  # dt = t ds
+    i0 = weight.sum(axis=-1)
+    w_k = np.einsum("gn,gnk->gk", weight, 1.0 / (1.0 + x))  # each eigendirection's integral
+    e = q[:, m, :]  # w[i], the last window innovation, in the eigenbasis
+    u = -np.einsum("gik,gi->gk", q, drift)
+    i_ee, i_eu, i_uu = ((w_k * a * b).sum(axis=-1)[:, None] for a, b in ((e, e), (e, u), (u, u)))
+    tau = np.arange(1.0, tau_max + 1.0)
+    th = theta[:, None]
+    future = (tau - 1.0) * (1.0 + th) ** 2 + 1.0
+    g = th * th * i_ee + 2.0 * th * tau * i_eu + tau * tau * i_uu + future * i0[:, None]
+    if np.any(theta == 0.0):
+        g[theta == 0.0] = [variance_factors(k, m, 0.0).xi for k in range(1, tau_max + 1)]
+    return g
 
 
-def _matching_xi(
-    plan: _Plan,
-    cell: np.ndarray,
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
-    theta_grid: np.ndarray,
-    config: SurrogateConfig,
-) -> np.ndarray:
-    """(rows, grid, tau_max) Xi of each corpus of ``_matching_terms`` at every theta.
-
-    A squared normalized error is (r0^2 + theta*2*r0*r1 + theta^2*r1^2) / q(theta),
-    with q the window variance, so one batched matrix product of 1/q, per
-    theta and origin, with those three terms laid out per origin and horizon
-    gives every Xi sum. A record weighs 1 when pooled and 1/n(technology, tau)
-    under equal-technology weighting, and the reduction divides by what
-    ``hindcast._xi`` divides by. NaN at a horizon without records.
-    """
-    r0, r1, k = terms
-    rows, tau_max = r0.shape[0], config.tau_max
-    powers = theta_grid[:, None] ** np.arange(3)  # 1, theta, theta^2 per grid point
-    counts = _cell_counts(cell, (plan.n_series, tau_max), 1)[0]
-    if config.weighting == "pooled":
-        weight, n = 1.0, counts.sum(axis=0)
-    else:
-        weight, n = 1.0 / counts.ravel()[cell], np.count_nonzero(counts, axis=0)
-    slot = plan.record_origin * (3 * tau_max) + (plan.tau - 1)
-    blocks = np.zeros((rows, plan.origin.size * 3 * tau_max))
-    for power, term in enumerate((r0 * r0, 2.0 * r0 * r1, r1 * r1)):
-        term *= weight
-        for b in range(rows):  # faster than one (rows, records) scatter
-            blocks[b, slot + power * tau_max] = term[b]
-    inverse_q = np.reciprocal(powers @ k)  # (rows, grid, origins)
-    s = np.matmul(inverse_q, blocks.reshape(rows, plan.origin.size, 3 * tau_max))
-    sums = (powers[:, None, :] @ s.reshape(rows, theta_grid.size, 3, tau_max))[:, :, 0]
-    with np.errstate(invalid="ignore"):  # 0 / 0 at a horizon without records
-        return sums / n
+def _bisect_root(
+    z: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, z_values: np.ndarray, theta_m: float
+) -> float:
+    """The root of z - 1, to 1e-12, by bisection of the grid interval nearest
+    theta_m over which z - 1 changes sign (theta_m where z is exactly 1 there)."""
+    if 1.0 in z_values:
+        return theta_m
+    order = np.argsort(grid)
+    grid, above = grid[order], z_values[order] > 1.0
+    ends = np.flatnonzero(above[:-1] != above[1:])
+    i = ends[np.argmin(np.minimum(abs(grid[ends] - theta_m), abs(grid[ends + 1] - theta_m)))]
+    lo, hi = grid[i], grid[i + 1]
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (z(np.array([mid]))[0] > 1.0) == above[i] else (lo, mid)
+    return float(0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)
@@ -618,15 +619,17 @@ class ThetaMatched:
     """Global theta matched to the observed error growth.
 
     ``z_values[i]`` is the mean over horizons of observed Xi divided by the
-    null-average Xi at theta_grid[i]; the estimate minimizes |Z - 1| over the
-    grid. Every Z comes from the same surrogate draws (common random numbers),
-    and ``bracketed`` says whether Z - 1 changes sign over the grid.
+    exact null mean of Xi at theta_grid[i] (``null_xi_mean``), so Z carries
+    no Monte Carlo error. The estimate minimizes |Z - 1| over the grid,
+    ``bracketed`` says whether Z - 1 changes sign over the grid, and if it
+    does ``theta_root`` is the root of Z - 1 by bisection (else None).
     """
 
     theta_m: float
     theta_grid: np.ndarray
     z_values: np.ndarray
     bracketed: bool
+    theta_root: float | None
 
 
 def estimate_theta_matched(
@@ -634,14 +637,14 @@ def estimate_theta_matched(
     config: SurrogateConfig,
     theta_grid: Sequence[float],
 ) -> ThetaMatched:
-    """Pick theta so surrogate error growth matches the observed curve.
+    """Pick theta so the null mean of the error growth matches the observed curve.
 
     The curve's weighting and window must match the config's, and the
-    innovations must be normal; the config's own theta is not used.
-    Replication r draws once, from the "theta-match" stream, and its walks
-    serve every theta of the grid. Z compares the horizons up to tau_max
-    that the longest template series reaches; a ValueError names any of them
-    that only zero-volatility series reach.
+    innovations must be normal, as ``null_xi_mean`` assumes. Nothing is
+    drawn: the config's theta, seed and replications are not used. Z
+    compares the horizons up to tau_max that the longest template series
+    reaches; a ValueError names any of them that only zero-volatility series
+    reach.
     """
     _check_curve(observed_curve, config)
     if config.student_df is not None:
@@ -657,20 +660,18 @@ def estimate_theta_matched(
             "reachable by the template series"
         )
 
-    plan = _engine_plan(config)
-    unreached = taus[~np.isin(taus, plan.tau)]
+    unreached = taus[~np.isin(taus, _engine_plan(config).tau)]
     if unreached.size:
         raise ValueError(
             f"no surrogate records at horizons {unreached.tolist()}: only "
             "zero-volatility template series reach them"
         )
-    cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
-    total = np.zeros((theta_grid.size, taus.size))
-    for _, innovations in _draws(config, plan, _stream_tag("theta-match"), config.replications):
-        terms = _matching_terms(plan, innovations, config.m)
-        total += _matching_xi(plan, cell, terms, theta_grid, config)[:, :, taus - 1].sum(axis=0)
-    z_values = np.mean(xi_obs / (total / config.replications), axis=-1)
 
+    def z(thetas: np.ndarray) -> np.ndarray:
+        null_mean = null_xi_mean(config.m, config.tau_max, thetas)[:, taus - 1]
+        return np.mean(xi_obs / null_mean, axis=-1)
+
+    z_values = z(theta_grid)
     signs = np.sign(z_values - 1.0)
     bracketed = bool(np.any(signs > 0) and np.any(signs < 0))
     if not bracketed:
@@ -681,7 +682,11 @@ def estimate_theta_matched(
         )
     theta_m = float(theta_grid[int(np.argmin(np.abs(z_values - 1.0)))])
     return ThetaMatched(
-        theta_m=theta_m, theta_grid=theta_grid, z_values=z_values, bracketed=bracketed
+        theta_m=theta_m,
+        theta_grid=theta_grid,
+        z_values=z_values,
+        bracketed=bracketed,
+        theta_root=_bisect_root(z, theta_grid, z_values, theta_m) if bracketed else None,
     )
 
 

@@ -223,7 +223,23 @@ class TestValidate:
         ) == 0
         report = json.loads((out / "validate.json").read_text())
         assert report["theta_source"] == "matched"
-        assert report["theta_matched"]["theta_m"] in (0.0, 0.2, 0.4)
+        matched = report["theta_matched"]
+        assert matched["theta_m"] in (0.0, 0.2, 0.4)
+        # the root of the exact Z - 1 where the grid brackets it, else null
+        assert (matched["theta_root"] is not None) == matched["bracketed"]
+        if matched["bracketed"]:
+            assert abs(matched["theta_root"] - matched["theta_m"]) <= 0.2
+
+    def test_theta_root_when_the_grid_brackets_it(self, corpus_csv, tmp_path):
+        out = tmp_path / "r"
+        assert main(
+            ["validate", "--input", str(corpus_csv), "--out", str(out), "--reps", "20",
+             "--theta-from", "matched", "--grid=-0.9:0.9:0.1", "--tau-max", "6", "--seed", "3"]
+        ) == 0
+        matched = json.loads((out / "validate.json").read_text())["theta_matched"]
+        assert set(matched) == {"theta_m", "grid", "z_values", "bracketed", "theta_root"}
+        assert matched["bracketed"]
+        assert abs(matched["theta_root"] - matched["theta_m"]) <= 0.1
 
     def test_grid_points_are_the_typed_decimals(self, corpus_csv, tmp_path):
         # np.arange gave 0.15000000000000002 here, and the band ran at that theta

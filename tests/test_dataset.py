@@ -160,6 +160,21 @@ class TestIngestion:
             ingest_csv(_write(tmp_path, text))
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("X,2000,-1", "line 6: cost must be a finite positive number, got -1"),
+            # the csv module's own error names the physical line too
+            (f"X,2000,{'1' * 200_000}", "line 6: field larger than field limit (131072)"),
+        ],
+    )
+    def test_lines_after_a_multiline_cell_are_physical_lines(self, tmp_path, bad, message):
+        # rows were numbered as records, so the cost on line 6 was "line 4"
+        text = f'technology,year,cost\n"Multi\nline",2000,1\n"Multi\nline",2001,2\n{bad}\n'
+        with pytest.raises(DataFormatError) as caught:
+            ingest_csv(_write(tmp_path, text))
+        assert str(caught.value) == message
+
     def test_round_trip_idempotent(self, tmp_path, corpus_csv):
         first = ingest_csv(corpus_csv)
         out = tmp_path / "round.csv"

@@ -434,6 +434,12 @@ class TestStreamTags:
         with pytest.raises(ValueError, match="fat-tails-student"):
             _stream_tag("fat-tails-student", size)
         with pytest.raises(ValueError):
-            _stream_tag("theta-match", -1)
-        with pytest.raises(ValueError, match="theta-match"):
-            _stream_tag("theta-match", 1)  # one stream serves the whole grid
+            _stream_tag("xi-band", -1)
+        with pytest.raises(ValueError, match="xi-band"):
+            _stream_tag("xi-band", 1)  # one stream serves the band and the deviation test
+
+    def test_retired_tags_stay_unused(self):
+        # 2 gave the old deviation nulls and 100 the old theta matching draws;
+        # reusing either would repeat their draws
+        for tag in (2, 100):
+            assert not any(first <= tag < first + size for first, size in _STREAM_TAGS.values())

@@ -1,23 +1,20 @@
-"""Theta matching with common random numbers, against the single-theta engine.
+"""The exact null mean of Xi and the theta matching built on it.
 
-``estimate_theta_matched`` draws each replication once and gets the
-normalized errors of every theta of its grid in closed form from that draw
-(``surrogate._matching_terms``), then Xi at every theta from one matrix
-product (``surrogate._matching_xi``). The engine simulates the same draw at
-one theta directly, so the two paths agree to rounding rather than bit for
-bit. The tolerances are relative, 1e-12 (of 1 + |value| where a value can be
-near zero). Over 10,000 random templates of the strategy below the largest
-difference was 4.3e-13 * (1 + |error|) in a normalized error and
-1.5e-14 * (1 + |Xi|) in Xi.
+``null_xi_mean`` gives E[eps^2] of a record of the unit walk as an integral
+over the eigensystem of the window's variance form. The tests hold it to the
+paper's closed form at theta = 0 (as bits), to an independent quadrature of
+the same integral written from the walk's definition, and to the engine's
+Monte Carlo mean; ``estimate_theta_matched`` builds Z from it and draws
+nothing.
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
+from scipy import integrate
 
 from costwalk import (
     SurrogateConfig,
@@ -27,109 +24,152 @@ from costwalk import (
     hindcast_corpus,
     load_reference_params,
     surrogate_corpus,
+    variance_factors,
 )
-from costwalk.hindcast import _cells
+from costwalk import surrogate
 from costwalk.stats import derive_rng
-from costwalk.surrogate import (
-    _engine_plan,
-    _innovations,
-    _matching_terms,
-    _matching_xi,
-    _simulate,
-    _stream_tag,
-    _xi_ensemble,
-    _xi_rows,
-)
+from costwalk.surrogate import _stream_tag, _xi_ensemble, null_xi_mean
 
-PROPERTY = settings(max_examples=60, deadline=None)
 REFERENCE_TEMPLATE = corpus_template(load_reference_params(improving_only=True))
-DRIFTS = (min(t[1] for t in REFERENCE_TEMPLATE), max(t[1] for t in REFERENCE_TEMPLATE))
-VOLATILITIES = (min(t[2] for t in REFERENCE_TEMPLATE), max(t[2] for t in REFERENCE_TEMPLATE))
-# a mu = K = 0 series, which gets no records, and a 5-point series, too short
-# for one window
-EDGE_TEMPLATE = ((9, 0.0, 0.0), (5, -0.1, 0.2), (12, -0.3, 0.05), (10, -0.1, 0.2))
 
 
-@st.composite
-def configs(draw):
-    """Small random templates with normal innovations, drifts and volatilities
-    in the bundled corpus's ranges, series too short for one window and
-    mu = K = 0 series."""
-    m = draw(st.integers(4, 10))
-    n_series = draw(st.integers(1, 6))
-    lengths = draw(st.lists(st.integers(2, 3 * m + 6), min_size=n_series, max_size=n_series))
-    longest = draw(st.integers(0, n_series - 1))
-    lengths[longest] = max(lengths[longest], m + 2)  # one series can be hindcast
-    template = []
-    for j, T in enumerate(lengths):
-        if j != longest and draw(st.integers(0, 4)) == 0:
-            template.append((T, 0.0, 0.0))
-        else:
-            template.append((T, draw(st.floats(*DRIFTS)), draw(st.floats(*VOLATILITIES))))
-    return SurrogateConfig(
-        replications=draw(st.integers(1, 4)),
-        theta=draw(st.floats(-0.95, 0.95)),
-        m=m,
-        tau_max=draw(st.integers(1, 12)),
-        seed=draw(st.integers(0, 2**32)),
-        template=tuple(template),
-        weighting=draw(st.sampled_from(["pooled", "equal-technology"])),
-    )
+def _quadrature(m, tau, theta):
+    """E[eps^2] of one record by scipy's quad, from the walk's definition:
+    innovations w[0..m+tau], levels y[t] = sum of w[s] + theta*w[s-1] over
+    s = 1..t, the window the first m differences and the origin at t = m."""
+    n = m + tau + 1
+    steps = np.eye(n)[1:] + theta * np.eye(n)[:-1]
+    y = np.vstack((np.zeros(n), np.cumsum(steps, axis=0)))  # y[t] = y[t] @ w
+    d = y[1 : m + 1] - y[:m]
+    c = y[m + tau] - y[m] - tau * d.mean(axis=0)  # the raw error
+    centered = d - d.mean(axis=0)
+    b = centered.T @ centered / (m - 1)  # K_hat^2
+
+    def f(t):
+        a = np.eye(n) + 2.0 * t * b
+        return np.linalg.det(a) ** -0.5 * (c @ np.linalg.solve(a, c))
+
+    # t = v^-2 on [1, inf) turns the t^(-(m-1)/2) tail into a bounded integrand
+    head = integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+    tail = integrate.quad(lambda v: 2.0 * f(v**-2.0) / v**3, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+    return head + tail
 
 
-def _crn_norm(terms, theta, plan):
-    """Each record's normalized error at theta from the theta-free terms."""
-    r0, r1, k = terms
-    q = k[:, 0] + theta * k[:, 1] + theta * theta * k[:, 2]
-    return (r0 + theta * r1) / np.sqrt(q)[:, plan.record_origin]
+@pytest.mark.parametrize("m", [4, 5, 40])
+def test_theta_zero_is_the_closed_form_as_bits(m):
+    expected = np.array([variance_factors(t, m, 0.0).xi for t in range(1, 21)])
+    g = null_xi_mean(m, 20, [0.4, 0.0, -0.0])
+    assert g[1].tobytes() == expected.tobytes()
+    assert g[2].tobytes() == expected.tobytes()
+    assert np.all(g[0] > expected)  # correlated increments add error
 
 
-@PROPERTY
-@given(configs(), st.integers(0, 10**6))
-@example(
-    SurrogateConfig(replications=2, theta=0.3, m=4, tau_max=3, seed=1, template=EDGE_TEMPLATE),
-    0,
-)
-@example(
-    SurrogateConfig(
-        replications=2, theta=-0.6, m=4, tau_max=3, seed=1, template=EDGE_TEMPLATE,
-        weighting="equal-technology",
-    ),
-    0,
-)
-def test_matching_equals_engine_on_the_same_draws(config, rep):
-    plan = _engine_plan(config)
-    streams = [(config.seed, rep, r) for r in range(config.replications)]
-    innovations = np.array([_innovations(config, derive_rng(*s)) for s in streams])
-    terms = _matching_terms(plan, innovations, config.m)
-    engine_norm = _simulate(config, plan, innovations)
-    norm = _crn_norm(terms, config.theta, plan)
-    assert np.all(np.abs(norm - engine_norm) <= 1e-12 * (1.0 + np.abs(engine_norm)))
-
-    # Xi at every theta of a grid equals the engine's Xi at that theta
-    grid = np.array([config.theta, 0.0, 0.9])
-    cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
-    xi = _matching_xi(plan, cell, terms, grid, config)
-    for g, theta in enumerate(grid):
-        at_theta = dataclasses.replace(config, theta=theta)
-        expected = _xi_rows(_simulate(at_theta, plan, innovations), cell, at_theta)
-        np.testing.assert_allclose(xi[:, g], expected, rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("m", [4, 5, 40])
+@pytest.mark.parametrize("theta", [-0.5, 0.4, 0.8])
+def test_agrees_with_quadrature(m, theta):
+    g = null_xi_mean(m, 20, [theta])[0]
+    for tau in (1, 7, 20):
+        assert g[tau - 1] == pytest.approx(_quadrature(m, tau, theta), rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
-def test_z_at_first_grid_point_equals_engine_z(weighting):
-    # the engine at grid[0] draws from the same "theta-match" streams
+@pytest.mark.parametrize("theta", [-0.5, 0.4, 0.8])
+def test_agrees_with_engine_mean(theta, weighting):
+    # m = 7: eps^2 has a finite variance from m = 6 on (K_hat^-4 on m - 1
+    # degrees of freedom), so the standard error bounds the mean
+    config = SurrogateConfig(
+        replications=400, theta=theta, m=7, tau_max=12, seed=16, template=REFERENCE_TEMPLATE,
+        weighting=weighting,
+    )
+    values = _xi_ensemble(config, _stream_tag("xi-band"))
+    se = values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
+    exact = null_xi_mean(7, 12, [theta])[0]
+    assert np.all(np.abs(values.mean(axis=0) - exact) <= 4.0 * se)
+
+
+def test_rejects_a_window_without_a_finite_mean():
+    with pytest.raises(ValueError, match="m=3"):
+        null_xi_mean(3, 5, [0.4])
+    with pytest.raises(ValueError, match="inside"):
+        null_xi_mean(5, 5, [0.4, 1.0])
+
+
+def _observed(weighting, theta=0.5, seed=99):
+    truth = SurrogateConfig(
+        replications=1, theta=theta, m=5, tau_max=20, seed=seed, template=REFERENCE_TEMPLATE,
+        weighting=weighting,
+    )
+    corpus = surrogate_corpus(truth, derive_rng(seed, 0))
+    return error_growth(hindcast_corpus(corpus, 5, tau_max=20).records, weighting=weighting)
+
+
+@pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
+def test_z_is_observed_over_exact_null_mean_and_draws_nothing(weighting, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("theta matching drew a replication")
+
+    monkeypatch.setattr(surrogate, "_draws", no_draws)
+    curve = _observed(weighting)
     config = SurrogateConfig(
         replications=30, theta=0.0, m=5, tau_max=20, seed=3, template=REFERENCE_TEMPLATE,
         weighting=weighting,
     )
-    truth = dataclasses.replace(config, theta=0.5)
-    corpus = surrogate_corpus(truth, derive_rng(99, 0))
-    curve = error_growth(hindcast_corpus(corpus, 5, tau_max=20).records, weighting=weighting)
     grid = np.array([0.3, 0.1, 0.6])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # Z - 1 may not change sign
         z = estimate_theta_matched(curve, config, grid).z_values
-    values = _xi_ensemble(dataclasses.replace(config, theta=grid[0]), _stream_tag("theta-match"))
-    expected = np.mean(curve.xi / values[:, curve.taus - 1].mean(axis=0))
-    assert z[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
+    expected = np.mean(curve.xi / null_xi_mean(5, 20, grid)[:, curve.taus - 1], axis=-1)
+    np.testing.assert_array_equal(z, expected)
+
+
+def test_z_does_not_depend_on_template_seed_or_replications():
+    # the template decides only which horizons Z compares
+    curve = _observed("pooled")
+    grid = [0.0, 0.3, 0.6, 0.9]
+    other = tuple((T + 7, 1.0, 3.0) for T, _, _ in REFERENCE_TEMPLATE[::2])
+    configs = [
+        SurrogateConfig(replications=30, theta=0.0, m=5, tau_max=20, seed=3,
+                        template=REFERENCE_TEMPLATE),
+        SurrogateConfig(replications=1, theta=0.7, m=5, tau_max=20, seed=8, template=other),
+    ]
+    z = [estimate_theta_matched(curve, c, grid).z_values for c in configs]
+    assert z[0].tobytes() == z[1].tobytes()
+
+
+@pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
+@pytest.mark.parametrize("grid", [np.arange(0.0, 0.901, 0.05), np.array([0.9, 0.2, 0.45, 0.0])])
+def test_theta_root_solves_z_equal_one_next_to_theta_m(weighting, grid):
+    curve = _observed(weighting)
+    config = SurrogateConfig(
+        replications=30, theta=0.0, m=5, tau_max=20, seed=3, template=REFERENCE_TEMPLATE,
+        weighting=weighting,
+    )
+    result = estimate_theta_matched(curve, config, grid)
+    assert result.bracketed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # one point does not bracket
+        z_root = estimate_theta_matched(curve, config, [result.theta_root]).z_values[0]
+    assert abs(z_root - 1.0) < 1e-9
+    step = np.diff(np.sort(grid)).max()
+    assert abs(result.theta_root - result.theta_m) <= step
+
+
+def test_theta_root_is_none_unless_bracketed():
+    config = SurrogateConfig(
+        replications=30, theta=0.0, m=5, tau_max=20, seed=3, template=REFERENCE_TEMPLATE
+    )
+    curve = _observed("pooled")
+    with pytest.warns(UserWarning, match="sign"):
+        result = estimate_theta_matched(curve, config, [0.7, 0.8, 0.9])
+    assert result.theta_root is None and not result.bracketed
+
+
+def test_grid_point_where_z_is_exactly_one_is_the_root():
+    config = SurrogateConfig(
+        replications=30, theta=0.0, m=5, tau_max=20, seed=3, template=REFERENCE_TEMPLATE
+    )
+    curve = _observed("pooled")
+    exact = dataclasses.replace(curve, xi=null_xi_mean(5, 20, [0.0])[0][curve.taus - 1])
+    result = estimate_theta_matched(exact, config, [0.3, -0.3, 0.0])
+    assert result.bracketed
+    assert result.theta_m == 0.0 and result.theta_root == 0.0

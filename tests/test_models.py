@@ -1,12 +1,13 @@
 """Estimation and simulation of the RWD and IMA processes."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats as st
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from costwalk import (
@@ -198,6 +199,10 @@ def _reference_fit(series):
         return value, mu, rss
 
     values = np.array([nll(t)[0] for t in THETA_GRID])
+    if not np.isfinite(values).any():
+        raise EstimationError(
+            f"{series.name}: degenerate innovation variance, IMA likelihood is unbounded"
+        )
     best = int(np.argmin(values))
     lo = max(-1.0, THETA_GRID[best] - 0.01)
     hi = min(1.0, THETA_GRID[best] + 0.01)
@@ -257,16 +262,41 @@ def fit_corpora(draw):
     return corpus
 
 
+# increments that differ only by 1e-300: the RSS underflows to 0 at every theta
+_UNDERFLOWING = [_series(np.r_[np.zeros(37), 1e-300], name="s0")]
+
+
 @settings(max_examples=25, deadline=None)
 @given(fit_corpora())
+@example(_UNDERFLOWING)
 def test_corpus_fit_equals_scalar_reference(corpus):
-    for series, fit in zip(corpus, fit_ima_mle_corpus(corpus)):
-        assert _fit_bytes(fit) == _reference_fit(series).tobytes(), series.name
+    try:
+        expected = [_reference_fit(series) for series in corpus]
+    except EstimationError as err:  # the first degenerate series in corpus order
+        with pytest.raises(EstimationError, match=f"^{re.escape(str(err))}$"):
+            fit_ima_mle_corpus(corpus)
+        return
+    for series, fit, reference in zip(corpus, fit_ima_mle_corpus(corpus), expected):
+        assert _fit_bytes(fit) == reference.tobytes(), series.name
+
+
+def _fit_or_error(series):
+    try:
+        return _fit_bytes(fit_ima_mle(series))
+    except EstimationError as err:
+        return str(err)
 
 
 @settings(max_examples=25, deadline=None)
 @given(fit_corpora())
+@example(_UNDERFLOWING + [_series(np.arange(6.0) ** 2, name="s1")])
 def test_fit_does_not_depend_on_the_rest_of_the_corpus(corpus):
+    errors = [e for e in map(_fit_or_error, corpus) if isinstance(e, str)]
+    if errors:  # a series that fails alone fails the corpus, named first in corpus order
+        for order, first in ((corpus, errors[0]), (corpus[::-1], errors[-1])):
+            with pytest.raises(EstimationError, match=f"^{re.escape(first)}$"):
+                fit_ima_mle_corpus(order)
+        return
     together = fit_ima_mle_corpus(corpus)
     reversed_ = fit_ima_mle_corpus(corpus[::-1])[::-1]
     for series, a, b in zip(corpus, together, reversed_):
