@@ -29,12 +29,20 @@ Times the hot paths on representative workloads:
   corpus (moments, trend p-values and that fit, as ``describe`` runs it),
   reading the corpus from its long CSV (``ingest_csv``), building the
   hindcast records, writing them to ``records.csv``, and their error-growth
-  curve under both weightings.
+  curve under both weightings;
+* fixed costs that every fresh process pays once, timed in a new Python
+  process: the first ``NullEnsemble.quantiles`` call on a (1000, 20)
+  ensemble (and a second one, for comparison), the t(m-1) CDF on the
+  deviation grid, and ``import numpy.random``, which ``derive_rng`` needs.
 
 Usage: python benchmarks/bench_kernels.py [--reps 200]
 """
 
 import argparse
+import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -42,6 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
+import costwalk
 from costwalk import (
     SurrogateConfig,
     corpus_template,
@@ -145,10 +154,11 @@ def bench_xi_pass(template, theta, m, tau_max, loops=200):
         rngs = [derive_rng(42, 1, rep) for rep in range(plan.chunk)]
         norm = _simulate(config, plan, np.array([_innovations(config, r) for r in rngs]))
         cell = _cells(plan.origin_series[plan.record_origin], plan.tau, tau_max)
+        xi_rows = _xi_rows(config, cell, plan.chunk)
 
         def run():
             for _ in range(loops):
-                _xi_rows(norm, cell, config)
+                xi_rows(norm)
 
         times[weighting] = _time(run) / loops
     return plan.chunk, times
@@ -179,6 +189,43 @@ def bench_observed(template, theta, m, tau_max):
     for w in ("pooled", "equal-technology"):
         t_stage[f"error_growth {w}"] = _time(lambda: error_growth(records, weighting=w))
     return len(corpus), len(records), t_fit, t_stage
+
+
+# Run in a fresh process, so that each first call pays what a CLI run pays.
+_FIXED_COSTS = """
+import json, time
+t0 = time.perf_counter()
+from costwalk.surrogate import NullEnsemble, _t_cdf_grid
+t1 = time.perf_counter()
+import numpy.random
+t2 = time.perf_counter()
+band = NullEnsemble(statistic="xi", values=numpy.random.default_rng(1).gamma(2.0, (1000, 20)))
+t3 = time.perf_counter()
+band.quantiles
+t4 = time.perf_counter()
+band.quantiles
+t5 = time.perf_counter()
+_t_cdf_grid(4)
+t6 = time.perf_counter()
+print(json.dumps({
+    "import costwalk.surrogate, numpy": t1 - t0,
+    "import numpy.random": t2 - t1,
+    "first NullEnsemble.quantiles (1000, 20)": t4 - t3,
+    "second NullEnsemble.quantiles": t5 - t4,
+    "deviation t(4) grid": t6 - t5,
+}))
+"""
+
+
+def bench_fixed_costs():
+    """Seconds of each per-process fixed cost, measured in a new process."""
+    src = str(Path(costwalk.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _FIXED_COSTS], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(done.stdout)
 
 
 def main():
@@ -220,6 +267,10 @@ def main():
         print(f"{stage:<34} {t * 1e3:>8.3f} ms")
     for stage, t in t_stage.items():
         print(f"{stage:<34} {t * 1e3:>8.2f} ms")
+
+    print("\nfixed costs of a fresh process")
+    for stage, t in bench_fixed_costs().items():
+        print(f"{stage:<40} {t * 1e3:>8.2f} ms")
 
 
 if __name__ == "__main__":

@@ -125,6 +125,8 @@ class _Plan:
     forecast origins i = m..T-2 of every series with T >= m + 2, or only of
     the series that ``_build_plan``'s optional ``hindcast`` mask marks; records
     are ordered by series, origin and horizon, as in ``hindcast_errors``.
+    ``window`` holds the positions of each origin's m window differences, so a
+    pass gathers every window with one take instead of building the index.
     """
 
     n_series: int
@@ -132,6 +134,7 @@ class _Plan:
     draws: np.ndarray  # position of each point of each series, series after series
     origin: np.ndarray  # y[i] of each origin
     window_start: np.ndarray  # y[i - m] and d[i - m], where the window starts
+    window: np.ndarray  # d[i - m + k], k = 0..m-1: each origin's window, (origins, m)
     origin_series: np.ndarray  # series of each origin
     record_origin: np.ndarray  # origin of each record
     target: np.ndarray  # y[i + tau] of each record
@@ -161,6 +164,7 @@ def _build_plan(lengths, m: int, tau_max: int, hindcast=None) -> _Plan:
         draws=_read_only(draws),
         origin=_read_only(origin),
         window_start=_read_only(origin - m),
+        window=_read_only(origin[:, None] + np.arange(-m, 0)),
         origin_series=_read_only(origin_series),
         record_origin=_read_only(record_origin),
         target=_read_only(origin[record_origin] + tau),
@@ -208,7 +212,7 @@ def _window_moments(
     m window differences (origins x m), and K_hat^2."""
     y_origin = _at(y, plan.origin)
     mu = (y_origin - _at(y, plan.window_start)) / m
-    windows = _at(d, plan.window_start[:, None] + np.arange(m))
+    windows = _at(d, plan.window)
     k2 = ((windows - mu[:, :, None]) ** 2).sum(axis=-1) / (m - 1)
     return y_origin, mu, windows, k2
 

@@ -161,22 +161,28 @@ def _cells(tech: np.ndarray, tau: np.ndarray, tau_max: int) -> np.ndarray:
     return tech * tau_max + (tau - 1)
 
 
+def _cell_keys(cell: np.ndarray, shape: tuple[int, int], rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, records) flat key of each record's ``_cells`` index ``cell``
+    in each of ``rows`` grids ``shape``, and the (rows, *shape) cell counts."""
+    size = shape[0] * shape[1]
+    # every row holds the same records: count the cells once, repeat (read-only) over rows
+    counts = np.bincount(cell, minlength=size).reshape(shape)
+    return np.arange(rows)[:, None] * size + cell, np.broadcast_to(counts, (rows, *shape))
+
+
 def _cell_sums(
-    errors: np.ndarray, cell: np.ndarray, shape: tuple[int, int]
+    errors: np.ndarray, key: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-(row, technology, horizon) sums and counts of squared errors.
 
-    ``errors`` is (rows, records) and ``cell`` each record's ``_cells`` index
-    in the grid ``shape``. Each cell adds its squares in record order, whatever
-    the other rows hold.
+    ``errors`` is (rows, records), and ``key`` and ``counts`` are ``_cell_keys``'
+    for at least that many rows. Each cell adds its squares in record order,
+    whatever the other rows hold.
     """
     rows = errors.shape[0]
-    size = shape[0] * shape[1]
-    key = np.arange(rows)[:, None] * size + cell
-    sums = np.bincount(key.ravel(), weights=(errors * errors).ravel(), minlength=rows * size)
-    # every row holds the same records: count the cells once, repeat (read-only) over rows
-    counts = np.bincount(cell, minlength=size).reshape(shape)
-    return sums.reshape(rows, *shape), np.broadcast_to(counts, (rows, *shape))
+    counts = counts[:rows]
+    sums = np.bincount(key[:rows].ravel(), weights=(errors * errors).ravel(), minlength=counts.size)
+    return sums.reshape(counts.shape), counts
 
 
 def _xi(sums: np.ndarray, counts: np.ndarray, weighting: str) -> np.ndarray:
@@ -214,7 +220,7 @@ def _sums_by_technology(
     inside = tau <= tau_max
     cell = _cells(records.tech[inside], tau[inside], tau_max)
     shape = (len(records.names), tau_max)
-    sums, counts = _cell_sums(records.norm_error[None, inside], cell, shape)
+    sums, counts = _cell_sums(records.norm_error[None, inside], *_cell_keys(cell, shape, 1))
     return sums[0], counts[0]
 
 

@@ -21,6 +21,9 @@ chunk of replications and hindcasts them as (replications, records) arrays
 through the static index plan and the window helper of ``_kernels``, the same
 path ``_kernels.corpus_norm_errors`` takes on one corpus. Each experiment
 builds its own plan: a plan costs far less than one pass, so none is cached.
+The plan's index arrays (each origin's window among them), the Xi cell keys
+and counts, the eps* divisors and the t(m-1) CDF on the deviation grid (one
+call per distinct |x|) are built once per experiment, not once per pass.
 Each replication's errors are bit-identical to the per-series kernel
 ``_kernels.hindcast_errors`` run on that replication's walks. The
 statistics of a replication come from the same code as the observed ones: the
@@ -69,6 +72,7 @@ from .forecast import variance_factors
 from .hindcast import (
     ErrorGrowthCurve,
     HindcastRecords,
+    _cell_keys,
     _cell_sums,
     _cells,
     _curve_table,
@@ -203,7 +207,9 @@ class NullEnsemble:
     share of replications at or above the observed value, and an add-one
     smoothed version (count+1)/(reps+1) that can never return 0. Both are
     NaN where the observed statistic is NaN, e.g. at a horizon the observed
-    corpus never reaches.
+    corpus never reaches. ``quantile`` is the Hyndman-Fan type 7 rule (numpy's
+    "linear") over each column's non-NaN values, NaN where it has none: one
+    sort, then ``np.nanquantile``'s interpolation steps, so the bits are numpy's.
     """
 
     statistic: str
@@ -212,10 +218,17 @@ class NullEnsemble:
     taus: np.ndarray | None = None
 
     def quantile(self, q: float) -> np.ndarray:
-        with warnings.catch_warnings():
-            # NaN at a horizon no replication reaches
-            warnings.filterwarnings("ignore", "All-NaN slice encountered", RuntimeWarning)
-            return np.nanquantile(self.values, q, axis=0)
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must lie in [0, 1], got {q!r}")
+        ordered = np.sort(self.values, axis=0)  # NaN sorts last
+        last = np.count_nonzero(~np.isnan(ordered), axis=0) - 1
+        virtual = last * q
+        below = np.floor(virtual)
+        gamma = virtual - below
+        index = np.minimum(np.stack([below, below + 1.0]), last).astype(np.intp)
+        a, b = np.take_along_axis(ordered, index, axis=0)
+        diff = b - a
+        return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
 
     @property
     def quantiles(self) -> dict[str, np.ndarray]:
@@ -301,15 +314,18 @@ def _simulate(config: SurrogateConfig, plan: _Plan, innovations: np.ndarray) -> 
     return _kernels._window_errors(plan, y, d, config.m)[0]
 
 
-def _xi_rows(norm: np.ndarray, cell: np.ndarray, config: SurrogateConfig) -> np.ndarray:
-    """Per-horizon Xi of each row of ``norm`` (NaN where a row has no records).
+def _xi_rows(
+    config: SurrogateConfig, cell: np.ndarray, rows: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The per-horizon Xi of each of up to ``rows`` rows of normalized errors
+    (NaN where a row has no records), with the cell keys built once.
 
     ``cell`` places each record in the (series, horizon) grid (``hindcast._cells``).
     The cell sums and their reduction are ``error_growth``'s, so each row is
     bit-identical to the observed curve of that replication's corpus.
     """
-    shape = (len(config.template), config.tau_max)
-    return _xi(*_cell_sums(norm, cell, shape), config.weighting)
+    key, counts = _cell_keys(cell, (len(config.template), config.tau_max), rows)
+    return lambda norm: _xi(*_cell_sums(norm, key, counts), config.weighting)
 
 
 def _draws(
@@ -351,7 +367,7 @@ def _run(
 def _xi_statistic(config: SurrogateConfig, plan: _Plan, replications: int) -> _Statistic:
     """Xi curves, (replications, tau_max)."""
     cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
-    return replications, config.tau_max, lambda norm: _xi_rows(norm, cell, config)
+    return replications, config.tau_max, _xi_rows(config, cell, plan.chunk)
 
 
 def _xi_ensemble(config: SurrogateConfig, tag: int) -> np.ndarray:
@@ -421,11 +437,22 @@ def null_xi_band(
     return _band(_xi_ensemble(config, _stream_tag("xi-band")), observed)
 
 
+def _t_cdf_grid(df: int) -> np.ndarray:
+    """``student_t_cdf`` at each point of DEVIATION_GRID, as bits, from one call
+    per distinct x*x, on which the CDF's tail alone depends."""
+    squares = DEVIATION_GRID * DEVIATION_GRID  # return_index keeps np.unique off numpy.ma
+    _, first, inverse = np.unique(squares, return_index=True, return_inverse=True)
+    tail = np.array([student_t_cdf(-abs(x), df) for x in DEVIATION_GRID[first]])[inverse]
+    return np.where(DEVIATION_GRID < 0.0, tail, 1.0 - tail)
+
+
 def _deviation_stats(eps: np.ndarray, t_cdf_grid: np.ndarray) -> np.ndarray:
-    """Three ECDF-deviation measures on the fixed grid: sum|d|, sum d^2, max d."""
-    ecdf = np.searchsorted(np.sort(eps), DEVIATION_GRID, side="right") / eps.size
-    delta = ecdf - t_cdf_grid
-    return np.array([np.abs(delta).sum(), (delta**2).sum(), delta.max()])
+    """Three ECDF-deviation measures on the fixed grid, sum|d|, sum d^2 and
+    max d, of each row of eps, (rows, records) -> (rows, 3)."""
+    ordered = np.sort(eps, axis=-1)
+    counts = np.array([np.searchsorted(e, DEVIATION_GRID, side="right") for e in ordered])
+    delta = counts / eps.shape[-1] - t_cdf_grid
+    return np.stack([np.abs(delta).sum(axis=-1), (delta**2).sum(axis=-1), delta.max(axis=-1)], -1)
 
 
 def _deviation_statistic(
@@ -438,14 +465,15 @@ def _deviation_statistic(
     inside = records.tau <= config.tau_max
     if not inside.any():
         raise ValueError("no records to pool")
-    t_cdf_grid = np.array([student_t_cdf(x, config.m - 1) for x in DEVIATION_GRID])
+    t_cdf_grid = _t_cdf_grid(config.m - 1)
     eps = records.norm_error[inside] / _rescale_divisors(records.tau[inside], config.m, config.theta)
     divisors = _rescale_divisors(plan.tau, config.m, config.theta)
 
     def rows_of(norm: np.ndarray) -> np.ndarray:
-        return np.array([_deviation_stats(e, t_cdf_grid) for e in norm / divisors])
+        return _deviation_stats(norm / divisors, t_cdf_grid)
 
-    return _deviation_stats(eps, t_cdf_grid), (replications, len(DEVIATION_STATISTICS), rows_of)
+    statistic = (replications, len(DEVIATION_STATISTICS), rows_of)
+    return _deviation_stats(eps[None], t_cdf_grid)[0], statistic
 
 
 def distribution_deviation_test(records: HindcastRecords, config: SurrogateConfig) -> NullEnsemble:

@@ -23,4 +23,4 @@ def xi_from_errors(
     series_idx: np.ndarray, tau: np.ndarray, norm: np.ndarray, config: SurrogateConfig
 ) -> np.ndarray:
     """Per-horizon Xi of one replication (length tau_max, NaN where no records)."""
-    return _xi_rows(norm[None, :], _cells(series_idx, tau, config.tau_max), config)[0]
+    return _xi_rows(config, _cells(series_idx, tau, config.tau_max), 1)(norm[None, :])[0]

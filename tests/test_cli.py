@@ -3,8 +3,12 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +233,40 @@ class TestValidate:
         assert (matched["theta_root"] is not None) == matched["bracketed"]
         if matched["bracketed"]:
             assert abs(matched["theta_root"] - matched["theta_m"]) <= 0.2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--theta", "0.6", "--reps", "100"),
+            ("--theta-from", "matched", "--grid", "0:0.9:0.1", "--reps", "100"),
+        ],
+        ids=["fixed", "matched"],
+    )
+    def test_does_not_import_numpy_ma(self, corpus_csv, tmp_path, flags):
+        # numpy.ma takes about 13 ms to import, a tenth of a small validate
+        # run, and no step of validate needs it; np.nanquantile's first call
+        # imported it through np.unique
+        script = (
+            "import sys\n"
+            "import numpy\n"
+            "if 'numpy.ma' in sys.modules:\n"
+            "    print('preloaded')\n"
+            "    sys.exit(0)\n"
+            "from costwalk.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        argv = ["validate", "--input", str(corpus_csv), "--out", str(tmp_path / "o"),
+                "--tau-max", "8", "--seed", "4", *flags]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        last = done.stdout.splitlines()[-1]
+        if last == "preloaded":
+            pytest.skip("this numpy imports numpy.ma with numpy")
+        assert last == "0 False"
 
     def test_theta_root_when_the_grid_brackets_it(self, corpus_csv, tmp_path):
         out = tmp_path / "r"

@@ -386,7 +386,8 @@ def test_rows_do_not_depend_on_pass_size(config):
         rngs = [derive_rng(config.seed, 7, r) for r in range(reps)]
         innovations = np.array([_innovations(config, rng) for rng in rngs])
         passes = [_simulate(config, plan, innovations[i : i + size]) for i in range(0, reps, size)]
-        return np.vstack([_xi_rows(p, cell, config) for p in passes])
+        xi_rows = _xi_rows(config, cell, size)
+        return np.vstack([xi_rows(p) for p in passes])
 
     one_at_a_time = np.vstack(
         [

@@ -42,6 +42,18 @@ class TestKernelInputs:
             _kernels.corpus_norm_errors(lengths, 0.0, np.zeros(5), 5, 20)
 
 
+class TestPlan:
+    @pytest.mark.parametrize("m", [2, 5, 9])
+    def test_window_holds_each_origins_differences(self, m):
+        lengths = np.array([3, 12, 30, 11, 2], dtype=np.int64)
+        for hindcast in (None, [True, True, False, True, True]):
+            plan = _kernels._build_plan(lengths, m, 20, hindcast)
+            expected = plan.window_start[:, None] + np.arange(m)
+            assert plan.window.dtype == expected.dtype
+            np.testing.assert_array_equal(plan.window, expected)
+            assert not plan.window.flags.writeable
+
+
 class TestHotPathConsistency:
     def test_kernel_equals_slow_surrogate_pipeline(self):
         # the kernel path and surrogate_corpus + hindcast_corpus must produce

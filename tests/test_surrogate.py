@@ -26,9 +26,9 @@ from costwalk import (
     variance_factors,
 )
 from costwalk import surrogate
-from costwalk.hindcast import ErrorGrowthCurve
+from costwalk.hindcast import ErrorGrowthCurve, _rescale_divisors
 from costwalk.models import ImaParams
-from costwalk.stats import derive_rng, make_rng
+from costwalk.stats import derive_rng, make_rng, student_t_cdf
 
 from reference import replication_errors, xi_from_errors
 
@@ -315,6 +315,46 @@ class TestNullXiBand:
             null_xi_band(cfg)
 
 
+def _ensembles(seed, count=150):
+    """Seeded (replications, horizons) ensembles shaped like a Xi band: ties,
+    scattered NaN, all-NaN columns and single rows."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        rows, columns = (1 if k % 10 == 0 else int(rng.integers(2, 61))), int(rng.integers(1, 8))
+        values = rng.gamma(2.0, size=(rows, columns))
+        if rng.random() < 0.5:
+            values = np.round(values, 1)  # ties
+        values[rng.random((rows, columns)) < 0.3] = np.nan  # a horizon some trials miss
+        if rng.random() < 0.3:
+            values[:, rng.integers(columns)] = np.nan  # a horizon no trial reaches
+        yield values
+
+
+class TestNullEnsembleQuantile:
+    @pytest.mark.parametrize("seed", [170, 171, 172])
+    @pytest.mark.parametrize("q", [0.0, 0.025, 0.5, 0.975, 1.0])
+    def test_equals_nanquantile(self, seed, q):
+        for values in _ensembles(seed):
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "All-NaN slice", RuntimeWarning)
+                expected = np.nanquantile(values, q, axis=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = surrogate.NullEnsemble(statistic="xi", values=values).quantile(q)
+            np.testing.assert_array_equal(got, expected)  # NaN in the same places
+            assert got.tobytes() == expected.tobytes()  # non-negative: no zero of either sign
+            signed = surrogate.NullEnsemble(statistic="xi", values=values - 2.0).quantile(q)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "All-NaN slice", RuntimeWarning)
+                np.testing.assert_array_equal(signed, np.nanquantile(values - 2.0, q, axis=0))
+
+    @pytest.mark.parametrize("q", [-0.1, 1.1, math.nan])
+    def test_outside_unit_interval_rejected(self, q):
+        band = surrogate.NullEnsemble(statistic="xi", values=np.ones((3, 2)))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            band.quantile(q)
+
+
 class TestDeviationTest:
     def test_null_calibration(self):
         # p-values on data drawn from the null should stay away from 0 and 1
@@ -346,6 +386,31 @@ class TestDeviationTest:
         ).records
         dev = distribution_deviation_test(records, cfg)
         assert np.all(dev.p_raw[:2] <= 0.02)  # sum|d| and sum d^2 measures
+
+    def test_pass_rows_equal_one_row_measures(self):
+        # a pass reduces its rows in whole-pass array calls; each row must keep
+        # the bits of the measures taken on that row alone
+        cfg = SurrogateConfig(
+            replications=3, theta=0.63, m=5, tau_max=20, seed=17, template=REFERENCE_TEMPLATE
+        )
+        plan = surrogate._engine_plan(cfg)
+        innovations = np.array([surrogate._innovations(cfg, derive_rng(17, 1, r)) for r in range(3)])
+        eps = surrogate._simulate(cfg, plan, innovations) / _rescale_divisors(plan.tau, 5, 0.63)
+        grid = surrogate._t_cdf_grid(4)
+        rows = surrogate._deviation_stats(eps, grid)
+        assert rows.shape == (3, len(surrogate.DEVIATION_STATISTICS))
+        for row, e in zip(rows, eps):
+            ecdf = np.searchsorted(np.sort(e), surrogate.DEVIATION_GRID, side="right") / e.size
+            delta = ecdf - grid
+            one_row = np.array([np.abs(delta).sum(), (delta**2).sum(), delta.max()])
+            assert row.tobytes() == one_row.tobytes()
+            assert row.tobytes() == surrogate._deviation_stats(e[None], grid)[0].tobytes()
+
+    @pytest.mark.parametrize("df", [3, 4, 8, 11])
+    def test_t_cdf_grid_equals_scalar_cdf(self, df):
+        # one student_t_cdf call per distinct x * x serves the whole grid
+        scalar = np.array([student_t_cdf(x, df) for x in surrogate.DEVIATION_GRID])
+        assert surrogate._t_cdf_grid(df).tobytes() == scalar.tobytes()
 
     def test_window_mismatch_rejected(self):
         cfg = SurrogateConfig(
