@@ -18,7 +18,6 @@ from .dataset import (
     load_reference_params,
     mu_k_regression,
     select_improving,
-    summarize,
     summarize_corpus,
     write_corpus_csv,
     write_summary_csv,
@@ -26,11 +25,7 @@ from .dataset import (
 from .forecast import (
     DistributionalForecast,
     VarianceFactors,
-    a_star_expanded,
     distributional_forecast,
-    normalize_error,
-    point_forecast,
-    rescale_error,
     variance_factors,
 )
 from .hindcast import (
@@ -50,9 +45,6 @@ from .models import (
     estimate_rwd,
     fit_ima_mle,
     fit_ima_mle_corpus,
-    simulate_ima,
-    simulate_rwd,
-    simulate_trend_stationary,
 )
 from .scenarios import (
     CrossingSpec,

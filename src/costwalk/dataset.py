@@ -43,7 +43,6 @@ __all__ = [
     "ingest_csv",
     "write_corpus_csv",
     "select_improving",
-    "summarize",
     "summarize_corpus",
     "mu_k_regression",
     "write_summary_csv",
@@ -242,23 +241,19 @@ def _drift_and_volatility(d: np.ndarray) -> tuple[float, float]:
     return float(d.mean()), float(d.std(ddof=1))
 
 
-def summarize(series: TechnologySeries, alpha: float = DEFAULT_ALPHA) -> SeriesSummary:
-    """Full-sample summary: drift, volatility, MA coefficient, trend p-value.
-
-    The MA coefficient comes from the IMA maximum likelihood fit with its own
-    free mean. Equal log changes (K = 0, or K rounded just above 0) give
-    theta = 0 by convention since the coefficient is unidentified; other
-    series with fewer than 4 points report NaN. ``alpha`` must lie in [0, 1].
-    """
-    return summarize_corpus([series], alpha=alpha)[0]
-
-
 def summarize_corpus(
     corpus: Sequence[TechnologySeries], alpha: float = DEFAULT_ALPHA
 ) -> list[SeriesSummary]:
-    """``summarize`` of every series; the IMA fits of all series with at
-    least 4 points, unequal log changes and K > 0 run together, in one
-    ``models.fit_ima_mle_corpus`` call. Equal log changes give theta = 0."""
+    """Full-sample summary of every series: drift, volatility, MA coefficient,
+    trend p-value.
+
+    The MA coefficient comes from the IMA maximum likelihood fit with its own
+    free mean; the fits of all series with at least 4 points, unequal log
+    changes and K > 0 run together, in one ``models.fit_ima_mle_corpus``
+    call. Equal log changes (K = 0, or K rounded just above 0) give
+    theta = 0 by convention since the coefficient is unidentified; other
+    series with fewer than 4 points report NaN. ``alpha`` must lie in [0, 1].
+    """
     _check_alpha(alpha)
     for series in corpus:
         if series.n_obs < 3:
@@ -373,7 +368,7 @@ def corpus_template(
     entries: Sequence[SeriesSummary] | Sequence[TechnologySeries],
 ) -> tuple[tuple[int, float, float], ...]:
     """(n_obs, mu, K) triples for surrogate-corpus generation; a series gives the
-    drift and volatility that ``summarize`` reports, without fitting its MA model."""
+    drift and volatility that ``summarize_corpus`` reports, without fitting its MA model."""
     triples = []
     for e in entries:
         if isinstance(e, TechnologySeries):

@@ -41,10 +41,6 @@ from .stats import normal_cdf, student_t_quantile
 __all__ = [
     "VarianceFactors",
     "variance_factors",
-    "a_star_expanded",
-    "point_forecast",
-    "normalize_error",
-    "rescale_error",
     "rescale_scale",
     "DistributionalForecast",
     "distributional_forecast",
@@ -83,46 +79,9 @@ def variance_factors(tau: float, m: int, theta: float) -> VarianceFactors:
     return VarianceFactors(tau=tau, m=m, theta=theta, a=a, a_star=a_star, xi=xi)
 
 
-def a_star_expanded(tau: float, m: int, theta: float) -> float:
-    """Unsimplified sum-of-squares form of A*; the oracle for variance_factors.
-
-    Each term is the squared coefficient of one independent innovation in
-    the forecast-error decomposition.
-    """
-    return (
-        (tau * theta / m) ** 2
-        + (m - 1) * (tau * (1.0 + theta) / m) ** 2
-        + (theta - tau / m) ** 2
-        + (tau - 1.0) * (1.0 + theta) ** 2
-        + 1.0
-    )
-
-
-def point_forecast(est: RwdEstimate, y_t: float, tau: float) -> float:
-    """Median log-cost forecast y_t + mu_hat * tau (tau = 0 returns y_t)."""
-    if tau < 0:
-        raise ValueError(f"horizon cannot be negative, got {tau}")
-    return y_t + est.mu_hat * tau
-
-
-def normalize_error(raw_error: float, est: RwdEstimate) -> float:
-    """Forecast error divided by the window volatility estimate."""
-    if est.k_hat <= 0.0:
-        raise ValueError(
-            "window volatility is zero; the normalized error is undefined "
-            "(such windows are skipped upstream)"
-        )
-    return raw_error / est.k_hat
-
-
 def rescale_scale(factors: VarianceFactors) -> float:
     """sqrt(A*/(1+theta^2)), the divisor turning normalized errors into eps*."""
     return math.sqrt(factors.a_star / (1.0 + factors.theta * factors.theta))
-
-
-def rescale_error(norm_error: float, factors: VarianceFactors) -> float:
-    """Rescaled normalized error eps*; distributed t(m-1) under the model."""
-    return norm_error / rescale_scale(factors)
 
 
 @dataclass(frozen=True)
@@ -189,14 +148,15 @@ def distributional_forecast(
 ) -> DistributionalForecast:
     """Distributional log-cost forecast at horizon tau.
 
-    Mean is the point forecast; the variance is K_hat^2 * A*/(1+theta^2).
+    Mean is the point forecast y_t + mu_hat * tau; the variance is
+    K_hat^2 * A*/(1+theta^2).
     """
     factors = variance_factors(tau, est.m, theta)
     sd = est.k_hat * rescale_scale(factors)
     return DistributionalForecast(
         origin_log_cost=y_t,
         horizon=tau,
-        mean_log=point_forecast(est, y_t, tau),
+        mean_log=y_t + est.mu_hat * tau,
         sd_log=sd,
         df=est.m - 1,
     )

@@ -244,6 +244,7 @@ def error_growth(
         raise ValueError("no records to aggregate")
     sums, counts = _sums_by_technology(records)
     if tau_max is not None:
+        tau_max = _kernels._integer("tau_max", tau_max)
         sums, counts = sums[:, : max(tau_max, 0)], counts[:, : max(tau_max, 0)]
     n_forecasts = counts.sum(axis=0)
     observed = np.flatnonzero(n_forecasts)
@@ -258,7 +259,7 @@ def error_growth(
 
 
 class Ecdf:
-    """Empirical CDF supporting grid evaluation and tail plots."""
+    """Empirical CDF, evaluated on a grid."""
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -270,19 +271,6 @@ class Ecdf:
     def __call__(self, x) -> np.ndarray:
         """P(sample <= x), vectorized over x."""
         return np.searchsorted(self.values, np.asarray(x, dtype=float), side="right") / self.n
-
-    def tail_curves(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Semi-log tail representation: exceedance fractions of all errors.
-
-        'positive' maps X to #(err > X)/n over the positive errors;
-        'negative' maps X to #(err < -X)/n over magnitudes of the negative
-        errors.
-        """
-        pos = self.values[self.values > 0]
-        neg = -self.values[self.values < 0][::-1]
-        pos_frac = (np.arange(pos.size)[::-1] + 1) / self.n
-        neg_frac = (np.arange(neg.size)[::-1] + 1) / self.n
-        return {"positive": (pos, pos_frac), "negative": (neg, neg_frac)}
 
 
 def _rescale_divisors(tau: np.ndarray, m: int, theta: float) -> np.ndarray:

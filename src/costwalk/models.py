@@ -1,16 +1,12 @@
 """Generative models for annual log-cost series.
 
-Two processes are estimated and simulated:
+Two processes are estimated:
 
 * random walk with drift (RWD): y_t = y_{t-1} + mu + n_t with IID noise of
   standard deviation K;
 * IMA(1,1): y_t - y_{t-1} = mu + v_t + theta*v_{t-1} with v_t ~ N(0, sigma^2),
   an RWD whose increments carry lag-one correlation. The increment variance
   is K^2 = (1 + theta^2) * sigma^2.
-
-A trend-stationary simulator (y_t = y0 + mu*t + e_t, purely transitory
-shocks) is included only so users can contrast shock persistence; it is not
-a forecaster.
 
 Rolling-window estimation uses the telescopic drift estimator
 mu_hat = (y_t - y_{t-m}) / m and the Bessel-corrected variance of the m
@@ -43,9 +39,6 @@ __all__ = [
     "estimate_rwd",
     "fit_ima_mle",
     "fit_ima_mle_corpus",
-    "simulate_rwd",
-    "simulate_ima",
-    "simulate_trend_stationary",
 ]
 
 THETA_BOUNDARY_TOL = 1e-6
@@ -340,87 +333,3 @@ def fit_ima_mle_corpus(corpus: Sequence[TechnologySeries]) -> list[ImaParams]:
     if failures:
         raise failures[min(failures)]
     return [fits[i] for i in range(len(corpus))]
-
-
-def _simulated_years(n_obs: int, start_year: int) -> np.ndarray:
-    return np.arange(start_year, start_year + n_obs, dtype=np.int64)
-
-
-def _draw_increments(
-    rng: np.random.Generator, n: int, sd: float, student_df: float | None
-) -> np.ndarray:
-    if student_df is None:
-        return sd * rng.standard_normal(n)
-    if student_df <= 2:
-        raise ValueError("student innovations need df > 2 so increments can be scaled to sd K")
-    # standard t has variance df/(df-2); rescale so the sd equals K
-    return sd * math.sqrt((student_df - 2.0) / student_df) * rng.standard_t(student_df, n)
-
-
-def simulate_rwd(
-    mu: float,
-    k: float,
-    n_obs: int,
-    rng: np.random.Generator,
-    student_df: float | None = None,
-    name: str = "rwd-sim",
-    start_year: int = 1,
-) -> TechnologySeries:
-    """Random walk with drift starting at y_0 = 0.
-
-    Increments are IID with mean ``mu`` and standard deviation ``k``: normal
-    when ``student_df`` is None, otherwise Student t with ``student_df``
-    degrees of freedom, rescaled to standard deviation ``k``.
-    """
-    if k < 0:
-        raise ValueError("increment standard deviation cannot be negative")
-    if n_obs < 2:
-        raise ValueError(f"need at least 2 observations, got {n_obs}")
-    noise = _draw_increments(rng, n_obs - 1, k, student_df)
-    y = np.concatenate(([0.0], np.cumsum(mu + noise)))
-    return TechnologySeries(name=name, years=_simulated_years(n_obs, start_year), log_costs=y)
-
-
-def simulate_ima(
-    params: ImaParams,
-    n_obs: int,
-    rng: np.random.Generator,
-    name: str = "ima-sim",
-    start_year: int = 1,
-) -> TechnologySeries:
-    """IMA(1,1) sample path starting at y_0 = 0.
-
-    The MA recursion is initialized from its stationary law (v_0 drawn from
-    N(0, sigma^2)), unlike the MLE fit which conditions on v_0 = 0; the
-    asymmetry avoids a startup transient in simulations while keeping the
-    likelihood simple on short series.
-    """
-    if n_obs < 2:
-        raise ValueError(f"need at least 2 observations, got {n_obs}")
-    v = params.sigma * rng.standard_normal(n_obs)
-    increments = (params.mu + v[1:]) + params.theta * v[:-1]
-    y = np.concatenate(([0.0], np.cumsum(increments)))
-    return TechnologySeries(name=name, years=_simulated_years(n_obs, start_year), log_costs=y)
-
-
-def simulate_trend_stationary(
-    y0: float,
-    mu: float,
-    sd: float,
-    n_obs: int,
-    rng: np.random.Generator,
-    name: str = "trend-sim",
-    start_year: int = 1,
-) -> TechnologySeries:
-    """Deterministic exponential trend plus purely transitory noise.
-
-    y_t = y0 + mu*t + e_t with e_t IID N(0, sd^2). Shocks do not accumulate,
-    so increments have variance 2*sd^2 rather than sd^2.
-    """
-    if n_obs < 2:
-        raise ValueError(f"need at least 2 observations, got {n_obs}")
-    if sd < 0:
-        raise ValueError("noise standard deviation cannot be negative")
-    t = np.arange(n_obs, dtype=np.float64)
-    y = y0 + mu * t + sd * rng.standard_normal(n_obs)
-    return TechnologySeries(name=name, years=_simulated_years(n_obs, start_year), log_costs=y)

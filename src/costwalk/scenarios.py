@@ -52,6 +52,10 @@ class TechState:
     m: int
 
     def __post_init__(self) -> None:
+        for name in ("current_log_cost", "mu", "k"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.k < 0:
             raise ValueError("volatility cannot be negative")
         if self.m <= 3:
@@ -81,9 +85,9 @@ class CrossingSpec:
 
 
 def crossing_probability(spec: CrossingSpec, tau: float) -> float:
-    """P(technology A is cheaper than technology B at horizon tau)."""
-    if tau < 1:
-        raise ValueError(f"horizon must be >= 1, got {tau}")
+    """P(technology A is cheaper than technology B at horizon tau), for a finite tau >= 1."""
+    if not 1 <= tau < math.inf:
+        raise ValueError(f"horizon must be >= 1 and finite, got {tau}")
     a, b = spec.tech_a, spec.tech_b
     mu_z = (b.current_log_cost - a.current_log_cost) + tau * (b.mu - a.mu)
     factors = variance_factors(tau, a.m, spec.theta)
@@ -101,10 +105,12 @@ def even_odds_horizon(spec: CrossingSpec, tau_lo: float = 1.0, tau_hi: float = 1
     Since sigma_Z > 0, this is the root of mu_Z, tau = (y_A - y_B)/(mu_B - mu_A),
     and it must lie in [tau_lo, tau_hi], with tau_lo >= 1. Equal costs and
     drifts give even odds at every horizon, hence tau_lo. Any other case
-    raises ``NoCrossingError``.
+    raises ``NoCrossingError``. tau_lo must be finite; tau_hi may be infinite.
     """
-    if tau_lo < 1:
-        raise ValueError(f"horizon must be >= 1, got {tau_lo}")
+    if not 1 <= tau_lo < math.inf:
+        raise ValueError(f"horizon must be >= 1 and finite, got {tau_lo}")
+    if math.isnan(tau_hi):
+        raise ValueError("the upper horizon bound cannot be NaN")
     a, b = spec.tech_a, spec.tech_b
     cost_gap, drift_gap = a.current_log_cost - b.current_log_cost, b.mu - a.mu
     if cost_gap == 0.0 and drift_gap == 0.0:
@@ -148,9 +154,12 @@ def deterministic_trend_crossing(
 ) -> float:
     """Years until f*g_f^t catches s*g_s^t: t = ln(s/f) / ln(g_f/g_s).
 
-    Requires growth rates g_f > g_s > 0 and levels s >= f > 0; equal levels
-    cross immediately (t = 0).
+    Requires finite growth rates g_f > g_s > 0 and finite levels s >= f > 0;
+    equal levels cross immediately (t = 0).
     """
+    arguments = (follower_level, follower_growth, leader_level, leader_growth)
+    if not all(math.isfinite(a) for a in arguments):
+        raise ValueError(f"levels and growth factors must be finite, got {arguments}")
     if follower_level <= 0 or leader_level <= 0:
         raise ValueError("levels must be positive")
     if leader_growth <= 0:

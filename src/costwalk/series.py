@@ -44,10 +44,6 @@ class TechnologySeries:
         """First differences of log cost (annual log changes)."""
         return np.diff(self.log_costs)
 
-    def costs(self) -> np.ndarray:
-        """Costs in original units."""
-        return np.exp(self.log_costs)
-
     def equals(self, other: "TechnologySeries") -> bool:
         """Exact equality of name, years and log costs."""
         return (

@@ -175,9 +175,6 @@ class OlsFit:
     se_slope: float
     n: int
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.intercept + self.slope * np.asarray(x, dtype=float)
-
 
 def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
     """Least-squares line fit with R^2 and coefficient standard errors.

@@ -557,6 +557,7 @@ def estimate_theta_weighted(
     if not usable:
         raise ValueError("every technology is boundary-flagged; theta_w is undefined")
 
+    _, tau_max = _kernels._check_window(records.m, tau_max)
     _, counts = _sums_by_technology(records, tau_max)
     rows = [k for k, name in enumerate(records.names) if name in usable]
     counts = counts[rows]
@@ -596,6 +597,7 @@ def null_xi_mean(m: int, tau_max: int, theta_grid: Sequence[float]) -> np.ndarra
     ``variance_factors(tau, m, 0).xi``, as bits.
     """
     theta = _check_theta_grid(theta_grid)
+    m, tau_max = _kernels._check_window(m, tau_max)
     if m < 4:
         raise ValueError(f"window m={m} too small; the null mean of Xi needs m > 3")
     j = np.arange(m)

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from costwalk import make_rng, simulate_rwd
+from costwalk import make_rng
+
+from reference import simulate_rwd
 
 
 def synthetic_corpus_csv(path: Path, n_tech: int = 6, seed: int = 42) -> Path:

@@ -1,12 +1,29 @@
-"""Reference computations that only the tests use.
+"""Reference computations and simulators that only the tests use.
 
-Each one runs a single replication or corpus through the library's own
-steps, so a test can hold the batched engine to it bit for bit.
+``replication_errors`` and ``xi_from_errors`` run a single replication or
+corpus through the library's own steps, so a test can hold the batched
+engine to it bit for bit. ``a_star_expanded`` is the unsimplified form of A*
+that ``variance_factors`` is held to.
+
+The simulators draw test series starting at y_0 = 0:
+
+* ``simulate_rwd``: a random walk with drift, with normal or rescaled
+  Student t increments;
+* ``simulate_ima``: an IMA(1,1) path, y_t - y_{t-1} = mu + v_t + theta*v_{t-1};
+* ``simulate_trend_stationary``: y_t = y0 + mu*t + e_t, purely transitory
+  shocks, which contrasts shock persistence with the random walks; it is not
+  a forecaster.
+
+The library's own simulator is ``costwalk.surrogate_corpus``.
 """
+
+import math
 
 import numpy as np
 
 from costwalk.hindcast import _cells
+from costwalk.models import ImaParams
+from costwalk.series import TechnologySeries
 from costwalk.surrogate import SurrogateConfig, _engine_plan, _innovations, _simulate, _xi_rows
 
 
@@ -24,3 +41,102 @@ def xi_from_errors(
 ) -> np.ndarray:
     """Per-horizon Xi of one replication (length tau_max, NaN where no records)."""
     return _xi_rows(config, _cells(series_idx, tau, config.tau_max), 1)(norm[None, :])[0]
+
+
+def a_star_expanded(tau: float, m: int, theta: float) -> float:
+    """Unsimplified sum-of-squares form of A*; the oracle for variance_factors.
+
+    Each term is the squared coefficient of one independent innovation in
+    the forecast-error decomposition.
+    """
+    return (
+        (tau * theta / m) ** 2
+        + (m - 1) * (tau * (1.0 + theta) / m) ** 2
+        + (theta - tau / m) ** 2
+        + (tau - 1.0) * (1.0 + theta) ** 2
+        + 1.0
+    )
+
+
+def _simulated_years(n_obs: int, start_year: int) -> np.ndarray:
+    return np.arange(start_year, start_year + n_obs, dtype=np.int64)
+
+
+def _draw_increments(
+    rng: np.random.Generator, n: int, sd: float, student_df: float | None
+) -> np.ndarray:
+    if student_df is None:
+        return sd * rng.standard_normal(n)
+    if student_df <= 2:
+        raise ValueError("student innovations need df > 2 so increments can be scaled to sd K")
+    # standard t has variance df/(df-2); rescale so the sd equals K
+    return sd * math.sqrt((student_df - 2.0) / student_df) * rng.standard_t(student_df, n)
+
+
+def simulate_rwd(
+    mu: float,
+    k: float,
+    n_obs: int,
+    rng: np.random.Generator,
+    student_df: float | None = None,
+    name: str = "rwd-sim",
+    start_year: int = 1,
+) -> TechnologySeries:
+    """Random walk with drift starting at y_0 = 0.
+
+    Increments are IID with mean ``mu`` and standard deviation ``k``: normal
+    when ``student_df`` is None, otherwise Student t with ``student_df``
+    degrees of freedom, rescaled to standard deviation ``k``.
+    """
+    if k < 0:
+        raise ValueError("increment standard deviation cannot be negative")
+    if n_obs < 2:
+        raise ValueError(f"need at least 2 observations, got {n_obs}")
+    noise = _draw_increments(rng, n_obs - 1, k, student_df)
+    y = np.concatenate(([0.0], np.cumsum(mu + noise)))
+    return TechnologySeries(name=name, years=_simulated_years(n_obs, start_year), log_costs=y)
+
+
+def simulate_ima(
+    params: ImaParams,
+    n_obs: int,
+    rng: np.random.Generator,
+    name: str = "ima-sim",
+    start_year: int = 1,
+) -> TechnologySeries:
+    """IMA(1,1) sample path starting at y_0 = 0.
+
+    The MA recursion is initialized from its stationary law (v_0 drawn from
+    N(0, sigma^2)), unlike the MLE fit which conditions on v_0 = 0; the
+    asymmetry avoids a startup transient in simulations while keeping the
+    likelihood simple on short series.
+    """
+    if n_obs < 2:
+        raise ValueError(f"need at least 2 observations, got {n_obs}")
+    v = params.sigma * rng.standard_normal(n_obs)
+    increments = (params.mu + v[1:]) + params.theta * v[:-1]
+    y = np.concatenate(([0.0], np.cumsum(increments)))
+    return TechnologySeries(name=name, years=_simulated_years(n_obs, start_year), log_costs=y)
+
+
+def simulate_trend_stationary(
+    y0: float,
+    mu: float,
+    sd: float,
+    n_obs: int,
+    rng: np.random.Generator,
+    name: str = "trend-sim",
+    start_year: int = 1,
+) -> TechnologySeries:
+    """Deterministic exponential trend plus purely transitory noise.
+
+    y_t = y0 + mu*t + e_t with e_t IID N(0, sd^2). Shocks do not accumulate,
+    so increments have variance 2*sd^2 rather than sd^2.
+    """
+    if n_obs < 2:
+        raise ValueError(f"need at least 2 observations, got {n_obs}")
+    if sd < 0:
+        raise ValueError("noise standard deviation cannot be negative")
+    t = np.arange(n_obs, dtype=np.float64)
+    y = y0 + mu * t + sd * rng.standard_normal(n_obs)
+    return TechnologySeries(name=name, years=_simulated_years(n_obs, start_year), log_costs=y)

@@ -19,7 +19,7 @@ from costwalk import variance_factors
 from costwalk.hindcast import error_growth, hindcast_corpus
 from costwalk.stats import derive_rng, make_rng
 
-from reference import replication_errors, xi_from_errors
+from reference import a_star_expanded, replication_errors, xi_from_errors
 
 
 def _report(num: int, passed: bool, detail: str) -> None:
@@ -51,7 +51,7 @@ def test_acceptance_01_variance_factor_identity():
         m = int(rng.integers(4, 101))
         theta = float(rng.uniform(-0.99, 0.99))
         simplified = variance_factors(tau, m, theta).a_star
-        expanded = cw.a_star_expanded(tau, m, theta)
+        expanded = a_star_expanded(tau, m, theta)
         worst = max(worst, abs(simplified - expanded) / abs(expanded))
     exact = all(
         variance_factors(tau, m, 0.0).a_star == tau + tau * tau / m

@@ -439,6 +439,22 @@ class TestCompare:
         assert captured.out == ""
         assert sorted(p.name for p in out.iterdir()) == ["run.json"]
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--mu-a", "nan"), ("--k-a", "inf"), ("--mu-b", "inf"), ("--k-b", "nan")]
+    )
+    def test_non_finite_scenario_exits_2(self, tmp_path, capsys, flag, value):
+        # --mu-a nan used to write p_cross rows of nan and --k-a inf rows of
+        # 0.5, both with exit 0
+        out = tmp_path / "c6"
+        values = {"--mu-a": "-0.1", "--k-a": "0.1", "--mu-b": "0", "--k-b": "0.1", flag: value}
+        code = main(
+            ["compare", "--out", str(out), "--cost-a", "3.0", "--cost-b", "1.0", "--m", "5",
+             *(x for kv in values.items() for x in kv)]
+        )
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+
 
 class TestTrend:
     def test_reference_value(self, tmp_path, capsys):
@@ -452,6 +468,16 @@ class TestTrend:
             13.73, abs=0.01
         )
         assert "13.73" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [("--gf", "nan"), ("--gf", "inf"), ("--s", "inf")])
+    def test_non_finite_argument_exits_2(self, tmp_path, capsys, flag, value):
+        # these used to print nan, 0.0 and inf years with exit 0
+        out = tmp_path / "t3"
+        values = {"--f": "0.0022", "--gf": "1.425", "--s": "0.2", "--gs": "1.026", flag: value}
+        code = main(["trend", "--out", str(out), *(x for kv in values.items() for x in kv)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "trend.json").exists()
 
     def test_no_crossing_exits_2(self, tmp_path):
         assert main(

@@ -21,12 +21,11 @@ from costwalk import (
     select_improving,
     fit_ima_mle,
     one_sided_t_test,
-    simulate_rwd,
-    simulate_trend_stationary,
-    summarize,
     summarize_corpus,
     write_corpus_csv,
 )
+
+from reference import simulate_rwd, simulate_trend_stationary
 
 
 # log costs with exactly equal steps whose Bessel K rounds to 1.7e-17, not 0
@@ -296,7 +295,7 @@ class TestSelection:
         with pytest.raises(ValueError, match="alpha"):
             select_improving(corpus, alpha=alpha)
         with pytest.raises(ValueError, match="alpha"):
-            summarize(corpus[0], alpha=alpha)
+            summarize_corpus([corpus[0]], alpha=alpha)[0]
 
     def test_strongly_improving_kept_and_rising_excluded(self):
         rng = make_rng(11)
@@ -308,7 +307,7 @@ class TestSelection:
 
     def test_sign_consistency(self):
         for series in self._random_corpus(n=20, seed=99):
-            s = summarize(series)
+            s = summarize_corpus([series])[0]
             if s.p_value < 0.5:
                 assert s.mu_full < 0
 
@@ -316,31 +315,32 @@ class TestSelection:
 class TestSummarize:
     def test_constant_differences(self):
         y = -0.125 * np.arange(8.0)  # exactly representable steps
-        s = summarize(TechnologySeries("flat", np.arange(8) + 2000, y))
+        s = summarize_corpus([TechnologySeries("flat", np.arange(8) + 2000, y)])[0]
         assert s.mu_full == -0.125
         assert s.k_full == 0.0
         assert s.theta_full == 0.0 and not s.theta_boundary
         # equal steps whose K rounds above 0 used to reach the fit, which rejects them
-        rounded = summarize(TechnologySeries("rounded", np.arange(4) + 2000, ROUNDED_FLAT))
+        rounded_flat = TechnologySeries("rounded", np.arange(4) + 2000, ROUNDED_FLAT)
+        rounded = summarize_corpus([rounded_flat])[0]
         assert rounded.k_full > 0.0
         assert rounded.theta_full == 0.0 and not rounded.theta_boundary
 
     def test_rwd_parameter_recovery(self):
         rng = make_rng(123)
         series = simulate_rwd(-0.05, 0.03, 200, rng)
-        s = summarize(series)
+        s = summarize_corpus([series])[0]
         assert abs(s.mu_full + 0.05) <= 3 * 0.03 / math.sqrt(200)
         assert s.k_full == pytest.approx(0.03, rel=0.25)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            summarize(TechnologySeries("x", np.array([1, 2]), np.array([0.0, -0.1])))
+            summarize_corpus([TechnologySeries("x", np.array([1, 2]), np.array([0.0, -0.1]))])
 
     def test_template_from_series_equals_template_from_summaries(self):
         # validate builds its surrogate template from the series, fitting no MA model
         rng = make_rng(90101)
         corpus = [simulate_rwd(-0.05, 0.1, n, rng, name=f"s{n}") for n in (5, 12, 40)]
-        assert corpus_template(corpus) == corpus_template([summarize(s) for s in corpus])
+        assert corpus_template(corpus) == corpus_template([summarize_corpus([s])[0] for s in corpus])
 
 
     def test_corpus_mixing_every_kind_of_row_equals_one_at_a_time(self):
@@ -362,7 +362,7 @@ class TestSummarize:
             simulate_rwd(-0.05, 0.1, 9, rng, name="ordinary-9"),
         ]
         rows = summarize_corpus(corpus)
-        assert [repr(r) for r in rows] == [repr(summarize(s)) for s in corpus]
+        assert [repr(r) for r in rows] == [repr(summarize_corpus([s])[0]) for s in corpus]
         assert [r.p_value for r in rows] == [one_sided_t_test(s.diffs()) for s in corpus]
         by_name = {r.name: r for r in rows}
         assert by_name["flat"].theta_full == 0.0 and not by_name["flat"].theta_boundary

@@ -9,15 +9,13 @@ import scipy.stats as st
 
 from costwalk import (
     RwdEstimate,
-    a_star_expanded,
     distributional_forecast,
     make_rng,
-    normalize_error,
-    point_forecast,
-    rescale_error,
     variance_factors,
 )
 from costwalk._kernels import corpus_norm_errors
+from costwalk.forecast import rescale_scale
+from reference import a_star_expanded
 
 
 def _est(mu=-0.1, k=0.15, m=5):
@@ -26,13 +24,11 @@ def _est(mu=-0.1, k=0.15, m=5):
 
 class TestPointForecast:
     def test_linear_in_horizon(self):
-        assert point_forecast(_est(mu=-0.1), 0.0, 10) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_zero_horizon_is_identity(self):
-        assert point_forecast(_est(), 1.23, 0) == 1.23
+        got = distributional_forecast(_est(mu=-0.1), 0.0, 10, theta=0.0).mean_log
+        assert got == pytest.approx(-1.0, abs=1e-15)
 
     def test_solar_parameters(self):
-        got = point_forecast(_est(mu=-0.10, m=33), math.log(0.82), 17)
+        got = distributional_forecast(_est(mu=-0.10, m=33), math.log(0.82), 17, theta=0.0).mean_log
         assert got == pytest.approx(math.log(0.82) - 1.7, abs=1e-12)
 
 
@@ -104,18 +100,9 @@ class TestVarianceFactors:
 
 
 class TestErrorRescaling:
-    def test_normalization(self):
-        assert normalize_error(0.3, _est(k=0.15)) == pytest.approx(2.0, abs=1e-15)
-        assert normalize_error(0.0, _est(k=0.15)) == 0.0
-        assert normalize_error(-0.3, _est(k=0.15)) == pytest.approx(-2.0, abs=1e-15)
-
-    def test_zero_volatility_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_error(0.3, _est(k=0.0))
-
     def test_theta_zero_divides_by_sqrt_a(self):
         vf = variance_factors(4, 7, 0.0)
-        assert rescale_error(2.0, vf) == pytest.approx(2.0 / math.sqrt(vf.a), abs=1e-12)
+        assert rescale_scale(vf) == math.sqrt(vf.a)
 
     def test_student_collapse_iid_design(self):
         # one record per series (T = m + 2) makes the pooled eps* sample IID;

@@ -94,6 +94,14 @@ def test_rejects_a_window_without_a_finite_mean():
         null_xi_mean(5, 5, [0.4, 1.0])
 
 
+def test_whole_number_arguments():
+    # tau_max=2.5 used to give 3 columns and m=5.5 to raise a TypeError
+    np.testing.assert_array_equal(null_xi_mean(5.0, 3.0, [0.1]), null_xi_mean(5, 3, [0.1]))
+    for m, tau_max in ((5, 2.5), (5.5, 3)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            null_xi_mean(m, tau_max, [0.1])
+
+
 def _observed(weighting, theta=0.5, seed=99):
     truth = SurrogateConfig(
         replications=1, theta=theta, m=5, tau_max=20, seed=seed, template=REFERENCE_TEMPLATE,

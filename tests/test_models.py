@@ -20,12 +20,11 @@ from costwalk import (
     fit_ima_mle,
     load_reference_params,
     make_rng,
-    simulate_ima,
-    simulate_rwd,
-    simulate_trend_stationary,
     surrogate_corpus,
 )
 from costwalk.models import _Lockstep, fit_ima_mle_corpus
+
+from reference import simulate_ima, simulate_rwd, simulate_trend_stationary
 
 
 def _series(values, name="s"):

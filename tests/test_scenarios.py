@@ -14,10 +14,11 @@ from costwalk import (
     even_odds_horizon,
     forecast_technology,
     make_rng,
-    simulate_rwd,
     variance_factors,
 )
 from costwalk.series import TechnologySeries
+
+from reference import simulate_rwd
 
 
 def _solar_vs_flat(k_b=0.15, theta=0.63, m=33):
@@ -120,6 +121,26 @@ class TestCrossingProbability:
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             even_odds_horizon(spec, 0.5, 9)
 
+    @pytest.mark.parametrize("field", ["current_log_cost", "mu", "k"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_state_rejected(self, field, value):
+        # a NaN drift used to give NaN odds at every horizon, an infinite K 0.5
+        values = {"current_log_cost": 0.0, "mu": -0.1, "k": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TechState(**values, m=10)
+
+    def test_non_finite_horizons_rejected(self):
+        # a NaN horizon used to give a NaN probability and a NaN even-odds horizon
+        spec = _solar_vs_flat()
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                crossing_probability(spec, tau)
+        with pytest.raises(ValueError, match="finite"):
+            even_odds_horizon(spec, math.nan, 10)
+        with pytest.raises(ValueError, match="NaN"):
+            even_odds_horizon(spec, 1.0, math.nan)
+        assert even_odds_horizon(spec, 1.0, math.inf) == pytest.approx(math.log(3.0) / 0.10)
+
 
 class TestForecastTechnology:
     def test_full_window_estimates(self):
@@ -170,6 +191,15 @@ class TestDeterministicTrendCrossing:
     def test_no_crossing(self):
         with pytest.raises(NoCrossingError):
             deterministic_trend_crossing(0.01, 1.02, 0.3, 1.05)
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_arguments_rejected(self, position, value):
+        # a NaN growth factor used to give NaN years, an infinite one 0.0 years
+        arguments = [0.0022, 1.425, 0.2, 1.026]
+        arguments[position] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            deterministic_trend_crossing(*arguments)
 
     def test_bad_levels(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from costwalk import (
     load_reference_params,
     null_xi_band,
     robustness_suite,
-    simulate_ima,
     surrogate_corpus,
     theta_forecast_sweep,
     variance_factors,
@@ -30,7 +29,7 @@ from costwalk.hindcast import ErrorGrowthCurve, _rescale_divisors
 from costwalk.models import ImaParams
 from costwalk.stats import derive_rng, make_rng, student_t_cdf
 
-from reference import replication_errors, xi_from_errors
+from reference import replication_errors, simulate_ima, xi_from_errors
 
 REFERENCE_TEMPLATE = corpus_template(load_reference_params(improving_only=True))
 SMALL_TEMPLATE = tuple((int(T), -0.08, 0.06) for T in (12, 14, 16, 18, 20, 15, 13, 17))
@@ -475,6 +474,19 @@ class TestThetaWeighted:
         result = estimate_theta_weighted(summaries, records)
         assert result.theta_w == 0.0
         assert result.excluded == ("surrogate-001",)
+
+    def test_whole_number_tau_max(self):
+        # tau_max=2.5 used to raise a numpy casting TypeError
+        summaries = _reference_summaries()
+        records = self._records_for_reference()
+        whole = estimate_theta_weighted(summaries, records, tau_max=20)
+        for tau_max in (20.0, np.int64(20)):
+            result = estimate_theta_weighted(summaries, records, tau_max=tau_max)
+            assert result.theta_w == whole.theta_w
+            np.testing.assert_array_equal(result.taus, whole.taus)
+        for tau_max, message in ((2.5, "integer"), (0, ">= 1")):
+            with pytest.raises(ValueError, match=message):
+                estimate_theta_weighted(summaries, records, tau_max=tau_max)
 
     def test_all_boundary_rejected(self):
         summaries = [
