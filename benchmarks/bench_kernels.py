@@ -27,7 +27,9 @@ Times the hot paths on representative workloads:
   times (530 series): the IMA maximum likelihood fit of the whole corpus
   in one lockstep call and of one series alone, the whole summary of the
   corpus (moments, trend p-values and that fit, as ``describe`` runs it),
-  reading the corpus from its long CSV (``ingest_csv``), building the
+  the improving-technology filter (``select_improving``: the moments and
+  trend p-values alone, as ``validate`` runs it), reading the corpus from
+  its long CSV (``ingest_csv``), building the
   hindcast records, writing them to ``records.csv``, and their error-growth
   curve under both weightings;
 * fixed costs that every fresh process pays once, timed in a new Python
@@ -62,6 +64,7 @@ from costwalk import (
     ingest_csv,
     load_reference_params,
     make_rng,
+    select_improving,
     summarize_corpus,
     surrogate_corpus,
     write_corpus_csv,
@@ -178,7 +181,10 @@ def bench_observed(template, theta, m, tau_max):
         "summarize_corpus, per series": _time(lambda: summarize_corpus(corpus), repeat=3)
         / len(corpus),
     }
-    t_stage = {"hindcast_corpus": _time(lambda: hindcast_corpus(corpus, m, tau_max=tau_max))}
+    t_stage = {
+        "select_improving": _time(lambda: select_improving(corpus)),
+        "hindcast_corpus": _time(lambda: hindcast_corpus(corpus, m, tau_max=tau_max)),
+    }
     records = hindcast_corpus(corpus, m, tau_max=tau_max).records
     with tempfile.TemporaryDirectory() as directory:
         corpus_path = Path(directory) / "corpus.csv"

@@ -12,6 +12,14 @@ A technology is classified as improving when a one-sided t-test on its
 first-difference log series rejects "mean change >= 0" at the chosen level
 (default 10%).
 
+Each per-series statistic is computed once per corpus. ``select_improving``,
+``summarize_corpus`` and ``corpus_template`` read the drift, the volatility
+and the equal-change test of every series from one length-grouped array
+pass (``_corpus_moments``), whose values equal numpy's per-series ones as
+bits, and ``summarize_corpus`` fits the MA models on the log changes that
+pass read. ``ingest_csv`` checks each field of a row once, in one loop over
+the rows.
+
 The package also bundles full-sample summary parameters (drift, volatility,
 MA coefficient, sample length) for a 66-technology historical corpus drawn
 from the Santa Fe Institute Performance Curve DataBase and supplements; see
@@ -33,7 +41,7 @@ import numpy as np
 
 from . import models
 from .series import TechnologySeries
-from .stats import OlsFit, ols_fit, one_sided_t_p_value, one_sided_t_test
+from .stats import OlsFit, ols_fit, one_sided_t_p_value
 
 __all__ = [
     "DataFormatError",
@@ -96,16 +104,6 @@ class MuKRegression:
     n_log_log: int
 
 
-def _parse_positive_cost(text: str, line_no: int) -> float:
-    try:
-        cost = float(text)
-    except ValueError:
-        raise DataFormatError(f"line {line_no}: cost {text!r} is not a number") from None
-    if not math.isfinite(cost) or cost <= 0.0:
-        raise DataFormatError(f"line {line_no}: cost must be a finite positive number, got {text}")
-    return cost
-
-
 def _longest_run(years: np.ndarray) -> tuple[int, int]:
     """Bounds (start, stop) of the longest consecutive run; later run wins ties."""
     breaks = np.flatnonzero(np.diff(years) != 1)
@@ -116,18 +114,6 @@ def _longest_run(years: np.ndarray) -> tuple[int, int]:
     return int(starts[best]), int(stops[best])
 
 
-def _rows(reader):
-    """(line, row) for each row of a ``csv.reader``, line being the physical line the row
-    starts on; a csv error becomes a ``DataFormatError`` naming the line."""
-    line = 1
-    try:
-        for row in reader:
-            yield line, row
-            line = reader.line_num + 1  # a quoted cell can span lines
-    except csv.Error as exc:
-        raise DataFormatError(f"line {reader.line_num}: {exc}") from None
-
-
 def ingest_csv(path: str | Path) -> list[TechnologySeries]:
     """Read a long-format cost CSV into one series per technology.
 
@@ -136,43 +122,57 @@ def ingest_csv(path: str | Path) -> list[TechnologySeries]:
     duplicate (technology, year) pairs. Gap years reduce a technology to its
     longest contiguous run with a ``DataWarning`` naming the dropped span;
     technologies left with fewer than 2 points are dropped with a warning.
+    An error names the physical line its row starts on.
     """
     path = Path(path)
     by_tech: dict[str, dict[int, float]] = {}
     sectors: dict[str, str] = {}
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = _rows(csv.reader(handle))
+        reader = csv.reader(handle)
         try:
-            _, header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        header = [cell.strip().lower() for cell in header]
-        if header[:3] != ["technology", "year", "cost"]:
-            raise DataFormatError(
-                f"{path}: expected header 'technology,year,cost', got {','.join(header)}"
-            )
-        has_sector = len(header) > 3 and header[3] == "sector"
-        for line_no, row in reader:
-            if not "".join(row).strip():  # no cells, or only blank ones
-                continue
-            if len(row) < 3:
-                raise DataFormatError(f"line {line_no}: expected at least 3 columns, got {len(row)}")
-            tech = row[0].strip()
-            if not tech:
-                raise DataFormatError(f"line {line_no}: empty technology name")
-            try:
-                year = int(row[1].strip())
-            except ValueError:
-                raise DataFormatError(f"line {line_no}: year {row[1]!r} is not an integer") from None
-            if not -(2**63) <= year < 2**63:
-                raise DataFormatError(f"line {line_no}: year {row[1]!r} is outside the int64 range")
-            cost = _parse_positive_cost(row[2].strip(), line_no)
-            obs = by_tech.setdefault(tech, {})
-            if year in obs:
-                raise DataFormatError(f"line {line_no}: duplicate observation for ({tech}, {year})")
-            obs[year] = math.log(cost)
-            if has_sector and len(row) > 3 and row[3].strip():
-                sectors[tech] = row[3].strip()
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: file is empty")
+            header = [cell.strip().lower() for cell in header]
+            if header[:3] != ["technology", "year", "cost"]:
+                raise DataFormatError(
+                    f"{path}: expected header 'technology,year,cost', got {','.join(header)}"
+                )
+            has_sector = len(header) > 3 and header[3] == "sector"
+            end = reader.line_num  # a row starts on the line after the previous one ends
+            for row in reader:  # a quoted cell can span lines
+                line_no, end = end + 1, reader.line_num
+                if len(row) < 3 or not (tech := row[0].strip()):
+                    if not "".join(row).strip():  # no cells, or only blank ones
+                        continue
+                    if len(row) < 3:
+                        raise DataFormatError(
+                            f"line {line_no}: expected at least 3 columns, got {len(row)}"
+                        )
+                    raise DataFormatError(f"line {line_no}: empty technology name")
+                try:
+                    year = int(row[1].strip())
+                except ValueError:
+                    raise DataFormatError(f"line {line_no}: year {row[1]!r} is not an integer") from None
+                if not -(2**63) <= year < 2**63:
+                    raise DataFormatError(f"line {line_no}: year {row[1]!r} is outside the int64 range")
+                text = row[2].strip()
+                try:
+                    cost = float(text)
+                except ValueError:
+                    raise DataFormatError(f"line {line_no}: cost {text!r} is not a number") from None
+                if not 0.0 < cost < math.inf:  # NaN fails too
+                    raise DataFormatError(
+                        f"line {line_no}: cost must be a finite positive number, got {text}"
+                    )
+                obs = by_tech.setdefault(tech, {})
+                if year in obs:
+                    raise DataFormatError(f"line {line_no}: duplicate observation for ({tech}, {year})")
+                obs[year] = cost
+                if has_sector and len(row) > 3 and (sector := row[3].strip()):
+                    sectors[tech] = sector
+        except csv.Error as exc:
+            raise DataFormatError(f"line {reader.line_num}: {exc}") from None
 
     out: list[TechnologySeries] = []
     for tech, obs in sorted(by_tech.items()):
@@ -198,7 +198,7 @@ def ingest_csv(path: str | Path) -> list[TechnologySeries]:
             TechnologySeries(
                 name=tech,
                 years=np.array(years, dtype=np.int64),
-                log_costs=np.array([obs[y] for y in years]),
+                log_costs=np.array([math.log(obs[y]) for y in years]),
                 sector=sectors.get(tech, ""),
             )
         )
@@ -220,25 +220,52 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
+def _corpus_moments(diffs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu, k, flat) of each increment vector in ``diffs``: its mean, its
+    Bessel-corrected standard deviation, and whether all its values are equal.
+
+    The vectors of one length form one (rows, n) block, and each statistic
+    is one reduction along the block's rows. A row goes through the
+    operations that ``ndarray.mean``, ``ndarray.std(ddof=1)`` and ``np.ptp``
+    perform on that vector alone (numpy's pairwise sum of a contiguous row),
+    so every value equals the vector's own, bit for bit.
+    """
+    groups: dict[int, list[int]] = {}  # no np.unique: it imports numpy.ma
+    for i, d in enumerate(diffs):
+        groups.setdefault(d.size, []).append(i)
+    mu, k, flat = np.empty(len(diffs)), np.empty(len(diffs)), np.empty(len(diffs), dtype=bool)
+    for size, rows in groups.items():
+        block = np.array([diffs[i] for i in rows])
+        mean = np.add.reduce(block, axis=1) / size
+        dev = block - mean[:, None]
+        np.multiply(dev, dev, out=dev)
+        mu[rows] = mean
+        k[rows] = np.sqrt(np.add.reduce(dev, axis=1) / (size - 1))
+        flat[rows] = block.max(axis=1) - block.min(axis=1) == 0.0
+    return mu, k, flat
+
+
 def select_improving(
     corpus: Sequence[TechnologySeries], alpha: float = DEFAULT_ALPHA
 ) -> tuple[list[TechnologySeries], list[TechnologySeries]]:
     """Partition a corpus into (improving, excluded) at significance ``alpha``,
-    which must lie in [0, 1]."""
+    which must lie in [0, 1].
+
+    The drift and volatility of every series come from one length-grouped
+    pass over the corpus (``_corpus_moments``); each trend p-value is
+    ``one_sided_t_test`` of the series' log changes, as bits.
+    """
     _check_alpha(alpha)
-    improving: list[TechnologySeries] = []
-    excluded: list[TechnologySeries] = []
     for series in corpus:
         if series.n_obs < 3:
             raise ValueError(f"{series.name}: need at least 3 observations to test the trend")
-        p = one_sided_t_test(series.diffs())
+    mu, k, _ = _corpus_moments([series.diffs() for series in corpus])
+    improving: list[TechnologySeries] = []
+    excluded: list[TechnologySeries] = []
+    for series, mean, sd in zip(corpus, mu.tolist(), k.tolist()):
+        p = one_sided_t_p_value(mean, sd, series.n_obs - 1)
         (improving if p < alpha else excluded).append(series)
     return improving, excluded
-
-
-def _drift_and_volatility(d: np.ndarray) -> tuple[float, float]:
-    """Mean and Bessel-corrected standard deviation of the annual log changes ``d``."""
-    return float(d.mean()), float(d.std(ddof=1))
 
 
 def summarize_corpus(
@@ -247,25 +274,27 @@ def summarize_corpus(
     """Full-sample summary of every series: drift, volatility, MA coefficient,
     trend p-value.
 
-    The MA coefficient comes from the IMA maximum likelihood fit with its own
-    free mean; the fits of all series with at least 4 points, unequal log
-    changes and K > 0 run together, in one ``models.fit_ima_mle_corpus``
-    call. Equal log changes (K = 0, or K rounded just above 0) give
-    theta = 0 by convention since the coefficient is unidentified; other
-    series with fewer than 4 points report NaN. ``alpha`` must lie in [0, 1].
+    The drift, volatility and equal-change test of every series come from
+    one length-grouped pass over the corpus (``_corpus_moments``). The MA
+    coefficient comes from the IMA maximum likelihood fit with its own free
+    mean; the fits of all series with at least 4 points, unequal log changes
+    and K > 0 run together, in one lockstep on the log changes that pass
+    read. Equal log changes (K = 0, or K rounded just above 0) give theta = 0
+    by convention since the coefficient is unidentified; other series with
+    fewer than 4 points report NaN. ``alpha`` must lie in [0, 1].
     """
     _check_alpha(alpha)
     for series in corpus:
         if series.n_obs < 3:
             raise ValueError(f"{series.name}: need at least 3 observations, got {series.n_obs}")
     diffs = [series.diffs() for series in corpus]
-    moments = [_drift_and_volatility(d) for d in diffs]
-    # K = 0 can also come from squares that underflow; both leave theta unidentified
-    flat = [k == 0.0 or models._constant_increments(d) for d, (_, k) in zip(diffs, moments)]
+    mu, k, flat = _corpus_moments(diffs)
+    flat |= k == 0.0  # K = 0 can also come from squares that underflow
     fitted = [i for i, series in enumerate(corpus) if series.n_obs >= 4 and not flat[i]]
-    fits = dict(zip(fitted, models.fit_ima_mle_corpus([corpus[i] for i in fitted])))
+    names = [corpus[i].name for i in fitted]
+    fits = dict(zip(fitted, models._fit_increments(names, [diffs[i] for i in fitted])))
     summaries = []
-    for i, (series, (mu_full, k_full)) in enumerate(zip(corpus, moments)):
+    for i, (series, mu_full, k_full) in enumerate(zip(corpus, mu.tolist(), k.tolist())):
         if i in fits:
             theta, boundary = fits[i].theta, fits[i].boundary
         else:
@@ -369,10 +398,12 @@ def corpus_template(
 ) -> tuple[tuple[int, float, float], ...]:
     """(n_obs, mu, K) triples for surrogate-corpus generation; a series gives the
     drift and volatility that ``summarize_corpus`` reports, without fitting its MA model."""
-    triples = []
-    for e in entries:
-        if isinstance(e, TechnologySeries):
-            triples.append((e.n_obs, *_drift_and_volatility(e.diffs())))
-        else:
-            triples.append((e.n_obs, e.mu_full, e.k_full))
-    return tuple(triples)
+    series = [e for e in entries if isinstance(e, TechnologySeries)]
+    mu, k, _ = _corpus_moments([s.diffs() for s in series])
+    moments = zip(mu.tolist(), k.tolist())
+    return tuple(
+        (e.n_obs, *next(moments))
+        if isinstance(e, TechnologySeries)
+        else (e.n_obs, e.mu_full, e.k_full)
+        for e in entries
+    )

@@ -209,14 +209,14 @@ def _sums_by_technology(
     ``sums[k, t-1]`` adds the squared normalized errors of technology
     ``records.names[k]`` at horizon t in record order, and ``counts[k, t-1]``
     counts them, for t = 1..tau_max; ``tau_max=None`` takes the largest
-    horizon in the records.
+    horizon in the records (none without records).
     """
     tau = records.tau
     if tau.size and tau.min() < 1:
         # a horizon below 1 would land in another technology's cell
         raise ValueError(f"horizons must be at least 1, got {int(tau.min())}")
     if tau_max is None:
-        tau_max = int(tau.max())
+        tau_max = int(tau.max(initial=0))
     inside = tau <= tau_max
     cell = _cells(records.tech[inside], tau[inside], tau_max)
     shape = (len(records.names), tau_max)

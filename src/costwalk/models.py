@@ -244,23 +244,33 @@ def fit_ima_mle_corpus(corpus: Sequence[TechnologySeries]) -> list[ImaParams]:
     cannot be fitted, raises the error of the first such series in corpus
     order.
     """
-    failures: dict[int, Exception] = {}
-    diffs: dict[int, np.ndarray] = {}
-    for i, series in enumerate(corpus):
+    names = [series.name for series in corpus]
+    diffs: list[np.ndarray] = []
+    for series in corpus:
         if series.n_obs < 4:
-            failures[i] = ValueError(
+            failure: Exception = ValueError(
                 f"{series.name}: need at least 4 observations, got {series.n_obs}"
             )
-            continue
-        d = series.diffs()
-        if _constant_increments(d):
-            failures[i] = EstimationError(
+        else:
+            d = series.diffs()
+            if not _constant_increments(d):
+                diffs.append(d)
+                continue
+            failure = EstimationError(
                 f"{series.name}: increments are constant, IMA likelihood is degenerate"
             )
-        else:
-            diffs[i] = d
-    order = sorted(diffs, key=lambda i: -diffs[i].size)
-    lockstep = _Lockstep([diffs.pop(i) for i in order])
+        _fit_increments(names[: len(diffs)], diffs)  # an earlier series' failure comes first
+        raise failure
+    return _fit_increments(names, diffs)
+
+
+def _fit_increments(names: Sequence[str], diffs: Sequence[np.ndarray]) -> list[ImaParams]:
+    """IMA(1,1) fits of the increment vectors ``diffs`` (each at least 3 long,
+    its values not all equal) of the series ``names``, in lockstep; raises the
+    error of the first vector that cannot be fitted."""
+    failures: dict[int, Exception] = {}
+    order = sorted(range(len(diffs)), key=lambda i: -diffs[i].size)
+    lockstep = _Lockstep([diffs[i] for i in order])
     n = lockstep.n
 
     # Grid. A theta whose RSS exceeds the series' smallest positive RSS by
@@ -284,7 +294,7 @@ def fit_ima_mle_corpus(corpus: Sequence[TechnologySeries]) -> list[ImaParams]:
         best_value[start:stop] = values[np.arange(stop - start), best[start:stop]]
     for row in np.flatnonzero(~np.isfinite(best_value)).tolist():
         failures[order[row]] = EstimationError(
-            f"{corpus[order[row]].name}: degenerate innovation variance, "
+            f"{names[order[row]]}: degenerate innovation variance, "
             "IMA likelihood is unbounded"
         )
     live = np.flatnonzero(np.isfinite(best_value))
@@ -325,11 +335,9 @@ def fit_ima_mle_corpus(corpus: Sequence[TechnologySeries]) -> list[ImaParams]:
     for row, m, r, th in zip(live.tolist(), mu.tolist(), rss.tolist(), theta.tolist()):
         i = order[row]
         if not (math.isfinite(m) and math.isfinite(r)):
-            failures[i] = EstimationError(
-                f"{corpus[i].name}: non-finite IMA likelihood at theta={th}"
-            )
+            failures[i] = EstimationError(f"{names[i]}: non-finite IMA likelihood at theta={th}")
         else:
             fits[i] = ImaParams(mu=m, sigma=math.sqrt(r / int(n[row])), theta=th)
     if failures:
         raise failures[min(failures)]
-    return [fits[i] for i in range(len(corpus))]
+    return [fits[i] for i in range(len(diffs))]

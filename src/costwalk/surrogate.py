@@ -539,14 +539,15 @@ class ThetaWeighted:
 def estimate_theta_weighted(
     summaries: Sequence[SeriesSummary],
     records: HindcastRecords,
-    tau_max: int = 20,
+    tau_max: int | None = 20,
 ) -> ThetaWeighted:
     """Average the full-sample theta estimates, weighted by forecast counts.
 
     Technologies whose MA fit hit the +-1 boundary (or could not be fit) are
     excluded. At each horizon the weights are each technology's share of the
     forecast errors available at that horizon; theta_w averages the
-    per-horizon means over horizons 1..tau_max.
+    per-horizon means over horizons 1..tau_max (``None``: every horizon the
+    records reach).
     """
     usable = {
         s.name: s.theta_full
@@ -570,7 +571,7 @@ def estimate_theta_weighted(
     return ThetaWeighted(
         theta_w=theta_w,
         per_horizon=per_horizon,
-        taus=np.arange(1, tau_max + 1, dtype=np.int64),
+        taus=np.arange(1, counts.shape[1] + 1, dtype=np.int64),
         excluded=excluded,
     )
 

@@ -15,12 +15,21 @@ The simulators draw test series starting at y_0 = 0:
   a forecaster.
 
 The library's own simulator is ``costwalk.surrogate_corpus``.
+
+``ingest_csv`` reads the long CSV row by row, through a generator that
+numbers each row's first physical line; it tests every row for blankness
+and takes each cost's logarithm as its row is read. It is the oracle the
+parity tests hold ``costwalk.ingest_csv``'s single loop to.
 """
 
+import csv
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 
+from costwalk.dataset import DataFormatError, DataWarning, _longest_run
 from costwalk.hindcast import _cells
 from costwalk.models import ImaParams
 from costwalk.series import TechnologySeries
@@ -140,3 +149,102 @@ def simulate_trend_stationary(
     t = np.arange(n_obs, dtype=np.float64)
     y = y0 + mu * t + sd * rng.standard_normal(n_obs)
     return TechnologySeries(name=name, years=_simulated_years(n_obs, start_year), log_costs=y)
+
+
+def _parse_positive_cost(text: str, line_no: int) -> float:
+    try:
+        cost = float(text)
+    except ValueError:
+        raise DataFormatError(f"line {line_no}: cost {text!r} is not a number") from None
+    if not math.isfinite(cost) or cost <= 0.0:
+        raise DataFormatError(f"line {line_no}: cost must be a finite positive number, got {text}")
+    return cost
+
+
+def _rows(reader):
+    """(line, row) for each row of a ``csv.reader``, line being the physical line the row
+    starts on; a csv error becomes a ``DataFormatError`` naming the line."""
+    line = 1
+    try:
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1  # a quoted cell can span lines
+    except csv.Error as exc:
+        raise DataFormatError(f"line {reader.line_num}: {exc}") from None
+
+
+def ingest_csv(path: str | Path) -> list[TechnologySeries]:
+    """``costwalk.ingest_csv`` row by row: the oracle its one-pass loop is held to.
+
+    Hard errors (``DataFormatError``): missing/invalid header, unparseable
+    rows (out-of-int64 years and oversized fields too), nonpositive costs,
+    duplicate (technology, year) pairs. Gap years reduce a technology to its
+    longest contiguous run with a ``DataWarning`` naming the dropped span;
+    technologies left with fewer than 2 points are dropped with a warning.
+    """
+    path = Path(path)
+    by_tech: dict[str, dict[int, float]] = {}
+    sectors: dict[str, str] = {}
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        reader = _rows(csv.reader(handle))
+        try:
+            _, header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: file is empty") from None
+        header = [cell.strip().lower() for cell in header]
+        if header[:3] != ["technology", "year", "cost"]:
+            raise DataFormatError(
+                f"{path}: expected header 'technology,year,cost', got {','.join(header)}"
+            )
+        has_sector = len(header) > 3 and header[3] == "sector"
+        for line_no, row in reader:
+            if not "".join(row).strip():  # no cells, or only blank ones
+                continue
+            if len(row) < 3:
+                raise DataFormatError(f"line {line_no}: expected at least 3 columns, got {len(row)}")
+            tech = row[0].strip()
+            if not tech:
+                raise DataFormatError(f"line {line_no}: empty technology name")
+            try:
+                year = int(row[1].strip())
+            except ValueError:
+                raise DataFormatError(f"line {line_no}: year {row[1]!r} is not an integer") from None
+            if not -(2**63) <= year < 2**63:
+                raise DataFormatError(f"line {line_no}: year {row[1]!r} is outside the int64 range")
+            cost = _parse_positive_cost(row[2].strip(), line_no)
+            obs = by_tech.setdefault(tech, {})
+            if year in obs:
+                raise DataFormatError(f"line {line_no}: duplicate observation for ({tech}, {year})")
+            obs[year] = math.log(cost)
+            if has_sector and len(row) > 3 and row[3].strip():
+                sectors[tech] = row[3].strip()
+
+    out: list[TechnologySeries] = []
+    for tech, obs in sorted(by_tech.items()):
+        years = sorted(obs)
+        if years[-1] - years[0] != len(years) - 1:  # distinct sorted years with a gap
+            start, stop = _longest_run(np.array(years, dtype=np.int64))
+            kept = f"{years[start]}-{years[stop - 1]}"
+            dropped = years[:start] + years[stop:]
+            warnings.warn(
+                f"{tech}: years are not contiguous; keeping {kept} and dropping {dropped}",
+                DataWarning,
+                stacklevel=2,
+            )
+            years = years[start:stop]
+        if len(years) < 2:
+            warnings.warn(
+                f"{tech}: fewer than 2 contiguous observations, series dropped",
+                DataWarning,
+                stacklevel=2,
+            )
+            continue
+        out.append(
+            TechnologySeries(
+                name=tech,
+                years=np.array(years, dtype=np.int64),
+                log_costs=np.array([obs[y] for y in years]),
+                sector=sectors.get(tech, ""),
+            )
+        )
+    return out

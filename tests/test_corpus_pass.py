@@ -1,0 +1,198 @@
+"""One pass per corpus: the length-grouped moments behind ``select_improving``,
+``summarize_corpus`` and ``corpus_template``, and ``ingest_csv``'s single
+loop, each held to its per-series or row-by-row oracle."""
+
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from costwalk import (
+    DataFormatError,
+    SeriesSummary,
+    TechnologySeries,
+    corpus_template,
+    fit_ima_mle,
+    ingest_csv,
+    one_sided_t_test,
+    select_improving,
+    summarize_corpus,
+)
+from costwalk.dataset import _corpus_moments
+from costwalk.models import EstimationError
+
+import reference
+
+# numpy's pairwise sum unrolls blocks of 8 and splits vectors longer than 128
+LENGTHS = st.one_of(
+    st.integers(2, 20),
+    st.sampled_from([7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 1023, 1024, 1025]),
+    st.integers(2, 600),
+)
+KINDS = ("ordinary", "constant", "signed-zero", "mixed-sign")
+SCALES = (1e-300, 1e-160, 1e-8, 1.0, 1e5)
+
+
+def _row(kind: str, scale: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "ordinary":
+        return scale * (rng.standard_normal(n) - 0.3)
+    if kind == "constant":
+        return np.full(n, scale * rng.choice([-0.125, 0.1, 3.0]))
+    if kind == "signed-zero":
+        return rng.choice([0.0, -0.0], n)
+    # both signs, magnitudes spread over ten decades
+    return scale * rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+
+
+@st.composite
+def increment_rows(draw, max_groups=6, group_sizes=(1, 1, 2, 5, 17)):
+    """Increment vectors in groups of one length, a group of one row or of
+    many, every row of its own kind and scale, the rows shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, max_groups))):
+        n = draw(LENGTHS)
+        for _ in range(draw(st.sampled_from(group_sizes))):
+            rows.append(_row(draw(st.sampled_from(KINDS)), draw(st.sampled_from(SCALES)), n, rng))
+    return draw(st.permutations(rows))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(increment_rows())
+def test_corpus_moments_are_each_vectors_own_as_bits(rows):
+    mu, k, flat = _corpus_moments(rows)
+    assert [_bits(m) for m in mu] == [_bits(d.mean()) for d in rows]
+    assert [_bits(s) for s in k] == [_bits(d.std(ddof=1)) for d in rows]
+    assert flat.tolist() == [bool(np.ptp(d) == 0.0) for d in rows]
+
+
+def _corpus(rows) -> list[TechnologySeries]:
+    return [
+        TechnologySeries(f"s{j:02d}", np.arange(d.size + 1) + 1950, np.r_[0.0, np.cumsum(d)])
+        for j, d in enumerate(rows)
+    ]
+
+
+def _summary_oracle(series: TechnologySeries, alpha: float) -> SeriesSummary:
+    """``summarize_corpus`` of one series from numpy's per-vector moments and
+    ``fit_ima_mle``."""
+    d = series.diffs()
+    mu, k = float(d.mean()), float(d.std(ddof=1))
+    flat = k == 0.0 or np.ptp(d) == 0.0
+    if series.n_obs >= 4 and not flat:
+        fit = fit_ima_mle(series)
+        theta, boundary = fit.theta, fit.boundary
+    else:
+        theta, boundary = 0.0 if flat else math.nan, False
+    p = one_sided_t_test(d)
+    return SeriesSummary(
+        series.name, series.sector, series.n_obs, mu, k, theta, boundary, p, p < alpha
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    increment_rows(max_groups=4, group_sizes=(1, 2, 4)),
+    st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0]),
+)
+def test_selection_summaries_and_template_equal_the_per_series_oracles(rows, alpha):
+    corpus = _corpus([d[:80] for d in rows])  # the fits, not the moments, grow with length
+    p = [one_sided_t_test(s.diffs()) for s in corpus]
+    improving, excluded = select_improving(corpus, alpha)
+    assert improving == [s for s, q in zip(corpus, p) if q < alpha]
+    assert excluded == [s for s, q in zip(corpus, p) if not q < alpha]
+
+    expected, failure = [], None
+    for series in corpus:
+        try:
+            expected.append(_summary_oracle(series, alpha))
+        except EstimationError as exc:  # the fit of the first such series raises for the corpus
+            failure = failure or exc
+    if failure is not None:
+        with pytest.raises(type(failure), match=f"^{re.escape(str(failure))}$"):
+            summarize_corpus(corpus, alpha)
+    else:
+        assert [repr(s) for s in summarize_corpus(corpus, alpha)] == [repr(s) for s in expected]
+    template = corpus_template(corpus)
+    assert [(n, _bits(m), _bits(s)) for n, m, s in template] == [
+        (s.n_obs, _bits(s.diffs().mean()), _bits(s.diffs().std(ddof=1))) for s in corpus
+    ]
+
+
+# --- ingest_csv against the row-by-row reader it replaced --------------------
+
+NAMES = ("A", "B", " B ", "C", '"Multi\nline"', '"q,uoted"')
+GOOD_COSTS = ("10", "0.5", " 3.25 ", "1e-3", "2E2", "5e-324", '"7"', "1e300")
+SECTORS = ("", ",", ",Energy", ", Chem ", ',"multi\nsector"', ",Energy,extra")
+HEADERS = (
+    "technology,year,cost",
+    "technology,year,cost,sector",
+    " Technology , YEAR ,Cost,Sector",
+    '"technology",year,cost,notes',
+    "tech,year,cost",
+    "",
+)
+ODD_ROWS = (
+    "", "   ", ",,", " , ,  ", "A,1990", "A", ",1991,5", " ,1991,5", "A,abc,5",
+    "A,1990.5,5", "A,,5", "A,99999999999999999999,5", "A,-99999999999999999999,5",
+    "A,9223372036854775807,5", "A,-9223372036854775808,5", "A,9223372036854775808,5",
+    "A,1_992,5", "A,\u0661\u0669\u0669\u0663,5", "A,1991,0", "A,1991,-2", "A,1991,-0.0",
+    "A,1991,nan", "A,1991,inf", "A,1991,-inf", "A,1991,1e400", "A,1991,abc", "A,1991,",
+    "C,2010,4", "D,1990,4", '"Multi\nline",1992,5', '"unterminated,1993,5',
+    "A," + "1" * 140_000 + ",5",
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A long-format CSV text: a header, rows with good costs for a run of
+    years of each technology plus a few stray years (gaps), and a few odd
+    rows (blank, short, unparseable, out of range, nonpositive,
+    duplicate-making, multi-line, oversized) anywhere among them."""
+    rows = []
+    for name in draw(st.lists(st.sampled_from(NAMES), max_size=4, unique=True)):
+        start, length = draw(st.integers(1990, 1995)), draw(st.integers(1, 8))
+        stray = draw(st.sets(st.integers(1985, 2005), max_size=3))
+        for y in sorted(set(range(start, start + length)) | stray):
+            year = draw(st.sampled_from([str(y), f" {y} ", f"+{y}"]))
+            rows.append(
+                f"{name},{year},{draw(st.sampled_from(GOOD_COSTS))}{draw(st.sampled_from(SECTORS))}"
+            )
+    rows += draw(st.lists(st.sampled_from(ODD_ROWS), max_size=2))
+    header = draw(st.sampled_from(HEADERS[:3]) | st.sampled_from(HEADERS))
+    lines = [header, *draw(st.permutations(rows))]
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _outcome(read, path):
+    """(series or error message, warnings) of one reader on ``path``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = [
+                (s.name, s.years.tobytes(), s.log_costs.tobytes(), s.sector) for s in read(path)
+            ]
+        except DataFormatError as exc:
+            result = f"DataFormatError: {exc}"
+    return result, [(w.category.__name__, str(w.message)) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+@example("technology,year,cost\n")
+@example("")
+@example('technology,year,cost\n"Multi\nline",2000,1\n"Multi\nline",2001,2\nX,2000,-1\n')
+@example("technology,year,cost,sector\nA,1990,1,E\nA,1992,2,\nA,1993,3,F\nB,1990,1\n")
+def test_ingest_matches_the_row_by_row_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("ingest") / "corpus.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(ingest_csv, path) == _outcome(reference.ingest_csv, path)

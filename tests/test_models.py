@@ -329,6 +329,15 @@ class TestCorpusFitErrors:
         with pytest.raises(EstimationError, match="^flat:"):
             fit_ima_mle_corpus(good[:2] + [_series(-0.125 * np.arange(20.0), "flat")] + good[2:])
 
+    def test_failure_inside_the_fit_before_a_rejected_series_is_named(self):
+        # s0 fails only once fitted, flat is rejected before any fit
+        flat = _series(-0.125 * np.arange(8.0), "flat")
+        corpus = [self._ordinary("ok-1", 30, 1), *_UNDERFLOWING, flat]
+        with pytest.raises(EstimationError, match="^s0: degenerate innovation variance"):
+            fit_ima_mle_corpus(corpus)
+        with pytest.raises(EstimationError, match="^flat: increments are constant"):
+            fit_ima_mle_corpus(corpus[::-1])
+
     def test_empty_corpus(self):
         assert fit_ima_mle_corpus([]) == []
 

@@ -488,6 +488,23 @@ class TestThetaWeighted:
             with pytest.raises(ValueError, match=message):
                 estimate_theta_weighted(summaries, records, tau_max=tau_max)
 
+    def test_no_cap_takes_every_horizon_the_records_reach(self):
+        # tau_max=None used to raise a TypeError from np.arange(1, None + 1)
+        summaries = _reference_summaries()
+        cfg = SurrogateConfig(
+            replications=1, theta=0.0, m=5, tau_max=20, seed=8, template=REFERENCE_TEMPLATE
+        )
+        records = hindcast_corpus(surrogate_corpus(cfg, derive_rng(8, 0)), 5).records
+        reach = int(records.tau.max())
+        assert reach > 20
+        result = estimate_theta_weighted(summaries, records, tau_max=None)
+        capped = estimate_theta_weighted(summaries, records, tau_max=reach)
+        assert result.theta_w == capped.theta_w
+        np.testing.assert_array_equal(result.per_horizon, capped.per_horizon)
+        np.testing.assert_array_equal(result.taus, np.arange(1, reach + 1))
+        with pytest.raises(ValueError, match="no records"):
+            estimate_theta_weighted(summaries, records[records.tau < 0], tau_max=None)
+
     def test_all_boundary_rejected(self):
         summaries = [
             SeriesSummary("surrogate-000", "", 20, -0.1, 0.1, 1.0, True, 0.0, True)
