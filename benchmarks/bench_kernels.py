@@ -13,7 +13,7 @@ Times the hot paths on representative workloads:
   helper, the plan built once per experiment and several replications per
   array pass, plus each replication's error-growth curve;
 * validate's joint pass, per replication: the engine with both the
-  error-growth curve and the three ECDF-deviation measures of each
+  error-growth curve and the three ECDF-deviation measures of every
   replication, the two nulls that ``validation_nulls`` reads from one draw;
 * theta matching, per grid: the exact null mean of Xi at horizons 1..20
   (``null_xi_mean``) on the grids 0, 0.05, ..., 0.9 (19 theta, perfbench's)
@@ -119,14 +119,15 @@ def bench_engine(template, theta, m, tau_max, reps):
 
 
 def bench_joint(template, theta, m, tau_max, reps):
-    """Time per replication of the engine with Xi and the deviation measures."""
+    """Time per replication of the engine with Xi and the deviation measures,
+    each taken from every replication of the pass, as ``validation_nulls`` runs it."""
     config = SurrogateConfig(
         replications=reps, theta=theta, m=m, tau_max=tau_max, seed=42, template=template
     )
     plan = _engine_plan(config)
     records = hindcast_corpus(surrogate_corpus(config, make_rng(7)), m, tau_max=tau_max).records
-    _, deviation = _deviation_statistic(records, config, plan, reps)
-    statistics = [_xi_statistic(config, plan, reps), deviation]
+    _, deviation = _deviation_statistic(records, config, plan)
+    statistics = [_xi_statistic(config, plan), deviation]
     return _time(lambda: _run(config, plan, 1, statistics), repeat=3) / reps
 
 

@@ -184,8 +184,7 @@ def cmd_hindcast(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     out = _prepare_out(args, "validate")
-    deviation_reps = args.reps if args.deviation_reps is None else args.deviation_reps
-    checked = [("--reps", args.reps), ("--deviation-reps", deviation_reps)]
+    checked = [("--reps", args.reps)]
     if args.theta_from == "matched":
         checked.append(("--grid-reps", args.grid_reps))
     for flag, reps in checked:
@@ -233,7 +232,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     report["theta_source"] = args.theta_from or "fixed"
 
     config = dataclasses.replace(base, theta=theta)
-    band, dev = validation_nulls(config, curve, result.records, deviation_reps)
+    band, dev = validation_nulls(config, curve, result.records)
     report["xi_band"] = {
         "tau": band.taus,
         "observed": band.observed,
@@ -248,7 +247,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "observed": dev.observed,
         "p_raw": dev.p_raw,
         "p_smoothed": dev.p_smoothed,
-        "replications": deviation_reps,
+        "replications": args.reps,
     }
     report["hindcast"] = {
         "n_records": len(result.records),
@@ -370,14 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.10)
     p.add_argument("--window", type=int, default=5)
     p.add_argument("--tau-max", type=int, default=20)
-    p.add_argument("--reps", type=int, default=1000, help="replications for the Xi band")
     p.add_argument(
-        "--deviation-reps",
-        type=int,
-        default=None,
-        help="replications for the distribution deviation test (default: --reps); "
-        "the band and the test read the same draws, so the first min(--reps, "
-        "--deviation-reps) replications serve both",
+        "--reps", type=int, default=1000, help="replications for the Xi band and the deviation test"
     )
     group = p.add_mutually_exclusive_group()
     group.add_argument("--theta", type=float, default=0.0)

@@ -397,8 +397,12 @@ def corpus_template(
     entries: Sequence[SeriesSummary] | Sequence[TechnologySeries],
 ) -> tuple[tuple[int, float, float], ...]:
     """(n_obs, mu, K) triples for surrogate-corpus generation; a series gives the
-    drift and volatility that ``summarize_corpus`` reports, without fitting its MA model."""
+    drift and volatility that ``summarize_corpus`` reports, without fitting its MA model,
+    and needs the 3 points that a volatility estimate needs."""
     series = [e for e in entries if isinstance(e, TechnologySeries)]
+    for s in series:
+        if s.n_obs < 3:
+            raise ValueError(f"{s.name}: need at least 3 observations, got {s.n_obs}")
     mu, k, _ = _corpus_moments([s.diffs() for s in series])
     moments = zip(mu.tolist(), k.tolist())
     return tuple(

@@ -219,11 +219,6 @@ def _nll(rss: np.ndarray, n: np.ndarray) -> np.ndarray:
     ])
 
 
-def _constant_increments(d: np.ndarray) -> bool:
-    """Equal increments leave theta unidentified and, as sigma -> 0, the likelihood unbounded."""
-    return bool(np.ptp(d) == 0.0)
-
-
 def fit_ima_mle(series: TechnologySeries) -> ImaParams:
     """Maximum likelihood IMA(1,1) fit of the differenced series.
 
@@ -244,32 +239,28 @@ def fit_ima_mle_corpus(corpus: Sequence[TechnologySeries]) -> list[ImaParams]:
     cannot be fitted, raises the error of the first such series in corpus
     order.
     """
-    names = [series.name for series in corpus]
-    diffs: list[np.ndarray] = []
-    for series in corpus:
-        if series.n_obs < 4:
-            failure: Exception = ValueError(
-                f"{series.name}: need at least 4 observations, got {series.n_obs}"
-            )
-        else:
-            d = series.diffs()
-            if not _constant_increments(d):
-                diffs.append(d)
-                continue
-            failure = EstimationError(
-                f"{series.name}: increments are constant, IMA likelihood is degenerate"
-            )
-        _fit_increments(names[: len(diffs)], diffs)  # an earlier series' failure comes first
-        raise failure
-    return _fit_increments(names, diffs)
+    return _fit_increments([s.name for s in corpus], [s.diffs() for s in corpus])
 
 
 def _fit_increments(names: Sequence[str], diffs: Sequence[np.ndarray]) -> list[ImaParams]:
-    """IMA(1,1) fits of the increment vectors ``diffs`` (each at least 3 long,
-    its values not all equal) of the series ``names``, in lockstep; raises the
-    error of the first vector that cannot be fitted."""
+    """IMA(1,1) fits of the increment vectors ``diffs`` of the series ``names``,
+    in lockstep; raises the error of the first vector that cannot be fitted.
+
+    A vector shorter than 3 or whose values are all equal is rejected before
+    the fit and kept out of the lockstep.
+    """
     failures: dict[int, Exception] = {}
-    order = sorted(range(len(diffs)), key=lambda i: -diffs[i].size)
+    for i, d in enumerate(diffs):
+        if d.size < 3:
+            failures[i] = ValueError(f"{names[i]}: need at least 4 observations, got {d.size + 1}")
+        elif np.ptp(d) == 0.0:
+            # equal increments leave theta unidentified and, as sigma -> 0, the likelihood unbounded
+            failures[i] = EstimationError(
+                f"{names[i]}: increments are constant, IMA likelihood is degenerate"
+            )
+    order = sorted(
+        (i for i in range(len(diffs)) if i not in failures), key=lambda i: -diffs[i].size
+    )
     lockstep = _Lockstep([diffs[i] for i in order])
     n = lockstep.n
 

@@ -32,14 +32,13 @@ so the observed corpus and its nulls share one implementation of each
 statistic.
 
 ``validate`` needs two nulls at its theta, the Xi band and the ECDF deviation
-test, and reads both from one ensemble (``validation_nulls``): replication r
-draws once, from the "xi-band" stream, and its normalized errors give band
-row r and, divided by each record's eps* divisor, deviation row r. A
-statistic asked for fewer replications reads the leading ones, so the first
-min(band, deviation) rows of each do not depend on the other count, and
-``null_xi_band`` and ``distribution_deviation_test`` return the same rows as
-single-statistic calls of the same pass. Each p-value is valid on its own,
-but the band and the deviation test are not independent.
+test, and reads both from one ensemble of config.replications replications
+(``validation_nulls``): replication r draws once, from the "xi-band" stream,
+and its normalized errors give band row r and, divided by each record's eps*
+divisor, deviation row r. ``null_xi_band`` and ``distribution_deviation_test``
+draw the same replications, so each returns the same rows on its own. Each
+p-value is valid on its own, but the band and the deviation test are not
+independent.
 
 Theta matching needs only the mean of the null Xi at every theta of a grid,
 and that mean has an exact form, so it draws no replication. The unit walk's
@@ -328,23 +327,21 @@ def _xi_rows(
     return lambda norm: _xi(*_cell_sums(norm, key, counts), config.weighting)
 
 
-def _draws(
-    config: SurrogateConfig, plan: _Plan, tag: int, replications: int
-) -> Iterator[tuple[slice, np.ndarray]]:
+def _draws(config: SurrogateConfig, plan: _Plan, tag: int) -> Iterator[tuple[slice, np.ndarray]]:
     """The replications of each array pass and their unit innovations, one row each.
 
     Replication r draws from stream (seed, tag, r), so what a replication
     draws does not depend on how many replications share a pass.
     """
-    for start in range(0, replications, plan.chunk):
-        stop = min(start + plan.chunk, replications)
+    for start in range(0, config.replications, plan.chunk):
+        stop = min(start + plan.chunk, config.replications)
         rngs = [derive_rng(config.seed, tag, rep) for rep in range(start, stop)]
         yield slice(start, stop), np.array([_innovations(config, rng) for rng in rngs])
 
 
-# (replications, width, rows_of): a statistic of the first ``replications``
-# replications, where ``rows_of`` reduces normalized errors to one row each
-_Statistic = tuple[int, int, Callable[[np.ndarray], np.ndarray]]
+# (width, rows_of): a statistic whose ``rows_of`` reduces each row of normalized
+# errors to ``width`` values
+_Statistic = tuple[int, Callable[[np.ndarray], np.ndarray]]
 
 
 def _run(
@@ -352,28 +349,26 @@ def _run(
 ) -> list[np.ndarray]:
     """One (replications, width) matrix per statistic; row r is replication r's.
 
-    One draw and one simulation per replication serve every statistic, so a
-    statistic's rows do not depend on how many replications the others take.
+    One draw and one simulation per replication serve every statistic.
     """
-    out = [np.empty((reps, width)) for reps, width, _ in statistics]
-    for rows, innovations in _draws(config, plan, tag, max(s[0] for s in statistics)):
+    out = [np.empty((config.replications, width)) for width, _ in statistics]
+    for rows, innovations in _draws(config, plan, tag):
         norm = _simulate(config, plan, innovations)
-        for values, (reps, _, rows_of) in zip(out, statistics):
-            if rows.start < reps:
-                values[rows.start : min(rows.stop, reps)] = rows_of(norm[: reps - rows.start])
+        for values, (_, rows_of) in zip(out, statistics):
+            values[rows] = rows_of(norm)
     return out
 
 
-def _xi_statistic(config: SurrogateConfig, plan: _Plan, replications: int) -> _Statistic:
+def _xi_statistic(config: SurrogateConfig, plan: _Plan) -> _Statistic:
     """Xi curves, (replications, tau_max)."""
     cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
-    return replications, config.tau_max, _xi_rows(config, cell, plan.chunk)
+    return config.tau_max, _xi_rows(config, cell, plan.chunk)
 
 
 def _xi_ensemble(config: SurrogateConfig, tag: int) -> np.ndarray:
     """(replications, tau_max) Xi curves of the surrogate null."""
     plan = _engine_plan(config)
-    return _run(config, plan, tag, [_xi_statistic(config, plan, config.replications)])[0]
+    return _run(config, plan, tag, [_xi_statistic(config, plan)])[0]
 
 
 def _check_curve(curve: ErrorGrowthCurve, config: SurrogateConfig) -> None:
@@ -456,7 +451,7 @@ def _deviation_stats(eps: np.ndarray, t_cdf_grid: np.ndarray) -> np.ndarray:
 
 
 def _deviation_statistic(
-    records: HindcastRecords, config: SurrogateConfig, plan: _Plan, replications: int
+    records: HindcastRecords, config: SurrogateConfig, plan: _Plan
 ) -> tuple[np.ndarray, _Statistic]:
     """The deviation measures of the records' pooled eps* at config.theta, and the
     statistic of each replication's measures, (replications, 3), taken the same way."""
@@ -472,8 +467,7 @@ def _deviation_statistic(
     def rows_of(norm: np.ndarray) -> np.ndarray:
         return _deviation_stats(norm / divisors, t_cdf_grid)
 
-    statistic = (replications, len(DEVIATION_STATISTICS), rows_of)
-    return _deviation_stats(eps[None], t_cdf_grid)[0], statistic
+    return _deviation_stats(eps[None], t_cdf_grid)[0], (len(DEVIATION_STATISTICS), rows_of)
 
 
 def distribution_deviation_test(records: HindcastRecords, config: SurrogateConfig) -> NullEnsemble:
@@ -489,7 +483,7 @@ def distribution_deviation_test(records: HindcastRecords, config: SurrogateConfi
     ``null_xi_band``'s ensemble at the same config.
     """
     plan = _engine_plan(config)
-    observed, deviation = _deviation_statistic(records, config, plan, config.replications)
+    observed, deviation = _deviation_statistic(records, config, plan)
     (values,) = _run(config, plan, _stream_tag("xi-band"), [deviation])
     return NullEnsemble(statistic="ecdf-deviation", values=values, observed=observed)
 
@@ -498,28 +492,20 @@ def validation_nulls(
     config: SurrogateConfig,
     observed_curve: ErrorGrowthCurve,
     records: HindcastRecords,
-    deviation_reps: int,
 ) -> tuple[NullEnsemble, NullEnsemble]:
-    """``null_xi_band(config, observed_curve)`` and the deviation test of the
-    records at config.theta with ``deviation_reps`` replications, from one
-    ensemble.
+    """``null_xi_band(config, observed_curve)`` and
+    ``distribution_deviation_test(records, config)`` from one ensemble.
 
-    Replication r's walks give band row r, for r below config.replications,
-    and deviation row r, for r below deviation_reps, so each ensemble equals
-    the single-statistic call's as bytes. Each p-value is valid on its own,
-    but the band and the deviation test are not independent.
+    Replication r's walks give band row r and deviation row r, so each
+    ensemble equals the single-statistic call's as bytes. Each p-value is
+    valid on its own, but the band and the deviation test are not
+    independent.
     """
-    deviation_reps = _integer("deviation_reps", deviation_reps)
-    if deviation_reps < 1:
-        raise ValueError(f"need at least 1 deviation replication, got {deviation_reps}")
     observed_band = _band_observed(config, observed_curve)
     plan = _engine_plan(config)
-    observed_deviation, statistic = _deviation_statistic(records, config, plan, deviation_reps)
+    observed_deviation, statistic = _deviation_statistic(records, config, plan)
     band, deviation = _run(
-        config,
-        plan,
-        _stream_tag("xi-band"),
-        [_xi_statistic(config, plan, config.replications), statistic],
+        config, plan, _stream_tag("xi-band"), [_xi_statistic(config, plan), statistic]
     )
     return _band(band, observed_band), NullEnsemble(
         statistic="ecdf-deviation", values=deviation, observed=observed_deviation

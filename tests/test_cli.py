@@ -144,7 +144,7 @@ class TestValidate:
     def test_report_and_determinism(self, corpus_csv, tmp_path):
         args = [
             "validate", "--input", str(corpus_csv), "--window", "5", "--tau-max", "8",
-            "--reps", "60", "--deviation-reps", "40", "--theta", "0.3", "--seed", "5",
+            "--reps", "60", "--theta", "0.3", "--seed", "5",
         ]
         out1, out2 = tmp_path / "v1", tmp_path / "v2"
         assert main(args + ["--out", str(out1)]) == 0
@@ -155,6 +155,7 @@ class TestValidate:
         assert report["theta"] == 0.3
         assert len(report["xi_band"]["observed"]) == 8
         assert len(report["deviation_test"]["p_raw"]) == 3
+        assert report["deviation_test"]["replications"] == 60
 
     def test_reports_too_short_series(self, corpus_csv, tmp_path):
         out = tmp_path / "ts"
@@ -181,14 +182,12 @@ class TestValidate:
             ["validate", "--input", str(corpus_csv), "--out", str(tmp_path / "o"), "--reps", "0"]
         ) == 2
 
-    @pytest.mark.parametrize("flags", [("--deviation-reps", "0"), ("--deviation-reps", "-3")])
-    def test_nonpositive_deviation_reps_exit_2(self, corpus_csv, tmp_path, capsys, flags):
-        # 0 used to fall back to --reps and run 40 replications
-        assert main(
-            ["validate", "--input", str(corpus_csv), "--out", str(tmp_path / "o"),
-             "--reps", "40", "--tau-max", "6", *flags]
-        ) == 2
-        assert "--deviation-reps must be >= 1" in capsys.readouterr().err
+    def test_deviation_reps_option_is_gone(self, corpus_csv, tmp_path):
+        # --reps counts the replications of the band and the deviation test alike
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--input", str(corpus_csv), "--out", str(tmp_path / "o"),
+                  "--deviation-reps", "40"])
+        assert exc.value.code == 2
 
     def test_alpha_outside_unit_interval_exits_2(self, corpus_csv, tmp_path, capsys):
         # --alpha 2 used to count every series as improving

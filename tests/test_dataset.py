@@ -342,6 +342,15 @@ class TestSummarize:
         corpus = [simulate_rwd(-0.05, 0.1, n, rng, name=f"s{n}") for n in (5, 12, 40)]
         assert corpus_template(corpus) == corpus_template([summarize_corpus([s])[0] for s in corpus])
 
+    def test_template_of_a_two_point_series_names_it(self):
+        # one difference has no Bessel volatility: K used to be NaN, with a RuntimeWarning
+        rng = make_rng(90102)
+        corpus = [
+            simulate_rwd(-0.05, 0.1, 12, rng, name="long"),
+            TechnologySeries("two", np.array([2000, 2001]), np.array([0.0, -0.1])),
+        ]
+        with pytest.raises(ValueError, match="two: need at least 3 observations, got 2"):
+            corpus_template(corpus)
 
     def test_corpus_mixing_every_kind_of_row_equals_one_at_a_time(self):
         rng = make_rng(4711)

@@ -214,18 +214,18 @@ def test_deviation_statistics_equal_their_null_row(config, data):
 
 
 @PROPERTY
-@given(configs(), st.integers(1, 9), st.data())
-def test_one_corpus_gives_its_band_and_deviation_rows(config, deviation_reps, data):
+@given(configs(), st.data())
+def test_one_corpus_gives_its_band_and_deviation_rows(config, data):
     # one draw serves both nulls: the walks of replication r give band row r
     # and deviation row r as their observed statistics
-    r = data.draw(st.integers(0, min(config.replications, deviation_reps) - 1))
+    r = data.draw(st.integers(0, config.replications - 1))
     rng = derive_rng(config.seed, _stream_tag("xi-band"), r)
     corpus = _unit_corpus(config, _per_series_innovations(config, rng))
     records = hindcast_corpus(corpus, config.m, tau_max=config.tau_max).records
     assume(len(records) > 0)
     curve = error_growth(records, weighting=config.weighting)
     with pytest.warns(UserWarning, match="replications"):
-        band, deviation = validation_nulls(config, curve, records, deviation_reps)
+        band, deviation = validation_nulls(config, curve, records)
     _assert_bytes_equal(band.values[r, curve.taus - 1], curve.xi)
     assert np.all(np.isnan(np.delete(band.values[r], curve.taus - 1)))
     _assert_bytes_equal(deviation.values[r], deviation.observed)
@@ -240,20 +240,18 @@ def _validation_inputs(replications):
     return config, error_growth(records), records
 
 
-def _validation_nulls(config, curve, records, deviation_reps):
+def _validation_nulls(config, curve, records):
     with pytest.warns(UserWarning, match="replications"):
-        return validation_nulls(config, curve, records, deviation_reps)
+        return validation_nulls(config, curve, records)
 
 
-@pytest.mark.parametrize("reps, deviation_reps", [(5, 8), (8, 5), (6, 6)])
-def test_validation_nulls_equal_the_single_null_calls(reps, deviation_reps):
+@pytest.mark.parametrize("reps", [5, 8, 6])
+def test_validation_nulls_equal_the_single_null_calls(reps):
     config, curve, records = _validation_inputs(reps)
-    band, deviation = _validation_nulls(config, curve, records, deviation_reps)
+    band, deviation = _validation_nulls(config, curve, records)
     with pytest.warns(UserWarning, match="replications"):
         single_band = null_xi_band(config, curve)
-    single_deviation = distribution_deviation_test(
-        records, dataclasses.replace(config, replications=deviation_reps)
-    )
+    single_deviation = distribution_deviation_test(records, config)
     for actual, expected in ((band, single_band), (deviation, single_deviation)):
         assert actual.statistic == expected.statistic
         _assert_bytes_equal(actual.values, expected.values)
@@ -262,31 +260,24 @@ def test_validation_nulls_equal_the_single_null_calls(reps, deviation_reps):
 
 
 def test_each_null_is_the_prefix_of_a_longer_one():
-    # the first min(band, deviation) replications of each statistic do not
-    # depend on how many the other takes, with the deviation count above and
-    # below the band's
+    # replication r's rows of both statistics do not depend on how many
+    # replications the ensemble takes, though a pass straddles replication 5
     config, curve, records = _validation_inputs(8)
-    band, deviation = _validation_nulls(config, curve, records, 8)
+    band, deviation = _validation_nulls(config, curve, records)
     fewer = dataclasses.replace(config, replications=5)
-    short_band, long_deviation = _validation_nulls(fewer, curve, records, 8)
-    long_band, short_deviation = _validation_nulls(config, curve, records, 5)
+    short_band, short_deviation = _validation_nulls(fewer, curve, records)
     _assert_bytes_equal(short_band.values, band.values[:5])
-    _assert_bytes_equal(long_band.values, band.values)
     _assert_bytes_equal(short_deviation.values, deviation.values[:5])
-    _assert_bytes_equal(long_deviation.values, deviation.values)
 
 
 def test_validation_nulls_keep_the_single_call_checks():
     config, curve, records = _validation_inputs(100)
     other_weighting = dataclasses.replace(curve, weighting="equal-technology")
     with pytest.raises(ValueError, match="weighting"):
-        validation_nulls(config, other_weighting, records, 100)
+        validation_nulls(config, other_weighting, records)
     window_6 = dataclasses.replace(config, m=6)
     with pytest.raises(ValueError, match="config.m"):  # the records' window
-        validation_nulls(window_6, dataclasses.replace(curve, m=6), records, 100)
-    for bad in (0, -3, 2.5):
-        with pytest.raises(ValueError, match="deviation"):
-            validation_nulls(config, curve, records, bad)
+        validation_nulls(window_6, dataclasses.replace(curve, m=6), records)
 
 
 @PROPERTY

@@ -1,10 +1,14 @@
-"""The README's library example runs as written, on a small corpus."""
+"""The README's library example runs as written, on a small corpus, and its
+command-line examples parse."""
 
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from costwalk import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,6 +17,25 @@ def _library_block() -> str:
     text = README.read_text("utf-8")
     library = text[text.index("## Library"):]
     return re.search(r"```python\n(.*?)```", library, re.S)[1]
+
+
+def _commands() -> list[str]:
+    """Each ``costwalk`` command of the Command line block, continuation lines joined."""
+    text = README.read_text("utf-8")
+    block = re.search(r"```\n(.*?)```", text[text.index("## Command line"):], re.S)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("costwalk ")]
+
+
+def test_command_line_block_parses():
+    # a flag the README shows but the parser no longer has exits 2 here
+    parser = cli.build_parser()
+    argvs = [shlex.split(command)[1:] for command in _commands()]
+    for argv in argvs:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in argvs} == {
+        "describe", "hindcast", "validate", "forecast", "compare", "trend"
+    }
 
 
 def test_library_block_runs(corpus_csv, monkeypatch):
