@@ -24,14 +24,16 @@ Times the hot paths on representative workloads:
   equal-technology weighting (the cell sums and the reduction that the
   observed curve shares);
 * the observed-data path on a corpus drawn from the template repeated 10
-  times (530 series): the IMA maximum likelihood fit of the whole corpus
-  in one lockstep call and of one series alone, the whole summary of the
-  corpus (moments, trend p-values and that fit, as ``describe`` runs it),
-  the improving-technology filter (``select_improving``: the moments and
-  trend p-values alone, as ``validate`` runs it), reading the corpus from
-  its long CSV (``ingest_csv``), building the
-  hindcast records, writing them to ``records.csv``, and their error-growth
-  curve under both weightings;
+  times (530 series), written to its long CSV and read back as the CLI
+  reads it (``ingest_csv``, timed too): the IMA maximum likelihood fit of
+  the whole corpus in one lockstep call and of one series alone, the whole
+  summary of the corpus (moments, trend p-values and that fit, as
+  ``describe`` runs it), the improving-technology filter
+  (``select_improving``: the moments and trend p-values alone), building
+  the hindcast records, the per-series kernel (``hindcast_errors``) on each
+  improving series as ``hindcast`` calls it, writing the records to
+  ``records.csv`` (its time and its traced peak of allocations), and their
+  error-growth curve under both weightings;
 * fixed costs that every fresh process pays once, timed in a new Python
   process: the first ``NullEnsemble.quantiles`` call on a (1000, 20)
   ensemble (and a second one, for comparison), the t(m-1) CDF on the
@@ -47,6 +49,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -168,11 +171,13 @@ def bench_xi_pass(template, theta, m, tau_max, loops=200):
     return plan.chunk, times
 
 
-def bench_observed(template, theta, m, tau_max):
+def bench_observed(template, theta, m, tau_max, directory):
     config = SurrogateConfig(
         replications=1, theta=theta, m=m, tau_max=tau_max, seed=42, template=template * 10
     )
-    corpus = surrogate_corpus(config, make_rng(42))
+    corpus_path = Path(directory) / "corpus.csv"
+    write_corpus_csv(corpus_path, surrogate_corpus(config, make_rng(42)))
+    corpus = ingest_csv(corpus_path)
     t_fit = {
         "fit_ima_mle_corpus, per series": _time(lambda: fit_ima_mle_corpus(corpus), repeat=3)
         / len(corpus),
@@ -182,20 +187,31 @@ def bench_observed(template, theta, m, tau_max):
         "summarize_corpus, per series": _time(lambda: summarize_corpus(corpus), repeat=3)
         / len(corpus),
     }
+    improving, _ = select_improving(corpus)
+    levels = [s.log_costs for s in improving]
+
+    def kernel_calls():
+        for y in levels:
+            _kernels.hindcast_errors(y, m, tau_max)
+
     t_stage = {
+        "ingest_csv": _time(lambda: ingest_csv(corpus_path)),
         "select_improving": _time(lambda: select_improving(corpus)),
         "hindcast_corpus": _time(lambda: hindcast_corpus(corpus, m, tau_max=tau_max)),
+        f"hindcast_errors, {len(levels)} improving": _time(kernel_calls),
     }
     records = hindcast_corpus(corpus, m, tau_max=tau_max).records
-    with tempfile.TemporaryDirectory() as directory:
-        corpus_path = Path(directory) / "corpus.csv"
-        write_corpus_csv(corpus_path, corpus)
-        t_stage["ingest_csv"] = _time(lambda: ingest_csv(corpus_path))
-        path = Path(directory) / "records.csv"
-        t_stage["write_records_csv"] = _time(lambda: write_records_csv(path, records))
+    path = Path(directory) / "records.csv"
+    t_stage["write_records_csv"] = _time(lambda: write_records_csv(path, records))
+    tracemalloc.start()
+    try:
+        write_records_csv(path, records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     for w in ("pooled", "equal-technology"):
         t_stage[f"error_growth {w}"] = _time(lambda: error_growth(records, weighting=w))
-    return len(corpus), len(records), t_fit, t_stage
+    return len(corpus), len(records), t_fit, t_stage, peak
 
 
 # Run in a fresh process, so that each first call pays what a CLI run pays.
@@ -268,12 +284,14 @@ def main():
     for weighting, t in t_xi.items():
         print(f"{weighting:<34} {t * 1e6:>8.1f} us per pass")
 
-    n_series, n_records, t_fit, t_stage = bench_observed(template, 0.63, 5, 20)
+    with tempfile.TemporaryDirectory() as directory:
+        n_series, n_records, t_fit, t_stage, peak = bench_observed(template, 0.63, 5, 20, directory)
     print(f"\nobserved path, {n_series} series, {n_records} hindcast records")
     for stage, t in t_fit.items():
         print(f"{stage:<34} {t * 1e3:>8.3f} ms")
     for stage, t in t_stage.items():
         print(f"{stage:<34} {t * 1e3:>8.2f} ms")
+    print(f"{'write_records_csv, traced peak':<34} {peak / 1e6:>8.2f} MB")
 
     print("\nfixed costs of a fresh process")
     for stage, t in bench_fixed_costs().items():

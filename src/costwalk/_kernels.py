@@ -1,12 +1,14 @@
 """The numpy hindcast kernels.
 
-``hindcast_errors`` is the observed-data path, one series per call. Every
-surrogate-side hindcast takes the other path: an index plan (``_build_plan``)
-lays all series of a corpus out side by side, and one window helper
-(``_window_errors``) computes every record's normalized error from the laid
-out levels. ``corpus_norm_errors`` runs it on one corpus, the surrogate engine
-on many. Tests hold both paths to ``hindcast_errors`` bit for bit, so they
-must keep the same order of operations.
+``hindcast_errors`` is the observed-data path, one series per call; it
+gathers each origin's window of differences with one take, and selects
+origins only when a window has zero variance. Every surrogate-side hindcast
+takes the other path: an index plan (``_build_plan``) lays all series of a
+corpus out side by side, and one window helper (``_window_errors``) computes
+every record's normalized error from the laid out levels.
+``corpus_norm_errors`` runs it on one corpus, the surrogate engine on many.
+Tests hold both paths to ``hindcast_errors`` bit for bit, and it to a
+record-by-record oracle, so all must keep the same order of operations.
 
 Conventions, for a log-cost series y[0..T-1] and a window of m first
 differences:
@@ -27,9 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-_EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_F = np.empty(0, dtype=np.float64)
 
 # Replications per array pass times the size of the largest per-replication
 # array. The bundled 53-series template (6,391 records at m = 5, tau_max = 20)
@@ -89,30 +88,25 @@ def hindcast_errors(y, m, tau_max):
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     m, tau_max = _check_window(m, tau_max)
-    T = y.size
-    if T < m + 2:
-        return (_EMPTY_I, _EMPTY_I, _EMPTY_F, _EMPTY_F, _EMPTY_F, _EMPTY_F, 0)
-
-    d = np.diff(y)
+    T = y.size  # below m + 2 points there is no origin, and every column is empty
+    d = y[1:] - y[:-1]
     origins = np.arange(m, T - 1, dtype=np.int64)
-    mu = (y[origins] - y[origins - m]) / m
-    windows = np.lib.stride_tricks.sliding_window_view(d, m)[: origins.size]
+    mu = (y[m : T - 1] - y[: origins.size]) / m
+    windows = d[origins[:, None] - np.arange(m, 0, -1)]  # d[i - m .. i - 1] of origin i
     k2 = ((windows - mu[:, None]) ** 2).sum(axis=1) / (m - 1)
 
     keep = k2 > 0.0
-    n_skipped = int(np.count_nonzero(~keep))
-    origins = origins[keep]
-    mu = mu[keep]
-    k_hat = np.sqrt(k2[keep])
+    n_skipped = origins.size - int(np.count_nonzero(keep))
+    if n_skipped:
+        origins, mu, k2 = origins[keep], mu[keep], k2[keep]
+    k_hat = np.sqrt(k2)
 
-    n_tau = np.minimum(T - 1 - origins, tau_max)
-    rec = np.repeat(np.arange(origins.size), n_tau)
-    tau = _ranges(n_tau) + 1
-
-    o = origins[rec]
-    raw = y[o + tau] - y[o] - mu[rec] * tau
-    norm = raw / k_hat[rec]
-    return (o, tau, raw, norm, mu[rec], k_hat[rec], n_skipped)
+    # record (r, tau) of each kept origin r and horizon tau <= min(T - 1 - origin, tau_max)
+    rec, col = np.nonzero(np.arange(1, min(tau_max, T - 1 - m) + 1) <= T - 1 - origins[:, None])
+    o, tau = origins[rec], col + 1
+    mu, k_hat = mu[rec], k_hat[rec]
+    raw = y[o + tau] - y[o] - mu * tau
+    return (o, tau, raw, raw / k_hat, mu, k_hat, n_skipped)
 
 
 @dataclass(frozen=True)

@@ -275,12 +275,11 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError(f"--window must be 'all' or an integer, got {args.window!r}") from None
     corpus = _load_corpus(args)
-    by_name = {s.name: s for s in corpus}
-    if args.tech not in by_name:
+    if args.tech not in corpus.names:
         raise DataFormatError(
-            f"technology {args.tech!r} not in corpus; available: {sorted(by_name)}"
+            f"technology {args.tech!r} not in corpus; available: {sorted(corpus.names)}"
         )
-    series = by_name[args.tech]
+    series = corpus[corpus.names.index(args.tech)]
     forecasts = forecast_technology(series, args.horizon, args.theta, m=window)
     origin_year = int(series.years[-1])
     _write_json(

@@ -12,13 +12,14 @@ A technology is classified as improving when a one-sided t-test on its
 first-difference log series rejects "mean change >= 0" at the chosen level
 (default 10%).
 
-Each per-series statistic is computed once per corpus. ``select_improving``,
-``summarize_corpus`` and ``corpus_template`` read the drift, the volatility
-and the equal-change test of every series from one length-grouped array
-pass (``_corpus_moments``), whose values equal numpy's per-series ones as
-bits, and ``summarize_corpus`` fits the MA models on the log changes that
-pass read. ``ingest_csv`` checks each field of a row once, in one loop over
-the rows.
+``ingest_csv`` checks each field of a row once, in one loop, and returns a
+read-only sequence of flat columns (names, sectors, lengths, years, log
+costs) that builds a ``TechnologySeries`` only when an item is read. The
+functions below read those columns (a list of series is copied into them
+once): the drift, volatility and equal-change test of every series come from
+one length-grouped array pass (``_corpus_moments``), whose values equal
+numpy's per-series ones as bits, and ``summarize_corpus`` fits the MA models
+on the log changes that pass reads.
 
 The package also bundles full-sample summary parameters (drift, volatility,
 MA coefficient, sample length) for a 66-technology historical corpus drawn
@@ -32,14 +33,15 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import models
+from ._kernels import _read_only
 from .series import TechnologySeries
 from .stats import OlsFit, ols_fit, one_sided_t_p_value
 
@@ -104,6 +106,49 @@ class MuKRegression:
     n_log_log: int
 
 
+class _Corpus(Sequence):
+    """A read-only sequence of series held as flat columns: series i is
+    ``names[i]`` and ``sectors[i]``, and the span ``starts[i]:starts[i] + lengths[i]``
+    of ``years`` and ``log_costs`` (back to back unless ``starts`` is given).
+    Item i is built on its first read; a slice or ``take`` shares the columns.
+    """
+
+    def __init__(self, names, sectors, lengths, years, log_costs, starts=None) -> None:
+        self.names, self.sectors = tuple(names), tuple(sectors)
+        self.lengths = _read_only(np.array(lengths, dtype=np.int64))
+        self.starts = _read_only(np.cumsum(self.lengths) - self.lengths if starts is None else starts)
+        self.years, self.log_costs = _read_only(years), _read_only(log_costs)
+        self._items: list = [None] * len(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(range(len(self))[index])
+        i = range(len(self))[index]  # a list's IndexError and TypeError
+        if self._items[i] is None:
+            span = slice(self.starts[i], self.starts[i] + self.lengths[i])
+            self._items[i] = TechnologySeries(self.names[i], self.years[span], self.log_costs[span], self.sectors[i])
+        return self._items[i]
+
+    def take(self, rows) -> "_Corpus":
+        rows = list(rows)
+        names, sectors = [self.names[i] for i in rows], [self.sectors[i] for i in rows]
+        return _Corpus(names, sectors, self.lengths[rows], self.years, self.log_costs, self.starts[rows])
+
+
+def _columns(corpus: Sequence[TechnologySeries]) -> _Corpus:
+    """``corpus`` if it is a ``_Corpus``, else its series copied into flat columns."""
+    if isinstance(corpus, _Corpus):
+        return corpus
+    return _Corpus(
+        [s.name for s in corpus], [s.sector for s in corpus], [s.n_obs for s in corpus],
+        np.concatenate([np.empty(0, dtype=np.int64), *(s.years for s in corpus)]),
+        np.concatenate([np.empty(0), *(s.log_costs for s in corpus)]),
+    )
+
+
 def _longest_run(years: np.ndarray) -> tuple[int, int]:
     """Bounds (start, stop) of the longest consecutive run; later run wins ties."""
     breaks = np.flatnonzero(np.diff(years) != 1)
@@ -114,8 +159,9 @@ def _longest_run(years: np.ndarray) -> tuple[int, int]:
     return int(starts[best]), int(stops[best])
 
 
-def ingest_csv(path: str | Path) -> list[TechnologySeries]:
-    """Read a long-format cost CSV into one series per technology.
+def ingest_csv(path: str | Path) -> Sequence[TechnologySeries]:
+    """Read a long-format cost CSV into one series per technology, in name
+    order, as a read-only sequence that builds each series on access.
 
     Hard errors (``DataFormatError``): missing/invalid header, unparseable
     rows (out-of-int64 years and oversized fields too), nonpositive costs,
@@ -174,7 +220,7 @@ def ingest_csv(path: str | Path) -> list[TechnologySeries]:
         except csv.Error as exc:
             raise DataFormatError(f"line {reader.line_num}: {exc}") from None
 
-    out: list[TechnologySeries] = []
+    names, lengths, kept_years, costs = [], [], [], []
     for tech, obs in sorted(by_tech.items()):
         years = sorted(obs)
         if years[-1] - years[0] != len(years) - 1:  # distinct sorted years with a gap
@@ -194,15 +240,13 @@ def ingest_csv(path: str | Path) -> list[TechnologySeries]:
                 stacklevel=2,
             )
             continue
-        out.append(
-            TechnologySeries(
-                name=tech,
-                years=np.array(years, dtype=np.int64),
-                log_costs=np.array([math.log(obs[y]) for y in years]),
-                sector=sectors.get(tech, ""),
-            )
-        )
-    return out
+        names.append(tech)
+        lengths.append(len(years))
+        kept_years += years
+        costs += map(obs.__getitem__, years)
+    log_costs = np.array(list(map(math.log, costs)), dtype=np.float64)
+    kept_sectors = [sectors.get(tech, "") for tech in names]
+    return _Corpus(names, kept_sectors, lengths, np.array(kept_years, dtype=np.int64), log_costs)
 
 
 def write_corpus_csv(path: str | Path, corpus: Iterable[TechnologySeries]) -> None:
@@ -220,22 +264,22 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def _corpus_moments(diffs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mu, k, flat) of each increment vector in ``diffs``: its mean, its
-    Bessel-corrected standard deviation, and whether all its values are equal.
+def _corpus_moments(d: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(mu, k, flat) of each increment vector ``d[starts[j]:starts[j] + sizes[j]]``:
+    its mean, its Bessel-corrected standard deviation, and whether all its values are equal.
 
-    The vectors of one length form one (rows, n) block, and each statistic
-    is one reduction along the block's rows. A row goes through the
+    The vectors of one length are gathered into one (rows, n) block, and each
+    statistic is one reduction along the block's rows. A row goes through the
     operations that ``ndarray.mean``, ``ndarray.std(ddof=1)`` and ``np.ptp``
     perform on that vector alone (numpy's pairwise sum of a contiguous row),
     so every value equals the vector's own, bit for bit.
     """
-    groups: dict[int, list[int]] = {}  # no np.unique: it imports numpy.ma
-    for i, d in enumerate(diffs):
-        groups.setdefault(d.size, []).append(i)
-    mu, k, flat = np.empty(len(diffs)), np.empty(len(diffs)), np.empty(len(diffs), dtype=bool)
-    for size, rows in groups.items():
-        block = np.array([diffs[i] for i in rows])
+    mu, k, flat = np.empty(sizes.size), np.empty(sizes.size), np.empty(sizes.size, dtype=bool)
+    order = np.argsort(sizes, kind="stable")  # no np.unique: it imports numpy.ma
+    # the rows of each length; the slice drops the one empty group of an empty corpus
+    for rows in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1)[: sizes.size]:
+        size = int(sizes[rows[0]])
+        block = d[starts[rows][:, None] + np.arange(size)]
         mean = np.add.reduce(block, axis=1) / size
         dev = block - mean[:, None]
         np.multiply(dev, dev, out=dev)
@@ -245,27 +289,37 @@ def _corpus_moments(diffs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray
     return mu, k, flat
 
 
+def _moments(corpus: _Corpus, why: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_corpus_moments`` of every series' log changes; the first series with
+    fewer than 3 points raises, ``why`` formatted with its length ending the message."""
+    short = np.flatnonzero(corpus.lengths < 3)
+    if short.size:
+        i = int(short[0])
+        raise ValueError(f"{corpus.names[i]}: need at least 3 observations{why.format(corpus.lengths[i])}")
+    return _corpus_moments(np.diff(corpus.log_costs), corpus.starts, corpus.lengths - 1)
+
+
 def select_improving(
     corpus: Sequence[TechnologySeries], alpha: float = DEFAULT_ALPHA
-) -> tuple[list[TechnologySeries], list[TechnologySeries]]:
+) -> tuple[Sequence[TechnologySeries], Sequence[TechnologySeries]]:
     """Partition a corpus into (improving, excluded) at significance ``alpha``,
     which must lie in [0, 1].
 
-    The drift and volatility of every series come from one length-grouped
-    pass over the corpus (``_corpus_moments``); each trend p-value is
-    ``one_sided_t_test`` of the series' log changes, as bits.
+    A corpus read by ``ingest_csv`` gives two such corpora, any other
+    sequence two lists of its own series. The drift and volatility of every
+    series come from one length-grouped pass (``_corpus_moments``); each trend
+    p-value is ``one_sided_t_test`` of the series' log changes, as bits.
     """
     _check_alpha(alpha)
-    for series in corpus:
-        if series.n_obs < 3:
-            raise ValueError(f"{series.name}: need at least 3 observations to test the trend")
-    mu, k, _ = _corpus_moments([series.diffs() for series in corpus])
-    improving: list[TechnologySeries] = []
-    excluded: list[TechnologySeries] = []
-    for series, mean, sd in zip(corpus, mu.tolist(), k.tolist()):
-        p = one_sided_t_p_value(mean, sd, series.n_obs - 1)
-        (improving if p < alpha else excluded).append(series)
-    return improving, excluded
+    columns = _columns(corpus)
+    mu, k, _ = _moments(columns, " to test the trend")
+    moments = zip(mu.tolist(), k.tolist(), columns.lengths.tolist())
+    p = [one_sided_t_p_value(mean, sd, n - 1) for mean, sd, n in moments]
+    improving = [i for i, q in enumerate(p) if q < alpha]
+    excluded = [i for i, q in enumerate(p) if not q < alpha]
+    if isinstance(corpus, _Corpus):
+        return corpus.take(improving), corpus.take(excluded)
+    return [corpus[i] for i in improving], [corpus[i] for i in excluded]
 
 
 def summarize_corpus(
@@ -284,27 +338,26 @@ def summarize_corpus(
     fewer than 4 points report NaN. ``alpha`` must lie in [0, 1].
     """
     _check_alpha(alpha)
-    for series in corpus:
-        if series.n_obs < 3:
-            raise ValueError(f"{series.name}: need at least 3 observations, got {series.n_obs}")
-    diffs = [series.diffs() for series in corpus]
-    mu, k, flat = _corpus_moments(diffs)
+    corpus = _columns(corpus)
+    mu, k, flat = _moments(corpus, ", got {}")
     flat |= k == 0.0  # K = 0 can also come from squares that underflow
-    fitted = [i for i, series in enumerate(corpus) if series.n_obs >= 4 and not flat[i]]
-    names = [corpus[i].name for i in fitted]
-    fits = dict(zip(fitted, models._fit_increments(names, [diffs[i] for i in fitted])))
+    fitted = np.flatnonzero((corpus.lengths >= 4) & ~flat).tolist()  # none to reject before the fit
+    d = np.diff(corpus.log_costs)
+    diffs = [d[s : s + n - 1] for s, n in zip(corpus.starts[fitted].tolist(), corpus.lengths[fitted].tolist())]
+    fits = dict(zip(fitted, models._fit_increments([corpus.names[i] for i in fitted], diffs, {})))
     summaries = []
-    for i, (series, mu_full, k_full) in enumerate(zip(corpus, mu.tolist(), k.tolist())):
+    columns = zip(corpus.names, corpus.sectors, corpus.lengths.tolist(), mu.tolist(), k.tolist())
+    for i, (name, sector, n_obs, mu_full, k_full) in enumerate(columns):
         if i in fits:
             theta, boundary = fits[i].theta, fits[i].boundary
         else:
             theta, boundary = 0.0 if flat[i] else math.nan, False
-        p_value = one_sided_t_p_value(mu_full, k_full, series.n_obs - 1)
+        p_value = one_sided_t_p_value(mu_full, k_full, n_obs - 1)
         summaries.append(
             SeriesSummary(
-                name=series.name,
-                sector=series.sector,
-                n_obs=series.n_obs,
+                name=name,
+                sector=sector,
+                n_obs=n_obs,
                 mu_full=mu_full,
                 k_full=k_full,
                 theta_full=theta,
@@ -399,15 +452,14 @@ def corpus_template(
     """(n_obs, mu, K) triples for surrogate-corpus generation; a series gives the
     drift and volatility that ``summarize_corpus`` reports, without fitting its MA model,
     and needs the 3 points that a volatility estimate needs."""
-    series = [e for e in entries if isinstance(e, TechnologySeries)]
-    for s in series:
-        if s.n_obs < 3:
-            raise ValueError(f"{s.name}: need at least 3 observations, got {s.n_obs}")
-    mu, k, _ = _corpus_moments([s.diffs() for s in series])
-    moments = zip(mu.tolist(), k.tolist())
+    series = _columns(
+        entries if isinstance(entries, _Corpus) else [e for e in entries if isinstance(e, TechnologySeries)]
+    )
+    mu, k, _ = _moments(series, ", got {}")
+    moments = zip(series.lengths.tolist(), mu.tolist(), k.tolist())
+    if isinstance(entries, _Corpus):
+        return tuple(moments)
     return tuple(
-        (e.n_obs, *next(moments))
-        if isinstance(e, TechnologySeries)
-        else (e.n_obs, e.mu_full, e.k_full)
+        next(moments) if isinstance(e, TechnologySeries) else (e.n_obs, e.mu_full, e.k_full)
         for e in entries
     )

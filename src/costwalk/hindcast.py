@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
+from .dataset import _columns
 from .forecast import rescale_scale, variance_factors
 from .series import TechnologySeries
 from .stats import one_sided_t_test
@@ -110,29 +111,32 @@ def hindcast_corpus(
     ``m`` and ``tau_max`` must be whole numbers.
     """
     m, tau_max = _kernels._check_window(m, tau_max)
-    repeated = sorted(name for name, n in Counter(s.name for s in corpus).items() if n > 1)
+    corpus = _columns(corpus)
+    repeated = sorted(name for name, n in Counter(corpus.names).items() if n > 1)
     if repeated:
         raise ValueError(f"technology names must be unique; repeated: {repeated}")
-    names, too_short, skipped = [], [], 0
+    names, starts, too_short, skipped = [], [], [], 0
     # one part per technology with records, each ordered by (origin, tau),
     # after an empty part that fixes the column dtypes
     i, f = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    parts = [(i, i, i, i, f, f, f, f)]
-    for series in sorted(corpus, key=lambda s: s.name):
-        if series.n_obs < m + 2:
-            too_short.append(series.name)
+    parts = [(i, i, f, f, f, f)]
+    for name, start, n in sorted(zip(corpus.names, corpus.starts.tolist(), corpus.lengths.tolist())):
+        if n < m + 2:
+            too_short.append(name)
             continue
-        origin, tau, raw, norm, mu_hat, k_hat, n_skipped = _kernels.hindcast_errors(
-            series.log_costs, m, series.n_obs if tau_max is None else tau_max
-        )
+        y = corpus.log_costs[start : start + n]
+        *columns, n_skipped = _kernels.hindcast_errors(y, m, n if tau_max is None else tau_max)
         skipped += n_skipped
-        if tau.size:
-            tech = np.full(tau.size, len(names), dtype=np.int64)
-            names.append(series.name)
-            parts.append((tech, origin, series.years[origin], tau, raw, norm, mu_hat, k_hat))
-    columns = (np.concatenate(column) for column in zip(*parts))
+        if columns[1].size:
+            names.append(name)
+            starts.append(start)
+            parts.append(columns)
+    origin, *columns = (np.concatenate(column) for column in zip(*parts))
+    sizes = [tau.size for _, tau, *_ in parts[1:]]
+    tech = np.repeat(np.arange(len(names), dtype=np.int64), sizes)
+    origin_year = corpus.years[np.repeat(np.array(starts, dtype=np.int64), sizes) + origin]
     return CorpusHindcast(
-        records=HindcastRecords(tuple(names), *columns, m),
+        records=HindcastRecords(tuple(names), tech, origin, origin_year, *columns, m),
         skipped_zero_volatility=skipped,
         too_short=tuple(too_short),
     )
@@ -313,6 +317,9 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[: -len(",\r\n")]
 
 
+_RUNS_PER_WRITE = 1024  # forecast origins formatted and written together
+
+
 def write_records_csv(path: str | Path, records: HindcastRecords) -> None:
     """One row per record, as the csv module writes it.
 
@@ -323,7 +330,8 @@ def write_records_csv(path: str | Path, records: HindcastRecords) -> None:
     each run's ``name,t0_year,`` head and ``,mu_hat,K_hat`` tail are formatted
     once, into a row template that leaves ``tau`` and the two errors open (a
     ``%`` in a name is doubled there), and the run's rows are then filled in
-    with one ``%`` call.
+    with one ``%`` call. Runs are converted and written ``_RUNS_PER_WRITE`` at
+    a time, so the memory held does not grow with the number of records.
     """
     n = len(records)
     mu_hat = np.asarray(records.mu_hat, dtype=np.float64)
@@ -332,19 +340,22 @@ def write_records_csv(path: str | Path, records: HindcastRecords) -> None:
     starts_run[:1] = True
     for key in (records.tech, records.origin_year, mu_hat.view(np.int64), k_hat.view(np.int64)):
         starts_run[1:] |= key[1:] != key[:-1]
-    start = np.flatnonzero(starts_run)
+    bounds = np.append(np.flatnonzero(starts_run), n)
     names = [_csv_field(name).replace("%", "%%") for name in records.names]
-    origins = zip(*(c[start].tolist() for c in (records.tech, records.origin_year, mu_hat, k_hat)))
-    templates = [f"{names[t]},{y},%s,%.10g,%.10g,{mu:.10g},{k:.10g}\r\n" for t, y, mu, k in origins]
-    values = [None] * (3 * n)  # tau, raw_error, norm_error of each record in turn
-    values[0::3] = records.tau.tolist()
-    values[1::3] = records.raw_error.tolist()
-    values[2::3] = records.norm_error.tolist()
-    bounds = [*start.tolist(), n]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("technology,t0_year,tau,raw_error,norm_error,mu_hat,K_hat\r\n")
-        for template, a, b in zip(templates, bounds, bounds[1:]):
-            handle.write(template * (b - a) % tuple(values[3 * a : 3 * b]))
+        for first in range(0, bounds.size - 1, _RUNS_PER_WRITE):
+            runs = bounds[first : first + _RUNS_PER_WRITE + 1]
+            a, z = int(runs[0]), int(runs[-1])
+            values = [None] * (3 * (z - a))  # tau, raw_error, norm_error of each record in turn
+            for j, column in enumerate((records.tau, records.raw_error, records.norm_error)):
+                values[j::3] = column[a:z].tolist()
+            heads = zip(*(c[runs[:-1]].tolist() for c in (records.tech, records.origin_year, mu_hat, k_hat)))
+            lines = (runs - a).tolist()
+            handle.write("".join(
+                f"{names[t]},{y},%s,%.10g,%.10g,{mu:.10g},{k:.10g}\r\n" * (q - p) % tuple(values[3 * p : 3 * q])
+                for (t, y, mu, k), p, q in zip(heads, lines, lines[1:])
+            ))
 
 
 def _curve_table(curve: ErrorGrowthCurve, m: int, theta: float) -> dict[str, list]:

@@ -212,11 +212,12 @@ class _Lockstep:
 def _nll(rss: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Concentrated negative log-likelihood of each residual sum of squares
     of ``n`` increments."""
+    usable = (rss > 0.0) & (rss < math.inf)
+    k = n[usable]
+    out = np.full(rss.shape, math.inf)
     # math.log, not np.log: the two can differ by one ulp and flip a near-tie
-    return np.array([
-        0.5 * k * math.log(r / k) if 0.0 < r < math.inf else math.inf
-        for r, k in zip(rss.tolist(), n.tolist())
-    ])
+    out[usable] = 0.5 * k * np.fromiter(map(math.log, (rss[usable] / k).tolist()), np.float64)
+    return out
 
 
 def fit_ima_mle(series: TechnologySeries) -> ImaParams:
@@ -239,16 +240,7 @@ def fit_ima_mle_corpus(corpus: Sequence[TechnologySeries]) -> list[ImaParams]:
     cannot be fitted, raises the error of the first such series in corpus
     order.
     """
-    return _fit_increments([s.name for s in corpus], [s.diffs() for s in corpus])
-
-
-def _fit_increments(names: Sequence[str], diffs: Sequence[np.ndarray]) -> list[ImaParams]:
-    """IMA(1,1) fits of the increment vectors ``diffs`` of the series ``names``,
-    in lockstep; raises the error of the first vector that cannot be fitted.
-
-    A vector shorter than 3 or whose values are all equal is rejected before
-    the fit and kept out of the lockstep.
-    """
+    names, diffs = [s.name for s in corpus], [s.diffs() for s in corpus]
     failures: dict[int, Exception] = {}
     for i, d in enumerate(diffs):
         if d.size < 3:
@@ -258,6 +250,19 @@ def _fit_increments(names: Sequence[str], diffs: Sequence[np.ndarray]) -> list[I
             failures[i] = EstimationError(
                 f"{names[i]}: increments are constant, IMA likelihood is degenerate"
             )
+    return _fit_increments(names, diffs, failures)
+
+
+def _fit_increments(
+    names: Sequence[str], diffs: Sequence[np.ndarray], failures: dict[int, Exception]
+) -> list[ImaParams]:
+    """IMA(1,1) fits of the increment vectors ``diffs`` of the series ``names``,
+    in lockstep; raises the error of the first vector that cannot be fitted.
+
+    ``failures`` maps the vectors rejected before the fit (fewer than 3
+    values, or all values equal) to their errors; they are kept out of the
+    lockstep, and the fit adds the errors of the others to it.
+    """
     order = sorted(
         (i for i in range(len(diffs)) if i not in failures), key=lambda i: -diffs[i].size
     )

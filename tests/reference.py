@@ -2,8 +2,9 @@
 
 ``replication_errors`` and ``xi_from_errors`` run a single replication or
 corpus through the library's own steps, so a test can hold the batched
-engine to it bit for bit. ``a_star_expanded`` is the unsimplified form of A*
-that ``variance_factors`` is held to.
+engine to it bit for bit. ``hindcast_errors`` forecasts one series record by
+record, the oracle of the per-series kernel. ``a_star_expanded`` is the
+unsimplified form of A* that ``variance_factors`` is held to.
 
 The simulators draw test series starting at y_0 = 0:
 
@@ -50,6 +51,34 @@ def xi_from_errors(
 ) -> np.ndarray:
     """Per-horizon Xi of one replication (length tau_max, NaN where no records)."""
     return _xi_rows(config, _cells(series_idx, tau, config.tau_max), 1)(norm[None, :])[0]
+
+
+def hindcast_errors(y, m: int, tau_max: int | None):
+    """``costwalk._kernels.hindcast_errors`` one origin at a time.
+
+    Each origin i = m..T-2 takes its window of m differences as a 1-D array,
+    skips (and counts) a window with zero variance, and appends one record
+    per horizon tau = 1..min(T-1-i, tau_max); ``tau_max=None`` caps nothing.
+    Returns the same columns, dtypes and skip count as the kernel.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    T = y.size
+    columns = ([], [], [], [], [], [])  # origin, tau, raw, norm, mu_hat, k_hat
+    skipped = 0
+    for i in range(m, T - 1):
+        mu = (y[i] - y[i - m]) / m
+        window = np.diff(y[i - m : i + 1])
+        k2 = ((window - mu) ** 2).sum() / (m - 1)
+        if not k2 > 0.0:
+            skipped += 1
+            continue
+        k = np.sqrt(k2)
+        for tau in range(1, min(T - 1 - i, T if tau_max is None else tau_max) + 1):
+            raw = y[i + tau] - y[i] - mu * tau
+            for column, value in zip(columns, (i, tau, raw, raw / k, mu, k)):
+                column.append(value)
+    ints = [np.array(c, dtype=np.int64) for c in columns[:2]]
+    return (*ints, *(np.array(c, dtype=np.float64) for c in columns[2:]), skipped)
 
 
 def a_star_expanded(tau: float, m: int, theta: float) -> float:

@@ -1,7 +1,9 @@
 """One pass per corpus: the length-grouped moments behind ``select_improving``,
 ``summarize_corpus`` and ``corpus_template``, and ``ingest_csv``'s single
-loop, each held to its per-series or row-by-row oracle."""
+loop, each held to its per-series or row-by-row oracle; and the columns
+``ingest_csv`` returns, held to the same series passed as a list."""
 
+import csv
 import math
 import re
 import warnings
@@ -13,16 +15,18 @@ from hypothesis import strategies as st
 
 from costwalk import (
     DataFormatError,
+    DataWarning,
     SeriesSummary,
     TechnologySeries,
     corpus_template,
     fit_ima_mle,
+    hindcast_corpus,
     ingest_csv,
     one_sided_t_test,
     select_improving,
     summarize_corpus,
 )
-from costwalk.dataset import _corpus_moments
+from costwalk.dataset import _Corpus, _corpus_moments
 from costwalk.models import EstimationError
 
 import reference
@@ -68,7 +72,11 @@ def _bits(x) -> bytes:
 @settings(max_examples=150, deadline=None)
 @given(increment_rows())
 def test_corpus_moments_are_each_vectors_own_as_bits(rows):
-    mu, k, flat = _corpus_moments(rows)
+    # each vector after a NaN, as a series' log changes follow the change
+    # across the boundary from the previous series in a flat column
+    sizes = np.array([d.size for d in rows])
+    starts = np.cumsum(sizes + 1) - sizes
+    mu, k, flat = _corpus_moments(np.concatenate([np.r_[np.nan, d] for d in rows]), starts, sizes)
     assert [_bits(m) for m in mu] == [_bits(d.mean()) for d in rows]
     assert [_bits(s) for s in k] == [_bits(d.std(ddof=1)) for d in rows]
     assert flat.tolist() == [bool(np.ptp(d) == 0.0) for d in rows]
@@ -196,3 +204,93 @@ def test_ingest_matches_the_row_by_row_reader(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("ingest") / "corpus.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(ingest_csv, path) == _outcome(reference.ingest_csv, path)
+
+
+# --- the columns ingest_csv returns, against the same series as a list -------
+
+QUOTED_NAMES = ("a", "b, c", 'say "x"', "two\nlines", "100%", "Größe", "z")
+
+
+@st.composite
+def corpus_rows(draw):
+    """CSV rows of a few technologies, in no order: names that need quoting,
+    2- to 30-point series, some with a gap after their run of years, and
+    prices that repeat, in some series for most years."""
+    rows = []
+    for name in draw(st.lists(st.sampled_from(QUOTED_NAMES), min_size=1, max_size=6, unique=True)):
+        start, n = draw(st.integers(1950, 1960)), draw(st.sampled_from([3, 4, 8, 15, 30]))
+        n = 2 if draw(st.integers(0, 9)) == 9 else n  # rare: it fails the corpus's selection
+        years = list(range(start, start + n))
+        if draw(st.booleans()):  # a later run of years after a gap
+            later = start + n + draw(st.integers(1, 3))
+            years += range(later, later + draw(st.integers(1, 4)))
+        price, sector = 100.0, draw(st.sampled_from(["", "Energy", "x, y"]))
+        stuck = draw(st.sampled_from([0, 2, 6]))  # odds against a price change
+        for year in years:
+            if not draw(st.integers(0, stuck)):  # else the price repeats
+                price *= math.exp(draw(st.floats(-0.2, 0.1)))
+            rows.append([name, year, repr(price), sector])
+    return draw(st.permutations(rows))
+
+
+def _result(fn, corpus):
+    """fn(corpus), or the type and message of the error it raises."""
+    try:
+        return fn(corpus)
+    except (ValueError, EstimationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _names(part):
+    return [s.name for s in part]
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus_rows(), st.sampled_from([(5, 20), (4, None), (2, 3), (9, None)]))
+def test_corpus_read_by_ingest_equals_the_list_of_its_series(tmp_path_factory, rows, window):
+    path = tmp_path_factory.mktemp("parity") / "corpus.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows([["technology", "year", "cost", "sector"], *rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)  # the gaps
+        corpus, as_list = ingest_csv(path), reference.ingest_csv(path)
+
+    # the sequence contract
+    assert isinstance(corpus, _Corpus) and len(corpus) == len(as_list)
+    assert all(a.equals(b) and a.sector == b.sector for a, b in zip(corpus, as_list))
+    assert corpus[0] is corpus[0] and corpus[-1] is corpus[len(corpus) - 1]
+    for index in (len(corpus), -len(corpus) - 1):
+        with pytest.raises(IndexError):
+            corpus[index]
+    for k in (slice(1, None, 2), slice(None, None, -1), slice(5, None)):
+        part = corpus[k]
+        assert isinstance(part, _Corpus) and len(part) == len(as_list[k])
+        assert all(a.equals(b) for a, b in zip(part, as_list[k]))
+    for column in (corpus.starts, corpus.lengths, corpus.years, corpus.log_costs, corpus[0].log_costs):
+        with pytest.raises(ValueError, match="read-only"):
+            column[...] = 0
+    with pytest.raises(TypeError):
+        corpus.names[0] = "renamed"
+
+    # the functions that read the columns
+    m, tau_max = window
+
+    def hindcast(c):
+        result = hindcast_corpus(c, m, tau_max=tau_max)
+        return result.records, result.skipped_zero_volatility, result.too_short
+
+    improving, excluded = _result(lambda c: select_improving(c, alpha=0.5), corpus)
+    expected = _result(lambda c: select_improving(c, alpha=0.5), as_list)
+    if isinstance(improving, str):  # an error's type and message
+        assert (improving, excluded) == expected
+    else:
+        assert (_names(improving), _names(excluded)) == tuple(map(_names, expected))
+        assert isinstance(improving, _Corpus) and isinstance(excluded, _Corpus)
+        # a list's parts hold the list's own series
+        assert {id(s) for part in expected for s in part} <= {id(s) for s in as_list}
+        assert _result(hindcast, improving) == _result(hindcast, expected[0])
+    reprs = lambda c: [repr(s) for s in summarize_corpus(c)]  # noqa: E731
+    assert _result(reprs, corpus) == _result(reprs, as_list)
+    bits = lambda c: [(n, _bits(mu), _bits(k)) for n, mu, k in corpus_template(c)]  # noqa: E731
+    assert _result(bits, corpus) == _result(bits, as_list)
+    assert hindcast(corpus) == hindcast(as_list)

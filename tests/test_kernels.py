@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from costwalk import SurrogateConfig, _kernels, hindcast_corpus, make_rng, surrogate_corpus
 from costwalk.stats import derive_rng
 
+import reference
 from reference import replication_errors
 
 
@@ -40,6 +43,27 @@ class TestKernelInputs:
         lengths = np.array([10], dtype=np.int64)
         with pytest.raises(ValueError, match="innovations"):
             _kernels.corpus_norm_errors(lengths, 0.0, np.zeros(5), 5, 20)
+
+
+@st.composite
+def repeated_price_series(draw):
+    """Log costs in up to 40 runs of one to six equal prices, each drawn
+    from a few, so that some windows have zero variance."""
+    prices = draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(prices) - 1), min_size=1, max_size=40))
+    runs = draw(st.lists(st.integers(1, 6), min_size=len(picks), max_size=len(picks)))
+    return np.log([prices[p] for p, n in zip(picks, runs) for _ in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_price_series(), st.sampled_from([2, 5, 9]), st.sampled_from([1, 3, 20, None]))
+def test_hindcast_errors_equal_the_record_by_record_oracle(y, m, tau_max):
+    # the kernel runs uncapped when given the series length, as hindcast_corpus passes it
+    got = _kernels.hindcast_errors(y, m, y.size if tau_max is None else tau_max)
+    expected = reference.hindcast_errors(y, m, tau_max)
+    assert got[6] == expected[6]
+    for a, b in zip(got[:6], expected[:6]):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
 class TestPlan:
