@@ -26,7 +26,8 @@ Times the hot paths on representative workloads:
 * the observed-data path on a corpus drawn from the template repeated 10
   times (530 series), written to its long CSV and read back as the CLI
   reads it (``ingest_csv``, timed too): the IMA maximum likelihood fit of
-  the whole corpus in one lockstep call and of one series alone, the whole
+  the whole corpus in one lockstep call (its time and its traced peak of
+  allocations) and of one series alone, the whole
   summary of the corpus (moments, trend p-values and that fit, as
   ``describe`` runs it), the improving-technology filter
   (``select_improving``: the moments and trend p-values alone), building
@@ -203,15 +204,23 @@ def bench_observed(template, theta, m, tau_max, directory):
     records = hindcast_corpus(corpus, m, tau_max=tau_max).records
     path = Path(directory) / "records.csv"
     t_stage["write_records_csv"] = _time(lambda: write_records_csv(path, records))
-    tracemalloc.start()
-    try:
-        write_records_csv(path, records)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peaks = {
+        "fit_ima_mle_corpus": _traced_peak(lambda: fit_ima_mle_corpus(corpus)),
+        "write_records_csv": _traced_peak(lambda: write_records_csv(path, records)),
+    }
     for w in ("pooled", "equal-technology"):
         t_stage[f"error_growth {w}"] = _time(lambda: error_growth(records, weighting=w))
-    return len(corpus), len(records), t_fit, t_stage, peak
+    return len(corpus), len(records), t_fit, t_stage, peaks
+
+
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated during one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # Run in a fresh process, so that each first call pays what a CLI run pays.
@@ -285,13 +294,14 @@ def main():
         print(f"{weighting:<34} {t * 1e6:>8.1f} us per pass")
 
     with tempfile.TemporaryDirectory() as directory:
-        n_series, n_records, t_fit, t_stage, peak = bench_observed(template, 0.63, 5, 20, directory)
+        n_series, n_records, t_fit, t_stage, peaks = bench_observed(template, 0.63, 5, 20, directory)
     print(f"\nobserved path, {n_series} series, {n_records} hindcast records")
     for stage, t in t_fit.items():
         print(f"{stage:<34} {t * 1e3:>8.3f} ms")
     for stage, t in t_stage.items():
         print(f"{stage:<34} {t * 1e3:>8.2f} ms")
-    print(f"{'write_records_csv, traced peak':<34} {peak / 1e6:>8.2f} MB")
+    for stage, peak in peaks.items():
+        print(f"{f'{stage}, traced peak':<34} {peak / 1e6:>8.2f} MB")
 
     print("\nfixed costs of a fresh process")
     for stage, t in bench_fixed_costs().items():

@@ -15,9 +15,10 @@ conditional likelihood of the differenced series (innovation recursion
 started at zero), with mu and sigma profiled out analytically for each theta
 and theta found by a coarse grid plus golden-section refinement on [-1, 1].
 A corpus is fitted in lockstep: its series, sorted by length, run through
-one vectorized recursion, which evaluates the 201 grid points of every
-series together and then one golden-section step of every series at a
-time. Each row of that recursion performs the floating-point operations of
+one vectorized recursion. The grid evaluates each block of series at the
+201 shared theta values, computing the terms that depend on theta alone
+once per block; the golden section then takes one step of every series at
+a time. Each (series, theta) pair performs the floating-point operations of
 a scalar recursion over its own series, so a series' fit is the same, bit
 for bit, alone or in any corpus.
 """
@@ -126,14 +127,32 @@ def _blocks(lengths: np.ndarray, rows_per_series: int):
         start = stop
 
 
-class _Lockstep:
-    """The conditional MA(1) likelihood of many (series, theta) rows at once.
+def _runs(values: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(start, stop, value)`` of each run of equal ``values``."""
+    edges = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), values.size]
+    return [(start, stop, int(values[start])) for start, stop in zip(edges[:-1], edges[1:])]
 
-    Holds the increments of a corpus, sorted by length (longest first), in
-    one zero-padded, time-major block, and evaluates rows in blocks of at
-    most ``_BLOCK_ELEMENTS`` cells, all in the same buffers: the memory does
-    not grow with the number of rows, and no block allocates (and faults
-    in) large arrays of its own.
+
+def _steps(n: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(first, stop, k)``: runs of steps at which the same leading ``k``
+    rows of the length-sorted lengths ``n`` are longer than the step."""
+    return _runs(np.searchsorted(-n, -np.arange(int(n[0])), side="left"))
+
+
+class _Lockstep:
+    """The conditional MA(1) likelihood of many (series, theta) pairs at once.
+
+    With the innovation recursion v_t = (d_t - mu) - theta*v_{t-1}, v_0 = 0,
+    the innovations are linear in mu: v_t = a_t - mu*b_t with
+    a_t = d_t - theta*a_{t-1} and b_t = 1 - theta*b_{t-1}, so the minimizing
+    mu is sum(a*b) / sum(b*b). Holds the increments of a corpus, sorted by
+    length (longest first), in one zero-padded, time-major block. ``grid``
+    evaluates a run of series at shared theta values, ``profile`` each series
+    at its own theta; both work in blocks of at most ``_BLOCK_ELEMENTS``
+    cells, all in the same buffers, so the memory does not grow with the
+    number of pairs. Every pair goes through the floating-point operations
+    of a scalar recursion over its series alone, in the same order (see
+    ``_stage``), whatever the other pairs are.
     """
 
     def __init__(self, diffs: Sequence[np.ndarray]) -> None:
@@ -142,14 +161,50 @@ class _Lockstep:
         self.d = np.zeros((width, self.n.size))
         for j, d in enumerate(diffs):
             self.d[: d.size, j] = d
-        cells = max(_BLOCK_ELEMENTS, width)
-        rows = _BLOCK_ELEMENTS // max(1, int(self.n.min(initial=width)))  # rows in a block
+        self._cells = cells = max(_BLOCK_ELEMENTS, 2 * width)  # a theta chunk holds 2 values
+        rows = max(2, _BLOCK_ELEMENTS // max(1, int(self.n.min(initial=width))))  # in a block
         self._c = np.empty(2 * cells)
         self._ab = np.empty(2 * (cells + rows))
         self._v = np.empty(cells)
-        self._s = np.empty(2 * rows)
-        self._tmp = np.empty(2 * rows)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite RSS is the caller's to judge
+    def grid(self, start: int, stop: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Minimizing mu and residual sum of squares of the series
+        ``start:stop``, a block of ``_blocks(self.n, theta.size)``, at each of
+        ``theta`` (two values or more), as (series, theta) arrays. b_t depends
+        on theta alone: it is recursed once, in a row beside the a_t of the
+        series, whose increments broadcast over theta. A series too long for
+        one block takes theta a chunk at a time."""
+        n = self.n[start:stop]
+        k_rows, width = n.size, int(n[0])
+        mu, rss = np.empty((k_rows, theta.size)), np.empty((k_rows, theta.size))
+        c = self._c[: width * (k_rows + 1)].reshape(width, k_rows + 1, 1)
+        c[:, 0], c[:, 1:, 0] = 1.0, self.d[:width, start:stop]
+        size = min(theta.size, max(2, _BLOCK_ELEMENTS // (k_rows * width)))  # theta per chunk
+        s = np.empty((2, k_rows, size))  # (sum of a*b, sum of b*b)
+        for lo in range(0, theta.size, size):
+            lo = min(lo, theta.size - size)  # the last chunk overlaps, rather than fall short
+            ab = self._ab[: (width + 1) * (k_rows + 1) * size].reshape(width + 1, k_rows + 1, size)
+            ab[0] = 0.0  # ab[t + 1] = (b_t, a_t of each series)
+            chunk = theta[lo : lo + size]
+            for first, last, k in _steps(n):
+                ab_k, c_k = ab[:, : k + 1], c[:, : k + 1]
+                for t in range(first, last):
+                    np.multiply(chunk, ab_k[t], out=ab_k[t + 1])
+                    np.subtract(c_k[t], ab_k[t + 1], out=ab_k[t + 1])
+            b, a = ab[1:, :1], ab[1:, 1:]
+            bb = self._c[self._cells : self._cells + width * size].reshape(width, size)
+            np.multiply(b[:, 0], b[:, 0], out=bb)
+            for first, last, m in _runs(n):  # rows of one length m
+                ab_m = self._v[: m * (last - first) * size].reshape(m, last - first, size)
+                np.multiply(a[:m, first:last], b[:m], out=ab_m)
+                np.add.reduce(ab_m, axis=0, out=s[0, first:last])
+                s[1, first:last] = np.add.reduce(bb[:m], axis=0)
+            cols = slice(lo, lo + size)
+            self._stage(a.transpose(1, 2, 0), b.transpose(1, 2, 0), s, n, mu[:, cols], rss[:, cols])
+        return mu, rss
+
+    @np.errstate(over="ignore", invalid="ignore")
     def profile(self, rows: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Minimizing mu and residual sum of squares of series ``rows[i]`` at
         ``theta[i]``; ``rows`` must be ordered longest series first."""
@@ -159,16 +214,8 @@ class _Lockstep:
         return mu, rss
 
     def _block(self, rows: np.ndarray, theta: np.ndarray, mu: np.ndarray, rss: np.ndarray) -> None:
-        """Profile the drift out of the conditional MA(1) likelihood.
-
-        With the innovation recursion v_t = (d_t - mu) - theta*v_{t-1},
-        v_0 = 0, the innovations are linear in mu: v_t = a_t - mu*b_t with
-        a_t = d_t - theta*a_{t-1} and b_t = 1 - theta*b_{t-1}. Step t updates
-        (a, b) of the leading rows that are longer than t, and each row's
-        ``v*v`` is summed on its own, over its own length: every row goes
-        through the floating-point operations of a scalar recursion over its
-        series alone, in the same order, whatever the other rows are.
-        """
+        """``profile`` of one block: step t updates (a, b) of the leading rows
+        that are longer than t, and zeroes them in the other rows."""
         k_rows = rows.size
         n = self.n[rows]
         width = int(n[0])
@@ -179,34 +226,32 @@ class _Lockstep:
         c[:, 1] = 1.0
         ab = self._ab[: 2 * (width + 1) * k_rows].reshape(width + 1, 2, k_rows)
         ab[0] = 0.0  # ab[t + 1] = (a_t, b_t)
-        s = self._s[: 2 * k_rows].reshape(2, k_rows)  # (sum of a*b, sum of b*b)
-        s[:] = 0.0
-        tmp = self._tmp[: 2 * k_rows].reshape(2, k_rows)
-        longer = np.searchsorted(-n, -np.arange(width), side="left")  # rows with n > t
-        runs = [0, *(np.flatnonzero(np.diff(longer)) + 1).tolist(), width]
-        for first, stop in zip(runs[:-1], runs[1:]):  # steps that update the same rows
-            k = int(longer[first])
-            ab_k, b_k, c_k = ab[:, :, :k], ab[:, 1:, :k], c[:, :, :k]
-            theta_k, s_k, tmp_k = theta[:k], s[:, :k], tmp[:, :k]
-            for t in range(first, stop):
-                np.multiply(theta_k, ab_k[t], out=tmp_k)
-                np.subtract(c_k[t], tmp_k, out=ab_k[t + 1])
-                np.multiply(ab_k[t + 1], b_k[t + 1], out=tmp_k)
-                np.add(s_k, tmp_k, out=s_k)
+        for first, last, k in _steps(n):
+            ab_k, c_k, theta_k = ab[:, :, :k], c[:, :, :k], theta[:k]
+            for t in range(first, last):
+                np.multiply(theta_k, ab_k[t], out=ab_k[t + 1])
+                np.subtract(c_k[t], ab_k[t + 1], out=ab_k[t + 1])
+            ab[first + 1 : last + 1, :, k:] = 0.0
+        np.multiply(ab[1:], ab[1:, 1:], out=c)  # (a*b, b*b), zero past each row's end
+        self._stage(ab[1:, 0].T, ab[1:, 1].T, np.add.reduce(c, axis=0), n, mu, rss)
+
+    def _stage(self, a, b, s: np.ndarray, n: np.ndarray, mu: np.ndarray, rss: np.ndarray) -> None:
+        """What ``grid`` and ``profile`` share: ``mu = s[0] / s[1]`` from the
+        sums of a*b and b*b, and ``rss`` the sum of (a - mu*b)**2 over each
+        series' own ``n`` steps, with ``a`` and ``b`` laid out (series, ...,
+        step). The callers add the sums in step order: numpy reduces a
+        step-major array one step at a time while its other axes hold two
+        values or more (one vector it sums pairwise), and the zero products
+        past a series' end change no sum. Each row of v*v is summed over its
+        own length as numpy sums a contiguous vector: pairwise, as for a
+        single series."""
         np.divide(s[0], s[1], out=mu)
-        # v = a - mu*b in row-major rows, so that each row's sum of squares is
-        # numpy's pairwise sum of a contiguous vector, as for a single series;
-        # a row's steps past its length hold stale values and are never read
-        a, b = ab[1:, 0].T, ab[1:, 1].T
-        v = self._v[: width * k_rows].reshape(k_rows, width)
-        edges = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist(), k_rows]
-        for start, stop in zip(edges[:-1], edges[1:]):  # rows of one length
-            m = int(n[start])
-            v_run = v[start:stop, :m]
-            np.multiply(mu[start:stop, None], b[start:stop, :m], out=v_run)
-            np.subtract(a[start:stop, :m], v_run, out=v_run)
-            np.multiply(v_run, v_run, out=v_run)
-            rss[start:stop] = v_run.sum(axis=1)
+        v = self._v[: a.size].reshape(a.shape)
+        np.multiply(mu[..., None], b, out=v)
+        np.subtract(a, v, out=v)
+        np.multiply(v, v, out=v)
+        for first, last, m in _runs(n):  # rows of one length m
+            np.add.reduce(v[first:last, ..., :m], axis=-1, out=rss[first:last])
 
 
 def _nll(rss: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -234,8 +279,9 @@ def fit_ima_mle(series: TechnologySeries) -> ImaParams:
 def fit_ima_mle_corpus(corpus: Sequence[TechnologySeries]) -> list[ImaParams]:
     """``fit_ima_mle`` of every series, all fitted together.
 
-    The series run in lockstep, sorted by length: the grid, then each
-    golden-section step, evaluates every series at once (``_Lockstep``).
+    The series run in lockstep, sorted by length: the grid evaluates blocks
+    of series at shared theta, then each golden-section step evaluates every
+    series at its own theta (``_Lockstep``).
     Each fit equals the series' own ``fit_ima_mle`` as bytes. If any series
     cannot be fitted, raises the error of the first such series in corpus
     order.
@@ -274,14 +320,10 @@ def _fit_increments(
     # the error of math.log (under one ulp, so under 2e-13 relative for any
     # double) and of the rounding around it: it can neither beat nor tie the
     # minimum, and keeps an infinite placeholder instead of its math.log.
-    grid_size = _THETA_GRID.size
     best = np.empty(n.size, dtype=np.int64)
     best_value = np.empty(n.size)
-    for start, stop in _blocks(n, grid_size):
-        _, rss = lockstep.profile(
-            np.repeat(np.arange(start, stop), grid_size), np.tile(_THETA_GRID, stop - start)
-        )
-        rss = rss.reshape(stop - start, grid_size)
+    for start, stop in _blocks(n, _THETA_GRID.size):
+        rss = lockstep.grid(start, stop, _THETA_GRID)[1]
         usable = np.where((rss > 0.0) & np.isfinite(rss), rss, math.inf)
         row, col = np.nonzero(usable <= usable.min(axis=1, keepdims=True) * (1.0 + 1e-9))
         values = np.full(rss.shape, math.inf)
@@ -301,8 +343,9 @@ def _fit_increments(
     hi = np.minimum(1.0, start_theta + 0.01)
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
-    f1 = _nll(lockstep.profile(live, x1)[1], n[live])
-    f2 = _nll(lockstep.profile(live, x2)[1], n[live])
+    pairs = np.repeat(live, 2)  # the first (x1, x2) of every series in one pass
+    rss = lockstep.profile(pairs, np.stack((x1, x2), axis=1).ravel())[1]
+    f1, f2 = _nll(rss, n[pairs]).reshape(-1, 2).T
     for _ in range(60):
         open_ = np.flatnonzero(hi - lo >= 1e-8)
         if open_.size == 0:

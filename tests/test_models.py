@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from costwalk import (
     make_rng,
     surrogate_corpus,
 )
-from costwalk.models import _Lockstep, fit_ima_mle_corpus
+from costwalk.models import _BLOCK_ELEMENTS, _blocks, _Lockstep, fit_ima_mle_corpus
 
 from reference import simulate_ima, simulate_rwd, simulate_trend_stationary
 
@@ -131,6 +132,14 @@ class TestFitImaMle:
         with pytest.raises(EstimationError):
             fit_ima_mle(_series(-0.125 * np.arange(8.0)))
 
+    def test_overflowing_likelihood_fails_without_a_numpy_warning(self):
+        # log changes of 1e154 square past the largest double: every RSS is infinite
+        series = _series(1e154 * np.array([0.0, 1.0, -1.0, 2.0, 0.5, 3.0]), "huge")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EstimationError, match="^huge: degenerate innovation variance"):
+                fit_ima_mle(series)
+
 
 THETA_GRID = np.linspace(-1.0, 1.0, 201)
 
@@ -173,6 +182,62 @@ def test_grid_rss_equals_scalar_rss(d):
     expected = np.array([_profile_mu_rss(d, theta) for theta in THETA_GRID])
     assert mu.tobytes() == expected[:, 0].copy().tobytes()
     assert rss.tobytes() == expected[:, 1].copy().tobytes()
+
+
+@hst.composite
+def grid_corpora(draw):
+    """1-5 increment vectors, longest first, as ``increment_vectors`` draws
+    them but with lengths from a pool of at most two values in 3-40, so that
+    lengths repeat and one-vector lengths occur beside them; the first
+    vector may instead hold 164-300 values, too many for the 201 grid
+    points in one block, so that the grid takes theta in chunks."""
+    pool = draw(hst.lists(hst.integers(3, 40), min_size=1, max_size=2))
+    lengths = draw(hst.lists(hst.sampled_from(pool), min_size=1, max_size=5))
+    if draw(hst.booleans()):
+        lengths[0] = draw(hst.integers(164, 300))
+    vectors = []
+    for n in sorted(lengths, reverse=True):
+        level = draw(hst.floats(-1.0, 1.0))
+        scale = draw(hst.sampled_from([1.0, 0.1, 1e-6, 1e-12, 1e-15, 0.0]))
+        noise = draw(hst.lists(hst.floats(-1.0, 1.0), min_size=n, max_size=n))
+        vectors.append(level + scale * np.array(noise))
+    return vectors
+
+
+def _grid_bytes(vectors, theta):
+    """mu and RSS of every vector at every theta, from ``_Lockstep.grid`` run
+    over the fit's blocks, as bytes."""
+    lockstep = _Lockstep(vectors)
+    out = [lockstep.grid(start, stop, theta) for start, stop in _blocks(lockstep.n, theta.size)]
+    mu, rss = (np.concatenate(arrays) for arrays in zip(*out))
+    return mu.tobytes(), rss.tobytes()
+
+
+def _waves(*lengths):
+    return [np.sin(np.arange(n) * (0.5 + 0.1 * j)) for j, n in enumerate(lengths)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_corpora())
+@example(_waves(20, 13, 13, 11, 8, 8))  # 11 increments once, beside repeated lengths
+@example(_waves(300, 20, 20))  # theta in chunks, then a block of two series
+def test_grid_equals_scalar_rss(vectors):
+    expected = np.array([[_profile_mu_rss(d, theta) for theta in THETA_GRID] for d in vectors])
+    mu, rss = _grid_bytes(vectors, THETA_GRID)
+    assert mu == expected[..., 0].copy().tobytes()
+    assert rss == expected[..., 1].copy().tobytes()
+
+
+def test_grid_takes_theta_in_chunks_of_at_least_two():
+    """A series so long that a block holds two theta values: 5 values make
+    chunks of 2, 2 and 2, the last one overlapping, never a chunk of one."""
+    n = _BLOCK_ELEMENTS // 2 + 1
+    d = np.sin(np.arange(n) * 0.7) + 0.01 * np.cos(np.arange(n) * 1.3)
+    theta = np.array([-0.9, -0.3, 0.0, 0.4, 0.8])
+    expected = np.array([[_profile_mu_rss(d, t) for t in theta]])
+    assert _grid_bytes([d], theta) == (
+        expected[..., 0].copy().tobytes(), expected[..., 1].copy().tobytes()
+    )
 
 
 def _reference_fit(series):
@@ -241,6 +306,28 @@ def test_fit_equals_scalar_reference_on_bench_corpus():
 
 def _fit_bytes(fit):
     return np.array([fit.mu, fit.sigma, fit.theta]).tobytes()
+
+
+def _noisy(name, n_obs, seed):
+    rng = make_rng(seed)
+    return _series(np.cumsum(-0.05 + 0.1 * rng.standard_normal(n_obs)), name)
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        (14, 14, 12, 9, 9),  # 13 increments once, between repeated lengths
+        (30, 12, 12, 10),  # the longest length once, 9 increments once
+        (300,),  # the grid takes theta in chunks
+        (300, 20, 20),
+    ],
+)
+def test_fit_equals_scalar_reference_at_length_edges(lengths):
+    """Lengths that occur once in a corpus of repeated ones, and a series too
+    long for the 201 grid points in one block."""
+    corpus = [_noisy(f"s{j}", n, 100 + j) for j, n in enumerate(lengths)]
+    for series, fit in zip(corpus, fit_ima_mle_corpus(corpus)):
+        assert _fit_bytes(fit) == _reference_fit(series).tobytes(), series.name
 
 
 @hst.composite
@@ -358,6 +445,21 @@ def test_fit_memory_is_bounded_by_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+def test_long_series_fit_memory_is_bounded_by_blocks():
+    """One series of 600 points: its grid takes theta a chunk at a time, so
+    the fit stays under 3 MB of traced allocations (1.4 MB measured with
+    numpy 2.4 on CPython 3.11; all 201 grid points at once would hold
+    about 1 MB per array)."""
+    series = _noisy("long", 600, 6)
+    tracemalloc.start()
+    try:
+        fit_ima_mle(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 class TestSimulateRwd:
