@@ -12,14 +12,14 @@ A technology is classified as improving when a one-sided t-test on its
 first-difference log series rejects "mean change >= 0" at the chosen level
 (default 10%).
 
-``ingest_csv`` checks each field of a row once, in one loop, and returns a
-read-only sequence of flat columns (names, sectors, lengths, years, log
-costs) that builds a ``TechnologySeries`` only when an item is read. The
-functions below read those columns (a list of series is copied into them
-once): the drift, volatility and equal-change test of every series come from
-one length-grouped array pass (``_corpus_moments``), whose values equal
+``ingest_csv`` checks each field of a row once, in one loop, and returns the
+corpus as flat columns (``series._Corpus``), which build a
+``TechnologySeries`` only when an item is read. The functions below read
+those columns (a list of series is copied into them once): the drift,
+volatility and equal-change test of every series come from one
+length-grouped array pass (``series._change_moments``), whose values equal
 numpy's per-series ones as bits, and ``summarize_corpus`` fits the MA models
-on the log changes that pass reads.
+of a subset of the same columns.
 
 The package also bundles full-sample summary parameters (drift, volatility,
 MA coefficient, sample length) for a 66-technology historical corpus drawn
@@ -41,8 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models
-from ._kernels import _read_only
-from .series import TechnologySeries
+from .series import TechnologySeries, _change_moments, _columns, _Corpus
 from .stats import OlsFit, ols_fit, one_sided_t_p_value
 
 __all__ = [
@@ -104,49 +103,6 @@ class MuKRegression:
     log_log: OlsFit
     n_linear: int
     n_log_log: int
-
-
-class _Corpus(Sequence):
-    """A read-only sequence of series held as flat columns: series i is
-    ``names[i]`` and ``sectors[i]``, and the span ``starts[i]:starts[i] + lengths[i]``
-    of ``years`` and ``log_costs`` (back to back unless ``starts`` is given).
-    Item i is built on its first read; a slice or ``take`` shares the columns.
-    """
-
-    def __init__(self, names, sectors, lengths, years, log_costs, starts=None) -> None:
-        self.names, self.sectors = tuple(names), tuple(sectors)
-        self.lengths = _read_only(np.array(lengths, dtype=np.int64))
-        self.starts = _read_only(np.cumsum(self.lengths) - self.lengths if starts is None else starts)
-        self.years, self.log_costs = _read_only(years), _read_only(log_costs)
-        self._items: list = [None] * len(self.names)
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(range(len(self))[index])
-        i = range(len(self))[index]  # a list's IndexError and TypeError
-        if self._items[i] is None:
-            span = slice(self.starts[i], self.starts[i] + self.lengths[i])
-            self._items[i] = TechnologySeries(self.names[i], self.years[span], self.log_costs[span], self.sectors[i])
-        return self._items[i]
-
-    def take(self, rows) -> "_Corpus":
-        rows = list(rows)
-        names, sectors = [self.names[i] for i in rows], [self.sectors[i] for i in rows]
-        return _Corpus(names, sectors, self.lengths[rows], self.years, self.log_costs, self.starts[rows])
-
-
-def _columns(corpus: Sequence[TechnologySeries]) -> _Corpus:
-    """``corpus`` if it is a ``_Corpus``, else its series copied into flat columns."""
-    if isinstance(corpus, _Corpus):
-        return corpus
-    return _Corpus(
-        [s.name for s in corpus], [s.sector for s in corpus], [s.n_obs for s in corpus],
-        np.concatenate([np.empty(0, dtype=np.int64), *(s.years for s in corpus)]),
-        np.concatenate([np.empty(0), *(s.log_costs for s in corpus)]),
-    )
 
 
 def _longest_run(years: np.ndarray) -> tuple[int, int]:
@@ -264,39 +220,14 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def _corpus_moments(d: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(mu, k, flat) of each increment vector ``d[starts[j]:starts[j] + sizes[j]]``:
-    its mean, its Bessel-corrected standard deviation, and whether all its values are equal.
-
-    The vectors of one length are gathered into one (rows, n) block, and each
-    statistic is one reduction along the block's rows. A row goes through the
-    operations that ``ndarray.mean``, ``ndarray.std(ddof=1)`` and ``np.ptp``
-    perform on that vector alone (numpy's pairwise sum of a contiguous row),
-    so every value equals the vector's own, bit for bit.
-    """
-    mu, k, flat = np.empty(sizes.size), np.empty(sizes.size), np.empty(sizes.size, dtype=bool)
-    order = np.argsort(sizes, kind="stable")  # no np.unique: it imports numpy.ma
-    # the rows of each length; the slice drops the one empty group of an empty corpus
-    for rows in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1)[: sizes.size]:
-        size = int(sizes[rows[0]])
-        block = d[starts[rows][:, None] + np.arange(size)]
-        mean = np.add.reduce(block, axis=1) / size
-        dev = block - mean[:, None]
-        np.multiply(dev, dev, out=dev)
-        mu[rows] = mean
-        k[rows] = np.sqrt(np.add.reduce(dev, axis=1) / (size - 1))
-        flat[rows] = block.max(axis=1) - block.min(axis=1) == 0.0
-    return mu, k, flat
-
-
 def _moments(corpus: _Corpus, why: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_corpus_moments`` of every series' log changes; the first series with
-    fewer than 3 points raises, ``why`` formatted with its length ending the message."""
+    """``_change_moments`` of every series; the first series with fewer than
+    3 points raises, ``why`` formatted with its length ending the message."""
     short = np.flatnonzero(corpus.lengths < 3)
     if short.size:
         i = int(short[0])
         raise ValueError(f"{corpus.names[i]}: need at least 3 observations{why.format(corpus.lengths[i])}")
-    return _corpus_moments(np.diff(corpus.log_costs), corpus.starts, corpus.lengths - 1)
+    return _change_moments(corpus)[1:]
 
 
 def select_improving(
@@ -307,7 +238,7 @@ def select_improving(
 
     A corpus read by ``ingest_csv`` gives two such corpora, any other
     sequence two lists of its own series. The drift and volatility of every
-    series come from one length-grouped pass (``_corpus_moments``); each trend
+    series come from one length-grouped pass (``_change_moments``); each trend
     p-value is ``one_sided_t_test`` of the series' log changes, as bits.
     """
     _check_alpha(alpha)
@@ -329,11 +260,11 @@ def summarize_corpus(
     trend p-value.
 
     The drift, volatility and equal-change test of every series come from
-    one length-grouped pass over the corpus (``_corpus_moments``). The MA
+    one length-grouped pass over the corpus (``_change_moments``). The MA
     coefficient comes from the IMA maximum likelihood fit with its own free
-    mean; the fits of all series with at least 4 points, unequal log changes
-    and K > 0 run together, in one lockstep on the log changes that pass
-    read. Equal log changes (K = 0, or K rounded just above 0) give theta = 0
+    mean; the series with at least 4 points, unequal log changes and K > 0
+    are fitted together, by ``fit_ima_mle_corpus`` of their columns. Equal
+    log changes (K = 0, or K rounded just above 0) give theta = 0
     by convention since the coefficient is unidentified; other series with
     fewer than 4 points report NaN. ``alpha`` must lie in [0, 1].
     """
@@ -342,9 +273,7 @@ def summarize_corpus(
     mu, k, flat = _moments(corpus, ", got {}")
     flat |= k == 0.0  # K = 0 can also come from squares that underflow
     fitted = np.flatnonzero((corpus.lengths >= 4) & ~flat).tolist()  # none to reject before the fit
-    d = np.diff(corpus.log_costs)
-    diffs = [d[s : s + n - 1] for s, n in zip(corpus.starts[fitted].tolist(), corpus.lengths[fitted].tolist())]
-    fits = dict(zip(fitted, models._fit_increments([corpus.names[i] for i in fitted], diffs, {})))
+    fits = dict(zip(fitted, models.fit_ima_mle_corpus(corpus.take(fitted))))
     summaries = []
     columns = zip(corpus.names, corpus.sectors, corpus.lengths.tolist(), mu.tolist(), k.tolist())
     for i, (name, sector, n_obs, mu_full, k_full) in enumerate(columns):

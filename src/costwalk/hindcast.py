@@ -21,9 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .dataset import _columns
 from .forecast import rescale_scale, variance_factors
-from .series import TechnologySeries
+from .series import TechnologySeries, _columns
 from .stats import one_sided_t_test
 
 __all__ = [

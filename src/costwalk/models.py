@@ -14,11 +14,13 @@ window differences. The IMA maximum likelihood fit uses the Gaussian
 conditional likelihood of the differenced series (innovation recursion
 started at zero), with mu and sigma profiled out analytically for each theta
 and theta found by a coarse grid plus golden-section refinement on [-1, 1].
-A corpus is fitted in lockstep: its series, sorted by length, run through
-one vectorized recursion. The grid evaluates each block of series at the
-201 shared theta values, computing the terms that depend on theta alone
-once per block; the golden section then takes one step of every series at
-a time. Each (series, theta) pair performs the floating-point operations of
+A corpus is fitted in lockstep from its flat columns (``series._Corpus``),
+whose one moments pass (``series._change_moments``) gives the log changes
+and the equal-increment test: its series, sorted by length, run through one
+vectorized recursion. The grid evaluates each block of series at the 201
+shared theta values, computing the terms that depend on theta alone once
+per block; the golden section then takes one step of every series at a
+time. Each (series, theta) pair performs the floating-point operations of
 a scalar recursion over its own series, so a series' fit is the same, bit
 for bit, alone or in any corpus.
 """
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TechnologySeries
+from .series import TechnologySeries, _change_moments, _columns
 
 __all__ = [
     "EstimationError",
@@ -128,9 +130,9 @@ def _blocks(lengths: np.ndarray, rows_per_series: int):
 
 
 def _runs(values: np.ndarray) -> list[tuple[int, int, int]]:
-    """``(start, stop, value)`` of each run of equal ``values``."""
+    """``(start, stop, value)`` of each run of equal ``values`` (none if empty)."""
     edges = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), values.size]
-    return [(start, stop, int(values[start])) for start, stop in zip(edges[:-1], edges[1:])]
+    return [(start, stop, int(values[start])) for start, stop in zip(edges[:-1], edges[1:]) if start < stop]
 
 
 def _steps(n: np.ndarray) -> list[tuple[int, int, int]]:
@@ -145,22 +147,22 @@ class _Lockstep:
     With the innovation recursion v_t = (d_t - mu) - theta*v_{t-1}, v_0 = 0,
     the innovations are linear in mu: v_t = a_t - mu*b_t with
     a_t = d_t - theta*a_{t-1} and b_t = 1 - theta*b_{t-1}, so the minimizing
-    mu is sum(a*b) / sum(b*b). Holds the increments of a corpus, sorted by
-    length (longest first), in one zero-padded, time-major block. ``grid``
-    evaluates a run of series at shared theta values, ``profile`` each series
-    at its own theta; both work in blocks of at most ``_BLOCK_ELEMENTS``
-    cells, all in the same buffers, so the memory does not grow with the
-    number of pairs. Every pair goes through the floating-point operations
-    of a scalar recursion over its series alone, in the same order (see
-    ``_stage``), whatever the other pairs are.
+    mu is sum(a*b) / sum(b*b). Holds the vectors ``d[starts[j]:][:sizes[j]]``,
+    longest first, in one zero-padded, time-major block, filled per run of
+    one length. ``grid`` evaluates a run of series at shared theta values,
+    ``profile`` each series at its own theta; both work in blocks of at most
+    ``_BLOCK_ELEMENTS`` cells, all in the same buffers, so the memory does
+    not grow with the number of pairs. Every pair goes through the
+    floating-point operations of a scalar recursion over its series alone,
+    in the same order (see ``_stage``), whatever the other pairs are.
     """
 
-    def __init__(self, diffs: Sequence[np.ndarray]) -> None:
-        self.n = np.array([d.size for d in diffs], dtype=np.int64)
-        width = int(self.n.max(initial=0))
-        self.d = np.zeros((width, self.n.size))
-        for j, d in enumerate(diffs):
-            self.d[: d.size, j] = d
+    def __init__(self, d: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> None:
+        self.n = sizes
+        width = int(sizes.max(initial=0))
+        self.d = np.zeros((width, sizes.size))
+        for first, last, m in _runs(sizes):  # every index is valid; "clip" writes unbuffered
+            np.take(d, starts[first:last] + np.arange(m)[:, None], out=self.d[:m, first:last], mode="clip")
         self._cells = cells = max(_BLOCK_ELEMENTS, 2 * width)  # a theta chunk holds 2 values
         rows = max(2, _BLOCK_ELEMENTS // max(1, int(self.n.min(initial=width))))  # in a block
         self._c = np.empty(2 * cells)
@@ -281,39 +283,28 @@ def fit_ima_mle_corpus(corpus: Sequence[TechnologySeries]) -> list[ImaParams]:
 
     The series run in lockstep, sorted by length: the grid evaluates blocks
     of series at shared theta, then each golden-section step evaluates every
-    series at its own theta (``_Lockstep``).
+    series at its own theta (``_Lockstep``). A corpus read by ``ingest_csv``
+    is fitted from its columns, a list of series from a copy into columns.
     Each fit equals the series' own ``fit_ima_mle`` as bytes. If any series
     cannot be fitted, raises the error of the first such series in corpus
-    order.
+    order; log changes that are not finite raise a ValueError before any fit.
     """
-    names, diffs = [s.name for s in corpus], [s.diffs() for s in corpus]
+    columns = _columns(corpus)
+    names, sizes = columns.names, columns.lengths - 1
+    d, _, _, flat = _change_moments(columns)
     failures: dict[int, Exception] = {}
-    for i, d in enumerate(diffs):
-        if d.size < 3:
-            failures[i] = ValueError(f"{names[i]}: need at least 4 observations, got {d.size + 1}")
-        elif np.ptp(d) == 0.0:
-            # equal increments leave theta unidentified and, as sigma -> 0, the likelihood unbounded
-            failures[i] = EstimationError(
-                f"{names[i]}: increments are constant, IMA likelihood is degenerate"
-            )
-    return _fit_increments(names, diffs, failures)
-
-
-def _fit_increments(
-    names: Sequence[str], diffs: Sequence[np.ndarray], failures: dict[int, Exception]
-) -> list[ImaParams]:
-    """IMA(1,1) fits of the increment vectors ``diffs`` of the series ``names``,
-    in lockstep; raises the error of the first vector that cannot be fitted.
-
-    ``failures`` maps the vectors rejected before the fit (fewer than 3
-    values, or all values equal) to their errors; they are kept out of the
-    lockstep, and the fit adds the errors of the others to it.
-    """
-    order = sorted(
-        (i for i in range(len(diffs)) if i not in failures), key=lambda i: -diffs[i].size
-    )
-    lockstep = _Lockstep([diffs[i] for i in order])
-    n = lockstep.n
+    for i in np.flatnonzero(sizes < 3).tolist():
+        failures[i] = ValueError(f"{names[i]}: need at least 4 observations, got {sizes[i] + 1}")
+    for i in np.flatnonzero(flat & (sizes >= 3)).tolist():
+        # equal increments leave theta unidentified and, as sigma -> 0, the likelihood unbounded
+        failures[i] = EstimationError(f"{names[i]}: increments are constant, IMA likelihood is degenerate")
+    rows = np.flatnonzero(~flat & (sizes >= 3))
+    order = rows[np.argsort(-sizes[rows], kind="stable")]  # lockstep row j is series order[j]
+    starts = columns.starts[order]
+    del columns  # a list's copy into columns, freed before the lockstep's buffers
+    lockstep = _Lockstep(d, starts, sizes[order])
+    del d  # the lockstep holds the increments it reads
+    n, order = lockstep.n, order.tolist()
 
     # Grid. A theta whose RSS exceeds the series' smallest positive RSS by
     # more than a relative 1e-9 has a log-likelihood larger by far more than
@@ -331,10 +322,8 @@ def _fit_increments(
         best[start:stop] = np.argmin(values, axis=1)
         best_value[start:stop] = values[np.arange(stop - start), best[start:stop]]
     for row in np.flatnonzero(~np.isfinite(best_value)).tolist():
-        failures[order[row]] = EstimationError(
-            f"{names[order[row]]}: degenerate innovation variance, "
-            "IMA likelihood is unbounded"
-        )
+        i = order[row]
+        failures[i] = EstimationError(f"{names[i]}: degenerate innovation variance, IMA likelihood is unbounded")
     live = np.flatnonzero(np.isfinite(best_value))
 
     # golden section, one step of every series at a time until its bracket closes
@@ -379,4 +368,4 @@ def _fit_increments(
             fits[i] = ImaParams(mu=m, sigma=math.sqrt(r / int(n[row])), theta=th)
     if failures:
         raise failures[min(failures)]
-    return [fits[i] for i in range(len(diffs))]
+    return [fits[i] for i in range(len(names))]

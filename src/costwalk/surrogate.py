@@ -112,8 +112,7 @@ _STREAM_TAGS: dict[str, tuple[int, int]] = {
     "xi-band": (1, 1),  # the Xi band and the deviation test read the same draws
     # 2 stays unused: earlier deviation nulls drew from it, and reusing it would repeat their draws
     "half-corpus": (3, 1),
-    "fat-tails-normal": (4, 1),
-    "fat-tails-ima": (5, 1),
+    # 4 and 5 stay unused too: the normal fat-tail baselines drew from them before they were exact
     "fat-tails-student": (6, 94),  # one per degrees-of-freedom value
     # 100 stays unused too: theta matching drew from it before it used the exact null mean
 }
@@ -830,26 +829,19 @@ def _fat_tails(
     seed: int,
     theta: float,
 ) -> dict:
-    """Mean error growth for fat-tailed random walks vs normal RWD and IMA."""
-
-    def mean_curve(cfg: SurrogateConfig, tag: int) -> list[float]:
-        with warnings.catch_warnings():
-            # NaN at a horizon no template series reaches
-            warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
-            return np.nanmean(_xi_ensemble(cfg, tag), axis=0).tolist()
-
+    """Mean error growth for fat-tailed random walks (Monte Carlo) vs normal
+    RWD and IMA (exact, ``null_xi_mean``), NaN where no template series reaches."""
     base = dict(replications=replications, m=m, tau_max=tau_max, seed=seed, template=template)
-    normal = SurrogateConfig(theta=0.0, **base)
-    ima = SurrogateConfig(theta=theta, **base)
-    report: dict = {
-        "tau": list(range(1, tau_max + 1)),
-        "normal_rwd": mean_curve(normal, _stream_tag("fat-tails-normal")),
-        "ima": mean_curve(ima, _stream_tag("fat-tails-ima")),
-        "student": {},
-    }
-    for df_i, df in enumerate(dfs):
-        cfg = SurrogateConfig(theta=0.0, student_df=float(df), **base)
-        report["student"][f"df={df:g}"] = mean_curve(cfg, _stream_tag("fat-tails-student", df_i))
+    exact = null_xi_mean(m, tau_max, [0.0, theta])
+    exact[:, _engine_plan(SurrogateConfig(theta=theta, **base)).tau.max() :] = math.nan
+    normal_rwd, ima = exact.tolist()
+    report: dict = {"tau": list(range(1, tau_max + 1)), "normal_rwd": normal_rwd, "ima": ima, "student": {}}
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
+        for df_i, df in enumerate(dfs):
+            cfg = SurrogateConfig(theta=0.0, student_df=float(df), **base)
+            xi = _xi_ensemble(cfg, _stream_tag("fat-tails-student", df_i))
+            report["student"][f"df={df:g}"] = np.nanmean(xi, axis=0).tolist()
     return report
 
 

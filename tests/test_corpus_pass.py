@@ -17,6 +17,7 @@ from costwalk import (
     DataFormatError,
     DataWarning,
     SeriesSummary,
+    SurrogateConfig,
     TechnologySeries,
     corpus_template,
     fit_ima_mle,
@@ -26,8 +27,8 @@ from costwalk import (
     select_improving,
     summarize_corpus,
 )
-from costwalk.dataset import _Corpus, _corpus_moments
-from costwalk.models import EstimationError
+from costwalk.series import _Corpus, _corpus_moments
+from costwalk.models import EstimationError, fit_ima_mle_corpus
 
 import reference
 
@@ -294,3 +295,54 @@ def test_corpus_read_by_ingest_equals_the_list_of_its_series(tmp_path_factory, r
     bits = lambda c: [(n, _bits(mu), _bits(k)) for n, mu, k in corpus_template(c)]  # noqa: E731
     assert _result(bits, corpus) == _result(bits, as_list)
     assert hindcast(corpus) == hindcast(as_list)
+
+
+def _scaled(name: str, scale: float, n_obs: int = 6) -> TechnologySeries:
+    shape = np.array([0.0, 1.0, -1.0, 1.5, 0.5, -1.2, 0.2, -0.7])[:n_obs]
+    return TechnologySeries(name, np.arange(n_obs) + 2000, scale * shape)
+
+
+_ORDINARY = TechnologySeries("ok", np.arange(8) + 2000, np.cumsum(np.sin(np.arange(8.0))))
+CORPUS_CALLS = {
+    "fit_ima_mle_corpus": fit_ima_mle_corpus,
+    "summarize_corpus": summarize_corpus,
+    "corpus_template": corpus_template,
+    "select_improving": select_improving,
+}
+
+
+@pytest.mark.parametrize("call", CORPUS_CALLS.values(), ids=list(CORPUS_CALLS))
+def test_log_changes_that_overflow_name_their_series(call):
+    # finite log costs of 1e308 whose changes (up to 2.5e308) pass the largest double
+    corpus = [_ORDINARY, _scaled("huge", 1e308), _scaled("huge-2", 1e308, 8)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^huge: log changes are not finite$"):
+            call(corpus)
+
+
+def test_finite_log_changes_with_an_infinite_volatility():
+    # log changes of 1e154 are finite, but their squares are not: K is infinite
+    corpus = [_ORDINARY, _scaled("huge", 1e154)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        template = corpus_template(corpus)
+        assert template[1][0] == 6 and template[1][2] == math.inf
+        with pytest.raises(ValueError, match="needs a finite mu and K"):
+            SurrogateConfig(replications=1, theta=0.0, m=4, tau_max=2, seed=1, template=template)
+        # a t statistic of 0: p = 0.5
+        assert select_improving(corpus, 0.5)[1][1] is corpus[1]
+        assert select_improving(corpus, np.nextafter(0.5, 1.0))[0][-1] is corpus[1]
+        with pytest.raises(EstimationError, match="^huge: degenerate innovation variance"):
+            summarize_corpus(corpus)
+
+
+def test_a_change_across_two_series_belongs_to_neither():
+    # each series holds one price; from one to the next the log cost falls by 2e308
+    corpus = [_scaled(name, 0.0, 5) for name in ("high", "low")]
+    corpus = [TechnologySeries(s.name, s.years, s.log_costs + c) for s, c in zip(corpus, (1e308, -1e308))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert corpus_template(corpus) == ((5, 0.0, 0.0), (5, 0.0, 0.0))
+        with pytest.raises(EstimationError, match="^high: increments are constant"):
+            fit_ima_mle_corpus(corpus)

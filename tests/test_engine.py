@@ -24,6 +24,7 @@ from costwalk import (
     hindcast_corpus,
     load_reference_params,
     null_xi_band,
+    null_xi_mean,
     surrogate_corpus,
     validation_nulls,
 )
@@ -358,12 +359,10 @@ def test_zero_volatility_series_has_no_null_records():
 
     curves = _fat_tails(template, [3.0], 5, 6, 1, 4, 0.3)
     student = dataclasses.replace(config, replications=1, theta=0.0, student_df=3.0)
-    for curve, cfg, tag in (
-        (curves["normal_rwd"], dataclasses.replace(config, theta=0.0), "fat-tails-normal"),
-        (curves["ima"], config, "fat-tails-ima"),
-        (curves["student"]["df=3"], student, "fat-tails-student"),
-    ):
-        assert curve == error_growth(observed(cfg, 4, _stream_tag(tag), 0)).xi.tolist()
+    student_xi = error_growth(observed(student, 4, _stream_tag("fat-tails-student"), 0)).xi
+    assert curves["student"]["df=3"] == student_xi.tolist()
+    # the normal baselines are the exact null means
+    assert [curves["normal_rwd"], curves["ima"]] == null_xi_mean(5, 6, [0.0, 0.3]).tolist()
 
 
 @PROPERTY
@@ -431,7 +430,8 @@ class TestStreamTags:
             _stream_tag("xi-band", 1)  # one stream serves the band and the deviation test
 
     def test_retired_tags_stay_unused(self):
-        # 2 gave the old deviation nulls and 100 the old theta matching draws;
-        # reusing either would repeat their draws
-        for tag in (2, 100):
+        # 2 gave the old deviation nulls, 4 and 5 the old normal fat-tail
+        # baselines and 100 the old theta matching draws; reusing any would
+        # repeat their draws
+        for tag in (2, 4, 5, 100):
             assert not any(first <= tag < first + size for first, size in _STREAM_TAGS.values())

@@ -19,6 +19,7 @@ from costwalk import (
     corpus_template,
     estimate_rwd,
     fit_ima_mle,
+    ingest_csv,
     load_reference_params,
     make_rng,
     surrogate_corpus,
@@ -175,10 +176,17 @@ def _profile_mu_rss(d, theta):
     return mu, float((v * v).sum())
 
 
+def _lockstep(vectors):
+    """``_Lockstep`` of increment vectors, longest first, laid back to back
+    in one flat array."""
+    sizes = np.array([d.size for d in vectors])
+    return _Lockstep(np.concatenate(vectors), np.cumsum(sizes) - sizes, sizes)
+
+
 @settings(max_examples=80, deadline=None)
 @given(increment_vectors())
 def test_grid_rss_equals_scalar_rss(d):
-    mu, rss = _Lockstep([d]).profile(np.zeros(THETA_GRID.size, dtype=np.int64), THETA_GRID)
+    mu, rss = _lockstep([d]).profile(np.zeros(THETA_GRID.size, dtype=np.int64), THETA_GRID)
     expected = np.array([_profile_mu_rss(d, theta) for theta in THETA_GRID])
     assert mu.tobytes() == expected[:, 0].copy().tobytes()
     assert rss.tobytes() == expected[:, 1].copy().tobytes()
@@ -207,7 +215,7 @@ def grid_corpora(draw):
 def _grid_bytes(vectors, theta):
     """mu and RSS of every vector at every theta, from ``_Lockstep.grid`` run
     over the fit's blocks, as bytes."""
-    lockstep = _Lockstep(vectors)
+    lockstep = _lockstep(vectors)
     out = [lockstep.grid(start, stop, theta) for start, stop in _blocks(lockstep.n, theta.size)]
     mu, rss = (np.concatenate(arrays) for arrays in zip(*out))
     return mu.tobytes(), rss.tobytes()
@@ -427,6 +435,59 @@ class TestCorpusFitErrors:
 
     def test_empty_corpus(self):
         assert fit_ima_mle_corpus([]) == []
+
+
+@hst.composite
+def cost_tables(draw):
+    """(rows, order): 1-6 technologies as (points, seed, kind) and a
+    permutation of them. Lengths come from a pool of at most three in 4-30,
+    so that lengths repeat; a "walk" is a random walk of log costs. Up to
+    two technologies cannot be fitted: a "short" walk of 2-3 points, or a
+    "repeated" price, whose log changes are all equal."""
+    pool = draw(hst.lists(hst.integers(4, 30), min_size=1, max_size=3))
+    lengths = draw(hst.lists(hst.sampled_from(pool), min_size=1, max_size=6))
+    rows = [(n, draw(hst.integers(0, 2**16)), "walk") for n in lengths]
+    for _ in range(draw(hst.integers(0, 2))):
+        kind = draw(hst.sampled_from(["short", "repeated"]))
+        n = draw(hst.integers(2, 3)) if kind == "short" else draw(hst.sampled_from(pool))
+        rows.insert(draw(hst.integers(0, len(rows))), (n, 0, kind))
+    return rows, draw(hst.permutations(range(len(rows))))
+
+
+def _fit_outcome(corpus):
+    """The fits of ``corpus`` as bytes, or the type and message of its error."""
+    try:
+        return [_fit_bytes(fit) for fit in fit_ima_mle_corpus(corpus)]
+    except (ValueError, EstimationError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cost_tables())
+@example(([(12, 1, "walk"), (9, 2, "walk"), (12, 3, "walk"), (9, 4, "walk"), (20, 5, "walk")], [4, 2, 0, 3, 1]))
+@example(([(12, 1, "walk"), (3, 0, "short"), (8, 0, "repeated"), (12, 4, "walk")], [3, 2, 1, 0]))
+def test_fit_of_the_columns_equals_the_fit_of_the_list(tmp_path_factory, table):
+    """A corpus read by ``ingest_csv``, a permuted ``take`` of it (its series'
+    starts out of order) and the lists of their series give the same fits,
+    and each fit is the scalar reference's; or the same first error."""
+    rows, order = table
+    lines = ["technology,year,cost"]
+    for j, (n, seed, kind) in enumerate(rows):
+        y = np.zeros(n) if kind == "repeated" else np.cumsum(-0.05 + 0.1 * make_rng(seed).standard_normal(n))
+        lines += [f"t{j},{2000 + t},{math.exp(v)!r}" for t, v in enumerate(y.tolist())]
+    path = tmp_path_factory.mktemp("fit") / "corpus.csv"
+    path.write_text("\n".join(lines) + "\n")
+    corpus = ingest_csv(path)
+    taken = corpus.take(order)
+    outcome = _fit_outcome(corpus)
+    assert _fit_outcome(list(corpus)) == outcome
+    assert _fit_outcome(list(taken)) == _fit_outcome(taken)
+    unfit = sum(kind != "walk" for _, _, kind in rows)
+    if unfit == 0:
+        assert outcome == [_reference_fit(series).tobytes() for series in corpus]
+        assert _fit_outcome(taken) == [outcome[i] for i in order]
+    elif unfit == 1:  # the first error whatever the order
+        assert _fit_outcome(taken) == outcome
 
 
 def test_fit_memory_is_bounded_by_blocks():
