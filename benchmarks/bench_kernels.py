@@ -31,10 +31,12 @@ Times the hot paths on representative workloads:
   summary of the corpus (moments, trend p-values and that fit, as
   ``describe`` runs it), the improving-technology filter
   (``select_improving``: the moments and trend p-values alone), building
-  the hindcast records, the per-series kernel (``hindcast_errors``) on each
-  improving series as ``hindcast`` calls it, writing the records to
-  ``records.csv`` (its time and its traced peak of allocations), and their
-  error-growth curve under both weightings;
+  the hindcast records (its time and its traced peak of allocations), the
+  per-series kernel (``hindcast_errors``) on each improving series as
+  ``hindcast`` calls it, writing the records to ``records.csv`` (its time
+  and its traced peak), and their error-growth curve under both weightings
+  (its traced peak under equal-technology weighting, as ``hindcast
+  --weighting equal-tech`` runs it);
 * fixed costs that every fresh process pays once, timed in a new Python
   process: the first ``NullEnsemble.quantiles`` call on a (1000, 20)
   ensemble (and a second one, for comparison), the t(m-1) CDF on the
@@ -206,6 +208,8 @@ def bench_observed(template, theta, m, tau_max, directory):
     t_stage["write_records_csv"] = _time(lambda: write_records_csv(path, records))
     peaks = {
         "fit_ima_mle_corpus": _traced_peak(lambda: fit_ima_mle_corpus(corpus)),
+        "hindcast_corpus": _traced_peak(lambda: hindcast_corpus(corpus, m, tau_max=tau_max)),
+        "error_growth": _traced_peak(lambda: error_growth(records, weighting="equal-technology")),
         "write_records_csv": _traced_peak(lambda: write_records_csv(path, records)),
     }
     for w in ("pooled", "equal-technology"):

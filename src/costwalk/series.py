@@ -129,8 +129,8 @@ def _corpus_moments(d: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> tup
 
 def _change_moments(corpus: _Corpus) -> tuple[np.ndarray, ...]:
     """(d, mu, k, flat): ``d = np.diff(corpus.log_costs)`` and the ``_corpus_moments``
-    of every series' log changes; the first series whose log changes are not
-    finite raises a ValueError."""
+    of every series' log changes. A ValueError names the first series whose
+    log changes are not finite, else the first whose mean of them is not."""
     with np.errstate(over="ignore"):  # finite log costs can lie further apart than the largest double
         d = np.diff(corpus.log_costs)
     sizes = corpus.lengths - 1
@@ -138,4 +138,7 @@ def _change_moments(corpus: _Corpus) -> tuple[np.ndarray, ...]:
         for name, start, size in zip(corpus.names, corpus.starts.tolist(), sizes.tolist()):
             if not np.isfinite(d[start : start + size]).all():
                 raise ValueError(f"{name}: log changes are not finite")
-    return (d, *_corpus_moments(d, corpus.starts, sizes))
+    mu, k, flat = _corpus_moments(d, corpus.starts, sizes)
+    if not np.isfinite(mu).all():  # finite changes whose pairwise sum overflows both ways
+        raise ValueError(f"{corpus.names[np.argmin(np.isfinite(mu))]}: the mean of its log changes is not finite")
+    return d, mu, k, flat

@@ -321,6 +321,17 @@ def test_log_changes_that_overflow_name_their_series(call):
             call(corpus)
 
 
+@pytest.mark.parametrize("call", CORPUS_CALLS.values(), ids=list(CORPUS_CALLS))
+def test_a_mean_of_log_changes_that_overflows_names_its_series(call):
+    # log costs alternating 0 and 1.7e308: every change is finite, but the
+    # pairwise sum of the 17 changes meets +inf and -inf, so the mean is NaN
+    alternating = TechnologySeries("alternating", np.arange(18) + 2000, np.tile([0.0, 1.7e308], 9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^alternating: the mean of its log changes is not finite$"):
+            call([_ORDINARY, alternating, _scaled("huge", 1e154)])
+
+
 def test_finite_log_changes_with_an_infinite_volatility():
     # log changes of 1e154 are finite, but their squares are not: K is infinite
     corpus = [_ORDINARY, _scaled("huge", 1e154)]
