@@ -8,13 +8,14 @@ Times the hot paths on representative workloads:
 * surrogate replication (simulate the unit, drift-free walks of a 53-series
   corpus profile and hindcast them) through ``corpus_norm_errors``, one
   replication per call, which builds the corpus's index plan on every call;
-* the same replication through the batched surrogate engine that every
-  Monte Carlo experiment at one theta runs on: the same plan and window
-  helper, the plan built once per experiment and several replications per
-  array pass, plus each replication's error-growth curve;
-* validate's joint pass, per replication: the engine with both the
-  error-growth curve and the three ECDF-deviation measures of every
-  replication, the two nulls that ``validation_nulls`` reads from one draw;
+* the same replication through the batched surrogate engine (``_ensemble``)
+  that every Monte Carlo experiment at one theta runs on: the same plan and
+  window helper, the plan built once per experiment and several replications
+  per array pass, plus each replication's error-growth curve;
+* validate's joint pass, per replication: the engine given observed
+  records, which takes both the error-growth curve and the three
+  ECDF-deviation measures of every replication, the two nulls that
+  ``validation_nulls`` reads from one draw;
 * theta matching, per grid: the exact null mean of Xi at horizons 1..20
   (``null_xi_mean``) on the grids 0, 0.05, ..., 0.9 (19 theta, perfbench's)
   and 0, 0.01, ..., 0.9 (91 theta, the CLI default), and the whole
@@ -76,19 +77,9 @@ from costwalk import (
     write_corpus_csv,
 )
 from costwalk import _kernels
-from costwalk.hindcast import _cells, write_records_csv
+from costwalk.hindcast import _cell_keys, _cell_sums, _cells, _xi, write_records_csv
 from costwalk.stats import derive_rng
-from costwalk.surrogate import (
-    _deviation_statistic,
-    _engine_plan,
-    _innovations,
-    _run,
-    _simulate,
-    _xi_ensemble,
-    _xi_rows,
-    _xi_statistic,
-    null_xi_mean,
-)
+from costwalk.surrogate import _ensemble, _innovations, _simulate, null_xi_mean
 
 
 def _time(fn, repeat=5):
@@ -121,20 +112,19 @@ def bench_engine(template, theta, m, tau_max, reps):
     config = SurrogateConfig(
         replications=reps, theta=theta, m=m, tau_max=tau_max, seed=42, template=template
     )
-    return _time(lambda: _xi_ensemble(config, 1), repeat=3) / reps
+    return _time(lambda: _ensemble(config, 1), repeat=3) / reps
 
 
 def bench_joint(template, theta, m, tau_max, reps):
     """Time per replication of the engine with Xi and the deviation measures,
-    each taken from every replication of the pass, as ``validation_nulls`` runs it."""
+    each taken from every replication of the pass, as ``validation_nulls`` runs
+    it; the call's once-per-ensemble set-up (the t(m-1) grid, the divisors and
+    the observed measures) is shared among the replications."""
     config = SurrogateConfig(
         replications=reps, theta=theta, m=m, tau_max=tau_max, seed=42, template=template
     )
-    plan = _engine_plan(config)
     records = hindcast_corpus(surrogate_corpus(config, make_rng(7)), m, tau_max=tau_max).records
-    _, deviation = _deviation_statistic(records, config, plan)
-    statistics = [_xi_statistic(config, plan), deviation]
-    return _time(lambda: _run(config, plan, 1, statistics), repeat=3) / reps
+    return _time(lambda: _ensemble(config, 1, records), repeat=3) / reps
 
 
 def bench_matching(template, m, tau_max, grid):
@@ -164,11 +154,11 @@ def bench_xi_pass(template, theta, m, tau_max, loops=200):
         rngs = [derive_rng(42, 1, rep) for rep in range(plan.chunk)]
         norm = _simulate(config, plan, np.array([_innovations(config, r) for r in rngs]))
         cell = _cells(plan.origin_series[plan.record_origin], plan.tau, tau_max)
-        xi_rows = _xi_rows(config, cell, plan.chunk)
+        key, counts = _cell_keys(cell, (len(template), tau_max), plan.chunk)
 
         def run():
             for _ in range(loops):
-                xi_rows(norm)
+                _xi(*_cell_sums(norm, key, counts), weighting)
 
         times[weighting] = _time(run) / loops
     return plan.chunk, times

@@ -7,8 +7,10 @@ takes the other path: an index plan (``_build_plan``) lays all series of a
 corpus out side by side, and one window helper (``_window_errors``) computes
 every record's normalized error from the laid out levels.
 ``corpus_norm_errors`` runs it on one corpus, the surrogate engine on many.
-Tests hold both paths to ``hindcast_errors`` bit for bit, and it to a
-record-by-record oracle, so all must keep the same order of operations.
+Both paths, and ``models.estimate_rwd``, take mu_hat and K_hat^2 from
+``_window_estimates``. Tests hold both paths to ``hindcast_errors`` bit for
+bit, and it to a record-by-record oracle, so all must keep the same order of
+operations.
 
 Conventions, for a log-cost series y[0..T-1] and a window of m first
 differences:
@@ -79,6 +81,14 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
 
 
+def _window_estimates(y_origin, y_start, windows, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu_hat and K_hat^2 of windows of m differences (the last axis of
+    ``windows``) from the levels at their origins and where they start."""
+    mu = (y_origin - y_start) / m
+    k2 = ((windows - mu[..., None]) ** 2).sum(axis=-1) / (m - 1)
+    return mu, k2
+
+
 def hindcast_errors(y, m, tau_max):
     """Exhaustive rolling-origin forecast errors for one series.
 
@@ -91,9 +101,8 @@ def hindcast_errors(y, m, tau_max):
     T = y.size  # below m + 2 points there is no origin, and every column is empty
     d = y[1:] - y[:-1]
     origins = np.arange(m, T - 1, dtype=np.int64)
-    mu = (y[m : T - 1] - y[: origins.size]) / m
     windows = d[origins[:, None] - np.arange(m, 0, -1)]  # d[i - m .. i - 1] of origin i
-    k2 = ((windows - mu[:, None]) ** 2).sum(axis=1) / (m - 1)
+    mu, k2 = _window_estimates(y[m : T - 1], y[: origins.size], windows, m)
 
     keep = k2 > 0.0
     n_skipped = origins.size - int(np.count_nonzero(keep))
@@ -205,9 +214,8 @@ def _window_moments(
     """Per row of the flat layouts y and d, and per origin: y[i], mu_hat, the
     m window differences (origins x m), and K_hat^2."""
     y_origin = _at(y, plan.origin)
-    mu = (y_origin - _at(y, plan.window_start)) / m
     windows = _at(d, plan.window)
-    k2 = ((windows - mu[:, :, None]) ** 2).sum(axis=-1) / (m - 1)
+    mu, k2 = _window_estimates(y_origin, _at(y, plan.window_start), windows, m)
     return y_origin, mu, windows, k2
 
 

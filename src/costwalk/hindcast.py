@@ -249,8 +249,7 @@ def error_growth(
     ``'pooled'`` adds those sums over technologies; ``'equal-technology'``
     averages the per-technology means of the technologies present at each
     horizon. Technologies are added one at a time in sorted-name order, and
-    the single-theta surrogate nulls (``surrogate._xi_rows``) reduce through
-    the same code.
+    the surrogate nulls (``surrogate._ensemble``) reduce through the same code.
     """
     if weighting not in ("pooled", "equal-technology"):
         raise ValueError(f"unknown weighting {weighting!r}")

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _window_estimates
 from .series import TechnologySeries, _change_moments, _columns
 
 __all__ = [
@@ -113,9 +114,8 @@ def estimate_rwd(series: TechnologySeries, origin_index: int, m: int) -> RwdEsti
             f"differences in a series of {T} points"
         )
     y = series.log_costs
-    mu_hat = (y[origin_index] - y[origin_index - m]) / m
     window = np.diff(y[origin_index - m : origin_index + 1])
-    k2 = float(((window - mu_hat) ** 2).sum()) / (m - 1)
+    mu_hat, k2 = _window_estimates(y[origin_index], y[origin_index - m], window, m)
     return RwdEstimate(mu_hat=float(mu_hat), k_hat=math.sqrt(k2), m=m, origin_index=origin_index)
 
 

@@ -16,20 +16,22 @@ drift-free walks y[t] = y[t-1] + w[t] + theta*w[t-1] of the template lengths.
 A K = 0 series, whose windows all have zero variance, draws its block of w
 but gets no forecast origins. ``surrogate_corpus`` keeps drifts and scales.
 
-Every experiment at one theta runs on one numpy engine, which simulates a
-chunk of replications and hindcasts them as (replications, records) arrays
-through the static index plan and the window helper of ``_kernels``, the same
-path ``_kernels.corpus_norm_errors`` takes on one corpus. Each experiment
-builds its own plan: a plan costs far less than one pass, so none is cached.
-The plan's index arrays (each origin's window among them), the Xi cell keys
-and counts, the eps* divisors and the t(m-1) CDF on the deviation grid (one
-call per distinct |x|) are built once per experiment, not once per pass.
-Each replication's errors are bit-identical to the per-series kernel
-``_kernels.hindcast_errors`` run on that replication's walks. The
-statistics of a replication come from the same code as the observed ones: the
-Xi cell sums and their reduction, and the eps* divisor, are ``hindcast``'s,
-so the observed corpus and its nulls share one implementation of each
-statistic.
+Every experiment at one theta runs on one numpy engine, ``_ensemble``, which
+simulates a chunk of replications and hindcasts them as (replications,
+records) arrays through the static index plan and the window helper of
+``_kernels``, the same path ``_kernels.corpus_norm_errors`` takes on one
+corpus. Once per experiment it builds the plan (each origin's window among
+its index arrays) and the Xi cell keys and counts; given observed records,
+it checks them and builds the t(m-1) CDF on the deviation grid (one call
+per distinct |x|), the plan's eps* divisors and the observed deviation
+measures. A plan costs far less than one pass, so none is cached. One loop
+over the passes then turns each replication's errors into its Xi row and,
+given records, its deviation row. Each replication's errors are
+bit-identical to the per-series kernel ``_kernels.hindcast_errors`` run on
+that replication's walks, and its rows come from the code of the observed
+statistics: the Xi cell sums and their reduction, and the eps* divisor, are
+``hindcast``'s, so the observed corpus and its nulls share one
+implementation of each statistic.
 
 ``validate`` needs two nulls at its theta, the Xi band and the ECDF deviation
 test, and reads both from one ensemble of config.replications replications
@@ -312,20 +314,6 @@ def _simulate(config: SurrogateConfig, plan: _Plan, innovations: np.ndarray) -> 
     return _kernels._window_errors(plan, y, d, config.m)[0]
 
 
-def _xi_rows(
-    config: SurrogateConfig, cell: np.ndarray, rows: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The per-horizon Xi of each of up to ``rows`` rows of normalized errors
-    (NaN where a row has no records), with the cell keys built once.
-
-    ``cell`` places each record in the (series, horizon) grid (``hindcast._cells``).
-    The cell sums and their reduction are ``error_growth``'s, so each row is
-    bit-identical to the observed curve of that replication's corpus.
-    """
-    key, counts = _cell_keys(cell, (len(config.template), config.tau_max), rows)
-    return lambda norm: _xi(*_cell_sums(norm, key, counts), config.weighting)
-
-
 def _draws(config: SurrogateConfig, plan: _Plan, tag: int) -> Iterator[tuple[slice, np.ndarray]]:
     """The replications of each array pass and their unit innovations, one row each.
 
@@ -338,36 +326,41 @@ def _draws(config: SurrogateConfig, plan: _Plan, tag: int) -> Iterator[tuple[sli
         yield slice(start, stop), np.array([_innovations(config, rng) for rng in rngs])
 
 
-# (width, rows_of): a statistic whose ``rows_of`` reduces each row of normalized
-# errors to ``width`` values
-_Statistic = tuple[int, Callable[[np.ndarray], np.ndarray]]
+def _ensemble(
+    config: SurrogateConfig, tag: int, records: HindcastRecords | None = None
+) -> tuple[np.ndarray, NullEnsemble | None]:
+    """The (replications, tau_max) Xi curves of the surrogate null and, given
+    records, the deviation test of the records' pooled eps* (else None).
 
-
-def _run(
-    config: SurrogateConfig, plan: _Plan, tag: int, statistics: Sequence[_Statistic]
-) -> list[np.ndarray]:
-    """One (replications, width) matrix per statistic; row r is replication r's.
-
-    One draw and one simulation per replication serve every statistic.
+    Replication r's walks give Xi row r and deviation row r, each through the
+    code of its observed statistic, so a row is bit-identical to that
+    statistic of replication r's corpus. The plan is checked before the records.
     """
-    out = [np.empty((config.replications, width)) for width, _ in statistics]
+    plan = _engine_plan(config)
+    if records is not None:
+        if records.m != config.m:
+            raise ValueError(f"records use window {records.m}, config.m={config.m}")
+        inside = records.tau <= config.tau_max
+        if not inside.any():
+            raise ValueError("no records to pool")
+        t_cdf_grid = _t_cdf_grid(config.m - 1)
+        eps = records.norm_error[inside] / _rescale_divisors(records.tau[inside], config.m, config.theta)
+        observed = _deviation_stats(eps[None], t_cdf_grid)[0]
+        del eps, inside  # the record-sized observed side is freed before the keys exist
+        divisors = _rescale_divisors(plan.tau, config.m, config.theta)
+        deviation = np.empty((config.replications, len(DEVIATION_STATISTICS)))
+    cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
+    key, counts = _cell_keys(cell, (len(config.template), config.tau_max), plan.chunk)
+    del cell  # the passes read the keys alone
+    xi = np.empty((config.replications, config.tau_max))
     for rows, innovations in _draws(config, plan, tag):
         norm = _simulate(config, plan, innovations)
-        for values, (_, rows_of) in zip(out, statistics):
-            values[rows] = rows_of(norm)
-    return out
-
-
-def _xi_statistic(config: SurrogateConfig, plan: _Plan) -> _Statistic:
-    """Xi curves, (replications, tau_max)."""
-    cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
-    return config.tau_max, _xi_rows(config, cell, plan.chunk)
-
-
-def _xi_ensemble(config: SurrogateConfig, tag: int) -> np.ndarray:
-    """(replications, tau_max) Xi curves of the surrogate null."""
-    plan = _engine_plan(config)
-    return _run(config, plan, tag, [_xi_statistic(config, plan)])[0]
+        xi[rows] = _xi(*_cell_sums(norm, key, counts), config.weighting)
+        if records is not None:
+            deviation[rows] = _deviation_stats(norm / divisors, t_cdf_grid)
+    if records is None:
+        return xi, None
+    return xi, NullEnsemble(statistic="ecdf-deviation", values=deviation, observed=observed)
 
 
 def _check_curve(curve: ErrorGrowthCurve, config: SurrogateConfig) -> None:
@@ -390,31 +383,33 @@ def _check_theta_grid(theta_grid: Sequence[float]) -> np.ndarray:
     return theta_grid
 
 
-def _band_observed(
-    config: SurrogateConfig, observed_curve: ErrorGrowthCurve | None
-) -> np.ndarray | None:
-    """The observed Xi at horizons 1..tau_max (NaN where the curve has none),
-    after checking the curve and warning below 100 replications."""
+def _band(
+    config: SurrogateConfig,
+    observed_curve: ErrorGrowthCurve | None,
+    records: HindcastRecords | None = None,
+) -> tuple[NullEnsemble, NullEnsemble | None]:
+    """The Xi band, with the observed Xi at horizons 1..tau_max (NaN where the
+    curve has none), and ``_ensemble``'s deviation test from the same draws.
+
+    The curve is checked before the ensemble, and fewer than 100 replications
+    warn at the line that called the public function.
+    """
+    observed = None
     if observed_curve is not None:
         _check_curve(observed_curve, config)
+        observed = np.full(config.tau_max, np.nan)
+        for t, x in zip(observed_curve.taus, observed_curve.xi):
+            if 1 <= t <= config.tau_max:
+                observed[int(t) - 1] = x
     if config.replications < 100:
         warnings.warn(
             f"{config.replications} replications give unstable quantile bands; "
             "100 or more are recommended",
             stacklevel=3,
         )
-    if observed_curve is None:
-        return None
-    observed = np.full(config.tau_max, np.nan)
-    for t, x in zip(observed_curve.taus, observed_curve.xi):
-        if 1 <= t <= config.tau_max:
-            observed[int(t) - 1] = x
-    return observed
-
-
-def _band(values: np.ndarray, observed: np.ndarray | None) -> NullEnsemble:
-    taus = np.arange(1, values.shape[1] + 1, dtype=np.int64)
-    return NullEnsemble(statistic="xi", values=values, observed=observed, taus=taus)
+    xi, deviation = _ensemble(config, _stream_tag("xi-band"), records)
+    taus = np.arange(1, config.tau_max + 1, dtype=np.int64)
+    return NullEnsemble(statistic="xi", values=xi, observed=observed, taus=taus), deviation
 
 
 def null_xi_band(
@@ -427,8 +422,7 @@ def null_xi_band(
     weighting and window must match the config's. Replication r draws from
     the "xi-band" stream, as in ``validation_nulls``.
     """
-    observed = _band_observed(config, observed_curve)
-    return _band(_xi_ensemble(config, _stream_tag("xi-band")), observed)
+    return _band(config, observed_curve)[0]
 
 
 def _t_cdf_grid(df: int) -> np.ndarray:
@@ -449,26 +443,6 @@ def _deviation_stats(eps: np.ndarray, t_cdf_grid: np.ndarray) -> np.ndarray:
     return np.stack([np.abs(delta).sum(axis=-1), (delta**2).sum(axis=-1), delta.max(axis=-1)], -1)
 
 
-def _deviation_statistic(
-    records: HindcastRecords, config: SurrogateConfig, plan: _Plan
-) -> tuple[np.ndarray, _Statistic]:
-    """The deviation measures of the records' pooled eps* at config.theta, and the
-    statistic of each replication's measures, (replications, 3), taken the same way."""
-    if records.m != config.m:
-        raise ValueError(f"records use window {records.m}, config.m={config.m}")
-    inside = records.tau <= config.tau_max
-    if not inside.any():
-        raise ValueError("no records to pool")
-    t_cdf_grid = _t_cdf_grid(config.m - 1)
-    eps = records.norm_error[inside] / _rescale_divisors(records.tau[inside], config.m, config.theta)
-    divisors = _rescale_divisors(plan.tau, config.m, config.theta)
-
-    def rows_of(norm: np.ndarray) -> np.ndarray:
-        return _deviation_stats(norm / divisors, t_cdf_grid)
-
-    return _deviation_stats(eps[None], t_cdf_grid)[0], (len(DEVIATION_STATISTICS), rows_of)
-
-
 def distribution_deviation_test(records: HindcastRecords, config: SurrogateConfig) -> NullEnsemble:
     """Test whether pooled rescaled errors are as close to t(m-1) as the null.
 
@@ -481,10 +455,7 @@ def distribution_deviation_test(records: HindcastRecords, config: SurrogateConfi
     "xi-band" stream, so its row comes from the same walks as row r of
     ``null_xi_band``'s ensemble at the same config.
     """
-    plan = _engine_plan(config)
-    observed, deviation = _deviation_statistic(records, config, plan)
-    (values,) = _run(config, plan, _stream_tag("xi-band"), [deviation])
-    return NullEnsemble(statistic="ecdf-deviation", values=values, observed=observed)
+    return _ensemble(config, _stream_tag("xi-band"), records)[1]
 
 
 def validation_nulls(
@@ -500,15 +471,7 @@ def validation_nulls(
     valid on its own, but the band and the deviation test are not
     independent.
     """
-    observed_band = _band_observed(config, observed_curve)
-    plan = _engine_plan(config)
-    observed_deviation, statistic = _deviation_statistic(records, config, plan)
-    band, deviation = _run(
-        config, plan, _stream_tag("xi-band"), [_xi_statistic(config, plan), statistic]
-    )
-    return _band(band, observed_band), NullEnsemble(
-        statistic="ecdf-deviation", values=deviation, observed=observed_deviation
-    )
+    return _band(config, observed_curve, records)
 
 
 @dataclass(frozen=True)
@@ -836,12 +799,10 @@ def _fat_tails(
     exact[:, _engine_plan(SurrogateConfig(theta=theta, **base)).tau.max() :] = math.nan
     normal_rwd, ima = exact.tolist()
     report: dict = {"tau": list(range(1, tau_max + 1)), "normal_rwd": normal_rwd, "ima": ima, "student": {}}
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
-        for df_i, df in enumerate(dfs):
-            cfg = SurrogateConfig(theta=0.0, student_df=float(df), **base)
-            xi = _xi_ensemble(cfg, _stream_tag("fat-tails-student", df_i))
-            report["student"][f"df={df:g}"] = np.nanmean(xi, axis=0).tolist()
+    for df_i, df in enumerate(dfs):
+        cfg = SurrogateConfig(theta=0.0, student_df=float(df), **base)
+        xi, _ = _ensemble(cfg, _stream_tag("fat-tails-student", df_i))
+        report["student"][f"df={df:g}"] = np.mean(xi, axis=0).tolist()
     return report
 
 
@@ -874,11 +835,12 @@ def robustness_suite(
         "theta": theta,
         "seed": seed,
     }
-    base_result = hindcast_corpus(corpus, m, tau_max=tau_max)
+    _kernels._check_window(m, tau_max)
     if vary_m is not None:
         report["vary_m"] = _vary_window(corpus, vary_m, theta, tau_max)
     if half_dataset_trials is not None:
-        report["half_dataset"] = _half_corpus(base_result.records, half_dataset_trials, tau_max, seed)
+        records = hindcast_corpus(corpus, m, tau_max=tau_max).records
+        report["half_dataset"] = _half_corpus(records, half_dataset_trials, tau_max, seed)
     if extended_tau_max is not None:
         ext = hindcast_corpus(corpus, m, tau_max=extended_tau_max)
         report["extended_tau"] = {

@@ -31,10 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from costwalk.dataset import DataFormatError, DataWarning, _longest_run
-from costwalk.hindcast import _cells
+from costwalk.hindcast import _cell_keys, _cell_sums, _cells, _xi
 from costwalk.models import ImaParams
 from costwalk.series import TechnologySeries
-from costwalk.surrogate import SurrogateConfig, _engine_plan, _innovations, _simulate, _xi_rows
+from costwalk.surrogate import SurrogateConfig, _engine_plan, _innovations, _simulate
 
 
 def replication_errors(
@@ -50,7 +50,9 @@ def xi_from_errors(
     series_idx: np.ndarray, tau: np.ndarray, norm: np.ndarray, config: SurrogateConfig
 ) -> np.ndarray:
     """Per-horizon Xi of one replication (length tau_max, NaN where no records)."""
-    return _xi_rows(config, _cells(series_idx, tau, config.tau_max), 1)(norm[None, :])[0]
+    shape = (len(config.template), config.tau_max)
+    key, counts = _cell_keys(_cells(series_idx, tau, config.tau_max), shape, 1)
+    return _xi(*_cell_sums(norm[None, :], key, counts), config.weighting)[0]
 
 
 def hindcast_errors(y, m: int, tau_max: int | None):

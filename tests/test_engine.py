@@ -29,19 +29,18 @@ from costwalk import (
     validation_nulls,
 )
 from costwalk import _kernels
-from costwalk.hindcast import _cells
+from costwalk.hindcast import _cell_keys, _cell_sums, _cells, _xi
 from costwalk.series import TechnologySeries
 from costwalk.stats import derive_rng
 from costwalk.surrogate import (
     _STREAM_TAGS,
     _build_plan,
     _engine_plan,
+    _ensemble,
     _fat_tails,
     _innovations,
     _simulate,
     _stream_tag,
-    _xi_ensemble,
-    _xi_rows,
 )
 
 from reference import replication_errors, xi_from_errors
@@ -376,8 +375,8 @@ def test_rows_do_not_depend_on_pass_size(config):
         rngs = [derive_rng(config.seed, 7, r) for r in range(reps)]
         innovations = np.array([_innovations(config, rng) for rng in rngs])
         passes = [_simulate(config, plan, innovations[i : i + size]) for i in range(0, reps, size)]
-        xi_rows = _xi_rows(config, cell, size)
-        return np.vstack([xi_rows(p) for p in passes])
+        key, counts = _cell_keys(cell, (len(config.template), config.tau_max), size)
+        return np.vstack([_xi(*_cell_sums(p, key, counts), config.weighting) for p in passes])
 
     one_at_a_time = np.vstack(
         [
@@ -408,7 +407,7 @@ def test_ensemble_rows_equal_one_replication_rows(family):
             for r in range(config.replications)
         ]
     )
-    _assert_bytes_equal(_xi_ensemble(config, 1), one_at_a_time)
+    _assert_bytes_equal(_ensemble(config, 1)[0], one_at_a_time)
 
 
 class TestStreamTags:

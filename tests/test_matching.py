@@ -28,7 +28,7 @@ from costwalk import (
 )
 from costwalk import surrogate
 from costwalk.stats import derive_rng
-from costwalk.surrogate import _stream_tag, _xi_ensemble, null_xi_mean
+from costwalk.surrogate import _ensemble, _stream_tag, null_xi_mean
 
 REFERENCE_TEMPLATE = corpus_template(load_reference_params(improving_only=True))
 
@@ -81,7 +81,7 @@ def test_agrees_with_engine_mean(theta, weighting):
         replications=400, theta=theta, m=7, tau_max=12, seed=16, template=REFERENCE_TEMPLATE,
         weighting=weighting,
     )
-    values = _xi_ensemble(config, _stream_tag("xi-band"))
+    values, _ = _ensemble(config, _stream_tag("xi-band"))
     se = values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
     exact = null_xi_mean(7, 12, [theta])[0]
     assert np.all(np.abs(values.mean(axis=0) - exact) <= 4.0 * se)

@@ -24,6 +24,7 @@ from costwalk import (
     make_rng,
     surrogate_corpus,
 )
+from costwalk import _kernels
 from costwalk.models import _BLOCK_ELEMENTS, _blocks, _Lockstep, fit_ima_mle_corpus
 
 from reference import simulate_ima, simulate_rwd, simulate_trend_stationary
@@ -53,6 +54,17 @@ class TestEstimateRwd:
             estimate_rwd(series, origin_index=3, m=5)
         with pytest.raises(ValueError):
             estimate_rwd(series, origin_index=5, m=1)
+
+    @pytest.mark.parametrize("n_obs, m, seed", [(12, 4, 1), (40, 5, 2), (100, 13, 3), (95, 88, 4)])
+    def test_equals_the_hindcast_kernel_as_bits(self, n_obs, m, seed):
+        # one window estimator serves both: mu_hat and K_hat at every origin
+        series = simulate_rwd(-0.05, 0.1, n_obs, make_rng(seed))
+        origin, _, _, _, mu, k_hat, _ = _kernels.hindcast_errors(series.log_costs, m, 1)
+        assert origin.tolist() == list(range(m, n_obs - 1))
+        for i, mu_i, k_i in zip(origin.tolist(), mu, k_hat):
+            est = estimate_rwd(series, origin_index=i, m=m)
+            assert np.float64(est.mu_hat).tobytes() == mu_i.tobytes()
+            assert np.float64(est.k_hat).tobytes() == k_i.tobytes()
 
     def test_variance_estimator_chi_squared(self):
         # (m-1) K_hat^2 / K^2 should follow chi2(m-1) for normal increments

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import math
 import warnings
 
@@ -22,6 +23,7 @@ from costwalk import (
     robustness_suite,
     surrogate_corpus,
     theta_forecast_sweep,
+    validation_nulls,
     variance_factors,
 )
 from costwalk import surrogate
@@ -313,6 +315,20 @@ class TestNullXiBand:
         with pytest.warns(UserWarning, match="replications"):
             null_xi_band(cfg)
 
+    def test_few_replications_warning_points_at_the_caller(self):
+        cfg = SurrogateConfig(
+            replications=5, theta=0.0, m=5, tau_max=5, seed=1, template=SMALL_TEMPLATE
+        )
+        records = hindcast_corpus(surrogate_corpus(cfg, derive_rng(1, 0)), 5, tau_max=5).records
+        with pytest.warns(UserWarning, match="replications") as band:
+            band_line = inspect.currentframe().f_lineno + 1
+            null_xi_band(cfg)
+        with pytest.warns(UserWarning, match="replications") as joint:
+            joint_line = inspect.currentframe().f_lineno + 1
+            validation_nulls(cfg, error_growth(records), records)
+        assert [(w.filename, w.lineno) for w in band] == [(__file__, band_line)]
+        assert [(w.filename, w.lineno) for w in joint] == [(__file__, joint_line)]
+
 
 def _ensembles(seed, count=150):
     """Seeded (replications, horizons) ensembles shaped like a Xi band: ties,
@@ -419,6 +435,21 @@ class TestDeviationTest:
         records = hindcast_corpus(corpus, 5, tau_max=10).records
         with pytest.raises(ValueError, match="config.m"):
             distribution_deviation_test(records, cfg)
+
+    def test_checks_run_in_order(self):
+        # the observed curve first, then the surrogate plan, then the records
+        template = ((20, -0.08, 0.0), (5, -0.1, 0.1))  # no surrogate records
+        ok = dict(replications=100, theta=0.3, m=5, tau_max=10, seed=1)
+        cfg = SurrogateConfig(**ok, template=template)
+        corpus = surrogate_corpus(SurrogateConfig(**ok, template=SMALL_TEMPLATE), derive_rng(1, 0))
+        records = hindcast_corpus(corpus, 6, tau_max=10).records  # the wrong window
+        curve = dataclasses.replace(error_growth(records), m=5)
+        with pytest.raises(ValueError, match="no surrogate records"):
+            distribution_deviation_test(records, cfg)
+        with pytest.raises(ValueError, match="no surrogate records"):
+            validation_nulls(cfg, curve, records)
+        with pytest.raises(ValueError, match="weighting"):
+            validation_nulls(cfg, dataclasses.replace(curve, weighting="equal-technology"), records)
 
     def test_no_records_rejected(self):
         # an empty sample would give a 0/0 ECDF and NaN statistics
@@ -725,6 +756,35 @@ class TestRobustness:
         curves = {e["m"]: np.array(e["curve"]["xi_empirical"]) for e in report["vary_m"]}
         for small, large in [(4, 8), (8, 12), (12, 16)]:
             assert np.all(curves[small][:12] > curves[large][:12])
+
+    @pytest.mark.parametrize(
+        "experiments, calls",
+        [
+            (dict(vary_m=[4, 8]), 2),
+            (dict(vary_m=[], fat_tail_dfs=[3.0]), 0),
+            (dict(extended_tau_max=12), 1),
+            (dict(half_dataset_trials=5), 1),
+        ],
+    )
+    def test_hindcasts_only_for_experiments_that_read_it(self, monkeypatch, experiments, calls):
+        hindcast, counted = surrogate.hindcast_corpus, []
+
+        def counting(*args, **kwargs):
+            counted.append(args)
+            return hindcast(*args, **kwargs)
+
+        monkeypatch.setattr(surrogate, "hindcast_corpus", counting)
+        corpus = surrogate_corpus(
+            SurrogateConfig(replications=1, theta=0.0, m=5, tau_max=10, seed=8, template=SMALL_TEMPLATE),
+            derive_rng(60, 0),
+        )
+        robustness_suite(corpus, m=5, tau_max=10, replications=10, **experiments)
+        assert len(counted) == calls
+
+    @pytest.mark.parametrize("window, message", [(dict(m=1), "m=1"), (dict(tau_max=0), "tau_max")])
+    def test_window_checked_without_a_hindcast(self, window, message):
+        with pytest.raises(ValueError, match=message):
+            robustness_suite([], **window)
 
     def test_vary_m_skips_too_large_windows(self):
         cfg = SurrogateConfig(
