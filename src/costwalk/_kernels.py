@@ -63,15 +63,17 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-def _check_window(m, tau_max) -> tuple[int, int | None]:
-    """m and tau_max as ints (a None cap stays None), if m >= 2 and tau_max >= 1."""
+def _check_window(m, tau_max, lengths=None) -> tuple[int, int]:
+    """m and tau_max as ints, if m >= 2 and tau_max >= 1. A None cap is every horizon
+    that series of these ``lengths`` reach (at least 1), and an error without them."""
     m = _integer("m", m)
     if m < 2:
         raise ValueError(f"window must contain at least 2 differences, got m={m}")
-    if tau_max is not None:
-        tau_max = _integer("tau_max", tau_max)
-        if tau_max < 1:
-            raise ValueError(f"tau_max must be >= 1, got {tau_max}")
+    if tau_max is None and lengths is not None:
+        tau_max = max(int(np.max(lengths, initial=0)) - 1 - m, 1)
+    tau_max = _integer("tau_max", tau_max)
+    if tau_max < 1:
+        raise ValueError(f"tau_max must be >= 1, got {tau_max}")
     return m, tau_max
 
 
@@ -94,10 +96,10 @@ def hindcast_errors(y, m, tau_max):
 
     Returns (origin_idx, tau, raw, norm, mu_hat, k_hat, n_skipped); the
     first six are aligned per-record arrays, n_skipped counts zero-variance
-    windows whose records were dropped.
+    windows whose records were dropped. ``tau_max=None`` takes every horizon.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
-    m, tau_max = _check_window(m, tau_max)
+    m, tau_max = _check_window(m, tau_max, (y.size,))
     T = y.size  # below m + 2 points there is no origin, and every column is empty
     d = y[1:] - y[:-1]
     origins = np.arange(m, T - 1, dtype=np.int64)
@@ -253,7 +255,7 @@ def corpus_norm_errors(lengths, theta, innovations, m, tau_max):
     innovations = np.ascontiguousarray(innovations, dtype=np.float64)
     if int(lengths.sum()) != innovations.size:
         raise ValueError("innovations length must equal sum(lengths)")
-    m, tau_max = _check_window(m, tau_max)
+    m, tau_max = _check_window(m, tau_max, lengths)
 
     plan = _build_plan(lengths, m, tau_max)
     v = _layout(plan, innovations[None])

@@ -107,6 +107,18 @@ def _load_corpus(args: argparse.Namespace):
     return corpus
 
 
+def _hindcast_improving(args: argparse.Namespace, purpose: str):
+    """Improving and excluded series of ``--input``, and a hindcast of the improving ones."""
+    corpus = _load_corpus(args)
+    improving, excluded = select_improving(corpus, alpha=args.alpha)
+    if not improving:
+        raise DataFormatError(f"no improving technologies {purpose}")
+    result = hindcast_corpus(improving, args.window, tau_max=args.tau_max)
+    if not result.records:
+        raise DataFormatError("no feasible forecasts; series too short for the window")
+    return improving, excluded, result
+
+
 def _parse_grid(text: str) -> np.ndarray:
     """The points of np.arange(start, stop + step/2, step), each rounded to the
     fewest decimal places that hold start, stop and step, so that a point is
@@ -161,13 +173,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
 def cmd_hindcast(args: argparse.Namespace) -> int:
     out = _prepare_out(args, "hindcast")
     variance_factors(1, args.window, args.theta)  # the overlay's (m, theta), before any output
-    corpus = _load_corpus(args)
-    improving, excluded = select_improving(corpus, alpha=args.alpha)
-    if not improving:
-        raise DataFormatError("no improving technologies to hindcast")
-    result = hindcast_corpus(improving, args.window, tau_max=args.tau_max)
-    if not result.records:
-        raise DataFormatError("no feasible forecasts; series too short for the window")
+    improving, excluded, result = _hindcast_improving(args, "to hindcast")
     weighting = "equal-technology" if args.weighting == "equal-tech" else "pooled"
     curve = error_growth(result.records, weighting=weighting)
     write_records_csv(out / "records.csv", result.records)
@@ -190,13 +196,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for flag, reps in checked:
         if reps < 1:
             raise ValueError(f"{flag} must be >= 1, got {reps}")
-    corpus = _load_corpus(args)
-    improving, _ = select_improving(corpus, alpha=args.alpha)
-    if not improving:
-        raise DataFormatError("no improving technologies to validate against")
-    result = hindcast_corpus(improving, args.window, tau_max=args.tau_max)
-    if not result.records:
-        raise DataFormatError("no feasible forecasts; series too short for the window")
+    improving, _, result = _hindcast_improving(args, "to validate against")
     curve = error_growth(result.records)
     base = SurrogateConfig(
         replications=args.reps,

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._kernels import _integer
 from .models import RwdEstimate
 from .stats import normal_cdf, student_t_quantile
 
@@ -67,6 +68,7 @@ def variance_factors(tau: float, m: int, theta: float) -> VarianceFactors:
     """Compute A, A* and Xi; rejects m <= 3 where the Xi prefactor diverges."""
     if tau < 1:
         raise ValueError(f"horizon must be >= 1, got {tau}")
+    m = _integer("m", m)
     if m <= 3:
         raise ValueError(
             f"window m={m} is too small: the (m-1)/(m-3) variance prefactor diverges for m <= 3"

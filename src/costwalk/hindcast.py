@@ -103,22 +103,22 @@ def hindcast_corpus(
 ) -> CorpusHindcast:
     """Hindcast every series; output is independent of corpus ordering.
 
-    ``tau_max=None`` leaves horizons unrestricted. Windows with zero
-    volatility are skipped and counted in ``skipped_zero_volatility``;
-    ``too_short`` names the series with fewer than m + 2 points. Technology
-    names must be unique, since records are grouped and ordered by name.
-    ``m`` and ``tau_max`` must be whole numbers. Each record is held once:
-    every series' records are copied into columns allocated up front.
+    ``m`` is a whole number >= 2 and ``tau_max`` one >= 1, or None for every
+    horizon the corpus reaches. Windows with zero volatility are skipped and
+    counted in ``skipped_zero_volatility``; ``too_short`` names the series
+    with fewer than m + 2 points. Technology names must be unique, since
+    records are grouped and ordered by name. Each record is held once: every
+    series' records are copied into columns allocated up front.
     """
-    m, tau_max = _kernels._check_window(m, tau_max)
     corpus = _columns(corpus)
+    m, tau_max = _kernels._check_window(m, tau_max, corpus.lengths)
     repeated = sorted(name for name, n in Counter(corpus.names).items() if n > 1)
     if repeated:
         raise ValueError(f"technology names must be unique; repeated: {repeated}")
     # room for every record if no window is skipped: the h origins of a series reach
     # h, h - 1, ..., 1 horizons, capped, so it has c(c + 1)/2 + (h - c) cap records
     h = np.maximum(corpus.lengths - 1 - m, 0)
-    cap = min(tau_max or np.inf, h.max(initial=0))
+    cap = min(tau_max, h.max(initial=0))
     c = np.minimum(h, cap)
     size = int((c * (c + 1) // 2 + (h - c) * cap).sum())
     # the kernel's columns: origin_index, tau, raw_error, norm_error, mu_hat, k_hat
@@ -129,7 +129,7 @@ def hindcast_corpus(
             too_short.append(name)
             continue
         y = corpus.log_costs[start : start + n]
-        *parts, n_skipped = _kernels.hindcast_errors(y, m, n if tau_max is None else tau_max)
+        *parts, n_skipped = _kernels.hindcast_errors(y, m, tau_max)
         skipped += n_skipped
         if count := parts[0].size:
             for column, part in zip(columns, parts):
@@ -238,11 +238,7 @@ def _sums_by_technology(
     return sums[0], counts[0]
 
 
-def error_growth(
-    records: HindcastRecords,
-    tau_max: int | None = None,
-    weighting: str = "pooled",
-) -> ErrorGrowthCurve:
+def error_growth(records: HindcastRecords, weighting: str = "pooled") -> ErrorGrowthCurve:
     """Empirical error-growth curve Xi(tau) from hindcast records.
 
     Squared errors are summed per (technology, horizon) in record order.
@@ -250,15 +246,13 @@ def error_growth(
     averages the per-technology means of the technologies present at each
     horizon. Technologies are added one at a time in sorted-name order, and
     the surrogate nulls (``surrogate._ensemble``) reduce through the same code.
+    Pass ``records[records.tau <= k]`` for the curve up to horizon k.
     """
     if weighting not in ("pooled", "equal-technology"):
         raise ValueError(f"unknown weighting {weighting!r}")
     if not records:
         raise ValueError("no records to aggregate")
     sums, counts = _sums_by_technology(records)
-    if tau_max is not None:
-        tau_max = _kernels._integer("tau_max", tau_max)
-        sums, counts = sums[:, : max(tau_max, 0)], counts[:, : max(tau_max, 0)]
     n_forecasts = counts.sum(axis=0)
     observed = np.flatnonzero(n_forecasts)
     return ErrorGrowthCurve(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _window_estimates
+from ._kernels import _check_window, _integer, _window_estimates
 from .series import TechnologySeries, _change_moments, _columns
 
 __all__ = [
@@ -72,6 +72,7 @@ class RwdEstimate:
     origin_index: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _integer("m", self.m))
         if self.m < 2:
             raise ValueError(f"window must contain at least 2 differences, got m={self.m}")
         if self.k_hat < 0:
@@ -105,9 +106,8 @@ class ImaParams:
 
 def estimate_rwd(series: TechnologySeries, origin_index: int, m: int) -> RwdEstimate:
     """Window estimate of (mu, K) from the m differences ending at the origin."""
-    if m < 2:
-        raise ValueError(f"window must contain at least 2 differences, got m={m}")
     T = series.n_obs
+    m, _ = _check_window(m, None, (T,))
     if origin_index < m or origin_index > T - 1:
         raise ValueError(
             f"{series.name}: origin {origin_index} does not fit a window of {m} "

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._kernels import _check_window, _integer
 from .forecast import DistributionalForecast, distributional_forecast, variance_factors
 from .models import RwdEstimate, estimate_rwd
 from .series import TechnologySeries
@@ -58,6 +59,7 @@ class TechState:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.k < 0:
             raise ValueError("volatility cannot be negative")
+        object.__setattr__(self, "m", _integer("m", self.m))
         if self.m <= 3:
             raise ValueError(f"m={self.m} too small; the variance factor needs m > 3")
 
@@ -131,12 +133,10 @@ def forecast_technology(
 
     ``m='all'`` estimates drift and volatility from every available first
     difference (m = T - 1); an integer m uses the trailing window of that
-    size.
+    size. ``tau_max`` must be a whole number >= 1.
     """
-    if tau_max < 1:
-        raise ValueError(f"tau_max must be >= 1, got {tau_max}")
     T = series.n_obs
-    window = T - 1 if m == "all" else int(m)
+    window, tau_max = _check_window(T - 1 if m == "all" else m, tau_max)
     if window > T - 1:
         raise ValueError(
             f"{series.name}: window of {window} differences needs {window + 1} points, have {T}"

@@ -157,8 +157,10 @@ class SurrogateConfig:
     weighting: str = "pooled"
 
     def __post_init__(self) -> None:
-        for name in ("replications", "m", "tau_max"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "replications", _integer("replications", self.replications))
+        m, tau_max = _kernels._check_window(self.m, self.tau_max)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "tau_max", tau_max)
         if self.replications < 1:
             raise ValueError(f"need at least 1 replication, got {self.replications}")
         if not (math.isfinite(self.theta) and abs(self.theta) < 1.0):
@@ -179,8 +181,6 @@ class SurrogateConfig:
                 f"no template series has the m + 2 = {self.m + 2} points a window-{self.m} "
                 "hindcast needs"
             )
-        if self.tau_max < 1:
-            raise ValueError(f"tau_max must be >= 1, got {self.tau_max}")
         if self.student_df is not None:
             if self.student_df <= 2:
                 raise ValueError("student innovations need df > 2")
@@ -506,7 +506,8 @@ def estimate_theta_weighted(
     if not usable:
         raise ValueError("every technology is boundary-flagged; theta_w is undefined")
 
-    _, tau_max = _kernels._check_window(records.m, tau_max)
+    if tau_max is not None:  # None: _sums_by_technology takes every horizon the records reach
+        _, tau_max = _kernels._check_window(records.m, tau_max)
     _, counts = _sums_by_technology(records, tau_max)
     rows = [k for k, name in enumerate(records.names) if name in usable]
     counts = counts[rows]
@@ -543,7 +544,8 @@ def null_xi_mean(m: int, tau_max: int, theta_grid: Sequence[float]) -> np.ndarra
     trapezoid rule in s = log t with step 1/4 on [-40, 160/(m-3)], which
     converges exponentially: the integrand decays like e^s below and like
     e^(-(m-3)s/2) above. At theta = 0 the rows are the paper's closed form,
-    ``variance_factors(tau, m, 0).xi``, as bits.
+    ``variance_factors(tau, m, 0).xi``, as bits. ``m`` must be a whole number
+    > 3 and ``tau_max`` one >= 1: no series sets a reach, so None is an error.
     """
     theta = _check_theta_grid(theta_grid)
     m, tau_max = _kernels._check_window(m, tau_max)
@@ -700,14 +702,14 @@ def theta_forecast_sweep(
     least 2 differences, and horizons must be positive integers.
     """
     theta_grid = _check_theta_grid(theta_grid)
-    m, _ = _kernels._check_window(m, None)
+    lengths = np.array([s.log_costs.size for s in corpus], dtype=np.int64)
+    m, _ = _kernels._check_window(m, None, lengths)
     requested = np.asarray(horizons, dtype=float).ravel()
     if requested.size == 0 or not np.all(
         np.isfinite(requested) & (requested >= 1) & (requested == np.round(requested))
     ):
         raise ValueError("horizons must be positive integers")
     horizons = np.unique(requested.astype(np.int64))
-    lengths = np.array([s.log_costs.size for s in corpus], dtype=np.int64)
     if not np.any(lengths >= m + 2):
         raise ValueError(f"no feasible forecasts at horizons {horizons.tolist()}")
 
@@ -810,7 +812,7 @@ def robustness_suite(
     corpus: Sequence[TechnologySeries],
     *,
     m: int = 5,
-    tau_max: int = 20,
+    tau_max: int | None = 20,
     theta: float = 0.0,
     seed: int = 0,
     replications: int = 200,
@@ -827,15 +829,13 @@ def robustness_suite(
     bands the error growth; ``extended_tau_max`` lifts the horizon cap;
     ``fat_tail_dfs`` compares Student-increment random walks against the
     normal and correlated baselines (needs a template, built from the corpus
-    differences when not supplied).
+    differences when not supplied). ``tau_max=None`` caps every experiment at
+    the horizons that windows of m reach in the corpus and the template, and
+    the report's ``tau_max`` holds that number.
     """
-    report: dict = {
-        "m": m,
-        "tau_max": tau_max,
-        "theta": theta,
-        "seed": seed,
-    }
-    _kernels._check_window(m, tau_max)
+    lengths = [s.n_obs for s in corpus] + [n for n, _, _ in template or ()]
+    m, tau_max = _kernels._check_window(m, tau_max, lengths)
+    report: dict = {"m": m, "tau_max": tau_max, "theta": theta, "seed": seed}
     if vary_m is not None:
         report["vary_m"] = _vary_window(corpus, vary_m, theta, tau_max)
     if half_dataset_trials is not None:

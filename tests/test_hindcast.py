@@ -315,29 +315,15 @@ class TestErrorGrowth:
     @pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
     def test_empty_rejected_with_tau_max(self, weighting):
         with pytest.raises(ValueError, match="no records"):
-            error_growth([], tau_max=5, weighting=weighting)
-
-    def test_whole_number_tau_max(self):
-        # tau_max=3.0 used to raise "slice indices must be integers"
-        records = self._constant_records(taus=(1, 2, 3, 4))
-        whole = error_growth(records, tau_max=3)
-        for tau_max in (3.0, np.int64(3)):
-            curve = error_growth(records, tau_max=tau_max)
-            assert curve.taus.tolist() == whole.taus.tolist() == [1, 2, 3]
-            np.testing.assert_array_equal(curve.xi, whole.xi)
-        with pytest.raises(ValueError, match="tau_max must be an integer"):
-            error_growth(records, tau_max=2.5)
+            error_growth([], weighting=weighting)
 
     @pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
-    @pytest.mark.parametrize("tau_max", [0, -3])
-    def test_tau_max_below_every_record_gives_empty_curve(self, weighting, tau_max):
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_cut_below_every_record_rejected(self, weighting, k):
+        # a horizon cut below every record leaves no records to aggregate
         records = self._constant_records(taus=(1, 2, 3))
-        curve = error_growth(records, tau_max=tau_max, weighting=weighting)
-        assert curve.taus.size == curve.xi.size == 0
-        assert curve.n_forecasts.size == curve.n_technologies.size == 0
-        assert curve.xi.dtype == np.float64
-        assert curve.n_forecasts.dtype == curve.n_technologies.dtype == np.int64
-        assert curve.weighting == weighting
+        with pytest.raises(ValueError, match="no records"):
+            error_growth(records[records.tau <= k], weighting=weighting)
 
     @pytest.mark.parametrize("weighting", ["pooled", "equal-technology"])
     def test_horizon_below_one_rejected(self, weighting):
@@ -349,7 +335,8 @@ class TestErrorGrowth:
             pooled_rescaled_distribution(records, theta=0.0)
 
     def test_tau_max_keeps_lower_horizons(self):
-        curve = error_growth(self._constant_records(c=2.0, taus=(1, 1, 3, 4)), tau_max=3)
+        records = self._constant_records(c=2.0, taus=(1, 1, 3, 4))
+        curve = error_growth(records[records.tau <= 3])
         assert curve.taus.tolist() == [1, 3]
         assert curve.n_forecasts.tolist() == [2, 1]
         assert curve.xi.tolist() == [4.0, 4.0]
@@ -439,8 +426,14 @@ def _naive_error_growth(records, tau_max, weighting):
 @given(sparse_records(), hst.sampled_from(["pooled", "equal-technology"]))
 def test_error_growth_equals_naive_loop(case, weighting):
     records, tau_max = case
-    curve = error_growth(records, tau_max=tau_max, weighting=weighting)
     taus, xi, n_forecasts, n_technologies = _naive_error_growth(records, tau_max, weighting)
+    if tau_max is not None:
+        records = records[records.tau <= tau_max]
+    if not taus:  # the cap lies below every record
+        with pytest.raises(ValueError, match="no records"):
+            error_growth(records, weighting=weighting)
+        return
+    curve = error_growth(records, weighting=weighting)
     assert curve.taus.tolist() == taus
     assert curve.n_forecasts.tolist() == n_forecasts
     assert curve.n_technologies.tolist() == n_technologies
