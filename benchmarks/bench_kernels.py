@@ -11,7 +11,10 @@ Times the hot paths on representative workloads:
 * the same replication through the batched surrogate engine (``_ensemble``)
   that every Monte Carlo experiment at one theta runs on: the same plan and
   window helper, the plan built once per experiment and several replications
-  per array pass, plus each replication's error-growth curve;
+  per array pass in one workspace, plus each replication's error-growth
+  curve; timed at the plan's default replications per pass and at 2, after
+  the plan's layout (cells laid out and points drawn per replication, and
+  its length bands) is printed;
 * validate's joint pass, per replication: the engine given observed
   records, which takes both the error-growth curve and the three
   ECDF-deviation measures of every replication, the two nulls that
@@ -47,6 +50,7 @@ Usage: python benchmarks/bench_kernels.py [--reps 200]
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -56,6 +60,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -76,10 +81,10 @@ from costwalk import (
     surrogate_corpus,
     write_corpus_csv,
 )
-from costwalk import _kernels
+from costwalk import _kernels, surrogate
 from costwalk.hindcast import _cell_keys, _cell_sums, _cells, _xi, write_records_csv
 from costwalk.stats import derive_rng
-from costwalk.surrogate import _ensemble, _innovations, _simulate, null_xi_mean
+from costwalk.surrogate import _engine_plan, _ensemble, _innovations, _simulate, null_xi_mean
 
 
 def _time(fn, repeat=5):
@@ -108,11 +113,20 @@ def bench_surrogate(lengths, theta, m, tau_max, reps):
     return _time(run, repeat=3) / reps
 
 
-def bench_engine(template, theta, m, tau_max, reps):
+def bench_engine(template, theta, m, tau_max, reps, chunk=None):
+    """Time per replication of the engine with Xi, at ``chunk`` replications
+    per array pass (None: the plan's own)."""
     config = SurrogateConfig(
         replications=reps, theta=theta, m=m, tau_max=tau_max, seed=42, template=template
     )
-    return _time(lambda: _ensemble(config, 1), repeat=3) / reps
+    build = surrogate._build_plan
+
+    def plan(*args):
+        default = build(*args)
+        return default if chunk is None else dataclasses.replace(default, chunk=chunk)
+
+    with mock.patch.object(surrogate, "_build_plan", plan):
+        return _time(lambda: _ensemble(config, 1), repeat=3) / reps
 
 
 def bench_joint(template, theta, m, tau_max, reps):
@@ -265,15 +279,24 @@ def main():
     template = corpus_template(load_reference_params(improving_only=True))
     lengths = np.array([t[0] for t in template], dtype=np.int64)
 
+    plan = _engine_plan(
+        SurrogateConfig(replications=1, theta=0.63, m=5, tau_max=20, seed=42, template=template)
+    )
+    widths = ", ".join(f"{n} x {width}" for _, n, width in plan.bands)
+    print(f"engine plan: {plan.cells} cells for {lengths.sum()} points per replication")
+    print(f"  bands (series x width): {widths}; {plan.chunk} replications per pass\n")
+
     t_hind = bench_hindcast(y, 5, 20)
     t_surr = bench_surrogate(lengths, 0.63, 5, 20, args.reps)
     t_engine = bench_engine(template, 0.63, 5, 20, args.reps)
+    t_engine_2 = bench_engine(template, 0.63, 5, 20, args.reps, chunk=2)
     t_joint = bench_joint(template, 0.63, 5, 20, args.reps)
 
     print(f"{'':<19} {'hindcast T=100,m=5':>22} {'surrogate 53-series rep':>26}")
     print(f"{'hindcast_errors':<19} {t_hind * 1e6:>18.1f} us")
     print(f"{'corpus_norm_errors':<19} {'':>22} {t_surr * 1e6:>23.1f} us  (plan per call)")
-    print(f"{'engine':<19} {'':>22} {t_engine * 1e6:>23.1f} us  (with Xi)")
+    print(f"{'engine':<19} {'':>22} {t_engine * 1e6:>23.1f} us  (with Xi, {plan.chunk} per pass)")
+    print(f"{'engine':<19} {'':>22} {t_engine_2 * 1e6:>23.1f} us  (with Xi, 2 per pass)")
     print(f"{'validate pass':<19} {'':>22} {t_joint * 1e6:>23.1f} us  (Xi + deviation)")
 
     print("\ntheta matching, no replication (m=5, tau 1..20)")

@@ -4,9 +4,12 @@
 gathers each origin's window of differences with one take, and selects
 origins only when a window has zero variance. Every surrogate-side hindcast
 takes the other path: an index plan (``_build_plan``) lays all series of a
-corpus out side by side, and one window helper (``_window_errors``) computes
-every record's normalized error from the laid out levels.
-``corpus_norm_errors`` runs it on one corpus, the surrogate engine on many.
+corpus out in one flat row, in bands of series of like length (see
+``_Plan``), ``_levels`` builds the walks band by band, and one window helper
+(``_window_errors``) computes every record's normalized error from the laid
+out levels. A ``_Workspace`` holds every array that this path writes, so
+that many passes allocate them once. ``corpus_norm_errors`` runs the path on
+one corpus, the surrogate engine on many.
 Both paths, and ``models.estimate_rwd``, take mu_hat and K_hat^2 from
 ``_window_estimates``. Tests hold both paths to ``hindcast_errors`` bit for
 bit, and it to a record-by-record oracle, so all must keep the same order of
@@ -33,16 +36,16 @@ from dataclasses import dataclass
 import numpy as np
 
 # Replications per array pass times the size of the largest per-replication
-# array. The bundled 53-series template (6,391 records at m = 5, tau_max = 20)
-# then runs 2 replications per pass. Larger passes were slower per
-# replication on a 2-core Xeon with 2 MB of L2 cache per core (5 per pass
-# took about 1.5x as long), because record-sized temporaries leave the cache.
-# Speed also depends on the order in which a pass allocates and frees its
-# arrays, because glibc can return freed heap to the system and the next
-# pass then faults it back in: freeing the laid-out innovations before the
-# window step made `validate` 10-20% slower there. Time pass changes end to
-# end.
-_CHUNK_ELEMENTS = 1 << 14
+# array (records, window differences or laid-out cells). Every pass of an
+# ensemble runs in one workspace, so a larger pass costs memory and saves
+# per-call overhead. The bundled 53-series template (6,391 records at m = 5,
+# tau_max = 20; 1,203 cells in 5 bands for 1,002 points) runs 8 replications
+# per pass. On a 2-core Xeon, 1,000 `validate` replications at theta = 0.63
+# took 428, 368, 271, 248, 237 and 242 ms at 1, 2, 4, 6, 8 and 12 per pass
+# (medians of 7-12 alternating runs), and each replication added to a pass
+# added about 0.21 MB to the peak RSS of `validate --reps 1000`, 1.3 MB at 8
+# against 2.
+_CHUNK_ELEMENTS = 56_000
 
 
 def backend() -> str:
@@ -83,11 +86,15 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
 
 
-def _window_estimates(y_origin, y_start, windows, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _window_estimates(
+    y_origin, y_start, windows, m: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """mu_hat and K_hat^2 of windows of m differences (the last axis of
-    ``windows``) from the levels at their origins and where they start."""
+    ``windows``) from the levels at their origins and where they start. The
+    squared deviations go to ``out``, windows-shaped, which may be ``windows``."""
     mu = (y_origin - y_start) / m
-    k2 = ((windows - mu[..., None]) ** 2).sum(axis=-1) / (m - 1)
+    deviations = np.subtract(windows, mu[..., None], out=out)
+    k2 = np.multiply(deviations, deviations, out=deviations).sum(axis=-1) / (m - 1)
     return mu, k2
 
 
@@ -124,19 +131,25 @@ def hindcast_errors(y, m, tau_max):
 class _Plan:
     """Static index plan for hindcasting every series of one corpus at once.
 
-    A pass lays series j out in row j of a (series, width) array padded to
-    the longest series, for the levels y and the first differences d alike;
+    A pass lays the series out in one flat row of ``cells`` per corpus, for
+    the levels y and the first differences d alike. Series of one octave
+    ceil(log2 T) form a band: ``bands`` holds each band's (first cell,
+    series, width), and a band lays its series out side by side, each padded
+    to the band's longest series, so that a series takes fewer than twice
+    its T cells. ``series_start`` is the first cell of each series, and
     every index is a flat position in that layout. Origins are the feasible
     forecast origins i = m..T-2 of every series with T >= m + 2, or only of
-    the series that ``_build_plan``'s optional ``hindcast`` mask marks; records
-    are ordered by series, origin and horizon, as in ``hindcast_errors``.
-    ``window`` holds the positions of each origin's m window differences, so a
-    pass gathers every window with one take instead of building the index.
+    the series that ``_build_plan``'s optional ``hindcast`` mask marks;
+    records are ordered by series, origin and horizon, as in
+    ``hindcast_errors``, whatever the bands. ``window`` holds the positions
+    of each origin's m window differences, so a pass gathers every window
+    with one take instead of building the index.
     """
 
-    n_series: int
-    width: int
-    draws: np.ndarray  # position of each point of each series, series after series
+    cells: int
+    bands: tuple[tuple[int, int, int], ...]  # (first cell, series, width) of each band
+    series_start: np.ndarray  # first cell of each series
+    draws: np.ndarray  # cell of each point of each series, series after series
     origin: np.ndarray  # y[i] of each origin
     window_start: np.ndarray  # y[i - m] and d[i - m], where the window starts
     window: np.ndarray  # d[i - m + k], k = 0..m-1: each origin's window, (origins, m)
@@ -150,22 +163,31 @@ class _Plan:
 
 def _build_plan(lengths, m: int, tau_max: int, hindcast=None) -> _Plan:
     lengths = np.asarray(lengths, dtype=np.int64)
-    width = int(lengths.max(initial=0))
-    series = np.arange(lengths.size, dtype=np.int64)
-    draws = np.repeat(series * width, lengths) + _ranges(lengths)
+    # ceil(log2 T) is the bit length of T - 1; an empty series has a band of its own
+    octave = np.where(lengths > 0, np.frexp(lengths - 1)[1], -1)
+    series_start = np.empty(lengths.size, dtype=np.int64)
+    bands, cells = [], 0
+    for k in sorted(set(octave.tolist())):
+        members = np.flatnonzero(octave == k)
+        width = int(lengths[members].max())
+        series_start[members] = cells + width * np.arange(members.size)
+        bands.append((cells, members.size, width))
+        cells += members.size * width
+    draws = np.repeat(series_start, lengths) + _ranges(lengths)
     n_origins = np.maximum(lengths - 1 - m, 0)
     if hindcast is not None:
         n_origins[~np.asarray(hindcast, dtype=bool)] = 0
-    origin_series = np.repeat(series, n_origins)
+    origin_series = np.repeat(np.arange(lengths.size, dtype=np.int64), n_origins)
     origin_at = _ranges(n_origins) + m
-    origin = origin_series * width + origin_at
+    origin = series_start[origin_series] + origin_at
     n_tau = np.minimum(lengths[origin_series] - 1 - origin_at, tau_max)
     record_origin = np.repeat(np.arange(origin.size, dtype=np.int64), n_tau)
     tau = _ranges(n_tau) + 1
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, tau.size, origin.size * m, lengths.size * width))
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, tau.size, origin.size * m, cells))
     return _Plan(
-        n_series=lengths.size,
-        width=width,
+        cells=cells,
+        bands=tuple(bands),
+        series_start=_read_only(series_start),
         draws=_read_only(draws),
         origin=_read_only(origin),
         window_start=_read_only(origin - m),
@@ -179,66 +201,102 @@ def _build_plan(lengths, m: int, tau_max: int, hindcast=None) -> _Plan:
     )
 
 
-def _layout(plan: _Plan, values: np.ndarray) -> np.ndarray:
-    """(rows, series, width) array of (rows, points) values, zero-padded."""
-    rows = values.shape[0]
-    out = np.zeros((rows, plan.n_series, plan.width))
-    flat = out.reshape(rows, -1)
-    for b in range(rows):
-        flat[b, plan.draws] = values[b]
+class _Workspace:
+    """Every array that a pass of up to ``rows`` corpora writes, allocated
+    once, so that a pass allocates nothing of a layout's or a record set's size.
+
+    ``v``, ``y`` and ``d`` are the flat layouts of the innovations, levels
+    and differences; a pass writes every cell it reads, and the padding cells
+    of ``v`` stay 0. ``windows`` receives each origin's window and then its
+    squared deviations, ``norm`` the normalized errors, and ``scratch`` is
+    one more record-sized array, free once a pass has returned its errors.
+    """
+
+    def __init__(self, plan: _Plan, rows: int):
+        self.v, self.y, self.d = np.zeros((3, rows, plan.cells))
+        self.windows = np.empty((rows, *plan.window.shape))
+        self.norm, self.scratch = np.empty((2, rows, plan.tau.size))
+
+
+def _bands(plan: _Plan, a: np.ndarray) -> list[np.ndarray]:
+    """(rows, series, width) views of each band of the flat (rows, cells) layout a."""
+    return [a[:, s : s + n * w].reshape(a.shape[0], n, w) for s, n, w in plan.bands]
+
+
+def _layout(plan: _Plan, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(rows, points) values, series after series, written into the flat
+    (rows, cells) layout ``out``, whose padding cells keep what they hold."""
+    out[:, plan.draws] = values
     return out
 
 
-def _flat_with_differences(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Laid-out levels y and their first differences d, each flat per row."""
-    d = np.zeros_like(y)
-    np.subtract(y[:, :, 1:], y[:, :, :-1], out=d[:, :, :-1])
-    rows = y.shape[0]
-    return y.reshape(rows, -1), d.reshape(rows, -1)
+def _flat_with_differences(plan: _Plan, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The first differences of the flat levels y, series by series, written
+    into ``d``; the last cell of each padded series keeps what it holds."""
+    for yb, db in zip(_bands(plan, y), _bands(plan, d)):
+        np.subtract(yb[..., 1:], yb[..., :-1], out=db[..., :-1])
+    return d
 
 
-def _levels(theta: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat levels and differences of the drift-free walks
+def _levels(plan: _Plan, theta: float, v: np.ndarray, y: np.ndarray, d: np.ndarray) -> None:
+    """Flat levels y and differences d of the drift-free walks
     y[t] = y[t-1] + v[t] + theta*v[t-1], y[0] = 0, from laid-out innovations
-    v, one corpus per row."""
-    y = np.zeros_like(v)
-    y[:, :, 1:] = np.cumsum(v[:, :, 1:] + theta * v[:, :, :-1], axis=-1)
-    return _flat_with_differences(y)
+    v, one corpus per row; the first cell of each series in y must hold 0."""
+    for vb, yb, db in zip(_bands(plan, v), _bands(plan, y), _bands(plan, d)):
+        steps = db[..., :-1]  # d holds the increments until the differences replace them
+        np.multiply(vb[..., :-1], theta, out=steps)
+        np.add(vb[..., 1:], steps, out=steps)
+        np.cumsum(steps, axis=-1, out=yb[..., 1:])
+    _flat_with_differences(plan, y, d)
 
 
-def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
-    return np.take(a, index, axis=1)
+def _at(a: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # mode="clip" writes straight into out, where the default mode buffers it
+    return np.take(a, index, axis=1, out=out, mode="clip")
 
 
 def _window_moments(
-    plan: _Plan, y: np.ndarray, d: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of the flat layouts y and d, and per origin: y[i], mu_hat, the
-    m window differences (origins x m), and K_hat^2."""
+    plan: _Plan, y: np.ndarray, d: np.ndarray, m: int, windows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of the flat layouts y and d, and per origin: y[i], mu_hat and
+    K_hat^2. The (rows, origins, m) ``windows``, allocated if None, receives
+    the m window differences of each origin and then their squared deviations."""
     y_origin = _at(y, plan.origin)
-    windows = _at(d, plan.window)
-    mu, k2 = _window_estimates(y_origin, _at(y, plan.window_start), windows, m)
-    return y_origin, mu, windows, k2
+    windows = _at(d, plan.window, windows)
+    mu, k2 = _window_estimates(y_origin, _at(y, plan.window_start), windows, m, out=windows)
+    return y_origin, mu, k2
 
 
 def _window_errors(
-    plan: _Plan, y: np.ndarray, d: np.ndarray, m: int
+    plan: _Plan, y: np.ndarray, d: np.ndarray, m: int, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(rows, records) normalized errors of the flat layouts y and d, in plan
-    order, and the mask of records to keep, or None if no window has zero variance."""
-    y_origin, mu, windows, k2 = _window_moments(plan, y, d, m)
-    del windows
+    order, in the head of ``work.norm``, and the mask of records to keep, or
+    None if no window has zero variance."""
+    rows = y.shape[0]
+    y_origin, mu, k2 = _window_moments(plan, y, d, m, work.windows[:rows])
     k_hat = np.sqrt(k2)
     o = plan.record_origin
-    # the raw errors y[i + tau] - y[i] - mu_hat * tau, in place, so that a large
-    # template needs few record-sized temporaries
-    norm = _at(y, plan.target)
-    norm -= _at(y_origin, o)
-    norm -= _at(mu, o) * plan.horizon
+    scratch = work.scratch[:rows]
+    # the raw errors y[i + tau] - y[i] - mu_hat * tau, in place
+    norm = _at(y, plan.target, work.norm[:rows])
+    norm -= _at(y_origin, o, scratch)
+    norm -= np.multiply(_at(mu, o, scratch), plan.horizon, out=scratch)
     with np.errstate(divide="ignore", invalid="ignore"):
-        norm /= _at(k_hat, o)  # zero-variance origins are masked out below
+        norm /= _at(k_hat, o, scratch)  # zero-variance origins are masked out below
     keep = k2 > 0.0
     return norm, (None if keep.all() else keep[:, o])
+
+
+def _walk_errors(
+    plan: _Plan, theta: float, m: int, innovations: np.ndarray, work: _Workspace
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_window_errors`` of the drift-free walks built from each row of
+    (rows, points) innovations, as ``corpus_norm_errors`` builds them."""
+    rows = innovations.shape[0]
+    v, y, d = work.v[:rows], work.y[:rows], work.d[:rows]
+    _levels(plan, theta, _layout(plan, innovations, v), y, d)
+    return _window_errors(plan, y, d, m, work)
 
 
 def corpus_norm_errors(lengths, theta, innovations, m, tau_max):
@@ -258,8 +316,7 @@ def corpus_norm_errors(lengths, theta, innovations, m, tau_max):
     m, tau_max = _check_window(m, tau_max, lengths)
 
     plan = _build_plan(lengths, m, tau_max)
-    v = _layout(plan, innovations[None])
-    norm, keep = _window_errors(plan, *_levels(theta, v), m)
+    norm, keep = _walk_errors(plan, theta, m, innovations[None], _Workspace(plan, 1))
     keep = np.ones(plan.tau.size, dtype=bool) if keep is None else keep[0]
     n_skipped = int(np.count_nonzero(~keep[plan.tau == 1]))  # one horizon-1 record per origin
     series_idx = plan.origin_series[plan.record_origin]

@@ -184,17 +184,18 @@ def _cell_keys(cell: np.ndarray, shape: tuple[int, int], rows: int) -> tuple[np.
 
 
 def _cell_sums(
-    errors: np.ndarray, key: np.ndarray, counts: np.ndarray
+    errors: np.ndarray, key: np.ndarray, counts: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-(row, technology, horizon) sums and counts of squared errors.
 
     ``errors`` is (rows, records), and ``key`` and ``counts`` are ``_cell_keys``'
     for at least that many rows. Each cell adds its squares in record order,
-    whatever the other rows hold.
+    whatever the other rows hold. The squares go to ``out``, errors-shaped, if given.
     """
     rows = errors.shape[0]
     counts = counts[:rows]
-    sums = np.bincount(key[:rows].ravel(), weights=(errors * errors).ravel(), minlength=counts.size)
+    squares = np.multiply(errors, errors, out=out)
+    sums = np.bincount(key[:rows].ravel(), weights=squares.ravel(), minlength=counts.size)
     return sums.reshape(counts.shape), counts
 
 

@@ -108,6 +108,7 @@ def estimate_rwd(series: TechnologySeries, origin_index: int, m: int) -> RwdEsti
     """Window estimate of (mu, K) from the m differences ending at the origin."""
     T = series.n_obs
     m, _ = _check_window(m, None, (T,))
+    origin_index = _integer("origin_index", origin_index)
     if origin_index < m or origin_index > T - 1:
         raise ValueError(
             f"{series.name}: origin {origin_index} does not fit a window of {m} "

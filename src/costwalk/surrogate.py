@@ -20,13 +20,17 @@ Every experiment at one theta runs on one numpy engine, ``_ensemble``, which
 simulates a chunk of replications and hindcasts them as (replications,
 records) arrays through the static index plan and the window helper of
 ``_kernels``, the same path ``_kernels.corpus_norm_errors`` takes on one
-corpus. Once per experiment it builds the plan (each origin's window among
-its index arrays) and the Xi cell keys and counts; given observed records,
-it checks them and builds the t(m-1) CDF on the deviation grid (one call
-per distinct |x|), the plan's eps* divisors and the observed deviation
-measures. A plan costs far less than one pass, so none is cached. One loop
-over the passes then turns each replication's errors into its Xi row and,
-given records, its deviation row. Each replication's errors are
+corpus. Once per experiment it builds the plan (the series laid out in bands
+of like length, and each origin's window among its index arrays), the Xi
+cell keys and counts, and one workspace; given observed records, it checks
+them and builds the t(m-1) CDF on the deviation grid (one call per distinct
+|x|), the plan's eps* divisors and the observed deviation measures. A plan
+costs far less than one pass, so none is cached. One loop over the passes
+then draws each replication's innovations into one row of a (chunk, points)
+array and turns its errors into its Xi row and, given records, its deviation
+row. The layouts, windows and errors of a pass go to the workspace, and the
+squares and eps* to its scratch record array, sorted there in place, so a
+pass allocates nothing record-sized. Each replication's errors are
 bit-identical to the per-series kernel ``_kernels.hindcast_errors`` run on
 that replication's walks, and its rows come from the code of the observed
 statistics: the Xi cell sums and their reduction, and the eps* divisor, are
@@ -141,8 +145,9 @@ class SurrogateConfig:
     variance). Of the template, the nulls read only the lengths and which K
     are 0 (see the module docstring). At least one template series must have the m + 2
     points a hindcast needs.
-    ``replications``, ``m``, ``tau_max`` and the template lengths must be
-    whole numbers and are stored as ints; every length must be at least 2.
+    ``replications``, ``m``, ``tau_max``, ``seed`` and the template lengths
+    must be whole numbers and are stored as ints; every length must be at
+    least 2, and the seed at least 0.
     theta must lie strictly inside (-1, 1), and every mu and K must be finite
     with K >= 0 (a K = 0 series has zero-variance windows only).
     """
@@ -158,6 +163,9 @@ class SurrogateConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "replications", _integer("replications", self.replications))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         m, tau_max = _kernels._check_window(self.m, self.tau_max)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "tau_max", tau_max)
@@ -255,17 +263,22 @@ class NullEnsemble:
         return (self._exceed_counts() + 1.0) / (self.values.shape[0] + 1.0)
 
 
-def _innovations(config: SurrogateConfig, rng: np.random.Generator) -> np.ndarray:
+def _innovations(
+    config: SurrogateConfig, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """Unit innovations of one corpus, series after series: standard normal,
-    or Student t with ``student_df`` degrees of freedom, unscaled.
+    or Student t with ``student_df`` degrees of freedom, unscaled; written
+    into ``out`` if given.
 
     One draw call per corpus gives the same bits as one call per series,
     because the generator consumes its stream value by value.
     """
-    n = int(config.lengths.sum())
+    if out is None:
+        out = np.empty(int(config.lengths.sum()))
     if config.student_df is None:
-        return rng.standard_normal(n)
-    return rng.standard_t(float(config.student_df), n)
+        return rng.standard_normal(out=out)
+    out[:] = rng.standard_t(float(config.student_df), out.size)  # standard_t takes no out
+    return out
 
 
 def surrogate_corpus(config: SurrogateConfig, rng: np.random.Generator) -> list[TechnologySeries]:
@@ -300,30 +313,39 @@ def _engine_plan(config: SurrogateConfig) -> _Plan:
     return plan
 
 
-def _simulate(config: SurrogateConfig, plan: _Plan, innovations: np.ndarray) -> np.ndarray:
+def _simulate(
+    config: SurrogateConfig,
+    plan: _Plan,
+    innovations: np.ndarray,
+    work: _kernels._Workspace | None = None,
+) -> np.ndarray:
     """(rows, records) normalized hindcast errors of one corpus of walks per
-    row of unit innovations.
+    row of unit innovations, in ``work`` (a workspace of their own if None).
 
     Row b is bit-identical to ``_kernels.hindcast_errors`` on each walk built
     from the innovations in row b. No window of a walk of continuous draws
     has zero variance, so every record of the plan is kept.
     """
-    # v is held until the errors exist (see _kernels._CHUNK_ELEMENTS)
-    v = _kernels._layout(plan, innovations)
-    y, d = _kernels._levels(config.theta, v)
-    return _kernels._window_errors(plan, y, d, config.m)[0]
+    if work is None:
+        work = _kernels._Workspace(plan, innovations.shape[0])
+    return _kernels._walk_errors(plan, config.theta, config.m, innovations, work)[0]
 
 
-def _draws(config: SurrogateConfig, plan: _Plan, tag: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """The replications of each array pass and their unit innovations, one row each.
+def _draws(
+    config: SurrogateConfig, plan: _Plan, tag: int, out: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The replications of each array pass and their unit innovations, one
+    row each, drawn into the head rows of the (chunk, points) ``out``.
 
     Replication r draws from stream (seed, tag, r), so what a replication
     draws does not depend on how many replications share a pass.
     """
     for start in range(0, config.replications, plan.chunk):
         stop = min(start + plan.chunk, config.replications)
-        rngs = [derive_rng(config.seed, tag, rep) for rep in range(start, stop)]
-        yield slice(start, stop), np.array([_innovations(config, rng) for rng in rngs])
+        innovations = out[: stop - start]
+        for row, rep in zip(innovations, range(start, stop)):
+            _innovations(config, derive_rng(config.seed, tag, rep), row)
+        yield slice(start, stop), innovations
 
 
 def _ensemble(
@@ -353,11 +375,15 @@ def _ensemble(
     key, counts = _cell_keys(cell, (len(config.template), config.tau_max), plan.chunk)
     del cell  # the passes read the keys alone
     xi = np.empty((config.replications, config.tau_max))
-    for rows, innovations in _draws(config, plan, tag):
-        norm = _simulate(config, plan, innovations)
-        xi[rows] = _xi(*_cell_sums(norm, key, counts), config.weighting)
+    work = _kernels._Workspace(plan, plan.chunk)
+    innovations = np.empty((plan.chunk, int(config.lengths.sum())))
+    for rows, draws in _draws(config, plan, tag, innovations):
+        norm = _simulate(config, plan, draws, work)
+        scratch = work.scratch[: norm.shape[0]]  # the squares, then eps*
+        xi[rows] = _xi(*_cell_sums(norm, key, counts, scratch), config.weighting)
         if records is not None:
-            deviation[rows] = _deviation_stats(norm / divisors, t_cdf_grid)
+            eps = np.divide(norm, divisors, out=scratch)
+            deviation[rows] = _deviation_stats(eps, t_cdf_grid)
     if records is None:
         return xi, None
     return xi, NullEnsemble(statistic="ecdf-deviation", values=deviation, observed=observed)
@@ -436,9 +462,10 @@ def _t_cdf_grid(df: int) -> np.ndarray:
 
 def _deviation_stats(eps: np.ndarray, t_cdf_grid: np.ndarray) -> np.ndarray:
     """Three ECDF-deviation measures on the fixed grid, sum|d|, sum d^2 and
-    max d, of each row of eps, (rows, records) -> (rows, 3)."""
-    ordered = np.sort(eps, axis=-1)
-    counts = np.array([np.searchsorted(e, DEVIATION_GRID, side="right") for e in ordered])
+    max d, of each row of eps, (rows, records) -> (rows, 3). Sorts each row
+    of eps in place."""
+    eps.sort(axis=-1)
+    counts = np.array([np.searchsorted(e, DEVIATION_GRID, side="right") for e in eps])
     delta = counts / eps.shape[-1] - t_cdf_grid
     return np.stack([np.abs(delta).sum(axis=-1), (delta**2).sum(axis=-1), delta.max(axis=-1)], -1)
 
@@ -714,14 +741,16 @@ def theta_forecast_sweep(
         raise ValueError(f"no feasible forecasts at horizons {horizons.tolist()}")
 
     plan = _build_plan(lengths, m, 1)
-    levels = _kernels._layout(plan, np.concatenate([s.log_costs for s in corpus])[None])
-    y, d = _kernels._flat_with_differences(levels)
-    y_origin, mu, windows, k2 = (a[0] for a in _kernels._window_moments(plan, y, d, m))
+    levels = np.concatenate([s.log_costs for s in corpus])[None]
+    y = _kernels._layout(plan, levels, np.zeros((1, plan.cells)))
+    d = _kernels._flat_with_differences(plan, y, np.zeros_like(y))
+    windows = _kernels._at(d, plan.window)[0]
+    y_origin, mu, k2 = (a[0] for a in _kernels._window_moments(plan, y, d, m))
     all_thetas = np.append(theta_grid, 0.0)  # last column is the baseline
     v_hat = np.zeros((plan.origin.size, all_thetas.size))
     for k in range(m):
         v_hat = (windows[:, k] - mu)[:, None] - all_thetas * v_hat
-    last = plan.origin_series * plan.width + lengths[plan.origin_series] - 1  # series' last point
+    last = plan.series_start[plan.origin_series] + lengths[plan.origin_series] - 1  # series' last point
     acc = np.zeros((all_thetas.size, horizons.size))
     cnt = np.zeros(horizons.size, dtype=np.int64)
     for hi, h in enumerate(horizons):

@@ -8,7 +8,9 @@ bit-exact: normalized errors compare as bytes, not within a tolerance.
 """
 
 import dataclasses
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from costwalk import (
     surrogate_corpus,
     validation_nulls,
 )
-from costwalk import _kernels
+from costwalk import _kernels, surrogate
 from costwalk.hindcast import _cell_keys, _cell_sums, _cells, _xi
 from costwalk.series import TechnologySeries
 from costwalk.stats import derive_rng
@@ -43,6 +45,7 @@ from costwalk.surrogate import (
     _stream_tag,
 )
 
+import reference
 from reference import replication_errors, xi_from_errors
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -408,6 +411,157 @@ def test_ensemble_rows_equal_one_replication_rows(family):
         ]
     )
     _assert_bytes_equal(_ensemble(config, 1)[0], one_at_a_time)
+
+
+@st.composite
+def banded_lengths(draw, m):
+    """Series lengths that put the plan's bands to the test: lengths too
+    short for a window of m, lengths at 2^k and 2^k + 1 on either side of a
+    band's edge, and maybe one series far longer than the rest."""
+    octave = st.integers(1, 6)
+    length = st.one_of(
+        st.integers(2, m + 1),
+        octave.map(lambda k: 2**k),
+        octave.map(lambda k: 2**k + 1),
+        st.integers(2, 70),
+    )
+    lengths = draw(st.lists(length, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        lengths.insert(draw(st.integers(0, len(lengths))), draw(st.integers(150, 300)))
+    return lengths
+
+
+@PROPERTY
+@given(st.data())
+def test_corpus_norm_errors_equal_the_record_by_record_oracle(data):
+    # whatever band each series lands in; a series whose innovations are all
+    # 0 is flat, as a K = 0 series, so each of its windows is skipped
+    m = data.draw(st.sampled_from([2, 4, 5, 9]))
+    lengths = np.array(data.draw(banded_lengths(m)), dtype=np.int64)
+    flat = np.array(data.draw(st.lists(st.booleans(), min_size=lengths.size, max_size=lengths.size)))
+    theta = data.draw(st.floats(-0.95, 0.95))
+    tau_max = data.draw(st.sampled_from([1, 3, 20, None]))
+    w = derive_rng(data.draw(st.integers(0, 2**32)), 0).standard_normal(int(lengths.sum()))
+    w[np.repeat(flat, lengths)] = 0.0
+    series_idx, taus, norms, skipped = [], [], [], 0
+    for j, w_j in enumerate(np.split(w, np.cumsum(lengths)[:-1])):
+        y = np.concatenate(([0.0], np.cumsum(w_j[1:] + theta * w_j[:-1])))
+        _, tau, _, norm, _, _, n_skipped = reference.hindcast_errors(y, m, tau_max)
+        series_idx.append(np.full(tau.size, j, dtype=np.int64))
+        taus.append(tau)
+        norms.append(norm)
+        skipped += n_skipped
+    got = _kernels.corpus_norm_errors(lengths, theta, w, m, tau_max)
+    for actual, expected in zip(got[:3], (series_idx, taus, norms)):
+        _assert_bytes_equal(actual, np.concatenate(expected))
+    assert got[3] == skipped
+
+
+@PROPERTY
+@given(st.sampled_from([2, 5, 9]).flatmap(lambda m: st.tuples(st.just(m), banded_lengths(m))))
+def test_a_band_pads_each_series_to_less_than_twice_its_length(case):
+    m, lengths = case
+    plan = _build_plan(lengths, m, 20)
+    assert plan.cells == sum(n * width for _, n, width in plan.bands)
+    for first, n, width in plan.bands:
+        members = (plan.series_start >= first) & (plan.series_start < first + n * width)
+        points = int(np.sum(np.asarray(lengths)[members]))
+        assert np.count_nonzero(members) == n and n * width < 2 * points
+    # each series' points sit in cells of their own, in order
+    assert np.unique(plan.draws).size == plan.draws.size == sum(lengths)
+    assert np.array_equal(plan.draws[np.cumsum(lengths) - lengths], plan.series_start)
+
+
+def test_the_bundled_template_lays_out_in_five_bands():
+    plan = _build_plan([t[0] for t in REFERENCE_TEMPLATE], 5, 20)
+    assert len(plan.bands) == 5 and plan.cells == 1203  # 4,187 cells when padded to T = 79
+    assert plan.chunk in (2, 3, 4, 6, 7, 8)  # the tests of several passes assume it
+
+
+@st.composite
+def banded_configs(draw):
+    """Configs of ``banded_lengths`` with mu = K = 0 series, normal or Student t."""
+    m = draw(st.integers(4, 9))
+    lengths = draw(banded_lengths(m))
+    longest = int(np.argmax(lengths))
+    lengths[longest] = max(lengths[longest], m + 2)
+    zero = [j != longest and draw(st.integers(0, 3)) == 0 for j in range(len(lengths))]
+    student = draw(st.booleans())
+    return SurrogateConfig(
+        replications=draw(st.integers(1, 7)),
+        theta=0.0 if student else draw(st.floats(-0.95, 0.95)),
+        m=m,
+        tau_max=draw(st.integers(1, 25)),
+        seed=draw(st.integers(0, 2**32)),
+        template=tuple((T, 0.0, 0.0) if z else (T, -0.1, 0.2) for T, z in zip(lengths, zero)),
+        student_df=draw(st.floats(2.5, 30.0)) if student else None,
+        weighting=draw(st.sampled_from(["pooled", "equal-technology"])),
+    )
+
+
+@PROPERTY
+@given(banded_configs())
+def test_ensemble_rows_do_not_depend_on_the_chunk(config):
+    # one workspace serves every pass, the last one shorter when the chunk
+    # does not divide the replications
+    records = hindcast_corpus(surrogate_corpus(config, derive_rng(3, 0)), config.m, tau_max=config.tau_max).records
+    if not (records.tau <= config.tau_max).any():
+        records = None
+    one_at_a_time = np.vstack(
+        [
+            xi_from_errors(*replication_errors(config, derive_rng(config.seed, 1, r)), config)
+            for r in range(config.replications)
+        ]
+    )
+    build = _build_plan
+    rows = []
+    for chunk in (1, 3, None):
+
+        def plan(*key, chunk=chunk):
+            default = build(*key)
+            return default if chunk is None else dataclasses.replace(default, chunk=chunk)
+
+        with mock.patch.object(surrogate, "_build_plan", plan):
+            xi, deviation = _ensemble(config, 1, records)
+        _assert_bytes_equal(xi, one_at_a_time)
+        rows.append(None if deviation is None else deviation.values)
+    if records is not None:
+        _assert_bytes_equal(rows[0], rows[1])
+        _assert_bytes_equal(rows[0], rows[2])
+
+
+def _traced_peak(fn):
+    fn()  # lazy imports and first-call caches are not the call's own
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_passes_allocate_nothing_that_grows_with_their_number():
+    config, _, records = _validation_inputs(8)
+    chunk = _engine_plan(config).chunk
+
+    def ensemble(passes):
+        return lambda: _ensemble(dataclasses.replace(config, replications=passes * chunk), 1, records)
+
+    # the (R, tau_max) and (R, 3) outputs grow, and the peak moves by a few
+    # hundred bytes of Python objects from run to run; one record row is 51 kB
+    outputs = (50 - 2) * chunk * (config.tau_max + len(surrogate.DEVIATION_STATISTICS)) * 8
+    assert _traced_peak(ensemble(50)) - _traced_peak(ensemble(2)) <= outputs + 4096
+
+
+def test_a_pass_allocates_less_than_one_record_array_in_its_workspace():
+    # the layouts, windows and errors live in the workspace, so what a pass
+    # allocates is of the origins' size, a ninth of the records' here
+    config, _, _ = _validation_inputs(8)
+    plan = _engine_plan(config)
+    work = _kernels._Workspace(plan, plan.chunk)
+    innovations = np.array([_innovations(config, derive_rng(5, r)) for r in range(plan.chunk)])
+    peak = _traced_peak(lambda: _simulate(config, plan, innovations, work))
+    assert peak < plan.chunk * plan.tau.size * 8
 
 
 class TestStreamTags:

@@ -77,6 +77,18 @@ class TestSurrogateConfig:
         whole = SurrogateConfig(**{**ok, "m": 5.0, "tau_max": np.int64(20), "replications": 10.0})
         assert [type(v) for v in (whole.replications, whole.m, whole.tau_max)] == [int] * 3
 
+    def test_seed_must_be_a_whole_number_of_at_least_zero(self):
+        # a bad seed used to build a config whose first draw failed in SeedSequence
+        ok = dict(replications=10, theta=0.0, m=5, tau_max=20, template=SMALL_TEMPLATE)
+        for seed in (1.5, "3", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                SurrogateConfig(**ok, seed=seed)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SurrogateConfig(**ok, seed=-1)
+        for seed in (np.int64(3), 3.0):
+            whole = SurrogateConfig(**ok, seed=seed)
+            assert type(whole.seed) is int and whole == SurrogateConfig(**ok, seed=3)
+
     def test_template_lengths_must_be_whole_numbers_of_at_least_two(self):
         # the engine and surrogate_corpus must accept the same templates
         ok = dict(replications=1, theta=0.0, m=5, tau_max=20, seed=1)

@@ -145,6 +145,15 @@ def test_estimate_rwd_takes_a_whole_window():
     assert type(estimate_rwd(series, 10, np.int64(5)).m) is int
 
 
+def test_estimate_rwd_takes_a_whole_origin():
+    series = _series()
+    for origin in (10.5, "10", None):  # slicing or comparing raised a TypeError
+        with pytest.raises(ValueError, match="origin_index must be an integer"):
+            estimate_rwd(series, origin, 5)
+    whole = estimate_rwd(series, np.float64(10.0), 5)
+    assert whole == estimate_rwd(series, 10, 5) and type(whole.origin_index) is int
+
+
 def test_error_growth_takes_no_cap():
     assert "tau_max" not in inspect.signature(error_growth).parameters
 
