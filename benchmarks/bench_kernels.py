@@ -82,9 +82,9 @@ from costwalk import (
     write_corpus_csv,
 )
 from costwalk import _kernels, surrogate
-from costwalk.hindcast import _cell_keys, _cell_sums, _cells, _xi, write_records_csv
+from costwalk.hindcast import _cell_sums, _cells, _xi, write_records_csv
 from costwalk.stats import derive_rng
-from costwalk.surrogate import _engine_plan, _ensemble, _innovations, _simulate, null_xi_mean
+from costwalk.surrogate import _engine_plan, _ensemble, _innovations, null_xi_mean
 
 
 def _time(fn, repeat=5):
@@ -166,13 +166,15 @@ def bench_xi_pass(template, theta, m, tau_max, loops=200):
         )
         plan = _kernels._build_plan(config.lengths, m, tau_max)
         rngs = [derive_rng(42, 1, rep) for rep in range(plan.chunk)]
-        norm = _simulate(config, plan, np.array([_innovations(config, r) for r in rngs]))
-        cell = _cells(plan.origin_series[plan.record_origin], plan.tau, tau_max)
-        key, counts = _cell_keys(cell, (len(template), tau_max), plan.chunk)
+        innovations = np.array([_innovations(config, r) for r in rngs])
+        work = _kernels._Workspace(plan, plan.chunk)
+        norm, _ = _kernels._walk_errors(plan, theta, m, innovations, work)
+        shape = (len(template), tau_max)
+        cell, counts = _cells(plan.origin_series[plan.record_origin], plan.tau, shape)
 
         def run():
             for _ in range(loops):
-                _xi(*_cell_sums(norm, key, counts), weighting)
+                _xi(_cell_sums(norm, cell, shape), counts, weighting)
 
         times[weighting] = _time(run) / loops
     return plan.chunk, times

@@ -65,9 +65,10 @@ class VarianceFactors:
 
 
 def variance_factors(tau: float, m: int, theta: float) -> VarianceFactors:
-    """Compute A, A* and Xi; rejects m <= 3 where the Xi prefactor diverges."""
-    if tau < 1:
-        raise ValueError(f"horizon must be >= 1, got {tau}")
+    """Compute A, A* and Xi at a finite tau >= 1; rejects m <= 3 where the Xi
+    prefactor diverges."""
+    if not 1 <= tau < math.inf:
+        raise ValueError(f"horizon must be >= 1 and finite, got {tau}")
     m = _integer("m", m)
     if m <= 3:
         raise ValueError(

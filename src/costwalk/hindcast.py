@@ -167,40 +167,36 @@ class ErrorGrowthCurve:
     m: int | None = None
 
 
-def _cells(tech: np.ndarray, tau: np.ndarray, tau_max: int) -> np.ndarray:
-    """Each record's flat index in a (technologies, tau_max) grid of cells."""
-    cell = tech * tau_max
-    return np.add(cell, tau - 1, out=cell)  # one record-sized temporary, not two
-
-
-def _cell_keys(cell: np.ndarray, shape: tuple[int, int], rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, records) flat key of each record's ``_cells`` index ``cell``
-    in each of ``rows`` grids ``shape``, and the (rows, *shape) cell counts."""
-    size = shape[0] * shape[1]
-    # every row holds the same records: count the cells once, repeat (read-only) over rows
-    counts = np.bincount(cell, minlength=size).reshape(shape)
-    key = cell[None] if rows == 1 else np.arange(rows)[:, None] * size + cell
-    return key, np.broadcast_to(counts, (rows, *shape))
+def _cells(
+    tech: np.ndarray, tau: np.ndarray, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's flat index in a (technologies, tau_max) grid ``shape`` of
+    cells, and the grid's counts of records."""
+    cell = tech * shape[1]
+    np.add(cell, tau - 1, out=cell)  # one record-sized temporary, not two
+    return cell, np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def _cell_sums(
-    errors: np.ndarray, key: np.ndarray, counts: np.ndarray, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-(row, technology, horizon) sums and counts of squared errors.
+    errors: np.ndarray, cell: np.ndarray, shape: tuple[int, int], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-(row, technology, horizon) sums of squared errors.
 
-    ``errors`` is (rows, records), and ``key`` and ``counts`` are ``_cell_keys``'
-    for at least that many rows. Each cell adds its squares in record order,
-    whatever the other rows hold. The squares go to ``out``, errors-shaped, if given.
+    ``errors`` is (rows, records), and ``cell`` is the records' ``_cells``
+    index in the grid ``shape``. Each row is summed on its own, each cell
+    adding its squares in record order, so a row's sums do not depend on the
+    other rows. The squares go to ``out``, errors-shaped, if given.
     """
-    rows = errors.shape[0]
-    counts = counts[:rows]
     squares = np.multiply(errors, errors, out=out)
-    sums = np.bincount(key[:rows].ravel(), weights=squares.ravel(), minlength=counts.size)
-    return sums.reshape(counts.shape), counts
+    size = shape[0] * shape[1]
+    sums = [np.bincount(cell, weights=row, minlength=size) for row in squares]
+    del squares  # a record-sized temporary unless ``out`` is given: freed before the stack
+    return np.stack(sums).reshape(len(sums), *shape)
 
 
 def _xi(sums: np.ndarray, counts: np.ndarray, weighting: str) -> np.ndarray:
-    """Xi per horizon (see ``error_growth``) of (..., technologies, horizons) cell sums.
+    """Xi per horizon (see ``error_growth``) of (..., technologies, horizons) cell
+    sums and their counts, which may be one grid for every row of sums.
 
     Technologies are added one at a time in axis order (a cumulative sum never
     regroups terms), so one without records adds an exact zero. NaN where a
@@ -235,8 +231,8 @@ def _sums_by_technology(
         inside = tau <= tau_max
         tech, tau, norm = tech[inside], tau[inside], norm[inside]
     shape = (len(records.names), tau_max)
-    sums, counts = _cell_sums(norm[None], *_cell_keys(_cells(tech, tau, tau_max), shape, 1))
-    return sums[0], counts[0]
+    cell, counts = _cells(tech, tau, shape)
+    return _cell_sums(norm[None], cell, shape)[0], counts
 
 
 def error_growth(records: HindcastRecords, weighting: str = "pooled") -> ErrorGrowthCurve:

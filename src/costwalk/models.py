@@ -72,9 +72,7 @@ class RwdEstimate:
     origin_index: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", _integer("m", self.m))
-        if self.m < 2:
-            raise ValueError(f"window must contain at least 2 differences, got m={self.m}")
+        object.__setattr__(self, "m", _check_window(self.m, 1)[0])  # any cap: only m is checked
         if self.k_hat < 0:
             raise ValueError("volatility estimate cannot be negative")
 

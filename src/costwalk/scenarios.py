@@ -88,11 +88,9 @@ class CrossingSpec:
 
 def crossing_probability(spec: CrossingSpec, tau: float) -> float:
     """P(technology A is cheaper than technology B at horizon tau), for a finite tau >= 1."""
-    if not 1 <= tau < math.inf:
-        raise ValueError(f"horizon must be >= 1 and finite, got {tau}")
     a, b = spec.tech_a, spec.tech_b
+    factors = variance_factors(tau, a.m, spec.theta)  # checks tau first
     mu_z = (b.current_log_cost - a.current_log_cost) + tau * (b.mu - a.mu)
-    factors = variance_factors(tau, a.m, spec.theta)
     var_z = factors.a_star / (1.0 + spec.theta**2) * (a.k**2 + b.k**2)
     if var_z == 0.0:
         if mu_z == 0.0:

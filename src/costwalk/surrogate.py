@@ -21,16 +21,17 @@ simulates a chunk of replications and hindcasts them as (replications,
 records) arrays through the static index plan and the window helper of
 ``_kernels``, the same path ``_kernels.corpus_norm_errors`` takes on one
 corpus. Once per experiment it builds the plan (the series laid out in bands
-of like length, and each origin's window among its index arrays), the Xi
-cell keys and counts, and one workspace; given observed records, it checks
-them and builds the t(m-1) CDF on the deviation grid (one call per distinct
-|x|), the plan's eps* divisors and the observed deviation measures. A plan
-costs far less than one pass, so none is cached. One loop over the passes
-then draws each replication's innovations into one row of a (chunk, points)
-array and turns its errors into its Xi row and, given records, its deviation
-row. The layouts, windows and errors of a pass go to the workspace, and the
-squares and eps* to its scratch record array, sorted there in place, so a
-pass allocates nothing record-sized. Each replication's errors are
+of like length, and each origin's window among its index arrays), the one
+Xi cell index of the records with its counts, and one workspace; given
+observed records, it checks them and builds the t(m-1) CDF on the deviation
+grid (one call per distinct |x|), the plan's eps* divisors and the observed
+deviation measures. A plan costs far less than one pass, so none is cached.
+One loop over the passes then draws each replication's innovations into one
+row of a (chunk, points) array and turns its errors into its Xi row, one
+``bincount`` per row over the shared cell index, and, given records, its
+deviation row. The layouts, windows and errors of a pass go to the
+workspace, and the squares and eps* to its scratch record array, sorted
+there in place, so a pass allocates nothing record-sized. Each replication's errors are
 bit-identical to the per-series kernel ``_kernels.hindcast_errors`` run on
 that replication's walks, and its rows come from the code of the observed
 statistics: the Xi cell sums and their reduction, and the eps* divisor, are
@@ -77,7 +78,6 @@ from .forecast import variance_factors
 from .hindcast import (
     ErrorGrowthCurve,
     HindcastRecords,
-    _cell_keys,
     _cell_sums,
     _cells,
     _curve_table,
@@ -137,10 +137,10 @@ class SurrogateConfig:
 
     ``template`` holds one (n_obs, mu, K) triple per technology. Innovations
     are normal when ``student_df`` is None; otherwise they are Student t with
-    that many degrees of freedom (more than 2), which models fat-tailed
-    shocks for the robustness check and is defined only for theta = 0 (plain
-    random walk). ``surrogate_corpus`` matches the lengths and parameters,
-    with innovation standard deviation sigma = K/sqrt(1+theta^2) so the
+    that many degrees of freedom (finite and more than 2), which models
+    fat-tailed shocks for the robustness check and is defined only for
+    theta = 0 (plain random walk). ``surrogate_corpus`` matches the lengths
+    and parameters, with innovation standard deviation sigma = K/sqrt(1+theta^2) so the
     increment variance equals K^2 (Student draws rescaled to the same
     variance). Of the template, the nulls read only the lengths and which K
     are 0 (see the module docstring). At least one template series must have the m + 2
@@ -190,8 +190,8 @@ class SurrogateConfig:
                 "hindcast needs"
             )
         if self.student_df is not None:
-            if self.student_df <= 2:
-                raise ValueError("student innovations need df > 2")
+            if not (math.isfinite(self.student_df) and self.student_df > 2):
+                raise ValueError(f"student_df must be finite and above 2, got {self.student_df!r}")
             if self.theta != 0.0:
                 raise ValueError("student innovations are defined for the theta = 0 random walk")
         if self.weighting not in ("pooled", "equal-technology"):
@@ -313,24 +313,6 @@ def _engine_plan(config: SurrogateConfig) -> _Plan:
     return plan
 
 
-def _simulate(
-    config: SurrogateConfig,
-    plan: _Plan,
-    innovations: np.ndarray,
-    work: _kernels._Workspace | None = None,
-) -> np.ndarray:
-    """(rows, records) normalized hindcast errors of one corpus of walks per
-    row of unit innovations, in ``work`` (a workspace of their own if None).
-
-    Row b is bit-identical to ``_kernels.hindcast_errors`` on each walk built
-    from the innovations in row b. No window of a walk of continuous draws
-    has zero variance, so every record of the plan is kept.
-    """
-    if work is None:
-        work = _kernels._Workspace(plan, innovations.shape[0])
-    return _kernels._walk_errors(plan, config.theta, config.m, innovations, work)[0]
-
-
 def _draws(
     config: SurrogateConfig, plan: _Plan, tag: int, out: np.ndarray
 ) -> Iterator[tuple[slice, np.ndarray]]:
@@ -368,19 +350,19 @@ def _ensemble(
         t_cdf_grid = _t_cdf_grid(config.m - 1)
         eps = records.norm_error[inside] / _rescale_divisors(records.tau[inside], config.m, config.theta)
         observed = _deviation_stats(eps[None], t_cdf_grid)[0]
-        del eps, inside  # the record-sized observed side is freed before the keys exist
+        del eps, inside  # the record-sized observed side is freed before the workspace exists
         divisors = _rescale_divisors(plan.tau, config.m, config.theta)
         deviation = np.empty((config.replications, len(DEVIATION_STATISTICS)))
-    cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
-    key, counts = _cell_keys(cell, (len(config.template), config.tau_max), plan.chunk)
-    del cell  # the passes read the keys alone
+    shape = (len(config.template), config.tau_max)
+    cell, counts = _cells(plan.origin_series[plan.record_origin], plan.tau, shape)
     xi = np.empty((config.replications, config.tau_max))
     work = _kernels._Workspace(plan, plan.chunk)
     innovations = np.empty((plan.chunk, int(config.lengths.sum())))
     for rows, draws in _draws(config, plan, tag, innovations):
-        norm = _simulate(config, plan, draws, work)
+        # no window of a walk of continuous draws has zero variance, so every record is kept
+        norm = _kernels._walk_errors(plan, config.theta, config.m, draws, work)[0]
         scratch = work.scratch[: norm.shape[0]]  # the squares, then eps*
-        xi[rows] = _xi(*_cell_sums(norm, key, counts, scratch), config.weighting)
+        xi[rows] = _xi(_cell_sums(norm, cell, shape, scratch), counts, config.weighting)
         if records is not None:
             eps = np.divide(norm, divisors, out=scratch)
             deviation[rows] = _deviation_stats(eps, t_cdf_grid)

@@ -30,11 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
+from costwalk import _kernels
 from costwalk.dataset import DataFormatError, DataWarning, _longest_run
-from costwalk.hindcast import _cell_keys, _cell_sums, _cells, _xi
+from costwalk.hindcast import _cell_sums, _cells, _xi
 from costwalk.models import ImaParams
 from costwalk.series import TechnologySeries
-from costwalk.surrogate import SurrogateConfig, _engine_plan, _innovations, _simulate
+from costwalk.surrogate import SurrogateConfig, _engine_plan, _innovations
 
 
 def replication_errors(
@@ -42,7 +43,8 @@ def replication_errors(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(series_idx, tau, norm_error) of one replication, in plan order."""
     plan = _engine_plan(config)
-    norm = _simulate(config, plan, _innovations(config, rng)[None])
+    work = _kernels._Workspace(plan, 1)
+    norm, _ = _kernels._walk_errors(plan, config.theta, config.m, _innovations(config, rng)[None], work)
     return plan.origin_series[plan.record_origin], plan.tau, norm[0]
 
 
@@ -51,8 +53,8 @@ def xi_from_errors(
 ) -> np.ndarray:
     """Per-horizon Xi of one replication (length tau_max, NaN where no records)."""
     shape = (len(config.template), config.tau_max)
-    key, counts = _cell_keys(_cells(series_idx, tau, config.tau_max), shape, 1)
-    return _xi(*_cell_sums(norm[None, :], key, counts), config.weighting)[0]
+    cell, counts = _cells(series_idx, tau, shape)
+    return _xi(_cell_sums(norm[None, :], cell, shape), counts, config.weighting)[0]
 
 
 def hindcast_errors(y, m: int, tau_max: int | None):

@@ -31,7 +31,7 @@ from costwalk import (
     validation_nulls,
 )
 from costwalk import _kernels, surrogate
-from costwalk.hindcast import _cell_keys, _cell_sums, _cells, _xi
+from costwalk.hindcast import _cell_sums, _cells, _xi
 from costwalk.series import TechnologySeries
 from costwalk.stats import derive_rng
 from costwalk.surrogate import (
@@ -41,7 +41,6 @@ from costwalk.surrogate import (
     _ensemble,
     _fat_tails,
     _innovations,
-    _simulate,
     _stream_tag,
 )
 
@@ -371,15 +370,19 @@ def test_zero_volatility_series_has_no_null_records():
 @given(configs())
 def test_rows_do_not_depend_on_pass_size(config):
     plan = _engine_plan(config)
-    cell = _cells(plan.origin_series[plan.record_origin], plan.tau, config.tau_max)
+    shape = (len(config.template), config.tau_max)
+    cell, counts = _cells(plan.origin_series[plan.record_origin], plan.tau, shape)
     reps = config.replications
 
     def xi_in_passes_of(size):
         rngs = [derive_rng(config.seed, 7, r) for r in range(reps)]
         innovations = np.array([_innovations(config, rng) for rng in rngs])
-        passes = [_simulate(config, plan, innovations[i : i + size]) for i in range(0, reps, size)]
-        key, counts = _cell_keys(cell, (len(config.template), config.tau_max), size)
-        return np.vstack([_xi(*_cell_sums(p, key, counts), config.weighting) for p in passes])
+        work = _kernels._Workspace(plan, size)
+        xi = []
+        for i in range(0, reps, size):
+            norm, _ = _kernels._walk_errors(plan, config.theta, config.m, innovations[i : i + size], work)
+            xi.append(_xi(_cell_sums(norm, cell, shape), counts, config.weighting))
+        return np.vstack(xi)
 
     one_at_a_time = np.vstack(
         [
@@ -560,8 +563,24 @@ def test_a_pass_allocates_less_than_one_record_array_in_its_workspace():
     plan = _engine_plan(config)
     work = _kernels._Workspace(plan, plan.chunk)
     innovations = np.array([_innovations(config, derive_rng(5, r)) for r in range(plan.chunk)])
-    peak = _traced_peak(lambda: _simulate(config, plan, innovations, work))
+    peak = _traced_peak(lambda: _kernels._walk_errors(plan, config.theta, config.m, innovations, work))
     assert peak < plan.chunk * plan.tau.size * 8
+
+
+def test_an_ensemble_holds_one_cell_index_for_all_its_rows():
+    # past its workspace, plan, innovations and Xi rows, an ensemble holds the
+    # records' one Xi cell index and per-pass arrays of the cells' size; a key
+    # per row of a pass would take one (chunk, records) int64 array
+    config, _, _ = _validation_inputs(8)
+    config = dataclasses.replace(config, replications=40)
+    plan = _engine_plan(config)
+    work = _kernels._Workspace(plan, plan.chunk)
+    held = sum(a.nbytes for a in vars(work).values())
+    held += sum(a.nbytes for a in vars(plan).values() if isinstance(a, np.ndarray))
+    held += plan.chunk * int(config.lengths.sum()) * 8  # the innovations of a pass
+    held += config.replications * config.tau_max * 8  # the Xi rows
+    peak = _traced_peak(lambda: _ensemble(config, 1))
+    assert peak - held < plan.chunk * plan.tau.size * 8
 
 
 class TestStreamTags:

@@ -73,6 +73,13 @@ class TestVarianceFactors:
         with pytest.raises(ValueError):
             variance_factors(5, 10, 1.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.5])
+    def test_horizon_must_be_finite_and_at_least_one(self, tau):
+        with pytest.raises(ValueError, match="horizon must be >= 1 and finite"):
+            variance_factors(tau, 5, 0.0)
+        with pytest.raises(ValueError, match="horizon must be >= 1 and finite"):
+            distributional_forecast(_est(), 0.0, tau, 0.0)
+
     def test_a_star_increasing_in_tau(self):
         for theta in (0.0, 0.3, 0.63):
             values = [variance_factors(t, 8, theta).a_star for t in range(1, 40)]

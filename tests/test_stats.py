@@ -1,5 +1,6 @@
 """Statistical kernel tests against independent high-precision oracles."""
 
+import math
 
 import mpmath
 import numpy as np
@@ -54,6 +55,13 @@ class TestStudentTCdf:
             student_t_cdf(1.0, 0.0)
         with pytest.raises(ValueError):
             student_t_cdf(1.0, -3)
+
+    def test_nan_df_is_rejected_and_nan_x_gives_nan(self):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            student_t_cdf(1.0, math.nan)
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            student_t_quantile(0.3, math.nan)
+        assert math.isnan(student_t_cdf(math.nan, 4.0))
 
     def test_against_scipy_grid(self):
         for df in (0.5, 1.0, 2.0, 4.0, 9.0, 32.0, 200.0):
@@ -148,6 +156,14 @@ class TestOlsFit:
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             ols_fit(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_rejects_non_finite_input(self, bad, column):
+        xy = [np.arange(5.0), np.array([1.0, 3.0, 2.0, 5.0, 4.0])]
+        xy[column][2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ols_fit(*xy)
 
 
 class TestOneSidedTTest:

@@ -26,7 +26,7 @@ from costwalk import (
     validation_nulls,
     variance_factors,
 )
-from costwalk import surrogate
+from costwalk import _kernels, surrogate
 from costwalk.hindcast import ErrorGrowthCurve, _rescale_divisors
 from costwalk.models import ImaParams
 from costwalk.stats import derive_rng, make_rng, student_t_cdf
@@ -68,6 +68,15 @@ class TestSurrogateConfig:
             SurrogateConfig(**{**ok, "weighting": "mean"})
         with pytest.raises(ValueError, match="tau_max must be >= 1"):
             SurrogateConfig(**{**ok, "tau_max": 0})
+
+    @pytest.mark.parametrize("df", [math.nan, math.inf, -math.inf, 2.0, 1.5])
+    def test_student_df_must_be_finite_and_above_two(self, df):
+        ok = dict(replications=10, theta=0.0, m=5, tau_max=20, seed=1, template=SMALL_TEMPLATE)
+        with pytest.raises(ValueError, match="student_df"):
+            SurrogateConfig(**ok, student_df=df)
+        corpus = surrogate_corpus(SurrogateConfig(**ok), derive_rng(1, 0))
+        with pytest.raises(ValueError, match="student_df"):
+            robustness_suite(corpus, replications=2, fat_tail_dfs=[df], template=SMALL_TEMPLATE)
 
     def test_counts_must_be_whole_numbers(self):
         ok = dict(replications=10, theta=0.0, m=5, tau_max=20, seed=1, template=SMALL_TEMPLATE)
@@ -422,7 +431,9 @@ class TestDeviationTest:
         )
         plan = surrogate._engine_plan(cfg)
         innovations = np.array([surrogate._innovations(cfg, derive_rng(17, 1, r)) for r in range(3)])
-        eps = surrogate._simulate(cfg, plan, innovations) / _rescale_divisors(plan.tau, 5, 0.63)
+        work = _kernels._Workspace(plan, 3)
+        norm, _ = _kernels._walk_errors(plan, cfg.theta, cfg.m, innovations, work)
+        eps = norm / _rescale_divisors(plan.tau, 5, 0.63)
         grid = surrogate._t_cdf_grid(4)
         rows = surrogate._deviation_stats(eps, grid)
         assert rows.shape == (3, len(surrogate.DEVIATION_STATISTICS))
