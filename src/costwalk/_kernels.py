@@ -58,11 +58,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int, if it is a whole number such as 5, 5.0 or np.int64(5)."""
+def _integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int, if it is a whole number such as 5, 5.0 or np.int64(5), and >= ``low``."""
     whole = isinstance(value, (float, np.floating)) and value.is_integer()
     if not (whole or isinstance(value, (int, np.integer))):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {int(value)}")
     return int(value)
 
 
@@ -74,10 +76,7 @@ def _check_window(m, tau_max, lengths=None) -> tuple[int, int]:
         raise ValueError(f"window must contain at least 2 differences, got m={m}")
     if tau_max is None and lengths is not None:
         tau_max = max(int(np.max(lengths, initial=0)) - 1 - m, 1)
-    tau_max = _integer("tau_max", tau_max)
-    if tau_max < 1:
-        raise ValueError(f"tau_max must be >= 1, got {tau_max}")
-    return m, tau_max
+    return m, _integer("tau_max", tau_max, 1)
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:

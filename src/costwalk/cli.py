@@ -34,7 +34,7 @@ from .dataset import (
     summarize_corpus,
     write_summary_csv,
 )
-from .forecast import variance_factors
+from .forecast import _check_m, _check_theta
 from .hindcast import error_growth, hindcast_corpus, write_error_growth_csv, write_records_csv
 from .models import EstimationError
 from .scenarios import (
@@ -172,7 +172,8 @@ def cmd_describe(args: argparse.Namespace) -> int:
 
 def cmd_hindcast(args: argparse.Namespace) -> int:
     out = _prepare_out(args, "hindcast")
-    variance_factors(1, args.window, args.theta)  # the overlay's (m, theta), before any output
+    _check_m(args.window)  # the overlay's m and theta, before any output
+    _check_theta(args.theta)
     improving, excluded, result = _hindcast_improving(args, "to hindcast")
     weighting = "equal-technology" if args.weighting == "equal-tech" else "pooled"
     curve = error_growth(result.records, weighting=weighting)
@@ -190,12 +191,11 @@ def cmd_hindcast(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     out = _prepare_out(args, "validate")
-    checked = [("--reps", args.reps)]
+    _kernels._integer("--reps", args.reps, 1)
     if args.theta_from == "matched":
-        checked.append(("--grid-reps", args.grid_reps))
-    for flag, reps in checked:
-        if reps < 1:
-            raise ValueError(f"{flag} must be >= 1, got {reps}")
+        _kernels._integer("--grid-reps", args.grid_reps, 1)
+    _check_m(args.window)  # before the corpus is read
+    _check_theta(args.theta)
     improving, _, result = _hindcast_improving(args, "to validate against")
     curve = error_growth(result.records)
     base = SurrogateConfig(
@@ -268,8 +268,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_forecast(args: argparse.Namespace) -> int:
     out = _prepare_out(args, "forecast")
-    if args.horizon < 1:
-        raise ValueError(f"--horizon must be >= 1, got {args.horizon}")
+    _kernels._integer("--horizon", args.horizon, 1)
     try:
         window = "all" if args.window == "all" else int(args.window)
     except ValueError:
@@ -301,18 +300,19 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     out = _prepare_out(args, "compare")
-    if args.tau_max < 1:
-        raise ValueError(f"--tau-max must be >= 1, got {args.tau_max}")
+    _kernels._integer("--tau-max", args.tau_max, 1)
     for flag, cost in (("--cost-a", args.cost_a), ("--cost-b", args.cost_b)):
         if not (math.isfinite(cost) and cost > 0.0):
             raise ValueError(f"{flag} must be a finite positive cost, got {cost}")
     tech_a = TechState(math.log(args.cost_a), args.mu_a, args.k_a, args.m)
-    specs = [  # every scenario is checked before any CSV is written
+    specs = [  # every scenario and file name is checked before any CSV is written
         CrossingSpec(tech_a, TechState(math.log(args.cost_b), args.mu_b, k_b, args.m), args.theta)
         for k_b in args.k_b
     ]
-    for k_b, spec in zip(args.k_b, specs):
-        path = out / f"compare_kb{k_b:g}.csv"
+    paths = [out / f"compare_kb{k_b:g}.csv" for k_b in args.k_b]
+    if len(set(paths)) < len(paths):
+        raise ValueError(f"--k-b values {args.k_b} would write {[p.name for p in paths]}, one file twice")
+    for k_b, spec, path in zip(args.k_b, specs, paths):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write("tau,p_cross\n")
             for tau in range(1, args.tau_max + 1):

@@ -33,7 +33,10 @@ the MA correction is available only inside the theta sweep experiment.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._kernels import _integer
 from .models import RwdEstimate
@@ -64,18 +67,34 @@ class VarianceFactors:
     xi: float
 
 
-def variance_factors(tau: float, m: int, theta: float) -> VarianceFactors:
-    """Compute A, A* and Xi at a finite tau >= 1; rejects m <= 3 where the Xi
-    prefactor diverges."""
-    if not 1 <= tau < math.inf:
-        raise ValueError(f"horizon must be >= 1 and finite, got {tau}")
+def _check_m(m) -> int:
+    """The theory's window as an int, if ``m`` is a whole number > 3: Xi's (m-1)/(m-3) is finite."""
     m = _integer("m", m)
     if m <= 3:
-        raise ValueError(
-            f"window m={m} is too small: the (m-1)/(m-3) variance prefactor diverges for m <= 3"
-        )
-    if not -1.0 < theta < 1.0:
-        raise ValueError(f"theta must lie strictly inside (-1, 1), got {theta}")
+        raise ValueError(f"window m={m} is too small: Xi needs m > 3; its prefactor diverges for m <= 3")
+    return m
+
+
+def _check_theta(theta) -> float:
+    """``theta`` as a float, if it is a real number strictly inside (-1, 1)."""
+    if not (isinstance(theta, numbers.Real) and -1.0 < theta < 1.0):
+        raise ValueError(f"theta must lie strictly inside (-1, 1) as a real number, got {theta!r}")
+    return float(theta)
+
+
+def _check_theta_grid(grid) -> np.ndarray:
+    """A non-empty 1-d sequence of thetas, each checked by ``_check_theta``, as floats."""
+    grid = np.asarray(grid, dtype=object)  # as objects, a ragged grid is 1-d and its lists fail below
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"theta grid is empty or not 1-d: got one of shape {grid.shape}")
+    return np.array([_check_theta(theta) for theta in grid])
+
+
+def variance_factors(tau: float, m: int, theta: float) -> VarianceFactors:
+    """Compute A, A* and Xi at a finite tau >= 1 and an m and theta that the theory admits."""
+    if not 1 <= tau < math.inf:
+        raise ValueError(f"horizon must be >= 1 and finite, got {tau}")
+    m, theta = _check_m(m), _check_theta(theta)
     a = tau + tau * tau / m
     a_star = -2.0 * theta + (1.0 + 2.0 * (m - 1) * theta / m + theta * theta) * a
     xi = (m - 1) / (m - 3) * a_star / (1.0 + theta * theta)

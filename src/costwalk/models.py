@@ -73,8 +73,8 @@ class RwdEstimate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _check_window(self.m, 1)[0])  # any cap: only m is checked
-        if self.k_hat < 0:
-            raise ValueError("volatility estimate cannot be negative")
+        if not (math.isfinite(self.mu_hat) and 0.0 <= self.k_hat < math.inf):
+            raise ValueError(f"need a finite mu_hat and a finite k_hat >= 0, got {self.mu_hat}, {self.k_hat}")
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ class ImaParams:
     theta: float
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("innovation standard deviation cannot be negative")
-        if abs(self.theta) > 1.0:
+        if not (math.isfinite(self.mu) and 0.0 <= self.sigma < math.inf):
+            raise ValueError(f"need a finite mu and a finite sigma >= 0, got {self.mu}, {self.sigma}")
+        if not -1.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [-1, 1], got {self.theta}")
 
     @property

@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._kernels import _check_window, _integer
+from ._kernels import _check_window
 from .forecast import DistributionalForecast, distributional_forecast, variance_factors
+from .forecast import _check_m, _check_theta
 from .models import RwdEstimate, estimate_rwd
 from .series import TechnologySeries
 from .stats import normal_cdf
@@ -59,9 +60,7 @@ class TechState:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.k < 0:
             raise ValueError("volatility cannot be negative")
-        object.__setattr__(self, "m", _integer("m", self.m))
-        if self.m <= 3:
-            raise ValueError(f"m={self.m} too small; the variance factor needs m > 3")
+        object.__setattr__(self, "m", _check_m(self.m))
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,7 @@ class CrossingSpec:
             raise ValueError(
                 f"both technologies must share the window: {self.tech_a.m} != {self.tech_b.m}"
             )
-        if not -1.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie strictly inside (-1, 1), got {self.theta}")
+        object.__setattr__(self, "theta", _check_theta(self.theta))
 
 
 def crossing_probability(spec: CrossingSpec, tau: float) -> float:

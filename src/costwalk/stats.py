@@ -124,8 +124,8 @@ def student_t_cdf(x: float, df: float) -> float:
     Computed through the regularized incomplete beta function; absolute
     error is below 1e-10 over the tested range. A NaN x gives NaN.
     """
-    if not df > 0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    if not 0 < df < math.inf:
+        raise ValueError(f"degrees of freedom df must be finite and positive, got {df}")
     if math.isnan(x):
         return math.nan
     if x == 0.0:
@@ -141,8 +141,8 @@ def student_t_quantile(p: float, df: float) -> float:
     """Inverse Student t CDF by bisection; |cdf(result) - p| <= 1e-9."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie strictly inside (0, 1), got {p}")
-    if not df > 0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    if not 0 < df < math.inf:
+        raise ValueError(f"degrees of freedom df must be finite and positive, got {df}")
     if p == 0.5:
         return 0.0
     lo, hi = -1.0, 1.0

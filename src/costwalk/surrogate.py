@@ -74,7 +74,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import _build_plan, _integer, _Plan, _read_only
 from .dataset import SeriesSummary, corpus_template
-from .forecast import variance_factors
+from .forecast import _check_m, _check_theta, _check_theta_grid, variance_factors
 from .hindcast import (
     ErrorGrowthCurve,
     HindcastRecords,
@@ -147,9 +147,9 @@ class SurrogateConfig:
     points a hindcast needs.
     ``replications``, ``m``, ``tau_max``, ``seed`` and the template lengths
     must be whole numbers and are stored as ints; every length must be at
-    least 2, and the seed at least 0.
-    theta must lie strictly inside (-1, 1), and every mu and K must be finite
-    with K >= 0 (a K = 0 series has zero-variance windows only).
+    least 2, and the seed at least 0. ``forecast`` decides which m (> 3) and
+    theta the error theory admits, and every mu and K must be finite with
+    K >= 0 (a K = 0 series has zero-variance windows only).
     """
 
     replications: int
@@ -162,17 +162,12 @@ class SurrogateConfig:
     weighting: str = "pooled"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "replications", _integer("replications", self.replications))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        m, tau_max = _kernels._check_window(self.m, self.tau_max)
+        object.__setattr__(self, "replications", _integer("replications", self.replications, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        m, tau_max = _kernels._check_window(_check_m(self.m), self.tau_max)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "tau_max", tau_max)
-        if self.replications < 1:
-            raise ValueError(f"need at least 1 replication, got {self.replications}")
-        if not (math.isfinite(self.theta) and abs(self.theta) < 1.0):
-            raise ValueError(f"theta must lie strictly inside (-1, 1), got {self.theta!r}")
+        object.__setattr__(self, "theta", _check_theta(self.theta))
         if not self.template:
             raise ValueError("corpus template is empty")
         template = tuple((_integer("template length", n), mu, k) for n, mu, k in self.template)
@@ -182,8 +177,6 @@ class SurrogateConfig:
             if not (math.isfinite(mu) and math.isfinite(k) and k >= 0.0):
                 raise ValueError(f"template series ({n}, {mu}, {k}) needs a finite mu and K >= 0")
         object.__setattr__(self, "template", template)
-        if self.m < 4:
-            raise ValueError(f"window m={self.m} too small; error rescaling needs m > 3")
         if max(t[0] for t in self.template) < self.m + 2:
             raise ValueError(
                 f"no template series has the m + 2 = {self.m + 2} points a window-{self.m} "
@@ -382,15 +375,6 @@ def _check_curve(curve: ErrorGrowthCurve, config: SurrogateConfig) -> None:
         raise ValueError(f"observed curve uses window {curve.m}, config.m={config.m}")
 
 
-def _check_theta_grid(theta_grid: Sequence[float]) -> np.ndarray:
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    if theta_grid.size == 0:
-        raise ValueError("theta grid is empty")
-    if not np.all(np.abs(theta_grid) < 1.0):
-        raise ValueError("theta grid must lie strictly inside (-1, 1)")
-    return theta_grid
-
-
 def _band(
     config: SurrogateConfig,
     observed_curve: ErrorGrowthCurve | None,
@@ -557,9 +541,7 @@ def null_xi_mean(m: int, tau_max: int, theta_grid: Sequence[float]) -> np.ndarra
     > 3 and ``tau_max`` one >= 1: no series sets a reach, so None is an error.
     """
     theta = _check_theta_grid(theta_grid)
-    m, tau_max = _kernels._check_window(m, tau_max)
-    if m < 4:
-        raise ValueError(f"window m={m} too small; the null mean of Xi needs m > 3")
+    m, tau_max = _kernels._check_window(_check_m(m), tau_max)
     j = np.arange(m)
     diffs = np.zeros((theta.size, m, m + 1))  # window difference j is w[j+1] + theta*w[j]
     diffs[:, j, j] = theta[:, None]
@@ -771,8 +753,6 @@ def _vary_window(
 
 def _half_corpus(records: HindcastRecords, trials: int, tau_max: int, seed: int) -> dict:
     """Subsample half the technologies many times; band the resulting curves."""
-    if trials < 1:
-        raise ValueError(f"half_dataset_trials must be >= 1, got {trials}")
     sums, counts = _sums_by_technology(records, tau_max)
     n_half = len(records.names) // 2
     if n_half < 1:
@@ -842,10 +822,14 @@ def robustness_suite(
     normal and correlated baselines (needs a template, built from the corpus
     differences when not supplied). ``tau_max=None`` caps every experiment at
     the horizons that windows of m reach in the corpus and the template, and
-    the report's ``tau_max`` holds that number.
+    the report's ``tau_max`` holds that number. m and theta must be ones the
+    error theory admits; seed is a whole number >= 0, half_dataset_trials >= 1.
     """
     lengths = [s.n_obs for s in corpus] + [n for n, _, _ in template or ()]
-    m, tau_max = _kernels._check_window(m, tau_max, lengths)
+    m, tau_max = _kernels._check_window(_check_m(m), tau_max, lengths)
+    theta, seed = _check_theta(theta), _integer("seed", seed, 0)
+    if half_dataset_trials is not None:
+        half_dataset_trials = _integer("half_dataset_trials", half_dataset_trials, 1)
     report: dict = {"m": m, "tau_max": tau_max, "theta": theta, "seed": seed}
     if vary_m is not None:
         report["vary_m"] = _vary_window(corpus, vary_m, theta, tau_max)

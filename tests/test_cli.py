@@ -423,6 +423,20 @@ class TestCompare:
         assert f"{flag} must be a finite positive cost" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["run.json"]
 
+    def test_k_b_values_with_one_file_name_fail_before_any_output(self, tmp_path, capsys):
+        # the second CSV used to overwrite the first, and both were reported written
+        out = tmp_path / "c6"
+        code = main(
+            ["compare", "--out", str(out),
+             "--cost-a", "3.0", "--mu-a", "-0.1", "--k-a", "0.1",
+             "--cost-b", "1.0", "--mu-b", "0", "--k-b", "0.15", "0.1500001", "--m", "5"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--k-b values [0.15, 0.1500001]" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+
     def test_bad_scenario_fails_before_any_output(self, tmp_path, capsys):
         # the first --k-b's CSV used to be written and reported before the
         # negative second one failed

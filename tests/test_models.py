@@ -14,6 +14,7 @@ from hypothesis import strategies as hst
 from costwalk import (
     EstimationError,
     ImaParams,
+    RwdEstimate,
     SurrogateConfig,
     TechnologySeries,
     corpus_template,
@@ -47,6 +48,14 @@ class TestEstimateRwd:
         est = estimate_rwd(series, origin_index=6, m=6)
         assert est.k_hat == 0.0
         assert est.mu_hat == -0.125
+
+    @pytest.mark.parametrize(
+        "mu_hat, k_hat", [(math.nan, 0.1), (math.inf, 0.1), (0.0, math.nan), (0.0, math.inf)]
+    )
+    def test_non_finite_estimate_rejected(self, mu_hat, k_hat):
+        # a NaN k_hat used to build, and its forecast had NaN quantiles
+        with pytest.raises(ValueError, match="mu_hat|k_hat"):
+            RwdEstimate(mu_hat=mu_hat, k_hat=k_hat, m=5, origin_index=10)
 
     def test_window_bounds_checked(self):
         series = _series(np.linspace(0, -1, 10))
@@ -123,6 +132,14 @@ class TestFitImaMle:
         assert a.theta == b.theta
         assert a.sigma == b.sigma
         assert a.mu == b.mu
+
+    @pytest.mark.parametrize(
+        "params", [(math.nan, 0.1, 0.0), (0.0, math.nan, 0.1), (0.0, math.inf, 0.1), (0.0, 1.0, math.nan)]
+    )
+    def test_non_finite_params_rejected(self, params):
+        # each used to build, and a NaN theta passed the [-1, 1] check
+        with pytest.raises(ValueError, match="mu|sigma|theta"):
+            ImaParams(*params)
 
     def test_k_identity(self):
         params = ImaParams(mu=0.0, sigma=0.05, theta=0.6)

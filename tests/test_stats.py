@@ -63,6 +63,14 @@ class TestStudentTCdf:
             student_t_quantile(0.3, math.nan)
         assert math.isnan(student_t_cdf(math.nan, 4.0))
 
+    @pytest.mark.parametrize("df", [math.inf, -math.inf])
+    def test_infinite_df_is_rejected(self, df):
+        # +inf used to raise FloatingPointError from the incomplete beta fraction
+        with pytest.raises(ValueError, match=r"\bdf\b"):
+            student_t_cdf(1.0, df)
+        with pytest.raises(ValueError, match=r"\bdf\b"):
+            student_t_quantile(0.3, df)
+
     def test_against_scipy_grid(self):
         for df in (0.5, 1.0, 2.0, 4.0, 9.0, 32.0, 200.0):
             for x in np.linspace(-12, 12, 97):

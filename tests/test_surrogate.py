@@ -843,6 +843,19 @@ class TestRobustness:
             values = np.array(values)
             assert np.all(np.isfinite(values[:34])) and np.all(np.isnan(values[34:]))
 
+    @pytest.mark.parametrize(
+        "arguments, name",
+        [
+            (dict(half_dataset_trials=3, seed=-1), "seed"),  # numpy's "expected non-negative integer"
+            (dict(seed=1.5), "seed"),  # a TypeError
+            (dict(half_dataset_trials=2.5), "half_dataset_trials"),  # a TypeError from range()
+        ],
+    )
+    def test_seed_and_trials_are_whole_numbers_checked_up_front(self, monkeypatch, arguments, name):
+        monkeypatch.setattr(surrogate, "hindcast_corpus", None)  # no experiment runs
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            robustness_suite([], m=5, tau_max=10, **arguments)
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_half_dataset_needs_a_trial(self, trials):
         # 0 trials used to give "Mean of empty slice" and a NaN share

@@ -1,8 +1,12 @@
-"""The window and horizon-cap rule that ``_kernels._check_window`` owns.
+"""The window and horizon-cap rule that ``_kernels._check_window`` owns,
+and the error theory's domain that ``forecast`` owns.
 
 ``m`` is a whole number >= 2 and ``tau_max`` a whole number >= 1, or None.
 Where an entry point has series lengths, None means every horizon those
 series reach; where it needs a number and has no data, None is an error.
+Wherever the error theory applies, m must also exceed 3, theta must be a
+real number strictly inside (-1, 1), and a theta grid a non-empty 1-d
+sequence of such numbers.
 """
 
 import inspect
@@ -15,12 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from costwalk import (
+    CrossingSpec,
     RwdEstimate,
     SurrogateConfig,
     TechState,
     _kernels,
+    distributional_forecast,
     error_growth,
     estimate_rwd,
+    estimate_theta_matched,
     estimate_theta_weighted,
     forecast_technology,
     hindcast_corpus,
@@ -234,3 +241,75 @@ def test_bad_window_or_cap_names_the_argument(name, argument, value):
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
 def test_valid_window_and_cap_run(name):
     _ENTRY_POINTS[name](5, 5)
+
+
+def _surrogate_config(theta, m):
+    return SurrogateConfig(replications=1, theta=theta, m=m, tau_max=5, seed=1, template=_TEMPLATE)
+
+
+_CURVE = error_growth(_RECORDS)
+_CONFIG = _surrogate_config(0.0, 5)
+
+
+def _tech(m=5):
+    return TechState(0.0, -0.05, 0.1, m)
+
+
+# every entry point that takes theta, the error theory's m or a theta grid, as call(value)
+_THEORY = {
+    "theta": {
+        "variance_factors": lambda v: variance_factors(1, 5, v),
+        "distributional_forecast": lambda v: distributional_forecast(
+            RwdEstimate(-0.05, 0.1, 5, 20), 0.0, 1, v
+        ),
+        "CrossingSpec": lambda v: CrossingSpec(_tech(), _tech(), v),
+        "SurrogateConfig": lambda v: _surrogate_config(v, 5),
+        "robustness_suite": lambda v: robustness_suite(_CORPUS, theta=v),
+        "forecast_technology": lambda v: forecast_technology(_CORPUS[0], 5, v, m=5),
+    },
+    "m": {
+        "variance_factors": lambda v: variance_factors(1, v, 0.3),
+        "distributional_forecast": lambda v: distributional_forecast(
+            RwdEstimate(-0.05, 0.1, v, 20), 0.0, 1, 0.3
+        ),
+        "TechState": _tech,
+        "SurrogateConfig": lambda v: _surrogate_config(0.3, v),
+        "null_xi_mean": lambda v: null_xi_mean(v, 5, [0.0, 0.3]),
+        "robustness_suite": lambda v: robustness_suite(_CORPUS, m=v),
+        "forecast_technology": lambda v: forecast_technology(_CORPUS[0], 5, 0.3, m=v),
+    },
+    "grid": {
+        "null_xi_mean": lambda v: null_xi_mean(5, 5, v),
+        "estimate_theta_matched": lambda v: estimate_theta_matched(_CURVE, _CONFIG, v),
+        "theta_forecast_sweep": lambda v: theta_forecast_sweep(_CORPUS, 5, v, [1, 2]),
+    },
+}
+_OUTSIDE = {
+    "theta": (math.nan, 1.0, -1.0, 1.5, "0.3", None),
+    "m": (3, 3.5, "5"),
+    "grid": (0.3, [[0.1, 0.2]], []),
+}
+_NAMED = {"theta": r"\btheta\b", "m": r"\bm\b", "grid": r"\btheta grid\b"}
+
+
+@pytest.mark.parametrize(
+    "argument, name, value",
+    [(argument, name, v) for argument, calls in _THEORY.items() for name in calls for v in _OUTSIDE[argument]],
+)
+def test_outside_the_theory_names_the_argument(argument, name, value):
+    # a 0-d or 2-d grid raised an IndexError or numpy's broadcast error, a string
+    # or None theta a TypeError, and robustness_suite returned a bad theta unchecked
+    with pytest.raises(ValueError, match=_NAMED[argument]):
+        _THEORY[argument][name](value)
+
+
+@pytest.mark.parametrize("argument, name", [(a, name) for a, calls in _THEORY.items() for name in calls])
+def test_inside_the_theory_runs(argument, name):
+    _THEORY[argument][name]({"theta": 0.3, "m": 5, "grid": [-0.5, 0.3]}[argument])  # brackets Z = 1
+
+
+@pytest.mark.parametrize("name", sorted(_THEORY["grid"]))
+def test_a_ragged_grid_names_its_first_bad_theta(name):
+    # numpy's "inhomogeneous shape" error used to escape
+    with pytest.raises(ValueError, match=r"^theta must lie .*got \[0\.1\]$"):
+        _THEORY["grid"][name]([[0.1], [0.2, 0.3]])
