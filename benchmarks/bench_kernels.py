@@ -82,9 +82,10 @@ from costwalk import (
     write_corpus_csv,
 )
 from costwalk import _kernels, surrogate
+from costwalk.forecast import null_xi_mean
 from costwalk.hindcast import _cell_sums, _cells, _xi, write_records_csv
 from costwalk.stats import derive_rng
-from costwalk.surrogate import _engine_plan, _ensemble, _innovations, null_xi_mean
+from costwalk.surrogate import _engine_plan, _ensemble, _innovations
 
 
 def _time(fn, repeat=5):

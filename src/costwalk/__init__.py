@@ -26,6 +26,7 @@ from .forecast import (
     DistributionalForecast,
     VarianceFactors,
     distributional_forecast,
+    null_xi_mean,
     variance_factors,
 )
 from .hindcast import (
@@ -77,7 +78,6 @@ from .surrogate import (
     estimate_theta_matched,
     estimate_theta_weighted,
     null_xi_band,
-    null_xi_mean,
     robustness_suite,
     surrogate_corpus,
     theta_forecast_sweep,

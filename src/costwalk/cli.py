@@ -34,7 +34,7 @@ from .dataset import (
     summarize_corpus,
     write_summary_csv,
 )
-from .forecast import _check_m, _check_theta
+from .forecast import _check_m, _check_theta, _check_theta_grid
 from .hindcast import error_growth, hindcast_corpus, write_error_growth_csv, write_records_csv
 from .models import EstimationError
 from .scenarios import (
@@ -196,6 +196,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         _kernels._integer("--grid-reps", args.grid_reps, 1)
     _check_m(args.window)  # before the corpus is read
     _check_theta(args.theta)
+    grid = _check_theta_grid(_parse_grid(args.grid)) if args.theta_from == "matched" else None
     improving, _, result = _hindcast_improving(args, "to validate against")
     curve = error_growth(result.records)
     base = SurrogateConfig(
@@ -219,7 +220,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "excluded": list(tw.excluded),
         }
     elif args.theta_from == "matched":
-        tm = estimate_theta_matched(curve, base, _parse_grid(args.grid))
+        tm = estimate_theta_matched(curve, base, grid)
         theta = tm.theta_m
         report["theta_matched"] = {
             "theta_m": tm.theta_m,

@@ -20,9 +20,9 @@ and the rescaled normalized error
     eps* = (E / K_hat) / sqrt(A*/(1 + theta^2))
 
 follows a Student t(m-1) distribution: exactly for theta = 0, approximately
-otherwise (the approximation assumes the estimated volatility is independent
-of the error; it is accurate for windows larger than ~15 differences and
-degrades below that, see the surrogate machinery for the exact comparison).
+otherwise (it takes K_hat to be independent of the error; accurate above ~15
+differences, it degrades below). ``null_xi_mean`` gives the exact mean of
+eps^2 at any theta; no exact law of eps at theta != 0 is computed yet.
 
 The distributional forecast for log cost at horizon tau is centered on the
 point forecast y_t + mu_hat*tau with variance K_hat^2 * A*/(1 + theta^2).
@@ -35,10 +35,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from ._kernels import _integer
+from ._kernels import _check_window, _integer
 from .models import RwdEstimate
 from .stats import normal_cdf, student_t_quantile
 
@@ -46,6 +47,7 @@ __all__ = [
     "VarianceFactors",
     "variance_factors",
     "rescale_scale",
+    "null_xi_mean",
     "DistributionalForecast",
     "distributional_forecast",
 ]
@@ -104,6 +106,64 @@ def variance_factors(tau: float, m: int, theta: float) -> VarianceFactors:
 def rescale_scale(factors: VarianceFactors) -> float:
     """sqrt(A*/(1+theta^2)), the divisor turning normalized errors into eps*."""
     return math.sqrt(factors.a_star / (1.0 + factors.theta * factors.theta))
+
+
+def _record_form(m: int, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The quadratic forms of one record of the unit walk, per theta of a checked grid.
+
+    A record of y[t] = y[t-1] + w[t] + theta*w[t-1] at origin i reads the unit
+    normals w[i-m..i+tau], whatever its series, length or origin, and its
+    eps = c'w / sqrt(w'Bw), where w'Bw is K_hat^2 on m - 1 degrees of freedom.
+    B touches only the m + 1 window innovations w[i-m..i]. Returns B's
+    eigenvalues lam and eigenvectors q, and in that eigenbasis the window
+    directions e (w[i]) and u (minus the drift estimate's coefficients): c's
+    window part is q(theta*e + tau*u). Its tau future innovations, outside B,
+    have variance (tau-1)(1+theta)^2 + 1.
+    """
+    j = np.arange(m)
+    diffs = np.zeros((theta.size, m, m + 1))  # window difference j is w[j+1] + theta*w[j]
+    diffs[:, j, j] = theta[:, None]
+    diffs[:, j, j + 1] = 1.0
+    drift = diffs.mean(axis=1)
+    centered = diffs - drift[:, None, :]
+    lam, q = np.linalg.eigh(np.swapaxes(centered, 1, 2) @ centered / (m - 1))
+    lam[:, :2] = 0.0  # B has rank m - 1, so rounding must not bend its null directions
+    return lam, q, q[:, m, :], -np.einsum("gik,gi->gk", q, drift)
+
+
+def null_xi_mean(m: int, tau_max: int, theta_grid: Sequence[float]) -> np.ndarray:
+    """(grid, tau_max) exact mean of the null Xi at horizons 1..tau_max, per theta.
+
+    Every record of the unit walk has the same E[eps^2] = g(m, tau, theta)
+    (``_record_form``), the mean of Xi under both weightings. By J. R. Magnus
+    (Ann. d'Econ. et de Stat. 4, 1986),
+
+        g = int_0^inf det(I + 2tB)^(-1/2) c'(I + 2tB)^(-1) c dt,
+
+    so one eigensystem of B per theta serves every tau. The integral is a
+    trapezoid rule in s = log t with step 1/4 on [-40, 160/(m-3)], which
+    converges exponentially: the integrand decays like e^s below and like
+    e^(-(m-3)s/2) above. At theta = 0 the rows are the paper's closed form,
+    ``variance_factors(tau, m, 0).xi``, as bits. ``m`` must be a whole number
+    > 3 and ``tau_max`` one >= 1: no series sets a reach, so None is an error.
+    """
+    theta = _check_theta_grid(theta_grid)
+    m, tau_max = _check_window(_check_m(m), tau_max)
+    lam, _, e, u = _record_form(m, theta)
+    step = 0.25
+    t = np.exp(np.arange(-40.0, 160.0 / (m - 3), step))
+    x = 2.0 * t[:, None] * lam[:, None, :]  # (grid, nodes, m + 1)
+    weight = step * t * np.exp(-0.5 * np.log1p(x).sum(axis=-1))  # dt = t ds
+    i0 = weight.sum(axis=-1)
+    w_k = np.einsum("gn,gnk->gk", weight, 1.0 / (1.0 + x))  # each eigendirection's integral
+    i_ee, i_eu, i_uu = ((w_k * a * b).sum(axis=-1)[:, None] for a, b in ((e, e), (e, u), (u, u)))
+    tau = np.arange(1.0, tau_max + 1.0)
+    th = theta[:, None]
+    future = (tau - 1.0) * (1.0 + th) ** 2 + 1.0
+    g = th * th * i_ee + 2.0 * th * tau * i_eu + tau * tau * i_uu + future * i0[:, None]
+    if np.any(theta == 0.0):
+        g[theta == 0.0] = [variance_factors(k, m, 0.0).xi for k in range(1, tau_max + 1)]
+    return g
 
 
 @dataclass(frozen=True)

@@ -43,18 +43,12 @@ test, and reads both from one ensemble of config.replications replications
 (``validation_nulls``): replication r draws once, from the "xi-band" stream,
 and its normalized errors give band row r and, divided by each record's eps*
 divisor, deviation row r. ``null_xi_band`` and ``distribution_deviation_test``
-draw the same replications, so each returns the same rows on its own. Each
-p-value is valid on its own, but the band and the deviation test are not
-independent.
+draw the same replications, so each returns the same rows on its own.
 
 Theta matching needs only the mean of the null Xi at every theta of a grid,
-and that mean has an exact form, so it draws no replication. The unit walk's
-increments w[t] + theta*w[t-1] are a stationary MA(1), so every record of
-every series has the same E[eps^2] = g(m, tau, theta), which is then the
-null mean of Xi under both weightings. ``null_xi_mean`` computes g as the
-expectation of a ratio of quadratic forms in normal variables. Z(theta)
-therefore carries no Monte Carlo error and does not depend on the template,
-which only decides the horizons Z can compare.
+which ``forecast.null_xi_mean`` gives exactly, so it draws no replication:
+Z(theta) carries no Monte Carlo error, and the template only decides the
+horizons Z can compare.
 
 Everything here is deterministic given the configuration: replication r of
 an experiment draws from an independent stream derived from (seed, tag, r),
@@ -74,7 +68,9 @@ import numpy as np
 from . import _kernels
 from ._kernels import _build_plan, _integer, _Plan, _read_only
 from .dataset import SeriesSummary, corpus_template
-from .forecast import _check_m, _check_theta, _check_theta_grid, variance_factors
+from .forecast import _check_m, _check_theta, _check_theta_grid, null_xi_mean
+# not called here; perfbench/tracing.py patches this name in this module
+from .forecast import variance_factors  # noqa: F401
 from .hindcast import (
     ErrorGrowthCurve,
     HindcastRecords,
@@ -100,7 +96,6 @@ __all__ = [
     "validation_nulls",
     "ThetaWeighted",
     "estimate_theta_weighted",
-    "null_xi_mean",
     "ThetaMatched",
     "estimate_theta_matched",
     "ThetaSweep",
@@ -111,9 +106,8 @@ __all__ = [
 DEVIATION_GRID = np.linspace(-15.0, 15.0, 1000)
 DEVIATION_STATISTICS = ("sum_abs", "sum_sq", "max_signed")  # _deviation_stats' columns
 
-# Replication r of an experiment draws from derive_rng(seed, tag, r). Each
-# experiment owns a block of tags, (first tag, number of tags), so no two
-# experiments share a stream.
+# Each experiment owns a block of the stream tags of the module docstring,
+# (first tag, number of tags), so no two experiments share a stream.
 _STREAM_TAGS: dict[str, tuple[int, int]] = {
     "xi-band": (1, 1),  # the Xi band and the deviation test read the same draws
     # 2 stays unused: earlier deviation nulls drew from it, and reusing it would repeat their draws
@@ -310,11 +304,7 @@ def _draws(
     config: SurrogateConfig, plan: _Plan, tag: int, out: np.ndarray
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """The replications of each array pass and their unit innovations, one
-    row each, drawn into the head rows of the (chunk, points) ``out``.
-
-    Replication r draws from stream (seed, tag, r), so what a replication
-    draws does not depend on how many replications share a pass.
-    """
+    row each, drawn into the head rows of the (chunk, points) ``out``."""
     for start in range(0, config.replications, plan.chunk):
         stop = min(start + plan.chunk, config.replications)
         innovations = out[: stop - start]
@@ -327,12 +317,8 @@ def _ensemble(
     config: SurrogateConfig, tag: int, records: HindcastRecords | None = None
 ) -> tuple[np.ndarray, NullEnsemble | None]:
     """The (replications, tau_max) Xi curves of the surrogate null and, given
-    records, the deviation test of the records' pooled eps* (else None).
-
-    Replication r's walks give Xi row r and deviation row r, each through the
-    code of its observed statistic, so a row is bit-identical to that
-    statistic of replication r's corpus. The plan is checked before the records.
-    """
+    records, the deviation test of the records' pooled eps* (else None). The
+    plan is checked before the records."""
     plan = _engine_plan(config)
     if records is not None:
         if records.m != config.m:
@@ -516,56 +502,6 @@ def estimate_theta_weighted(
         taus=np.arange(1, counts.shape[1] + 1, dtype=np.int64),
         excluded=excluded,
     )
-
-
-def null_xi_mean(m: int, tau_max: int, theta_grid: Sequence[float]) -> np.ndarray:
-    """(grid, tau_max) exact mean of the null Xi at horizons 1..tau_max, per theta.
-
-    A record of the unit walk y[t] = y[t-1] + w[t] + theta*w[t-1] at origin
-    i reads the unit normals w[i-m..i+tau], whatever its series, length or
-    origin, so its E[eps^2] is one number g(m, tau, theta), the mean of Xi
-    under both weightings. With eps = c'w / sqrt(w'Bw), where w'Bw is K_hat^2
-    on m - 1 degrees of freedom (J. R. Magnus, Ann. d'Econ. et de Stat. 4,
-    1986),
-
-        g = int_0^inf det(I + 2tB)^(-1/2) c'(I + 2tB)^(-1) c dt.
-
-    B touches only the m + 1 window innovations, where c is theta on w[i]
-    minus tau times the drift estimate's coefficients, so one eigensystem of
-    B per theta serves every tau; the tau future innovations add the
-    constant (tau-1)(1+theta)^2 + 1 to c'(I + 2tB)^(-1) c. The integral is a
-    trapezoid rule in s = log t with step 1/4 on [-40, 160/(m-3)], which
-    converges exponentially: the integrand decays like e^s below and like
-    e^(-(m-3)s/2) above. At theta = 0 the rows are the paper's closed form,
-    ``variance_factors(tau, m, 0).xi``, as bits. ``m`` must be a whole number
-    > 3 and ``tau_max`` one >= 1: no series sets a reach, so None is an error.
-    """
-    theta = _check_theta_grid(theta_grid)
-    m, tau_max = _kernels._check_window(_check_m(m), tau_max)
-    j = np.arange(m)
-    diffs = np.zeros((theta.size, m, m + 1))  # window difference j is w[j+1] + theta*w[j]
-    diffs[:, j, j] = theta[:, None]
-    diffs[:, j, j + 1] = 1.0
-    drift = diffs.mean(axis=1)
-    centered = diffs - drift[:, None, :]
-    lam, q = np.linalg.eigh(np.swapaxes(centered, 1, 2) @ centered / (m - 1))
-    lam[:, :2] = 0.0  # B has rank m - 1, so rounding must not bend its null directions
-    step = 0.25
-    t = np.exp(np.arange(-40.0, 160.0 / (m - 3), step))
-    x = 2.0 * t[:, None] * lam[:, None, :]  # (grid, nodes, m + 1)
-    weight = step * t * np.exp(-0.5 * np.log1p(x).sum(axis=-1))  # dt = t ds
-    i0 = weight.sum(axis=-1)
-    w_k = np.einsum("gn,gnk->gk", weight, 1.0 / (1.0 + x))  # each eigendirection's integral
-    e = q[:, m, :]  # w[i], the last window innovation, in the eigenbasis
-    u = -np.einsum("gik,gi->gk", q, drift)
-    i_ee, i_eu, i_uu = ((w_k * a * b).sum(axis=-1)[:, None] for a, b in ((e, e), (e, u), (u, u)))
-    tau = np.arange(1.0, tau_max + 1.0)
-    th = theta[:, None]
-    future = (tau - 1.0) * (1.0 + th) ** 2 + 1.0
-    g = th * th * i_ee + 2.0 * th * tau * i_eu + tau * tau * i_uu + future * i0[:, None]
-    if np.any(theta == 0.0):
-        g[theta == 0.0] = [variance_factors(k, m, 0.0).xi for k in range(1, tau_max + 1)]
-    return g
 
 
 def _bisect_root(
@@ -777,25 +713,19 @@ def _half_corpus(records: HindcastRecords, trials: int, tau_max: int, seed: int)
 
 
 def _fat_tails(
-    template: tuple[tuple[int, float, float], ...],
-    dfs: Sequence[float],
-    m: int,
-    tau_max: int,
-    replications: int,
-    seed: int,
-    theta: float,
+    config: SurrogateConfig, reach: int, students: Sequence[tuple[SurrogateConfig, int]]
 ) -> dict:
-    """Mean error growth for fat-tailed random walks (Monte Carlo) vs normal
-    RWD and IMA (exact, ``null_xi_mean``), NaN where no template series reaches."""
-    base = dict(replications=replications, m=m, tau_max=tau_max, seed=seed, template=template)
-    exact = null_xi_mean(m, tau_max, [0.0, theta])
-    exact[:, _engine_plan(SurrogateConfig(theta=theta, **base)).tau.max() :] = math.nan
+    """Mean error growth for fat-tailed random walks (Monte Carlo, one (config,
+    stream tag) per df) vs normal RWD and IMA at ``config``'s theta (exact,
+    ``null_xi_mean``), NaN beyond the ``reach`` of the template's records."""
+    exact = null_xi_mean(config.m, config.tau_max, [0.0, config.theta])
+    exact[:, reach:] = math.nan
     normal_rwd, ima = exact.tolist()
-    report: dict = {"tau": list(range(1, tau_max + 1)), "normal_rwd": normal_rwd, "ima": ima, "student": {}}
-    for df_i, df in enumerate(dfs):
-        cfg = SurrogateConfig(theta=0.0, student_df=float(df), **base)
-        xi, _ = _ensemble(cfg, _stream_tag("fat-tails-student", df_i))
-        report["student"][f"df={df:g}"] = np.mean(xi, axis=0).tolist()
+    report: dict = {"tau": list(range(1, config.tau_max + 1)), "normal_rwd": normal_rwd, "ima": ima}
+    report["student"] = {}
+    for cfg, tag in students:
+        xi, _ = _ensemble(cfg, tag)
+        report["student"][f"df={cfg.student_df:g}"] = np.mean(xi, axis=0).tolist()
     return report
 
 
@@ -830,6 +760,19 @@ def robustness_suite(
     theta, seed = _check_theta(theta), _integer("seed", seed, 0)
     if half_dataset_trials is not None:
         half_dataset_trials = _integer("half_dataset_trials", half_dataset_trials, 1)
+    for window in vary_m or ():
+        _check_m(window)
+    if extended_tau_max is not None:
+        _kernels._check_window(m, extended_tau_max)
+    if fat_tail_dfs is not None:  # every config is built, and so checked, before any experiment
+        template = corpus_template(corpus) if template is None else template
+        base = dict(replications=replications, m=m, tau_max=tau_max, seed=seed, template=template)
+        normal = SurrogateConfig(theta=theta, **base)
+        reach = int(_engine_plan(normal).tau.max())
+        students = [
+            (SurrogateConfig(theta=0.0, student_df=float(df), **base), _stream_tag("fat-tails-student", i))
+            for i, df in enumerate(fat_tail_dfs)
+        ]
     report: dict = {"m": m, "tau_max": tau_max, "theta": theta, "seed": seed}
     if vary_m is not None:
         report["vary_m"] = _vary_window(corpus, vary_m, theta, tau_max)
@@ -843,9 +786,5 @@ def robustness_suite(
             "curve": _curve_table(error_growth(ext.records), m, theta),
         }
     if fat_tail_dfs is not None:
-        if template is None:
-            template = corpus_template(corpus)
-        report["fat_tails"] = _fat_tails(
-            template, fat_tail_dfs, m, tau_max, replications, seed, theta
-        )
+        report["fat_tails"] = _fat_tails(normal, reach, students)
     return report

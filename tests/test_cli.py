@@ -207,6 +207,17 @@ class TestValidate:
         assert "--grid-reps must be >= 1, got 0" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["run.json"]
 
+    @pytest.mark.parametrize(
+        "grid, message", [("0:1.5:0.1", "theta must lie strictly inside"), ("0:0.9", "start:stop:step")]
+    )
+    def test_bad_grid_is_reported_before_the_corpus_is_read(self, tmp_path, capsys, grid, message):
+        # used to report the missing --input file instead of the grid
+        assert main(
+            ["validate", "--input", str(tmp_path / "nonexistent.csv"), "--out", str(tmp_path / "o"),
+             "--theta-from", "matched", "--grid", grid]
+        ) == 2
+        assert message in capsys.readouterr().err
+
     def test_theta_from_weighted(self, corpus_csv, tmp_path):
         out = tmp_path / "w"
         assert main(

@@ -27,6 +27,7 @@ from costwalk import (
     load_reference_params,
     null_xi_band,
     null_xi_mean,
+    robustness_suite,
     surrogate_corpus,
     validation_nulls,
 )
@@ -39,7 +40,6 @@ from costwalk.surrogate import (
     _build_plan,
     _engine_plan,
     _ensemble,
-    _fat_tails,
     _innovations,
     _stream_tag,
 )
@@ -358,7 +358,9 @@ def test_zero_volatility_series_has_no_null_records():
         test = distribution_deviation_test(records, config)
         _assert_bytes_equal(test.values[r], test.observed)
 
-    curves = _fat_tails(template, [3.0], 5, 6, 1, 4, 0.3)
+    curves = robustness_suite(
+        [], m=5, tau_max=6, theta=0.3, seed=4, replications=1, fat_tail_dfs=[3.0], template=template
+    )["fat_tails"]
     student = dataclasses.replace(config, replications=1, theta=0.0, student_df=3.0)
     student_xi = error_growth(observed(student, 4, _stream_tag("fat-tails-student"), 0)).xi
     assert curves["student"]["df=3"] == student_xi.tolist()

@@ -1,9 +1,10 @@
 """The exact null mean of Xi and the theta matching built on it.
 
 ``null_xi_mean`` gives E[eps^2] of a record of the unit walk as an integral
-over the eigensystem of the window's variance form. The tests hold it to the
-paper's closed form at theta = 0 (as bits), to an independent quadrature of
-the same integral written from the walk's definition, and to the engine's
+over the eigensystem of the window's variance form, which ``_record_form``
+builds. The tests hold the builder to the dense form written from the walk's
+definition, and the mean to the paper's closed form at theta = 0 (as bits),
+to an independent quadrature over the dense form, and to the engine's
 Monte Carlo mean; ``estimate_theta_matched`` builds Z from it and draws
 nothing.
 """
@@ -27,23 +28,31 @@ from costwalk import (
     variance_factors,
 )
 from costwalk import surrogate
+from costwalk.forecast import _record_form, null_xi_mean
 from costwalk.stats import derive_rng
-from costwalk.surrogate import _ensemble, _stream_tag, null_xi_mean
+from costwalk.surrogate import _ensemble, _stream_tag
 
 REFERENCE_TEMPLATE = corpus_template(load_reference_params(improving_only=True))
 
 
-def _quadrature(m, tau, theta):
-    """E[eps^2] of one record by scipy's quad, from the walk's definition:
-    innovations w[0..m+tau], levels y[t] = sum of w[s] + theta*w[s-1] over
-    s = 1..t, the window the first m differences and the origin at t = m."""
+def _dense_form(m, tau, theta):
+    """c and B of one record, eps = c'w / sqrt(w'Bw), from the walk's
+    definition: innovations w[0..m+tau], levels y[t] = sum of w[s] +
+    theta*w[s-1] over s = 1..t, the window the first m differences and the
+    origin at t = m."""
     n = m + tau + 1
     steps = np.eye(n)[1:] + theta * np.eye(n)[:-1]
     y = np.vstack((np.zeros(n), np.cumsum(steps, axis=0)))  # y[t] = y[t] @ w
     d = y[1 : m + 1] - y[:m]
     c = y[m + tau] - y[m] - tau * d.mean(axis=0)  # the raw error
     centered = d - d.mean(axis=0)
-    b = centered.T @ centered / (m - 1)  # K_hat^2
+    return c, centered.T @ centered / (m - 1)  # w'Bw = K_hat^2
+
+
+def _quadrature(m, tau, theta):
+    """E[eps^2] of one record by scipy's quad over ``_dense_form``."""
+    n = m + tau + 1
+    c, b = _dense_form(m, tau, theta)
 
     def f(t):
         a = np.eye(n) + 2.0 * t * b
@@ -53,6 +62,22 @@ def _quadrature(m, tau, theta):
     head = integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
     tail = integrate.quad(lambda v: 2.0 * f(v**-2.0) / v**3, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
     return head + tail
+
+
+@pytest.mark.parametrize("m", [4, 5, 40])
+def test_record_form_is_the_dense_form(m):
+    # the contract of _record_form: B on the m + 1 window innovations, c's
+    # window part in its eigenbasis, and the variance of c's future part
+    thetas = [-0.5, 0.0, 0.63]
+    window = slice(0, m + 1)
+    for lam, q, e, u, theta in zip(*_record_form(m, np.array(thetas)), thetas):
+        for tau in (1, 7, 20):
+            c, b = _dense_form(m, tau, theta)
+            np.testing.assert_allclose((q * lam) @ q.T, b[window, window], rtol=0.0, atol=1e-12)
+            assert not b[m + 1 :].any()  # B touches no future innovation
+            np.testing.assert_allclose(q @ (theta * e + tau * u), c[window], rtol=0.0, atol=1e-12)
+            future = (tau - 1) * (1 + theta) ** 2 + 1
+            assert c[m + 1 :] @ c[m + 1 :] == pytest.approx(future, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("m", [4, 5, 40])

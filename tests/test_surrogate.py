@@ -768,7 +768,24 @@ class TestErrorGrowthApproximation:
         assert max(deviations) > 0.08  # the gap is real, not noise
 
 
+def _small_corpus():
+    config = SurrogateConfig(replications=1, theta=0.0, m=5, tau_max=10, seed=8, template=SMALL_TEMPLATE)
+    return surrogate_corpus(config, derive_rng(60, 0))
+
+
 class TestRobustness:
+    @pytest.fixture
+    def hindcasts(self, monkeypatch):
+        """The arguments of every hindcast that robustness_suite runs."""
+        hindcast, counted = surrogate.hindcast_corpus, []
+
+        def counting(*args, **kwargs):
+            counted.append(args)
+            return hindcast(*args, **kwargs)
+
+        monkeypatch.setattr(surrogate, "hindcast_corpus", counting)
+        return counted
+
     def test_vary_m_orders_curves(self):
         cfg = SurrogateConfig(
             replications=1, theta=0.63, m=5, tau_max=20, seed=3,
@@ -789,20 +806,25 @@ class TestRobustness:
             (dict(half_dataset_trials=5), 1),
         ],
     )
-    def test_hindcasts_only_for_experiments_that_read_it(self, monkeypatch, experiments, calls):
-        hindcast, counted = surrogate.hindcast_corpus, []
+    def test_hindcasts_only_for_experiments_that_read_it(self, hindcasts, experiments, calls):
+        robustness_suite(_small_corpus(), m=5, tau_max=10, replications=10, **experiments)
+        assert len(hindcasts) == calls
 
-        def counting(*args, **kwargs):
-            counted.append(args)
-            return hindcast(*args, **kwargs)
-
-        monkeypatch.setattr(surrogate, "hindcast_corpus", counting)
-        corpus = surrogate_corpus(
-            SurrogateConfig(replications=1, theta=0.0, m=5, tau_max=10, seed=8, template=SMALL_TEMPLATE),
-            derive_rng(60, 0),
-        )
-        robustness_suite(corpus, m=5, tau_max=10, replications=10, **experiments)
-        assert len(counted) == calls
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            (dict(vary_m=[8, 3]), "m=3"),
+            (dict(vary_m=[5, 8], extended_tau_max=0), "tau_max must be >= 1"),
+            (dict(vary_m=[5], half_dataset_trials=3, fat_tail_dfs=[2.0]), "student_df"),
+            (dict(vary_m=[5], fat_tail_dfs=[3.0], replications=0), "replications"),
+            (dict(vary_m=[5], fat_tail_dfs=[3.0], template=((20, -0.08, 0.0), (5, -0.1, 0.1))), "K = 0"),
+        ],
+    )
+    def test_every_argument_checked_before_the_first_hindcast(self, hindcasts, arguments, message):
+        # each case used to run one to three hindcasts before its ValueError
+        with pytest.raises(ValueError, match=message):
+            robustness_suite(_small_corpus(), m=5, tau_max=10, **{"replications": 10, **arguments})
+        assert hindcasts == []
 
     @pytest.mark.parametrize("window, message", [(dict(m=1), "m=1"), (dict(tau_max=0), "tau_max")])
     def test_window_checked_without_a_hindcast(self, window, message):
