@@ -41,10 +41,15 @@ Times the hot paths on representative workloads:
   and its traced peak), and their error-growth curve under both weightings
   (its traced peak under equal-technology weighting, as ``hindcast
   --weighting equal-tech`` runs it);
+* the forecast path on the first series of that corpus, as ``forecast``
+  runs it: ``forecast_technology`` and every horizon's ``as_record`` at
+  horizons 1..20 and 1..100, best of 5 in a warm process;
 * fixed costs that every fresh process pays once, timed in a new Python
   process: the first ``NullEnsemble.quantiles`` call on a (1000, 20)
   ensemble (and a second one, for comparison), the t(m-1) CDF on the
-  deviation grid, and ``import numpy.random``, which ``derive_rng`` needs.
+  deviation grid, ``import numpy.random``, which ``derive_rng`` needs, and
+  the forecast path above as a first call at horizon 20, then at horizon 100
+  (which reuses the t(m-1) quantiles the first call computed).
 
 Usage: python benchmarks/bench_kernels.py [--reps 200]
 """
@@ -72,6 +77,7 @@ from costwalk import (
     estimate_theta_matched,
     fit_ima_mle,
     fit_ima_mle_corpus,
+    forecast_technology,
     hindcast_corpus,
     ingest_csv,
     load_reference_params,
@@ -224,6 +230,20 @@ def bench_observed(template, theta, m, tau_max, directory):
     return len(corpus), len(records), t_fit, t_stage, peaks
 
 
+def bench_forecast(template):
+    """Best times of the forecast path on the first series of the x10 corpus, per horizon."""
+    config = SurrogateConfig(
+        replications=1, theta=0.63, m=5, tau_max=20, seed=42, template=template * 10
+    )
+    series = surrogate_corpus(config, make_rng(42))[0]
+
+    def records(tau_max):
+        for f in forecast_technology(series, tau_max, 0.63):
+            f.as_record(series.name, int(series.years[-1]))
+
+    return {tau_max: _time(lambda: records(tau_max)) for tau_max in (20, 100)}
+
+
 def _traced_peak(fn):
     """Peak bytes that tracemalloc sees allocated during one call of fn."""
     tracemalloc.start()
@@ -250,12 +270,26 @@ band.quantiles
 t5 = time.perf_counter()
 _t_cdf_grid(4)
 t6 = time.perf_counter()
+import costwalk as cw
+template = cw.corpus_template(cw.load_reference_params(improving_only=True))
+config = cw.SurrogateConfig(replications=1, theta=0.63, m=5, tau_max=20, seed=42, template=template * 10)
+series = cw.surrogate_corpus(config, cw.make_rng(42))[0]
+def records(tau_max):
+    for f in cw.forecast_technology(series, tau_max, 0.63):
+        f.as_record(series.name, int(series.years[-1]))
+t7 = time.perf_counter()
+records(20)
+t8 = time.perf_counter()
+records(100)
+t9 = time.perf_counter()
 print(json.dumps({
     "import costwalk.surrogate, numpy": t1 - t0,
     "import numpy.random": t2 - t1,
     "first NullEnsemble.quantiles (1000, 20)": t4 - t3,
     "second NullEnsemble.quantiles": t5 - t4,
     "deviation t(4) grid": t6 - t5,
+    "first forecast + records, horizon 20": t8 - t7,
+    "then forecast + records, horizon 100": t9 - t8,
 }))
 """
 
@@ -322,6 +356,10 @@ def main():
         print(f"{stage:<34} {t * 1e3:>8.2f} ms")
     for stage, peak in peaks.items():
         print(f"{f'{stage}, traced peak':<34} {peak / 1e6:>8.2f} MB")
+
+    print("\nforecast path, first x10 series, warm")
+    for tau_max, t in bench_forecast(template).items():
+        print(f"{f'forecast + records, horizon {tau_max}':<34} {t * 1e3:>8.3f} ms")
 
     print("\nfixed costs of a fresh process")
     for stage, t in bench_fixed_costs().items():

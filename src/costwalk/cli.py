@@ -282,15 +282,13 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     series = corpus[corpus.names.index(args.tech)]
     forecasts = forecast_technology(series, args.horizon, args.theta, m=window)
     origin_year = int(series.years[-1])
-    _write_json(
-        out / "forecast.json",
-        {"forecasts": [f.as_record(args.tech, origin_year) for f in forecasts]},
-    )
+    records = [f.as_record(args.tech, origin_year) for f in forecasts]
+    _write_json(out / "forecast.json", {"forecasts": records})
     with open(out / "forecast.csv", "w", encoding="utf-8", newline="") as handle:
         handle.write("tau,q05,q16,q50,q84,q95\n")
-        for tau, f in enumerate(forecasts, start=1):
-            cost_q = [math.exp(f.quantile(p)) for p in (0.05, 0.16, 0.50, 0.84, 0.95)]
-            handle.write(f"{tau}," + ",".join(f"{q:.10g}" for q in cost_q) + "\n")
+        for tau, record in enumerate(records, start=1):  # p05..p95, as the JSON holds them
+            costs = (math.exp(q) for q in record["quantiles"].values())
+            handle.write(f"{tau}," + ",".join(f"{c:.10g}" for c in costs) + "\n")
     last = forecasts[-1]
     print(
         f"{args.tech}: median cost at horizon {args.horizon} = {last.median_cost:.4g} "

@@ -32,6 +32,7 @@ the MA correction is available only inside the theta sweep experiment.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -166,6 +167,11 @@ def null_xi_mean(m: int, tau_max: int, theta_grid: Sequence[float]) -> np.ndarra
     return g
 
 
+# Every horizon of one forecast shares df, so each level is bisected once per df.
+_standard_t_quantile = functools.lru_cache(maxsize=64)(student_t_quantile)
+_LEVELS = {"p05": 0.05, "p16": 0.16, "p50": 0.50, "p84": 0.84, "p95": 0.95}
+
+
 @dataclass(frozen=True)
 class DistributionalForecast:
     """Forecast distribution for log cost at one horizon.
@@ -196,7 +202,7 @@ class DistributionalForecast:
             if not 0.0 < p < 1.0:
                 raise ValueError(f"probability must lie in (0, 1), got {p}")
             return self.mean_log
-        return self.mean_log + self.sd_log * student_t_quantile(p, self.df)
+        return self.mean_log + self.sd_log * _standard_t_quantile(p, self.df)
 
     def prob_exceeds(self, log_level: float) -> float:
         """P(log cost at the horizon >= log_level) under the normal forecast law."""
@@ -214,13 +220,7 @@ class DistributionalForecast:
             "horizon": self.horizon,
             "mean_log": self.mean_log,
             "sd_log": self.sd_log,
-            "quantiles": {
-                "p05": self.quantile(0.05),
-                "p16": self.quantile(0.16),
-                "p50": self.quantile(0.50),
-                "p84": self.quantile(0.84),
-                "p95": self.quantile(0.95),
-            },
+            "quantiles": {name: self.quantile(p) for name, p in _LEVELS.items()},
             "median_cost": self.median_cost,
         }
 

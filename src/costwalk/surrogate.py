@@ -763,7 +763,7 @@ def robustness_suite(
     for window in vary_m or ():
         _check_m(window)
     if extended_tau_max is not None:
-        _kernels._check_window(m, extended_tau_max)
+        _integer("extended_tau_max", extended_tau_max, 1)
     if fat_tail_dfs is not None:  # every config is built, and so checked, before any experiment
         template = corpus_template(corpus) if template is None else template
         base = dict(replications=replications, m=m, tau_max=tau_max, seed=seed, template=template)

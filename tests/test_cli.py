@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from costwalk import cli
+from costwalk import cli, forecast, stats
 from costwalk.cli import _parse_grid, main
 from costwalk.models import EstimationError
 
@@ -376,6 +376,43 @@ class TestForecast:
             ["forecast", "--input", str(corpus_csv), "--out", str(out), "--tech", "tech01",
              "--horizon", "3", "--window", "8"]
         ) == 0
+
+    @pytest.mark.parametrize("window", ["all", "8"])
+    def test_csv_cells_are_the_json_quantiles_evaluated_once(
+        self, corpus_csv, tmp_path, monkeypatch, window
+    ):
+        # forecast.csv used to evaluate every quantile a second time
+        calls = []
+        quantile = forecast.DistributionalForecast.quantile
+        monkeypatch.setattr(
+            forecast.DistributionalForecast, "quantile", lambda f, p: calls.append(p) or quantile(f, p)
+        )
+        out = tmp_path / "f"
+        assert main(
+            ["forecast", "--input", str(corpus_csv), "--out", str(out), "--tech", "tech01",
+             "--horizon", "12", "--window", window, "--theta", "0.63"]
+        ) == 0
+        records = json.loads((out / "forecast.json").read_text())["forecasts"]
+        rows = _read_csv(out / "forecast.csv")[1:]
+        assert len(calls) == 5 * len(records) == 5 * len(rows) == 60
+        for tau, (row, record) in enumerate(zip(rows, records), start=1):
+            q = [record["quantiles"][k] for k in ("p05", "p16", "p50", "p84", "p95")]
+            assert row == [str(tau)] + [f"{math.exp(v):.10g}" for v in q]
+
+    def test_t_quantiles_bisected_once_per_run(self, corpus_csv, tmp_path, monkeypatch):
+        # each horizon used to bisect its five t(m-1) quantiles twice: 252 CDF calls per horizon
+        counts = {}
+        cdf = stats.student_t_cdf
+        for horizon in (1, 40):
+            calls = []
+            monkeypatch.setattr(stats, "student_t_cdf", lambda x, df: calls.append(df) or cdf(x, df))
+            forecast._standard_t_quantile.cache_clear()
+            assert main(
+                ["forecast", "--input", str(corpus_csv), "--out", str(tmp_path / f"h{horizon}"),
+                 "--tech", "tech00", "--horizon", str(horizon)]
+            ) == 0
+            counts[horizon] = len(calls)
+        assert counts[1] == counts[40] > 0
 
 
 class TestCompare:

@@ -1,5 +1,6 @@
 """Variance factors, error rescaling, and distributional forecasts."""
 
+import dataclasses
 import json
 import math
 
@@ -13,8 +14,10 @@ from costwalk import (
     make_rng,
     variance_factors,
 )
+from costwalk import forecast
 from costwalk._kernels import corpus_norm_errors
 from costwalk.forecast import rescale_scale
+from costwalk.stats import student_t_quantile
 from reference import a_star_expanded
 
 
@@ -178,6 +181,15 @@ class TestDistributionalForecast:
         for p in (0.05, 0.16, 0.25):
             lo, hi = fc.quantile(p), fc.quantile(1 - p)
             assert lo + hi == pytest.approx(2 * fc.mean_log, abs=1e-7)
+
+    def test_memoized_quantiles_keep_their_bits(self):
+        forecast._standard_t_quantile.cache_clear()
+        est = RwdEstimate(mu_hat=-0.1, k_hat=0.15, m=9, origin_index=9)
+        for df in (8, 8.0, np.int64(8)):  # equal keys share one entry, and so one value
+            fc = dataclasses.replace(distributional_forecast(est, 0.0, 7, 0.3), df=df)
+            for p in (0.05, 0.16, 0.5, 0.84, 0.95, 0.3):
+                assert fc.quantile(p) == fc.mean_log + fc.sd_log * student_t_quantile(p, df)
+        assert forecast._standard_t_quantile.cache_info().misses == 6
 
     def test_zero_volatility_point_mass(self):
         est = RwdEstimate(mu_hat=-0.1, k_hat=0.0, m=10, origin_index=10)

@@ -814,7 +814,8 @@ class TestRobustness:
         "arguments, message",
         [
             (dict(vary_m=[8, 3]), "m=3"),
-            (dict(vary_m=[5, 8], extended_tau_max=0), "tau_max must be >= 1"),
+            (dict(vary_m=[5, 8], extended_tau_max=0), "extended_tau_max must be >= 1, got 0"),
+            (dict(vary_m=[5, 8], extended_tau_max=2.5), "extended_tau_max must be an integer, got 2.5"),
             (dict(vary_m=[5], half_dataset_trials=3, fat_tail_dfs=[2.0]), "student_df"),
             (dict(vary_m=[5], fat_tail_dfs=[3.0], replications=0), "replications"),
             (dict(vary_m=[5], fat_tail_dfs=[3.0], template=((20, -0.08, 0.0), (5, -0.1, 0.1))), "K = 0"),
