@@ -14,7 +14,9 @@ Times the hot paths on representative workloads:
   per array pass in one workspace, plus each replication's error-growth
   curve; timed at the plan's default replications per pass and at 2, after
   the plan's layout (cells laid out and points drawn per replication, and
-  its length bands) is printed;
+  its length bands) is printed, and at a horizon cap of 400, far past the
+  template's reach (73 horizons at m = 5), where the Xi cells stop at the
+  reach and only the rows' NaN columns grow;
 * validate's joint pass, per replication: the engine given observed
   records, which takes both the error-growth curve and the three
   ECDF-deviation measures of every replication, the two nulls that
@@ -327,6 +329,7 @@ def main():
     t_surr = bench_surrogate(lengths, 0.63, 5, 20, args.reps)
     t_engine = bench_engine(template, 0.63, 5, 20, args.reps)
     t_engine_2 = bench_engine(template, 0.63, 5, 20, args.reps, chunk=2)
+    t_engine_far = bench_engine(template, 0.63, 5, 400, args.reps)
     t_joint = bench_joint(template, 0.63, 5, 20, args.reps)
 
     print(f"{'':<19} {'hindcast T=100,m=5':>22} {'surrogate 53-series rep':>26}")
@@ -334,6 +337,8 @@ def main():
     print(f"{'corpus_norm_errors':<19} {'':>22} {t_surr * 1e6:>23.1f} us  (plan per call)")
     print(f"{'engine':<19} {'':>22} {t_engine * 1e6:>23.1f} us  (with Xi, {plan.chunk} per pass)")
     print(f"{'engine':<19} {'':>22} {t_engine_2 * 1e6:>23.1f} us  (with Xi, 2 per pass)")
+    reach = int(_kernels._reach(lengths, 5).max())
+    print(f"{'engine':<19} {'':>22} {t_engine_far * 1e6:>23.1f} us  (tau_max 400, reach {reach})")
     print(f"{'validate pass':<19} {'':>22} {t_joint * 1e6:>23.1f} us  (Xi + deviation)")
 
     print("\ntheta matching, no replication (m=5, tau 1..20)")

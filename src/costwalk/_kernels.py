@@ -18,7 +18,8 @@ operations.
 Conventions, for a log-cost series y[0..T-1] and a window of m first
 differences:
 
-* feasible forecast origins are i = m, ..., T-2 (0-based);
+* feasible forecast origins are i = m, ..., T-2 (0-based); ``_reach`` counts
+  them, max(T-1-m, 0), which is also the longest horizon;
 * drift estimate at origin i is the telescopic mean
   mu_hat = (y[i] - y[i-m]) / m;
 * volatility estimate is the Bessel-corrected standard deviation of the m
@@ -75,8 +76,17 @@ def _check_window(m, tau_max, lengths=None) -> tuple[int, int]:
     if m < 2:
         raise ValueError(f"window must contain at least 2 differences, got m={m}")
     if tau_max is None and lengths is not None:
-        tau_max = max(int(np.max(lengths, initial=0)) - 1 - m, 1)
+        tau_max = max(int(_reach(lengths, m).max(initial=0)), 1)
     return m, _integer("tau_max", tau_max, 1)
+
+
+def _reach(lengths, m: int, live=None) -> np.ndarray:
+    """Each series' number of forecast origins of a window of m differences,
+    max(T - 1 - m, 0), which is also its longest horizon; 0 where ``live`` is
+    False. An m past every length, even past int64, reaches nothing."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    reach = np.maximum(lengths - 1 - min(m, int(lengths.max(initial=0))), 0)
+    return reach if live is None else np.where(live, reach, 0)
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -109,6 +119,7 @@ def hindcast_errors(y, m, tau_max):
     T = y.size  # below m + 2 points there is no origin, and every column is empty
     d = y[1:] - y[:-1]
     origins = np.arange(m, T - 1, dtype=np.int64)
+    horizons = np.arange(1, min(tau_max, origins.size) + 1)  # the reach: one horizon per origin
     windows = d[origins[:, None] - np.arange(m, 0, -1)]  # d[i - m .. i - 1] of origin i
     mu, k2 = _window_estimates(y[m : T - 1], y[: origins.size], windows, m)
 
@@ -119,7 +130,7 @@ def hindcast_errors(y, m, tau_max):
     k_hat = np.sqrt(k2)
 
     # record (r, tau) of each kept origin r and horizon tau <= min(T - 1 - origin, tau_max)
-    rec, col = np.nonzero(np.arange(1, min(tau_max, T - 1 - m) + 1) <= T - 1 - origins[:, None])
+    rec, col = np.nonzero(horizons <= T - 1 - origins[:, None])
     o, tau = origins[rec], col + 1
     mu, k_hat = mu[rec], k_hat[rec]
     raw = y[o + tau] - y[o] - mu * tau
@@ -137,8 +148,8 @@ class _Plan:
     to the band's longest series, so that a series takes fewer than twice
     its T cells. ``series_start`` is the first cell of each series, and
     every index is a flat position in that layout. Origins are the feasible
-    forecast origins i = m..T-2 of every series with T >= m + 2, or only of
-    the series that ``_build_plan``'s optional ``hindcast`` mask marks;
+    forecast origins i = m..T-2 of every series (``_reach`` of them), or only
+    of the series that ``_build_plan``'s optional ``hindcast`` mask marks;
     records are ordered by series, origin and horizon, as in
     ``hindcast_errors``, whatever the bands. ``window`` holds the positions
     of each origin's m window differences, so a pass gathers every window
@@ -173,9 +184,7 @@ def _build_plan(lengths, m: int, tau_max: int, hindcast=None) -> _Plan:
         bands.append((cells, members.size, width))
         cells += members.size * width
     draws = np.repeat(series_start, lengths) + _ranges(lengths)
-    n_origins = np.maximum(lengths - 1 - m, 0)
-    if hindcast is not None:
-        n_origins[~np.asarray(hindcast, dtype=bool)] = 0
+    n_origins = _reach(lengths, m, hindcast)
     origin_series = np.repeat(np.arange(lengths.size, dtype=np.int64), n_origins)
     origin_at = _ranges(n_origins) + m
     origin = series_start[origin_series] + origin_at

@@ -117,15 +117,16 @@ def hindcast_corpus(
         raise ValueError(f"technology names must be unique; repeated: {repeated}")
     # room for every record if no window is skipped: the h origins of a series reach
     # h, h - 1, ..., 1 horizons, capped, so it has c(c + 1)/2 + (h - c) cap records
-    h = np.maximum(corpus.lengths - 1 - m, 0)
+    h = _kernels._reach(corpus.lengths, m)
     cap = min(tau_max, h.max(initial=0))
     c = np.minimum(h, cap)
     size = int((c * (c + 1) // 2 + (h - c) * cap).sum())
     # the kernel's columns: origin_index, tau, raw_error, norm_error, mu_hat, k_hat
     columns = [np.empty(size, dtype=t) for t in 2 * [np.int64] + 4 * [np.float64]]
     names, starts, sizes, too_short, skipped, end = [], [], [], [], 0, 0
-    for name, start, n in sorted(zip(corpus.names, corpus.starts.tolist(), corpus.lengths.tolist())):
-        if n < m + 2:
+    series = zip(corpus.names, corpus.starts.tolist(), corpus.lengths.tolist(), h.tolist())
+    for name, start, n, reach in sorted(series):
+        if not reach:
             too_short.append(name)
             continue
         y = corpus.log_costs[start : start + n]

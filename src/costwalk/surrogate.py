@@ -22,7 +22,7 @@ records) arrays through the static index plan and the window helper of
 ``_kernels``, the same path ``_kernels.corpus_norm_errors`` takes on one
 corpus. Once per experiment it builds the plan (the series laid out in bands
 of like length, and each origin's window among its index arrays), the one
-Xi cell index of the records with its counts, and one workspace; given
+Xi cell index of the records up to their reach, and one workspace; given
 observed records, it checks them and builds the t(m-1) CDF on the deviation
 grid (one call per distinct |x|), the plan's eps* divisors and the observed
 deviation measures. A plan costs far less than one pass, so none is cached.
@@ -171,7 +171,7 @@ class SurrogateConfig:
             if not (math.isfinite(mu) and math.isfinite(k) and k >= 0.0):
                 raise ValueError(f"template series ({n}, {mu}, {k}) needs a finite mu and K >= 0")
         object.__setattr__(self, "template", template)
-        if max(t[0] for t in self.template) < self.m + 2:
+        if not _kernels._reach(self.lengths, self.m).any():
             raise ValueError(
                 f"no template series has the m + 2 = {self.m + 2} points a window-{self.m} "
                 "hindcast needs"
@@ -294,10 +294,10 @@ def surrogate_corpus(config: SurrogateConfig, rng: np.random.Generator) -> list[
 
 def _engine_plan(config: SurrogateConfig) -> _Plan:
     """The plan of the config's walks, where K = 0 series get no origins."""
-    plan = _build_plan(config.lengths, config.m, config.tau_max, config.volatilities > 0.0)
-    if plan.tau.size == 0:
+    live = config.volatilities > 0.0
+    if not _kernels._reach(config.lengths, config.m, live).any():
         raise ValueError("no surrogate records: every series long enough for a window has K = 0")
-    return plan
+    return _build_plan(config.lengths, config.m, config.tau_max, live)
 
 
 def _draws(
@@ -316,9 +316,9 @@ def _draws(
 def _ensemble(
     config: SurrogateConfig, tag: int, records: HindcastRecords | None = None
 ) -> tuple[np.ndarray, NullEnsemble | None]:
-    """The (replications, tau_max) Xi curves of the surrogate null and, given
-    records, the deviation test of the records' pooled eps* (else None). The
-    plan is checked before the records."""
+    """The (replications, tau_max) Xi curves of the surrogate null, NaN past
+    the plan's reach, and, given records, the deviation test of the records'
+    pooled eps* (else None). The plan is checked before the records."""
     plan = _engine_plan(config)
     if records is not None:
         if records.m != config.m:
@@ -332,16 +332,17 @@ def _ensemble(
         del eps, inside  # the record-sized observed side is freed before the workspace exists
         divisors = _rescale_divisors(plan.tau, config.m, config.theta)
         deviation = np.empty((config.replications, len(DEVIATION_STATISTICS)))
-    shape = (len(config.template), config.tau_max)
+    shape = (len(config.template), int(plan.tau.max()))  # no cell past the reach
     cell, counts = _cells(plan.origin_series[plan.record_origin], plan.tau, shape)
-    xi = np.empty((config.replications, config.tau_max))
+    # past the reach, the 0/0 that _xi gives a horizon without records (np.nan's sign bit differs)
+    xi = np.full((config.replications, config.tau_max), _xi(*np.zeros((2, 1, 1)), config.weighting)[0])
     work = _kernels._Workspace(plan, plan.chunk)
     innovations = np.empty((plan.chunk, int(config.lengths.sum())))
     for rows, draws in _draws(config, plan, tag, innovations):
         # no window of a walk of continuous draws has zero variance, so every record is kept
         norm = _kernels._walk_errors(plan, config.theta, config.m, draws, work)[0]
         scratch = work.scratch[: norm.shape[0]]  # the squares, then eps*
-        xi[rows] = _xi(_cell_sums(norm, cell, shape, scratch), counts, config.weighting)
+        xi[rows, : shape[1]] = _xi(_cell_sums(norm, cell, shape, scratch), counts, config.weighting)
         if records is not None:
             eps = np.divide(norm, divisors, out=scratch)
             deviation[rows] = _deviation_stats(eps, t_cdf_grid)
@@ -558,8 +559,8 @@ def estimate_theta_matched(
     if config.student_df is not None:
         raise ValueError("theta matching needs normal innovations; config.student_df must be None")
     theta_grid = _check_theta_grid(theta_grid)
-    max_simulable_tau = int(config.lengths.max()) - config.m - 1
-    keep = (observed_curve.taus <= config.tau_max) & (observed_curve.taus <= max_simulable_tau)
+    reach = _kernels._reach(config.lengths, config.m)
+    keep = (observed_curve.taus <= config.tau_max) & (observed_curve.taus <= reach.max())
     taus = observed_curve.taus[keep]
     xi_obs = observed_curve.xi[keep]
     if taus.size == 0:
@@ -567,8 +568,10 @@ def estimate_theta_matched(
             "observed curve has no horizons that are both within tau_max and "
             "reachable by the template series"
         )
-
-    unreached = taus[~np.isin(taus, _engine_plan(config).tau)]
+    live = int(reach[config.volatilities > 0.0].max(initial=0))
+    if not live:
+        raise ValueError("no surrogate records: every series long enough for a window has K = 0")
+    unreached = taus[~np.isin(taus, np.arange(1, live + 1))]
     if unreached.size:
         raise ValueError(
             f"no surrogate records at horizons {unreached.tolist()}: only "
@@ -576,7 +579,7 @@ def estimate_theta_matched(
         )
 
     def z(thetas: np.ndarray) -> np.ndarray:
-        null_mean = null_xi_mean(config.m, config.tau_max, thetas)[:, taus - 1]
+        null_mean = null_xi_mean(config.m, int(taus.max()), thetas)[:, taus - 1]
         return np.mean(xi_obs / null_mean, axis=-1)
 
     z_values = z(theta_grid)
@@ -636,9 +639,11 @@ def theta_forecast_sweep(
         np.isfinite(requested) & (requested >= 1) & (requested == np.round(requested))
     ):
         raise ValueError("horizons must be positive integers")
-    horizons = np.unique(requested.astype(np.int64))
-    if not np.any(lengths >= m + 2):
-        raise ValueError(f"no feasible forecasts at horizons {horizons.tolist()}")
+    horizons = np.unique(requested)
+    past = horizons[horizons > _kernels._reach(lengths, m).max(initial=0)]
+    if past.size:  # before the int64 cast, which a horizon past int64 would overflow
+        raise ValueError(f"no feasible forecasts at horizons {[int(h) for h in past]}")
+    horizons = horizons.astype(np.int64)
 
     plan = _build_plan(lengths, m, 1)
     levels = np.concatenate([s.log_costs for s in corpus])[None]
@@ -768,7 +773,9 @@ def robustness_suite(
         template = corpus_template(corpus) if template is None else template
         base = dict(replications=replications, m=m, tau_max=tau_max, seed=seed, template=template)
         normal = SurrogateConfig(theta=theta, **base)
-        reach = int(_engine_plan(normal).tau.max())
+        reach = int(_kernels._reach(normal.lengths, m, normal.volatilities > 0.0).max())
+        if not reach:
+            raise ValueError("no surrogate records: every series long enough for a window has K = 0")
         students = [
             (SurrogateConfig(theta=0.0, student_df=float(df), **base), _stream_tag("fat-tails-student", i))
             for i, df in enumerate(fat_tail_dfs)

@@ -128,6 +128,12 @@ class TestHindcast:
             ["hindcast", "--input", str(corpus_csv), "--out", str(tmp_path / "o"), "--window", "40"]
         ) == 2
 
+    def test_window_past_int64_exits_2(self, corpus_csv, tmp_path, capsys):
+        # it used to end in an OverflowError traceback
+        out = str(tmp_path / "o")
+        assert main(["hindcast", "--input", str(corpus_csv), "--out", out, "--window", str(2**63)]) == 2
+        assert "no feasible forecasts; series too short for the window" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags, message",
         [(("--window", "3"), "m=3 is too small"), (("--theta", "1.5"), "theta must lie")],
@@ -170,6 +176,12 @@ class TestValidate:
         out = str(tmp_path / "o")
         assert main(["validate", "--input", str(corpus_csv), "--out", out, "--window", "40"]) == 2
         assert "no feasible forecasts" in capsys.readouterr().err
+
+    def test_window_past_int64_exits_2(self, corpus_csv, tmp_path, capsys):
+        # it used to end in an OverflowError traceback
+        out = str(tmp_path / "o")
+        assert main(["validate", "--input", str(corpus_csv), "--out", out, "--window", str(2**63)]) == 2
+        assert "no feasible forecasts; series too short for the window" in capsys.readouterr().err
 
     def test_threads_option_is_gone(self, corpus_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -609,3 +609,23 @@ class TestStreamTags:
         # repeat their draws
         for tag in (2, 4, 5, 100):
             assert not any(first <= tag < first + size for first, size in _STREAM_TAGS.values())
+
+
+def test_an_ensemble_past_its_reach_holds_only_its_padded_rows():
+    # the Xi cells and their sums stop at the template's reach, 73 horizons at
+    # m = 5: a cap far past it adds the NaN columns of the rows and nothing
+    # per pass, where the cells of a pass used to take about 14 MB at 2,000
+    config = SurrogateConfig(
+        replications=16, theta=0.63, m=5, tau_max=73, seed=9, template=REFERENCE_TEMPLATE
+    )
+    assert int(_engine_plan(config).tau.max()) == config.tau_max
+    far = dataclasses.replace(config, tau_max=2000)
+    padded = config.replications * (far.tau_max - config.tau_max) * 8
+    assert _traced_peak(lambda: _ensemble(far, 1)) - _traced_peak(lambda: _ensemble(config, 1)) <= padded + 4096
+    # past the reach, each row holds the 0/0 of the reference's full grid, as bits
+    expected = np.vstack(
+        [xi_from_errors(*replication_errors(far, derive_rng(9, 1, r)), far) for r in range(16)]
+    )
+    xi, _ = _ensemble(far, 1)
+    _assert_bytes_equal(xi, expected)
+    assert np.isnan(xi[:, config.tau_max :]).all()

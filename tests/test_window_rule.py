@@ -313,3 +313,62 @@ def test_a_ragged_grid_names_its_first_bad_theta(name):
     # numpy's "inhomogeneous shape" error used to escape
     with pytest.raises(ValueError, match=r"^theta must lie .*got \[0\.1\]$"):
         _THEORY["grid"][name]([[0.1], [0.2, 0.3]])
+
+
+# a window past int64, which numpy's integer arrays cannot hold
+_PAST_INT64 = 2**63
+# what each entry point of the table gives for that window: None for a result,
+# else the ValueError it raises. The private kernels, which index arrays of m
+# entries, and null_xi_mean, which builds an (m + 1)-dimensional form, are left out.
+_PAST_INT64_RAISES = {
+    "hindcast_corpus": None,
+    "SurrogateConfig": r"m \+ 2 = 9223372036854775810 points",
+    "robustness_suite": None,
+    "forecast_technology": "window of 9223372036854775808 differences needs",
+    "estimate_theta_weighted": None,
+    "estimate_rwd": "does not fit a window of 9223372036854775808 differences",
+    "theta_forecast_sweep": r"no feasible forecasts at horizons \[1, 2\]",
+    "variance_factors": None,
+    "TechState": None,
+    "RwdEstimate": None,
+}
+
+
+@pytest.mark.parametrize("name, message", sorted(_PAST_INT64_RAISES.items()))
+def test_a_window_past_int64_gives_a_result_or_a_clear_error(name, message):
+    # hindcast_corpus raised an OverflowError converting it to a C long
+    if message is None:
+        _ENTRY_POINTS[name](_PAST_INT64, 5)
+    else:
+        with pytest.raises(ValueError, match=message):
+            _ENTRY_POINTS[name](_PAST_INT64, 5)
+
+
+@pytest.mark.parametrize("m", [_PAST_INT64, 10**20])
+def test_every_series_is_too_short_for_a_window_past_int64(m):
+    result = hindcast_corpus(_CORPUS, m)
+    assert result.too_short == tuple(sorted(s.name for s in _CORPUS))
+    assert len(result.records) == 0 and result.skipped_zero_volatility == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), max_size=6),
+    st.one_of(st.integers(2, 45), st.integers(2**62, 2**70)),
+    st.data(),
+)
+def test_the_reach_is_the_number_of_origins(lengths, m, data):
+    # origins i = m..T-2 of each series; the first reaches T-1-m horizons, one per origin
+    live = data.draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
+    origins = [len(range(m, T - 1)) for T in lengths]
+    assert _kernels._reach(lengths, m).tolist() == origins
+    assert _kernels._reach(lengths, m, live).tolist() == [n if k else 0 for n, k in zip(origins, live)]
+
+
+@pytest.mark.parametrize("horizons", [[2**63], [1e300], [1, 2**63], [1, 25]])
+def test_sweep_horizons_past_the_reach_are_named(horizons):
+    # past int64 they warned of an invalid cast and raised an IndexError; the
+    # longest series (30 points) reaches 24 horizons at m = 5
+    past = [int(h) for h in horizons if h > 24]
+    with pytest.raises(ValueError, match=rf"^no feasible forecasts at horizons \[{past[0]}\]$"):
+        theta_forecast_sweep(_CORPUS, 5, [0.0, 0.3], horizons)
